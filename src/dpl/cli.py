@@ -203,7 +203,8 @@ def cmd_eval_term(args):
     term = bind_term(term, env)
     params = {}
     if args.x is not None:
-        params["x"] = parse_x(args.x)
+        with ctx.workdps():
+            params["x"] = parse_x(args.x)
     if args.b is not None:
         from fractions import Fraction
         params["b"] = Fraction(args.b)
@@ -242,7 +243,6 @@ def build_parser():
     def add_common(sp, with_params=True):
         sp.add_argument("--digits", type=int, default=50)
         sp.add_argument("--strategy", choices=("auto", "reduction", "direct"))
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--tolerance")
@@ -257,6 +257,7 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="run a parameter battery and aggregate")
     sp.add_argument("--id", required=True)
+    sp.add_argument("--jobs", type=int, default=1)
     add_common(sp)
     sp.set_defaults(func=cmd_sweep)
 

@@ -8,7 +8,6 @@ stored fields on every access.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,8 +77,6 @@ def parse_value(decl, raw):
     if kind == "unit":
         return parse_x(raw)
     if kind == "fixed":
-        if raw is not None:
-            v = XSpec.number(_fraction_to_mpf(Fraction(raw))) if not isinstance(raw, XSpec) else raw
         return XSpec.number(_fraction_to_mpf(decl.fixed_value))
     raise DomainError(f"unhandled parameter kind {kind}")
 
@@ -267,19 +264,20 @@ class IdentityReport:
         return self.residual <= max(self.bound, mpf(self.tolerance))
 
     def to_dict(self):
-        lv, rv = mpc(self.lhs.value), mpc(self.rhs.value)
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "digits": self.digits,
-            "strategy": self.strategy,
-            "lhs": {"re": mp.nstr(lv.real, 25), "im": mp.nstr(lv.imag, 25)},
-            "rhs": {"re": mp.nstr(rv.real, 25), "im": mp.nstr(rv.imag, 25)},
-            "residual": mp.nstr(self.residual, 8),
-            "bound": mp.nstr(self.bound, 8),
-            "pass": bool(self.passed),
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        with mp.workdps(self.digits):
+            lv, rv = mpc(self.lhs.value), mpc(self.rhs.value)
+            return {
+                "identity": self.identity,
+                "params": self.params,
+                "digits": self.digits,
+                "strategy": self.strategy,
+                "lhs": {"re": mp.nstr(lv.real, 25), "im": mp.nstr(lv.imag, 25)},
+                "rhs": {"re": mp.nstr(rv.real, 25), "im": mp.nstr(rv.imag, 25)},
+                "residual": mp.nstr(self.residual, 8),
+                "bound": mp.nstr(self.bound, 8),
+                "pass": bool(self.passed),
+                "elapsed_ms": round(self.elapsed_ms, 3),
+            }
 
 
 def eval_identity(spec_or_entry, assignments: dict, ctx: PrecisionContext,
@@ -293,7 +291,8 @@ def eval_identity(spec_or_entry, assignments: dict, ctx: PrecisionContext,
         tolerance = tolerance if tolerance is not None else mpf("1e-8")
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
-    p = IdentityParams.bind(spec, assignments)
+    with ctx.workdps():  # x literals such as 1/10 must round at working precision
+        p = IdentityParams.bind(spec, assignments)
     start = time.perf_counter()
     cache = EvalCache(ctx)
     lhs = eval_side(spec, "lhs", p, ctx, strategy, cache)
@@ -432,8 +431,8 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     def func(bval):
         if not singles_only and not allow_extended_b and not (0 < bval < 1):
             raise DomainError("stencil leaves (0,1) on a side with m>b ranges")
-        assign = dict(assignments)
-        p = IdentityParams.bind(spec, assign)
+        with ctx.workdps():
+            p = IdentityParams.bind(spec, assignments)
         p.numeric["b"] = bval
         return eval_side(spec, side, p, ctx, strategy)
 

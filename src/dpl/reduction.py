@@ -9,6 +9,12 @@ so the whole pipeline stays inside the package's own primitives.
 
 Residue-class splitting turns root-of-unity powers, character twists, and
 congruence constraints into finitely many constant-phase classes first.
+
+Terms weighted by x^(m+n) with |x| < 1 take a separate route: they are summed
+along the diagonals N = m + n, where the (m+n) part of the summand depends on
+N alone and the inner sum over m + n = N advances by running partial sums, one
+new power per step. The sum stops at a triangle N <= N0 + T whose omitted
+tail is bounded geometrically, so the cost is O(T) rather than O(T^2).
 """
 
 from __future__ import annotations
@@ -208,15 +214,18 @@ class _Series:
         R = self.R
         conv_a = [mpf(0)] * (2 * R + 1)
         conv_b = [mpf(0)] * (2 * R + 1)
-        for i, ai in enumerate(self.a):
-            if ai == 0 and self.b[i] == 0:
-                continue
-            for j, aj in enumerate(other.a):
-                if aj == 0 and other.b[j] == 0:
-                    continue
-                conv_a[i + j] += ai * aj
-                conv_b[i + j] += ai * other.b[j] + self.b[i] * aj
-                # log^2 products never occur: at most one factor carries logs
+        # log^2 products never occur: at most one factor carries logs
+        oa = [(j, aj) for j, aj in enumerate(other.a) if aj]
+        ob = [(j, bj) for j, bj in enumerate(other.b) if bj]
+        for i, (ai, bi) in enumerate(zip(self.a, self.b)):
+            if ai:
+                for j, aj in oa:
+                    conv_a[i + j] += ai * aj
+                for j, bj in ob:
+                    conv_b[i + j] += ai * bj
+            if bi:
+                for j, aj in oa:
+                    conv_b[i + j] += bi * aj
         out.a[: R + 1] = conv_a[: R + 1]
         out.b[: R + 1] = conv_b[: R + 1]
         dropped = mpf(0)
@@ -357,35 +366,26 @@ def _psi_series(R, delta, v0, ctx):
 # ---------------------------------------------------------------------------
 
 def _trans_table(trans, slope, u0, U0, cache):
-    """Values of Z(slope*u + gamma) for u in [u0, U0) by one-step recurrence."""
+    """Values of Z(slope*u + gamma) for u in [u0, U0) by one-step recurrence.
+
+    Z is zeta(j, .) (any real order j) or psi; the table runs down from the
+    one value taken from the cache at u = U0 - 1.
+    """
     kind = trans[0]
+    gz = trans[-1]
+    a = slope * (U0 - 1) + gz
     if kind == "zeta":
-        j, gz = trans[1], trans[2]
-        if not isinstance(j, int):
-            raise ShapeError("transcendental table needs an integer order")
-        top = slope * (U0 - 1) + gz
-        cur = cache.zeta(j, top)
-        vals = [None] * (U0 - u0)
-        val = cur.value
-        vals[U0 - 1 - u0] = val
-        a = top
-        for u in range(U0 - 2, u0 - 1, -1):
-            for _ in range(slope):
-                a = a - 1
-                val = val + a ** (-j)
-            vals[u - u0] = val
-        return vals, cur.abs_error_bound
-    gz = trans[1]
-    top = slope * (U0 - 1) + gz
-    cur = cache.psi(top)
+        j = trans[1]
+        cur = cache.zeta(j, a)
+    else:
+        cur = cache.psi(a)
     vals = [None] * (U0 - u0)
     val = cur.value
     vals[U0 - 1 - u0] = val
-    a = top
     for u in range(U0 - 2, u0 - 1, -1):
         for _ in range(slope):
             a = a - 1
-            val = val - 1 / a
+            val = val + a ** (-j) if kind == "zeta" else val - 1 / a
         vals[u - u0] = val
     return vals, cur.abs_error_bound
 
@@ -487,36 +487,13 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
 def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
     """Geometric outer phase: truncate when |X|^u underflows the target."""
     lam = atom.slope
-    eps = ctx.eps
     r = abs(X)
     if r >= 1:
         raise ShapeError("geometric path needs |X| < 1")
     U1 = u0 + int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r)))) + 4
-    # transcendental table top-down
-    tvals = None
+    tvals, tbnd = (None, mpf(0))
     if atom.trans is not None:
-        kind = atom.trans[0]
-        if kind == "zeta":
-            j, gz = atom.trans[1], atom.trans[2]
-            cur = cache.zeta(j, lam * U1 + gz)
-        else:
-            gz = atom.trans[1]
-            cur = cache.psi(lam * U1 + gz)
-        tvals = [None] * (U1 - u0 + 1)
-        val = cur.value
-        tbnd = cur.abs_error_bound
-        tvals[U1 - u0] = val
-        a = lam * U1 + gz
-        for u in range(U1 - 1, u0 - 1, -1):
-            for _ in range(lam):
-                a = a - 1
-                if kind == "zeta":
-                    val = val + a ** (-mpf(j) if not isinstance(j, int) else -j)
-                else:
-                    val = val - 1 / a
-            tvals[u - u0] = val
-    else:
-        tbnd = mpf(0)
+        tvals, tbnd = _trans_table(atom.trans, lam, u0, U1 + 1, cache)
     total = mpf(0)
     xp = x0 * X ** u0
     last_mag = mpf(0)
@@ -862,49 +839,152 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
 
 
 def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
-    """x^(m+n+d) with |x| < 1: direct double truncation, geometric bounds."""
+    """x^(m+n+d) with |x| < 1, summed along the diagonals N = m + n.
+
+    The (m+n) part of the summand, gamma_N = x^(N+d) (N+g)^(-q) chi(N),
+    depends on N alone, and each step N -> N+1 adds one new m (and one new
+    n) to the inner sum over m + n = N. One-sided terms (an m-factor or an
+    n-factor next to the (m+n) factor, not both) keep one running partial sum
+    of the factor's powers per residue class mod L, where L is the lcm of the
+    congruence modulus and the m- and n-twist moduli; the inner sum is then
+    sum_r phi(r, (N-r) mod L) * P_r(N) with phi the class weight (congruence
+    indicator times character values). Two-sided terms with integer
+    exponents split by two_pole_coeffs on X = m + g_m, Y = n + g_n, with
+    X + Y = W = N + g_m + g_n fixed, into one-sided pieces times powers of W.
+    Any other two-sided shape convolves power tables along each diagonal.
+
+    The omitted set is the triangle N > N0 + T, which holds k + 1 lattice
+    points at N = N0 + k, each at most corner * r^k in modulus (corner: the
+    summand's modulus bound at N = N0). T is the least cut-off with
+    corner * sum_{k>T} (k+1) r^k below 10^-(dps+8) * corner.
+    """
     with ctx.workdps():
         needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
         b_mp, b_exact = _b_value(params, needs_b)
         m0 = _resolve_m0(term.m_range, b_exact, b_mp)
         n0 = 0 if term.n_range == "n>=0" else 1
+        N0 = m0 + n0
+        fac = {}  # combo -> (shift value, summed exponent)
+        for f in term.factors:
+            e = _exp_value(f) + (fac[f.combo][1] if f.combo in fac else 0)
+            fac[f.combo] = (shift_value(f.shift, b_mp), e)
+        gm, a = fac.get("m", (mpf(0), Fraction(0)))
+        gn, c = fac.get("n", (mpf(0), Fraction(0)))
+        gj, q = fac.get("mn", (mpf(0), Fraction(0)))
+        coeff0 = _frac_to_mp(term.coeff)
+
+        # truncation: sum_{k>T} (k+1) r^k = r^(T+1) ((T+2) - (T+1) r) / (1-r)^2
         r = abs(x.value)
-        T = int(mp.ceil((ctx.dps + 8) * mp.log(10) / (-mp.log(r)))) + 2
+        T = int(mp.ceil((ctx.dps + 8) * mp.log(10) / (-mp.log(r))))
+        rt = r ** (T + 1)
+        while rt * ((T + 2) - (T + 1) * r) > mpf(10) ** (-(ctx.dps + 8)) * (1 - r) ** 2:
+            T += 1
+            rt *= r
+        corner = abs(coeff0) * r ** (N0 + term.xsel.d)
+        for combo, (g, p) in fac.items():
+            corner *= abs({"m": m0, "n": n0, "mn": N0}[combo] + g) ** (-_frac_to_mp(p))
+
+        # class weights phi(m mod L, n mod L); the (m+n) twist joins gamma_N
         Nmod = _cong_modulus(term.cong)
         cc = term.cong.coeff if term.cong else 0
         ce = term.cong.offset if term.cong else 0
-        fvals = [(f.combo, shift_value(f.shift, b_mp), _frac_to_mp(_exp_value(f)))
-                 for f in term.factors]
-        coeff0 = _frac_to_mp(term.coeff)
         chars = {name: params[name] for (name, _) in term.twists}
+        L = Nmod
+        for (name, arg) in term.twists:
+            if arg != "mn":
+                L = math.lcm(L, chars[name].modulus)
+
+        def phi(rm, rn):
+            if (rm - cc * rn - ce) % Nmod:
+                return 0
+            v = mpf(1)
+            for (name, arg) in term.twists:
+                if arg != "mn":
+                    v = v * _char_value(chars[name], rm if arg == "m" else rn)
+            return v
+
+        phis = [[phi(rm, rn) for rn in range(L)] for rm in range(L)]
+        chi_mn = [mpf(1)]
+        for (name, arg) in term.twists:
+            if arg == "mn":
+                chi = chars[name]
+                chi_mn = [_char_value(chi, s) for s in range(chi.modulus)]
+
+        # pieces (side, exponent, coefficient, power of 1/W) of the summand;
+        # None: a two-sided shape outside two_pole_coeffs, convolved instead
+        cfac = 1
+        if a and c and a.denominator == 1 and c.denominator == 1:
+            # Y = W - X: the coefficients for (X, -Y) pick up these signs
+            ai, ci = int(a), int(c)
+            A, B = two_pole_coeffs(ai, ci)
+            pieces = [("m", i, _frac_to_mp(A[i] * (-1) ** (ai - i)), ai + ci - i)
+                      for i in range(1, ai + 1)]
+            pieces += [("n", j, _frac_to_mp(B[j] * (-1) ** ai), ai + ci - j)
+                       for j in range(1, ci + 1)]
+            cfac = sum(abs(coef) for (_, _, coef, _) in pieces)
+        elif a and c:
+            pieces = None
+        elif c:
+            pieces = [("n", _num_exp(c), mpf(1), 0)]
+        else:
+            pieces = [("m", _num_exp(a), mpf(1), 0)]
+        running = {(side, e): [mpf(0)] * L for (side, e, _, _) in pieces or ()}
+        # nonzero class weights (r, phi) of the running sums, by N mod L
+        wtab = {
+            "m": [[(rho, phis[rho][(s - rho) % L]) for rho in range(L)
+                   if phis[rho][(s - rho) % L]] for s in range(L)],
+            "n": [[(rho, phis[(s - rho) % L][rho]) for rho in range(L)
+                   if phis[(s - rho) % L][rho]] for s in range(L)],
+        }
+        ea, ec, eq = _num_exp(a), _num_exp(c), _num_exp(q)
+        xa, yc = [], []  # (m+g_m)^-a and (n+g_n)^-c tables of the convolution
+
+        def diagonal(k):
+            """Inner sum over m + n = N0 + k from the whole summand."""
+            return sum(phis[(m0 + i) % L][(n0 + k - i) % L] * xa[i] * yc[k - i]
+                       for i in range(k + 1))
+
+        xp = x.value ** (N0 + term.xsel.d)
         total = mpf(0)
-        for m in range(m0, m0 + T + 1):
-            for n in range(n0, n0 + T + 1):
-                if Nmod > 1 and (m - cc * n - ce) % Nmod != 0:
-                    continue
-                cval = mpc(1)
-                ok = True
-                for (name, arg) in term.twists:
-                    v = chars[name](m if arg == "m" else n if arg == "n" else m + n)
-                    if v == 0:
-                        ok = False
-                        break
-                    cval = cval * mpc(v)
-                if not ok:
-                    continue
-                val = x.value ** (m + n + term.xsel.d) * cval
-                for (combo, g, p) in fvals:
-                    basev = {"m": m, "n": n, "mn": m + n}[combo] + g
-                    val = val * basev ** (-p)
-                total = total + val
-        corner = mpf(1)
-        for (combo, g, p) in fvals:
-            basev = {"m": m0, "n": n0, "mn": m0 + n0}[combo] + g
-            corner = corner * abs(basev) ** (-p)
-        tail = 2 * r ** (T + 1) / (1 - r) ** 2 * corner
+        for k in range(T + 1):
+            N = N0 + k
+            for (side, e) in running:
+                if side == "m":
+                    running[(side, e)][(m0 + k) % L] += (m0 + k + gm) ** (-e)
+                else:
+                    running[(side, e)][(n0 + k) % L] += (n0 + k + gn) ** (-e)
+            W = N + gm + gn
+            if pieces is None or (a and c and W == 0):
+                # W = 0 only when a shifted factor changes sign; sum directly
+                xa[len(xa):] = [(m0 + i + gm) ** (-ea) for i in range(len(xa), k + 1)]
+                yc[len(yc):] = [(n0 + i + gn) ** (-ec) for i in range(len(yc), k + 1)]
+                inner = diagonal(k)
+            else:
+                inner = mpf(0)
+                for (side, e, coef, wexp) in pieces:
+                    P = running[(side, e)]
+                    part = sum(w * P[rho] for (rho, w) in wtab[side][N % L])
+                    inner += coef * part * W ** (-wexp) if wexp else coef * part
+            gamma = xp * chi_mn[N % len(chi_mn)]
+            if q:
+                gamma = gamma * (N + gj) ** (-eq)
+            total += gamma * inner
+            xp *= x.value
         total = total * coeff0
-        bound = abs(coeff0) * tail + abs(total) * mpf(10) ** (-(ctx.dps + 2))
+        tail = corner * rt * ((T + 2) - (T + 1) * r) / (1 - r) ** 2
+        rounding = corner * cfac / (1 - r) ** 2 * (T + 16) * mpf(10) ** (-(ctx.dps + 7))
+        bound = tail + rounding + abs(total) * mpf(10) ** (-(ctx.dps + 2))
         return EvalResult(total, bound, "direct_tail")
+
+
+def _num_exp(p: Fraction):
+    """An exponent as an int when integral, else as an mpf."""
+    return int(p) if p.denominator == 1 else _frac_to_mp(p)
+
+
+def _char_value(chi, k):
+    v = chi(k)
+    return mpf(v.real) if not v.imag else mpc(v)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@ def test_verify_json_schema(capsys):
     assert doc["pass"] is True
 
 
+def test_verify_json_prints_working_precision_digits(capsys):
+    import mpmath
+
+    code, out, _ = run(capsys, "verify", "--id", "euler-sum", "--l", "3",
+                       "--digits", "50", "--format", "json")
+    assert code == 0
+    with mpmath.mp.workdps(50):
+        assert json.loads(out)["rhs"]["re"] == mpmath.nstr(mpmath.zeta(3), 25)
+
+
 def test_verify_csv_projection(capsys):
     code, out, _ = run(capsys, "verify", "--id", "aux-phi", "--s", "2,3",
                        "--format", "csv")

@@ -119,6 +119,74 @@ def test_single_examples():
         assert abs(r.value - ref.value) <= r.abs_error_bound + ref.abs_error_bound
 
 
+def _brute_double(x, m0, n0, fm, fn, fN, weight, dps):
+    """sum_{m>=m0, n>=n0} weight(m, n) x^(m+n) fm(m) fn(n) fN(m+n) on a square.
+
+    Each summand is at most C r^(m+n) in modulus, so dropping m or n beyond
+    M past its start omits at most 2 C r^(m0+n0+M+1) / (1-r)^2. Returns the
+    sum and that tail bound for C = 10, which holds for every case below.
+    """
+    with mp.workdps(dps):
+        r = abs(x)
+        M = int(mpmath.ceil(dps * mpmath.log(10) / -mpmath.log(r)))
+        fms = [fm(m) for m in range(m0, m0 + M + 1)]
+        fns = [fn(n) for n in range(n0, n0 + M + 1)]
+        fNs = {N: x ** N * fN(N) for N in range(m0 + n0, m0 + n0 + 2 * M + 1)}
+        total = mpf(0)
+        for i, vm in enumerate(fms):
+            for j, vn in enumerate(fns):
+                w = weight(m0 + i, n0 + j)
+                if w:
+                    total += w * vm * vn * fNs[m0 + n0 + i + j]
+        return total, 20 * r ** (m0 + n0 + M + 1) / (1 - r) ** 2
+
+
+def _chi3(k):
+    return mpf(CHI3(k).real)
+
+
+def _one(k):
+    return mpf(1)
+
+
+BRUTE_SHAPES = [
+    ("sum(m>=1,n>=1) x^(m+n) / (m * (m+n)^3)", {}, 1, 1,
+     lambda m: mpf(1) / m, _one, lambda N: mpf(N) ** -3, lambda m, n: 1),
+    ("sum(m>=1,n>=0) x^(m+n) / ((n+b) * (m+n+b)^2)", {"b": Fraction(1, 4)}, 1, 0,
+     _one, lambda n: 1 / (n + mpf(1) / 4), lambda N: (N + mpf(1) / 4) ** -2,
+     lambda m, n: 1),
+    ("sum(m>=1,n>=1; m=-2*n mod 3) x^(m+n) / (m * n * (m+n)^2)", {}, 1, 1,
+     lambda m: mpf(1) / m, lambda n: mpf(1) / n, lambda N: mpf(N) ** -2,
+     lambda m, n: (m + 2 * n) % 3 == 0),
+    ("sum(m>=1,n>=0) x^(m+n) / (m * (n+b)^2 * (m+n+b)^(3/2))", {"b": Fraction(1, 2)}, 1, 0,
+     lambda m: mpf(1) / m, lambda n: (n + mpf(1) / 2) ** -2,
+     lambda N: (N + mpf(1) / 2) ** mpf(-1.5), lambda m, n: 1),
+    ("sum(m>=1,n>=1) x^(m+n) / (m^(3/2) * n^(1/2) * (m+n)^2)", {}, 1, 1,
+     lambda m: mpf(m) ** mpf(-1.5), lambda n: mpf(n) ** mpf(-0.5),
+     lambda N: mpf(N) ** -2, lambda m, n: 1),
+    ("sum(m>=1,n>=1) chi(m) * x^(m+n) / ((m+n)^3)", {"chi": CHI3}, 1, 1,
+     _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(m)),
+    ("sum(m>=1,n>=1) chi(n) * x^(m+n) / ((m+n)^3)", {"chi": CHI3}, 1, 1,
+     _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(n)),
+]
+
+
+@pytest.mark.parametrize("xlit", ["1/10", "-1/3"])
+@pytest.mark.parametrize("shape", BRUTE_SHAPES, ids=lambda s: s[0])
+def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
+    # the N = m + n re-indexed |x| < 1 path against a plain double sum at
+    # 30 more digits
+    text, params, m0, n0, fm, fn, fN, weight = shape
+    with CTX.workdps():
+        x = parse_x(xlit)
+        r = eval_double(bind_term(parse_term(text), {}), {**params, "x": x}, CTX,
+                        "reduction")
+    ref, ref_tail = _brute_double(x.value, m0, n0, fm, fn, fN, weight, CTX.dps + 38)
+    with mp.workdps(CTX.dps + 38):
+        assert ref_tail < r.abs_error_bound / 1000
+        assert abs(r.value - ref) <= r.abs_error_bound
+
+
 # ---------------------------------------------------------------------------
 # eval_identity examples
 # ---------------------------------------------------------------------------
@@ -145,6 +213,16 @@ def test_identity_sfnu_k3():
     with mp75():
         assert rep.passed and rep.residual < mpf("1e-30")
         assert abs(rep.rhs.value - mpmath.zeta(6)) < mpf("1e-50")
+
+
+def test_identity_binds_x_at_working_precision():
+    # x = 1/10 is not a dyadic rational: bound at 53 bits it would move
+    # Li_3(x) in the 18th digit
+    ctx = PrecisionContext(working_digits=50, guard_digits=10, output_digits=40)
+    rep = eval_identity(registry_get("cor-1.2"), {"k": 1, "x": "1/10"}, ctx)
+    with mp.workdps(80):
+        ref = mpmath.polylog(3, mpf(1) / 10)
+        assert abs(rep.rhs.value - ref) <= rep.rhs.abs_error_bound
 
 
 def test_identity_report_recomputes_verdict():
