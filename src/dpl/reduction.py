@@ -368,14 +368,16 @@ def _psi_series(R, delta, v0, ctx):
 def _trans_table(trans, slope, u0, U0, cache):
     """Values of Z(slope*u + gamma) for u in [u0, U0) by one-step recurrence.
 
-    Z is zeta(j, .) (any real order j) or psi; the table runs down from the
-    one value taken from the cache at u = U0 - 1.
+    Z is zeta(j, .), with j an int, a Fraction or an mpf, or psi; the table
+    runs down from the one value taken from the cache at u = U0 - 1.
     """
     kind = trans[0]
     gz = trans[-1]
     a = slope * (U0 - 1) + gz
     if kind == "zeta":
         j = trans[1]
+        if isinstance(j, Fraction):
+            j = _num_exp(j)
         cur = cache.zeta(j, a)
     else:
         cur = cache.psi(a)
@@ -853,10 +855,17 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
     X + Y = W = N + g_m + g_n fixed, into one-sided pieces times powers of W.
     Any other two-sided shape convolves power tables along each diagonal.
 
+    A diagonal with |W| < 1 is also summed directly: W = 0 where a shifted
+    factor changes sign, and near it the pieces would cancel to a small
+    inner sum after division by a small W.
+
     The omitted set is the triangle N > N0 + T, which holds k + 1 lattice
     points at N = N0 + k, each at most corner * r^k in modulus (corner: the
-    summand's modulus bound at N = N0). T is the least cut-off with
-    corner * sum_{k>T} (k+1) r^k below 10^-(dps+8) * corner.
+    summand's modulus bound at N = N0, with each factor taken at its least
+    base over the range). T is the least cut-off with corner * sum_{k>T}
+    (k+1) r^k below 10^-(dps+8) * corner. The rounding bound scales with
+    the sum over N of |gamma_N| times the moduli the inner sum was formed
+    from, so cancellation between pieces is paid for where it occurs.
     """
     with ctx.workdps():
         needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
@@ -882,7 +891,7 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
             rt *= r
         corner = abs(coeff0) * r ** (N0 + term.xsel.d)
         for combo, (g, p) in fac.items():
-            corner *= abs({"m": m0, "n": n0, "mn": N0}[combo] + g) ** (-_frac_to_mp(p))
+            corner *= _least_base({"m": m0, "n": n0, "mn": N0}[combo], g) ** (-_frac_to_mp(p))
 
         # class weights phi(m mod L, n mod L); the (m+n) twist joins gamma_N
         Nmod = _cong_modulus(term.cong)
@@ -904,6 +913,7 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
             return v
 
         phis = [[phi(rm, rn) for rn in range(L)] for rm in range(L)]
+        phimax = max(abs(v) for row in phis for v in row)
         chi_mn = [mpf(1)]
         for (name, arg) in term.twists:
             if arg == "mn":
@@ -912,7 +922,6 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
 
         # pieces (side, exponent, coefficient, power of 1/W) of the summand;
         # None: a two-sided shape outside two_pole_coeffs, convolved instead
-        cfac = 1
         if a and c and a.denominator == 1 and c.denominator == 1:
             # Y = W - X: the coefficients for (X, -Y) pick up these signs
             ai, ci = int(a), int(c)
@@ -921,7 +930,6 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
                       for i in range(1, ai + 1)]
             pieces += [("n", j, _frac_to_mp(B[j] * (-1) ** ai), ai + ci - j)
                        for j in range(1, ci + 1)]
-            cfac = sum(abs(coef) for (_, _, coef, _) in pieces)
         elif a and c:
             pieces = None
         elif c:
@@ -929,6 +937,7 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
         else:
             pieces = [("m", _num_exp(a), mpf(1), 0)]
         running = {(side, e): [mpf(0)] * L for (side, e, _, _) in pieces or ()}
+        absrun = dict.fromkeys(running, mpf(0))  # sum of moduli, all classes
         # nonzero class weights (r, phi) of the running sums, by N mod L
         wtab = {
             "m": [[(rho, phis[rho][(s - rho) % L]) for rho in range(L)
@@ -940,41 +949,64 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
         xa, yc = [], []  # (m+g_m)^-a and (n+g_n)^-c tables of the convolution
 
         def diagonal(k):
-            """Inner sum over m + n = N0 + k from the whole summand."""
-            return sum(phis[(m0 + i) % L][(n0 + k - i) % L] * xa[i] * yc[k - i]
-                       for i in range(k + 1))
+            """Inner sum over m + n = N0 + k from the whole summand, and the
+            sum of the moduli of its terms."""
+            inner, size = mpf(0), mpf(0)
+            for i in range(k + 1):
+                t = phis[(m0 + i) % L][(n0 + k - i) % L] * xa[i] * yc[k - i]
+                inner += t
+                size += abs(t)
+            return inner, size
 
         xp = x.value ** (N0 + term.xsel.d)
         total = mpf(0)
+        mag = mpf(0)  # sum over N of |gamma_N| times the inner sum's moduli
         for k in range(T + 1):
             N = N0 + k
             for (side, e) in running:
                 if side == "m":
-                    running[(side, e)][(m0 + k) % L] += (m0 + k + gm) ** (-e)
+                    t = (m0 + k + gm) ** (-e)
+                    running[(side, e)][(m0 + k) % L] += t
                 else:
-                    running[(side, e)][(n0 + k) % L] += (n0 + k + gn) ** (-e)
+                    t = (n0 + k + gn) ** (-e)
+                    running[(side, e)][(n0 + k) % L] += t
+                absrun[(side, e)] += abs(t)
             W = N + gm + gn
-            if pieces is None or (a and c and W == 0):
-                # W = 0 only when a shifted factor changes sign; sum directly
+            if pieces is None or (a and c and abs(W) < 1):
                 xa[len(xa):] = [(m0 + i + gm) ** (-ea) for i in range(len(xa), k + 1)]
                 yc[len(yc):] = [(n0 + i + gn) ** (-ec) for i in range(len(yc), k + 1)]
-                inner = diagonal(k)
+                inner, size = diagonal(k)
             else:
-                inner = mpf(0)
+                inner, size = mpf(0), mpf(0)
                 for (side, e, coef, wexp) in pieces:
                     P = running[(side, e)]
                     part = sum(w * P[rho] for (rho, w) in wtab[side][N % L])
-                    inner += coef * part * W ** (-wexp) if wexp else coef * part
+                    scale = coef * W ** (-wexp) if wexp else coef
+                    inner += scale * part
+                    size += abs(scale) * absrun[(side, e)]
+                size *= phimax
             gamma = xp * chi_mn[N % len(chi_mn)]
             if q:
                 gamma = gamma * (N + gj) ** (-eq)
             total += gamma * inner
+            mag += abs(gamma) * size
             xp *= x.value
         total = total * coeff0
         tail = corner * rt * ((T + 2) - (T + 1) * r) / (1 - r) ** 2
-        rounding = corner * cfac / (1 - r) ** 2 * (T + 16) * mpf(10) ** (-(ctx.dps + 7))
+        # each term carries O(T + N0 + L) roundings of relative size
+        # 10^-(dps+8): the x^N recurrence, the running sums, the class sums
+        # and the outer sum; one more digit covers the shift and W roundings
+        rounding = abs(coeff0) * mag * (3 * T + N0 + L + 32) * mpf(10) ** (-(ctx.dps + 7))
         bound = tail + rounding + abs(total) * mpf(10) ** (-(ctx.dps + 2))
         return EvalResult(total, bound, "direct_tail")
+
+
+def _least_base(u0, g):
+    """min |u + g| over the integers u >= u0, for a real shift g."""
+    if u0 + g >= 0:
+        return abs(u0 + g)
+    u = int(mp.floor(-g))
+    return min(abs(u + g), abs(u + 1 + g))
 
 
 def _num_exp(p: Fraction):

@@ -27,7 +27,7 @@ from dpl.evaluator import (
     side_evaluator,
 )
 from dpl.registry import registry_get
-from dpl.reduction import XSpec, eval_inner_closed
+from dpl.reduction import EvalCache, XSpec, _trans_table, eval_inner_closed
 from dpl.specfun import CHI3, DomainError, PrecisionContext, dirichlet_L, polylog
 from dpl.termlang import bind_term
 
@@ -168,6 +168,10 @@ BRUTE_SHAPES = [
      _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(m)),
     ("sum(m>=1,n>=1) chi(n) * x^(m+n) / ((m+n)^3)", {"chi": CHI3}, 1, 1,
      _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(n)),
+    # both shifted factors change sign, and W = (m-5/3) + (n-1/3) = 0 at m+n = 2
+    ("sum(m>=1,n>=1) x^(m+n) / ((m-5/3) * (n-1/3) * (m+n)^2)", {}, 1, 1,
+     lambda m: 1 / (m - mpf(5) / 3), lambda n: 1 / (n - mpf(1) / 3),
+     lambda N: mpf(N) ** -2, lambda m, n: 1),
 ]
 
 
@@ -185,6 +189,15 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
     with mp.workdps(CTX.dps + 38):
         assert ref_tail < r.abs_error_bound / 1000
         assert abs(r.value - ref) <= r.abs_error_bound
+
+
+def test_trans_table_fractional_zeta_order():
+    # zeta(3/2, 5/4 + 2u) for u in [1, 6), from one cached value at u = 5
+    with CTX.workdps():
+        vals, _ = _trans_table(("zeta", Fraction(3, 2), mpf(5) / 4), 2, 1, 6,
+                               EvalCache(CTX))
+        for u, v in zip(range(1, 6), vals):
+            assert abs(v - mpmath.zeta(mpf(3) / 2, mpf(5) / 4 + 2 * u)) < mpf("1e-55")
 
 
 # ---------------------------------------------------------------------------
