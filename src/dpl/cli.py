@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -43,9 +44,10 @@ def _context(digits: int) -> PrecisionContext:
 
 
 def _expand_range(text: str):
-    """'3..12' or '1,2,3' or a single value."""
+    """'3..12' or '1,2,3' or a single value; a comma inside parentheses, as
+    in 'ru(3,1)', does not split."""
     out = []
-    for piece in text.split(","):
+    for piece in re.split(r",(?![^(]*\))", text):
         piece = piece.strip()
         if ".." in piece:
             lo, hi = piece.split("..")

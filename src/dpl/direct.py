@@ -1,26 +1,28 @@
 """Direct float64 oracle for term evaluation.
 
-Independent of the closed-form reduction path: sums are truncated in each
-index and corrected with Euler-Maclaurin terms whose integrals come from
-exp-substituted Gauss-Laguerre quadrature. Everything runs in numpy
-float64/complex128, so values carry ~1e-11 absolute accuracy -- the point is
-an independent cross-check of the high-precision path, not sharp bounds.
-Residue classes make oscillating phases constant; |x| < 1 phases truncate
-geometrically. Bounds are correction-size estimates plus a roundoff floor and
-are tagged direct_tail.
+Numerically independent of the closed-form reduction path: sums are
+truncated in each index and corrected with Euler-Maclaurin terms whose
+integrals come from exp-substituted Gauss-Laguerre quadrature. Everything runs
+in numpy float64/complex128, so values carry ~1e-11 absolute accuracy -- the
+point is a cross-check of the high-precision numerics, not sharp bounds.
+Residue classes make oscillating phases constant; their weights and phases
+come from the exact reduction.ClassPlan shared with the reduction path (and
+checked pointwise by its own test), on a grid of per-index moduli chosen here.
+|x| < 1 phases truncate geometrically. Bounds are correction-size estimates
+plus a roundoff floor and are tagged direct_tail; x = 0 is the exact finite
+sum of the reduction path.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from mpmath import mpc, mpf
 
 from .specfun import DomainError, EvalResult, PrecisionContext
 from .termlang import DoubleSumTerm, SingleSumTerm
-from .reduction import ShapeError, XSpec, _cong_modulus, _exp_value
+from .reduction import ClassPlan, EvalCache, ShapeError, XSpec, _eval_x_zero, _exp_value
 
 _TCUT = 2400
 _BOUND_FLOOR = 1e-10
@@ -35,30 +37,10 @@ _LAG32 = _lag_nodes(32)
 _LAG48 = _lag_nodes(48)
 
 
-def _b_float(params, needed):
-    b = params.get("b")
-    if b is None:
-        if needed:
-            raise DomainError("term references b, none bound")
-        return 0.0, None
-    if isinstance(b, Fraction):
-        return float(b), b
-    return float(b), None
-
-
-def _x_complex(params):
-    x = params.get("x")
-    if x is None:
-        return XSpec.one(), 1.0 + 0j
-    if not isinstance(x, XSpec):
-        x = XSpec.number(x)
-    if x.kind == "one":
-        return x, 1.0 + 0j
-    if x.kind == "zero":
-        return x, 0.0 + 0j
+def _x_complex(x: XSpec) -> complex:
     if x.kind == "ru":
-        return x, complex(np.exp(2j * np.pi * x.a / x.f))
-    return x, complex(x.value)
+        return complex(np.exp(2j * np.pi * x.a / x.f))
+    return complex(x.numeric(None))
 
 
 class _ProductFactors:
@@ -125,51 +107,17 @@ def eval_term_direct(term, params, ctx: PrecisionContext) -> EvalResult:
 # Double sums
 # ---------------------------------------------------------------------------
 
-def _split_plan(term: DoubleSumTerm, x: XSpec, chars):
-    Nmod = _cong_modulus(term.cong)
-    req = {"m": 1, "n": 1}
-    if x.kind == "ru":
-        touched = {"none": (), "xn": ("n",), "xm": ("m",), "xmn": ("m", "n")}[term.xsel.kind]
-        for idx in touched:
-            req[idx] = math.lcm(req[idx], x.f)
-    coupled = term.cong is not None or (term.xsel.kind == "xmn" and x.kind == "ru")
-    for (name, arg) in term.twists:
-        f = chars[name].modulus
-        if arg == "mn":
-            coupled = True
-            req["m"] = math.lcm(req["m"], f)
-            req["n"] = math.lcm(req["n"], f)
-        else:
-            req[arg] = math.lcm(req[arg], f)
-    if Nmod > 1:
-        req["m"] = math.lcm(req["m"], Nmod)
-        req["n"] = math.lcm(req["n"], Nmod)
-    if coupled:
-        lam = math.lcm(req["m"], req["n"])
-        return lam, lam, Nmod
-    return req["m"], req["n"], Nmod
-
-
 def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     xsel = term.xsel
-    x, xc = _x_complex(params) if xsel.kind != "none" else (XSpec.one(), 1.0 + 0j)
-    needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
-    bf, b_exact = _b_float(params, needs_b)
-    chars = {name: params[name] for (name, _) in term.twists}
-    if x.kind == "zero" and xsel.kind != "none":
-        from .reduction import _eval_double_x_zero, EvalCache
-        return _eval_double_x_zero(term, params, ctx, EvalCache(ctx))
+    plan = ClassPlan(term, params)
+    x = plan.x
+    if x.kind == "zero":
+        return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
     if x.kind == "num" and abs(x.value) >= 1:
         raise ShapeError("boundary x that is not a root of unity")
-
-    if term.m_range == "m>b":
-        bcmp = b_exact if b_exact is not None else bf
-        m0 = 1 if bcmp < 1 else 2
-    else:
-        m0 = 0 if term.m_range == "m>=0" else 1
-    n0 = 0 if term.n_range == "n>=0" else 1
-
-    lam_m, lam_n, Nmod = _split_plan(term, x, chars)
+    xc = _x_complex(x)
+    bf = float(plan.b) if plan.b is not None else 0.0
+    lam_m, lam_n = plan.grid()
     fvals = [(f.combo, float(f.shift.q0) + f.shift.q1 * bf, float(_exp_value(f)))
              for f in term.factors]
 
@@ -181,23 +129,14 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     coeff = float(term.coeff)
     for rm in range(lam_m):
         for rn in range(lam_n):
-            if Nmod > 1 and (rm - term.cong.coeff * rn - term.cong.offset) % Nmod != 0:
+            w = plan.weight(rm, rn)
+            if w is None:
                 continue
-            const = 1.0 + 0j
-            skip = False
-            for (name, arg) in term.twists:
-                v = chars[name](rm if arg == "m" else rn if arg == "n" else rm + rn)
-                if v == 0:
-                    skip = True
-                    break
-                const *= complex(v)
-            if skip:
-                continue
-            if xsel.kind != "none" and x.kind != "one":
-                p0 = {"xn": rn, "xm": rm, "xmn": rm + rn}[xsel.kind] + xsel.d
-                const *= xc ** p0
-            t0 = math.ceil((m0 - rm) / lam_m)
-            u0 = math.ceil((n0 - rn) / lam_n)
+            const = complex(w[0])
+            if x.kind != "one":
+                const *= xc ** plan.xexp(rm, rn)
+            t0 = math.ceil((plan.m0 - rm) / lam_m)
+            u0 = math.ceil((plan.n0 - rn) / lam_n)
             pf = _ProductFactors()
             for (combo, g, p) in fvals:
                 if combo == "m":
@@ -288,60 +227,29 @@ def _class_sum(pf, t0, u0, Xm, Xn, lam_m, lam_n, r_abs):
 # ---------------------------------------------------------------------------
 
 def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
-    from .reduction import _cong_modulus_single, _sin_modulus
-
-    x, xc = _x_complex(params) if term.xsel.kind != "none" else (XSpec.one(), 1.0 + 0j)
-    needs_b = term.factor.shift.q1 != 0
-    bf, _ = _b_float(params, needs_b)
-    n0 = 0 if term.n_range == "n>=0" else 1
+    plan = ClassPlan(term, params)
+    x = plan.x
+    if x.kind == "zero":
+        return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
+    xc = _x_complex(x)
+    bf = float(plan.b) if plan.b is not None else 0.0
     e = float(_exp_value(term.factor))
     gamma = float(term.factor.shift.q0) + term.factor.shift.q1 * bf
-    d = term.xsel.d if term.xsel.kind == "xn" else 0
-    chi = params[term.twist] if term.twist else None
-
-    if x.kind == "zero":
-        n = -d
-        if n < n0:
-            return EvalResult(mpf(0), mpf(0), "direct_tail")
-        v = float(term.coeff) * (n + gamma) ** (-e)
-        return EvalResult(mpf(v), mpf(abs(v) * 1e-14 + 1e-300), "direct_tail")
-
-    lam = 1
-    if term.cong is not None:
-        lam = math.lcm(lam, _cong_modulus_single(term.cong))
-    if term.sin_weight is not None:
-        lam = math.lcm(lam, _sin_modulus(term.sin_weight))
-    if chi is not None:
-        lam = math.lcm(lam, chi.modulus)
-    if x.kind == "ru":
-        lam = math.lcm(lam, x.f)
+    lam = math.lcm(plan.mod["n"], x.f)
 
     total = 0.0 + 0j
     err = 0.0
     for rr in range(lam):
-        if term.cong is not None:
-            N = _cong_modulus_single(term.cong)
-            if (term.cong.mult * rr + term.cong.off) % N != 0:
-                continue
+        w = plan.weight(rr)
+        if w is None:
+            continue
         const = complex(term.coeff)
-        if term.sin_weight is not None:
-            N = _sin_modulus(term.sin_weight)
-            if term.sin_weight.parity == "even":
-                if rr % N == 0:
-                    continue
-                const /= math.sin(2 * math.pi * (rr % N) / N)
-            else:
-                if (2 * rr + 1) % N == 0:
-                    continue
-                const /= math.sin(math.pi * ((2 * rr + 1) % (2 * N)) / N)
-        if chi is not None:
-            v = chi(rr)
-            if v == 0:
-                continue
-            const *= complex(v)
-        t0 = math.ceil((n0 - rr) / lam)
-        if term.xsel.kind == "xn" and x.kind != "one":
-            const *= xc ** (rr + d)
+        if w[1] is not None:
+            const /= math.sin(math.pi * w[1].numerator / w[1].denominator)
+        const *= complex(w[0])
+        t0 = math.ceil((plan.n0 - rr) / lam)
+        if x.kind != "one":
+            const *= xc ** plan.xexp(rr)
         pf = _ProductFactors()
         pf.add(rr + gamma, lam, 0.0, e)
         if x.kind == "num" and term.xsel.kind == "xn":

@@ -34,8 +34,8 @@ from .termlang import (
     expand_group,
     expr_eval,
 )
-from .reduction import EvalCache, ShapeError, XSpec, eval_double_reduction, \
-    eval_single_reduction
+from .reduction import EvalCache, ShapeError, XSpec, _frac_to_mp, _mp_b, \
+    eval_double_reduction, eval_single_reduction
 
 STRATEGIES = ("auto", "reduction", "direct")
 
@@ -77,7 +77,7 @@ def parse_value(decl, raw):
     if kind == "unit":
         return parse_x(raw)
     if kind == "fixed":
-        return XSpec.number(_fraction_to_mpf(decl.fixed_value))
+        return XSpec.number(_frac_to_mp(decl.fixed_value))
     raise DomainError(f"unhandled parameter kind {kind}")
 
 
@@ -104,9 +104,9 @@ def parse_x(raw) -> XSpec:
                     rv, iv = Fraction(re_part), Fraction(im_part)
                 except ValueError:
                     continue
-                return XSpec.number(mpc(_fraction_to_mpf(rv), _fraction_to_mpf(iv)))
+                return XSpec.number(mpc(_frac_to_mp(rv), _frac_to_mp(iv)))
             try:
-                return XSpec.number(mpc(0, _fraction_to_mpf(Fraction(body or "1"))))
+                return XSpec.number(mpc(0, _frac_to_mp(Fraction(body or "1"))))
             except ValueError as exc:
                 raise DomainError(f"cannot parse complex literal {raw!r}") from exc
         try:
@@ -119,16 +119,12 @@ def parse_x(raw) -> XSpec:
             return XSpec.root(2, 1)
         if q == 0:
             return XSpec.zero()
-        return XSpec.number(_fraction_to_mpf(q))
+        return XSpec.number(_frac_to_mp(q))
     if isinstance(raw, complex):
         return XSpec.number(mpc(raw))
     if isinstance(raw, Fraction):
         return parse_x(str(raw))
     return XSpec.number(raw)
-
-
-def _fraction_to_mpf(q: Fraction):
-    return mpf(q.numerator) / q.denominator
 
 
 def bind_params(spec: IdentitySpec, assignments: dict):
@@ -205,14 +201,14 @@ def eval_single(term: SingleSumTerm, params: dict, ctx: PrecisionContext,
 def weight_value(weight: Weight, env, numeric, ctx):
     q = expr_eval(weight.coeff_expr, env)
     with ctx.workdps():
-        val = _fraction_to_mpf(q)
+        val = _frac_to_mp(q)
         if weight.pi_pow:
             val = val * mp.pi ** weight.pi_pow
         if weight.trig:
             b = numeric.get("b")
             if b is None:
                 raise DomainError("trig weight without a bound b")
-            barg = _fraction_to_mpf(b) if isinstance(b, Fraction) else mpf(b)
+            barg = _mp_b(b)
             val = val * (mp.sinpi(barg) if weight.trig == "sin" else mp.cospi(barg))
         return val
 
@@ -324,12 +320,10 @@ def eval_g(b, k: int, x, ctx: PrecisionContext = None) -> EvalResult:
         if xs.kind == "zero":
             raise DomainError("g(b) needs x != 0")
         xv = xs.numeric(ctx)
-        bv = b if not isinstance(b, Fraction) else _fraction_to_mpf(b)
+        bv = b if not isinstance(b, Fraction) else _frac_to_mp(b)
         bv = mpc(bv) if (hasattr(bv, "imag") and bv.imag) else mpf(bv)
-        li1 = polylog(k + 1, xv, ctx, x_root=(xs.f, xs.a) if xs.kind == "ru" else
-                      ((1, 0) if xs.kind == "one" else None))
-        li2 = polylog(k + 2, xv, ctx, x_root=(xs.f, xs.a) if xs.kind == "ru" else
-                      ((1, 0) if xs.kind == "one" else None))
+        li1 = polylog(k + 1, xv, ctx, x_root=xs.root_pair)
+        li2 = polylog(k + 2, xv, ctx, x_root=xs.root_pair)
         eps_b = 1 - bv
         if abs(eps_b) >= mpf("0.001"):
             cosb, sinb = mp.cospi(bv), mp.sinpi(bv)
@@ -371,9 +365,8 @@ def g_closed_derivatives(k: int, x, ctx: PrecisionContext = None):
     with ctx.workdps():
         xs = parse_x(x)
         xv = xs.numeric(ctx)
-        root = (xs.f, xs.a) if xs.kind == "ru" else ((1, 0) if xs.kind == "one" else None)
-        li1 = polylog(k + 1, xv, ctx, x_root=root)
-        li2 = polylog(k + 2, xv, ctx, x_root=root)
+        li1 = polylog(k + 1, xv, ctx, x_root=xs.root_pair)
+        li2 = polylog(k + 2, xv, ctx, x_root=xs.root_pair)
         g0 = li2.scale(mpf(k) / xv)
         g1 = li1.scale(-mp.pi ** 2 / (3 * xv))
         g2 = li2.scale(-k * mp.pi ** 2 / (3 * xv))
@@ -389,7 +382,7 @@ def numeric_derivative_b(func, order: int, b0, ctx: PrecisionContext,
     """
     with ctx.workdps():
         h = mpf(h) if h is not None else mpf("1e-5")
-        b0v = _fraction_to_mpf(b0) if isinstance(b0, Fraction) else mpf(b0)
+        b0v = _mp_b(b0)
 
         def diff(hh):
             fp = func(b0v + hh)

@@ -7,8 +7,11 @@ a tail obtained by expanding every factor in inverse powers of the outer
 variable. Tail base sums are Hurwitz zetas and their log-weighted companions,
 so the whole pipeline stays inside the package's own primitives.
 
-Residue-class splitting turns root-of-unity powers, character twists, and
-congruence constraints into finitely many constant-phase classes first.
+Residue-class splitting turns root-of-unity powers, character twists,
+congruence constraints and 1/sin weights into finitely many constant-phase
+classes first. ClassPlan holds that split exactly, for this route and for the
+direct oracle alike; x = 0 keeps only the points whose x exponent vanishes,
+each with its class weight.
 
 Terms weighted by x^(m+n) with |x| < 1 take a separate route: they are summed
 along the diagonals N = m + n, where the (m+n) part of the summand depends on
@@ -29,17 +32,13 @@ from .specfun import (
     DomainError,
     EvalResult,
     PrecisionContext,
+    bernoulli,
     digamma,
     hurwitz_zeta,
     log_zeta_sum,
     root_of_unity,
 )
-from .termlang import (
-    Congruence,
-    DoubleSumTerm,
-    SingleSumTerm,
-    expr_is_num,
-)
+from .termlang import DoubleSumTerm, SingleSumTerm, expr_is_num
 
 
 class ShapeError(ValueError):
@@ -89,6 +88,11 @@ class XSpec:
     @property
     def is_boundary(self):
         return self.kind in ("one", "ru")
+
+    @property
+    def root_pair(self):
+        """(f, a) for x = e^(2 pi i a/f) on the unit circle, else None."""
+        return (self.f, self.a) if self.is_boundary else None
 
     def numeric(self, ctx) -> object:
         if self.kind == "zero":
@@ -287,10 +291,8 @@ def _power_series(R, p, delta, v0):
     return s
 
 
-def _zeta_series(R, j, delta, v0, ctx):
+def _zeta_series(R, j, delta, v0):
     """zeta(j, v + delta) expanded about v = infinity (Euler-Maclaurin)."""
-    from .specfun import bernoulli
-
     jm = mpf(j)
     s = _Series(R)
     # leading terms (v+delta)^(1-j)/(j-1) and (v+delta)^(-j)/2
@@ -323,10 +325,8 @@ def _zeta_series(R, j, delta, v0, ctx):
     return s
 
 
-def _psi_series(R, delta, v0, ctx):
+def _psi_series(R, delta, v0):
     """psi(v + delta) = log v + log(1+delta/v) - 1/(2(v+delta)) - sum B terms."""
-    from .specfun import bernoulli
-
     s = _Series(R)
     s.b[0] = mpf(1)  # log v
     # log(1 + delta/v) = sum (-1)^(r+1) (delta/v)^r / r
@@ -445,9 +445,9 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
     if atom.trans is not None:
         kind = atom.trans[0]
         if kind == "zeta":
-            piece = _zeta_series(R, atom.trans[1], mpf(atom.trans[-1]) - gamma_star, v0, ctx)
+            piece = _zeta_series(R, atom.trans[1], mpf(atom.trans[-1]) - gamma_star, v0)
         else:
-            piece = _psi_series(R, mpf(atom.trans[-1]) - gamma_star, v0, ctx)
+            piece = _psi_series(R, mpf(atom.trans[-1]) - gamma_star, v0)
         series = piece if series is None else series.mul(piece, v0)
     # base sums: sum_{u>=U0} v^-(r+frac_extra) and the log-weighted companion
     tail = mpf(0)
@@ -529,35 +529,10 @@ def _as_int(q: Fraction, what: str) -> int:
     return int(q)
 
 
-def _b_value(params, needed):
-    b = params.get("b")
-    if b is None:
-        if needed:
-            raise DomainError("term references the shift parameter b, none bound")
-        return None, None
-    if isinstance(b, Fraction):
-        return _frac_to_mp(b), b
-    return mpf(b), None
-
-
-def _resolve_m0(m_range, b_exact, b_mp):
-    if m_range == "m>=0":
-        return 0
-    if m_range == "m>=1":
-        return 1
-    if b_exact is not None:
-        return 1 if b_exact < 1 else 2
-    if b_mp is None:
-        raise DomainError("range m>b needs a bound b")
-    return 1 if b_mp < 1 else 2
-
-
-def _cong_modulus(cong):
-    if cong is None:
-        return 1
-    if not expr_is_num(cong.modulus):
-        raise ShapeError("unbound congruence modulus")
-    return _as_int(cong.modulus[1], "congruence modulus")
+def _int_modulus(expr, what: str) -> int:
+    if not expr_is_num(expr):
+        raise ShapeError(f"unbound {what}")
+    return _as_int(expr[1], what)
 
 
 def _xspec_of(params):
@@ -569,59 +544,146 @@ def _xspec_of(params):
     return XSpec.number(x)
 
 
+def _mp_b(b):
+    """The bound b at working precision (None when unbound)."""
+    if b is None:
+        return None
+    return _frac_to_mp(b) if isinstance(b, Fraction) else mpf(b)
+
+
+def _mp_value(v):
+    """A character value or a product of them as an mpf when real, else an mpc."""
+    return mpf(v.real) if not v.imag else mpc(v)
+
+
+class ClassPlan:
+    """Exact residue-class bookkeeping of one concrete term.
+
+    On a residue class of the index lattice the congruence indicator, the
+    character values, the 1/sin weight and a root-of-unity power of x are
+    constant. The plan resolves b and the index starts m0, n0; the moduli
+    mod[idx] per index that the congruence, the twists and (for double sums)
+    a root-of-unity x require; and, for any class or lattice point, its
+    weight and its x exponent. It holds ints, Fractions and the characters'
+    stored values only: each evaluation route picks its own grid from the
+    moduli and does its own numerics. A single sum leaves x out of its
+    modulus, since the Lerch transcendent takes the phase x^lam.
+    """
+
+    def __init__(self, term, params):
+        self.term = term
+        single = isinstance(term, SingleSumTerm)
+        factors = (term.factor,) if single else term.factors
+        m_after_b = not single and term.m_range == "m>b"
+        self.b = params.get("b")
+        if self.b is None and (m_after_b or any(f.shift.q1 for f in factors)):
+            raise DomainError("term references the shift parameter b, none bound")
+        self.n0 = 0 if term.n_range == "n>=0" else 1
+        self.m0 = None
+        if not single:
+            self.m0 = 0 if term.m_range == "m>=0" else 2 if m_after_b and self.b >= 1 else 1
+        self.x = _xspec_of(params) if term.xsel.kind != "none" else XSpec.one()
+        twists = (((term.twist, "n"),) if term.twist else ()) if single else term.twists
+        self.chars = {arg: params[name] for (name, arg) in twists}
+        tw = {arg: chi.modulus for (arg, chi) in self.chars.items()}
+        self.cong_mod = _int_modulus(term.cong.modulus, "congruence modulus") \
+            if term.cong is not None else 1
+        sw = term.sin_weight if single else None
+        self.sin_mod = _int_modulus(sw.modulus, "sin-weight modulus") if sw else 1
+        if single:
+            self.mod = {"n": math.lcm(self.cong_mod, self.sin_mod, tw.get("n", 1))}
+            return
+        by_x = {"none": "", "xn": "n", "xm": "m", "xmn": "mn"}[term.xsel.kind]
+        both = math.lcm(self.cong_mod, tw.get("mn", 1))
+        self.mod = {i: math.lcm(both, tw.get(i, 1), self.x.f if i in by_x else 1)
+                    for i in ("m", "n")}
+        # weight(m, n, joint=False) has period pair_mod in m and in n
+        self.pair_mod = math.lcm(self.cong_mod, tw.get("m", 1), tw.get("n", 1))
+        self.joint_mod = tw.get("mn", 1)
+        self.coupled = term.cong is not None or "mn" in tw or \
+            (term.xsel.kind == "xmn" and self.x.kind == "ru")
+
+    def grid(self, square=False):
+        """Moduli (lam_m, lam_n) of a class grid of a double sum: one modulus
+        for both indices when the classes couple them (a congruence, an (m+n)
+        twist or a root-of-unity x^(m+n)) or square is set, else each index's
+        own. Either keeps every class constant; the shape sets how many
+        classes there are and how long each runs."""
+        if square or self.coupled:
+            lam = math.lcm(self.mod["m"], self.mod["n"])
+            return lam, lam
+        return self.mod["m"], self.mod["n"]
+
+    def joint(self, N):
+        """The (m+n) character's stored value at N; 1 without one."""
+        chi = self.chars.get("mn")
+        return 1 if chi is None else chi(N)
+
+    def weight(self, *r, joint=True):
+        """Weight of the class or lattice point r = (m, n), or (n,) for a single
+        sum: None where it vanishes, else (chi, s), with chi the product of the
+        characters' stored values and s the argument of a 1/sin(pi*s) weight
+        (None without one). joint=False leaves the (m+n) character out."""
+        t = self.term
+        s = None
+        if len(r) == 1:
+            (n,) = r
+            if t.cong is not None and (t.cong.mult * n + t.cong.off) % self.cong_mod:
+                return None
+            if t.sin_weight is not None:
+                # even: 1/sin(2 pi n/N) over N not dividing n; odd: 1/sin((2n+1) pi/N)
+                even, N = t.sin_weight.parity == "even", self.sin_mod
+                k = 2 * n + (0 if even else 1)
+                if (n if even else k) % N == 0:
+                    return None
+                s = Fraction(k % (2 * N), N)
+            at = {"n": n}
+        else:
+            m, n = r
+            if t.cong is not None and (m - t.cong.coeff * n - t.cong.offset) % self.cong_mod:
+                return None
+            at = {"m": m, "n": n, "mn": m + n}
+        chi = 1
+        for (arg, c) in self.chars.items():
+            if joint or arg != "mn":
+                chi = chi * c(at[arg])
+        return None if chi == 0 else (chi, s)
+
+    def xexp(self, *r):
+        """Exponent of x at the class or lattice point r; None without x."""
+        xsel = self.term.xsel
+        if xsel.kind == "none":
+            return None
+        m, n = r if len(r) == 2 else (0, r[0])
+        return {"xn": n, "xm": m, "xmn": m + n}[xsel.kind] + xsel.d
+
+
 def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
                           cache: EvalCache | None = None) -> EvalResult:
     """Closed-form reduction of a concrete double term; ShapeError on misses."""
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
         xsel = term.xsel
-        x = _xspec_of(params) if xsel.kind != "none" else XSpec.one()
-        needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
-        b_mp, b_exact = _b_value(params, needs_b)
-        chars = {name: params[name] for (name, _) in term.twists}
-
-        if x.kind == "zero" and xsel.kind != "none":
-            return _eval_double_x_zero(term, params, ctx, cache)
+        plan = ClassPlan(term, params)
+        x = plan.x
+        if x.kind == "zero":
+            return _eval_x_zero(term, plan, params, ctx, cache)
         if x.kind == "num" and xsel.kind == "xmn":
-            return _eval_double_geometric2d(term, x, params, ctx)
+            return _eval_double_geometric2d(term, plan, ctx)
         if x.kind == "num" and abs(x.value) >= 1:
             raise ShapeError("boundary x that is not a root of unity")
+        b_mp = _mp_b(plan.b)
 
         inner = "n" if xsel.kind == "xm" else "m"
         outer = "n" if inner == "m" else "m"
-        combo_of = {"m": "m", "n": "n"}
-        ifac = term.factor(combo_of[inner])
-        ofacs = [f for f in term.factors if f.combo == combo_of[outer]]
+        ifac = term.factor(inner)
+        ofacs = [f for f in term.factors if f.combo == outer]
         jfac = term.factor("mn")
 
-        # split requirements per index
-        Nmod = _cong_modulus(term.cong)
-        req = {"m": 1, "n": 1}
-        if x.kind == "ru":
-            touched = {"xn": ("n",), "xm": ("m",), "xmn": ("m", "n")}[xsel.kind]
-            for idx in touched:
-                req[idx] = math.lcm(req[idx], x.f)
-        coupled = term.cong is not None or xsel.kind == "xmn"
-        for (name, arg) in term.twists:
-            f = chars[name].modulus
-            if arg == "mn":
-                coupled = True
-                req["m"] = math.lcm(req["m"], f)
-                req["n"] = math.lcm(req["n"], f)
-            else:
-                req[arg] = math.lcm(req[arg], f)
-        if Nmod > 1:
-            req["m"] = math.lcm(req["m"], Nmod)
-            req["n"] = math.lcm(req["n"], Nmod)
-        if coupled or req[inner] > 1:
-            lam = math.lcm(req["m"], req["n"])
-            lam_i = lam_o = lam
-        else:
-            lam_i, lam_o = 1, req[outer]
-
-        m0 = _resolve_m0(term.m_range, b_exact, b_mp)
-        n0 = 0 if term.n_range == "n>=0" else 1
-        i0, o0 = (m0, n0) if inner == "m" else (n0, m0)
+        # _class_atoms needs one modulus on both indices once the inner one splits
+        lam_m, lam_n = plan.grid(square=xsel.kind == "xmn" or plan.mod[inner] > 1)
+        lam_i, lam_o = (lam_m, lam_n) if inner == "m" else (lam_n, lam_m)
+        i0, o0 = (plan.m0, plan.n0) if inner == "m" else (plan.n0, plan.m0)
 
         eI = _exp_value(ifac) if ifac is not None else Fraction(0)
         q = _exp_value(jfac) if jfac is not None else Fraction(0)
@@ -647,28 +709,17 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
         for rI in range(lam_i):
             for rO in range(lam_o):
                 rm, rn = (rI, rO) if inner == "m" else (rO, rI)
-                if term.cong is not None:
-                    if (rm - term.cong.coeff * rn - term.cong.offset) % Nmod != 0:
-                        continue
-                const = mpc(coeff0)
-                for (name, arg) in term.twists:
-                    chi = chars[name]
-                    v = chi(rm if arg == "m" else rn if arg == "n" else rm + rn)
-                    if v == 0:
-                        const = 0
-                        break
-                    const = const * mpc(v)
-                if const == 0:
+                w = plan.weight(rm, rn)
+                if w is None:
                     continue
+                const = mpc(coeff0) * mpc(w[0])
                 phase = None
-                if xsel.kind != "none" and x.kind != "one":
-                    pconst = {"xn": rn, "xm": rm, "xmn": rm + rn}[xsel.kind] + xsel.d
-                    if x.kind == "ru":
-                        const = const * x.power(pconst, ctx)
-                    else:
-                        # geometric phase on the outer index only
-                        const = const * x.value ** pconst
-                        phase = (x.value ** lam_o, mpf(1))
+                if x.kind == "ru":
+                    const = const * x.power(plan.xexp(rm, rn), ctx)
+                elif x.kind == "num":
+                    # geometric phase on the outer index only
+                    const = const * x.value ** plan.xexp(rm, rn)
+                    phase = (x.value ** lam_o, mpf(1))
                 t0 = math.ceil((i0 - rI) / lam_i)
                 u0 = math.ceil((o0 - rO) / lam_o)
                 cls = _class_atoms(eI_i, q_i, eI, q, gI, gJ, ofac_vals,
@@ -737,42 +788,40 @@ def _class_atoms(eI_i, q_i, eI, q, gI, gJ, ofac_vals, rI, rO,
     return atoms
 
 
-def _eval_double_x_zero(term, params, ctx, cache) -> EvalResult:
-    """x = 0: only the summands with a vanishing x exponent survive."""
-    xsel = term.xsel
-    needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
-    b_mp, b_exact = _b_value(params, needs_b)
-    m0 = _resolve_m0(term.m_range, b_exact, b_mp)
-    n0 = 0 if term.n_range == "n>=0" else 1
-    coeff0 = _frac_to_mp(term.coeff)
-    if xsel.kind == "xn":
-        n = -xsel.d
-        if n < n0:
-            return EvalResult(mpf(0), mpf(0), "closed_form")
-        inner = eval_inner_closed(term, n, params, ctx, cache=cache, include_phase=False)
-        return inner.scale(mpf(1))
-    # xm / xmn: finitely many surviving lattice points
-    total = EvalResult(mpf(0), mpf(0), "closed_form")
-    target = -xsel.d
-    pairs = []
-    if xsel.kind == "xm":
-        raise ShapeError("x = 0 with an x^m numerator leaves an uncatalogued n-sum")
-    for m in range(m0, max(m0, target) + 1):
-        n = target - m
-        if n >= n0:
-            pairs.append((m, n))
-    for (m, n) in pairs:
-        if term.cong is not None:
-            Nmod = _cong_modulus(term.cong)
-            if (m - term.cong.coeff * n - term.cong.offset) % Nmod != 0:
+def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
+    """x = 0: only the summands with a vanishing x exponent survive, each
+    with its class weight."""
+    with ctx.workdps():
+        d = term.xsel.d
+        zero = EvalResult(mpf(0), mpf(0), "closed_form")
+        if isinstance(term, SingleSumTerm):
+            factors, points = (term.factor,), [(-d,)] if -d >= plan.n0 else []
+        elif term.xsel.kind == "xm":
+            raise ShapeError("x = 0 with an x^m numerator leaves an uncatalogued n-sum")
+        elif term.xsel.kind == "xn":
+            # the inner m-sum at n = -d; eval_inner_closed takes bare terms only
+            if -d < plan.n0:
+                return zero
+            return eval_inner_closed(term, -d, params, ctx, cache=cache, include_phase=False)
+        else:
+            factors = term.factors
+            points = [(m, -d - m) for m in range(plan.m0, -d - plan.n0 + 1)]
+        b_mp = _mp_b(plan.b)
+        coeff0 = _frac_to_mp(term.coeff)
+        total = zero
+        for r in points:
+            w = plan.weight(*r)
+            if w is None:
                 continue
-        val = coeff0
-        for f in term.factors:
-            g = shift_value(f.shift, b_mp)
-            basev = {"m": m, "n": n, "mn": m + n}[f.combo] + g
-            val = val * basev ** (-_frac_to_mp(_exp_value(f)))
-        total = total + EvalResult(val, abs(val) * ctx.eps, "closed_form")
-    return total
+            val = coeff0 * _mp_value(w[0])
+            if w[1] is not None:
+                val = val / mp.sinpi(_frac_to_mp(w[1]))
+            m, n = r if len(r) == 2 else (0, r[0])
+            for f in factors:
+                base = {"m": m, "n": n, "mn": m + n}[f.combo] + shift_value(f.shift, b_mp)
+                val = val * base ** (-_frac_to_mp(_exp_value(f)))
+            total = total + EvalResult(val, abs(val) * ctx.eps, "closed_form")
+        return total
 
 
 def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext,
@@ -790,11 +839,9 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             raise ShapeError("inner closed form on a bare term only")
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
-        needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
-        b_mp, b_exact = _b_value(params, needs_b)
-        m0 = _resolve_m0(term.m_range, b_exact, b_mp)
-        n_min = 0 if term.n_range == "n>=0" else 1
-        if n < n_min:
+        plan = ClassPlan(term, params)
+        b_mp, m0 = _mp_b(plan.b), plan.m0
+        if n < plan.n0:
             raise DomainError("n below the term's range")
         mfac = term.factor("m")
         jfac = term.factor("mn")
@@ -804,8 +851,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
                 g = shift_value(f.shift, b_mp)
                 scale = scale * (n + g) ** (-_frac_to_mp(_exp_value(f)))
         if include_phase and term.xsel.kind == "xn":
-            x = _xspec_of(params)
-            scale = scale * x.power(n + term.xsel.d, ctx)
+            scale = scale * plan.x.power(n + term.xsel.d, ctx)
         if mfac is None and jfac is None:
             raise DomainError("no inner factors: divergent")
         if mfac is None:
@@ -840,7 +886,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
         return total.scale(scale)
 
 
-def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
+def _eval_double_geometric2d(term, plan, ctx) -> EvalResult:
     """x^(m+n+d) with |x| < 1, summed along the diagonals N = m + n.
 
     The (m+n) part of the summand, gamma_N = x^(N+d) (N+g)^(-q) chi(N),
@@ -868,10 +914,8 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
     from, so cancellation between pieces is paid for where it occurs.
     """
     with ctx.workdps():
-        needs_b = any(f.shift.q1 for f in term.factors) or term.m_range == "m>b"
-        b_mp, b_exact = _b_value(params, needs_b)
-        m0 = _resolve_m0(term.m_range, b_exact, b_mp)
-        n0 = 0 if term.n_range == "n>=0" else 1
+        x, m0, n0 = plan.x, plan.m0, plan.n0
+        b_mp = _mp_b(plan.b)
         N0 = m0 + n0
         fac = {}  # combo -> (shift value, summed exponent)
         for f in term.factors:
@@ -894,31 +938,12 @@ def _eval_double_geometric2d(term, x: XSpec, params, ctx) -> EvalResult:
             corner *= _least_base({"m": m0, "n": n0, "mn": N0}[combo], g) ** (-_frac_to_mp(p))
 
         # class weights phi(m mod L, n mod L); the (m+n) twist joins gamma_N
-        Nmod = _cong_modulus(term.cong)
-        cc = term.cong.coeff if term.cong else 0
-        ce = term.cong.offset if term.cong else 0
-        chars = {name: params[name] for (name, _) in term.twists}
-        L = Nmod
-        for (name, arg) in term.twists:
-            if arg != "mn":
-                L = math.lcm(L, chars[name].modulus)
-
-        def phi(rm, rn):
-            if (rm - cc * rn - ce) % Nmod:
-                return 0
-            v = mpf(1)
-            for (name, arg) in term.twists:
-                if arg != "mn":
-                    v = v * _char_value(chars[name], rm if arg == "m" else rn)
-            return v
-
-        phis = [[phi(rm, rn) for rn in range(L)] for rm in range(L)]
+        L = plan.pair_mod
+        phis = [[0 if w is None else _mp_value(w[0])
+                 for w in (plan.weight(rm, rn, joint=False) for rn in range(L))]
+                for rm in range(L)]
         phimax = max(abs(v) for row in phis for v in row)
-        chi_mn = [mpf(1)]
-        for (name, arg) in term.twists:
-            if arg == "mn":
-                chi = chars[name]
-                chi_mn = [_char_value(chi, s) for s in range(chi.modulus)]
+        chi_mn = [_mp_value(plan.joint(N)) for N in range(plan.joint_mod)]
 
         # pieces (side, exponent, coefficient, power of 1/W) of the summand;
         # None: a two-sided shape outside two_pole_coeffs, convolved instead
@@ -1014,11 +1039,6 @@ def _num_exp(p: Fraction):
     return int(p) if p.denominator == 1 else _frac_to_mp(p)
 
 
-def _char_value(chi, k):
-    v = chi(k)
-    return mpf(v.real) if not v.imag else mpc(v)
-
-
 # ---------------------------------------------------------------------------
 # Single sums
 # ---------------------------------------------------------------------------
@@ -1030,78 +1050,32 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
 
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
-        x = _xspec_of(params) if term.xsel.kind != "none" else XSpec.one()
-        needs_b = term.factor.shift.q1 != 0
-        b_mp, b_exact = _b_value(params, needs_b)
-        n0 = 0 if term.n_range == "n>=0" else 1
-        e = _exp_value(term.factor)
-        gamma = shift_value(term.factor.shift, b_mp)
-        d = term.xsel.d if term.xsel.kind == "xn" else 0
-        coeff0 = _frac_to_mp(term.coeff)
-        chi = params[term.twist] if term.twist else None
-
+        plan = ClassPlan(term, params)
+        x = plan.x
         if x.kind == "zero":
-            n = -d
-            if n < n0:
-                return EvalResult(mpf(0), mpf(0), "closed_form")
-            val = coeff0 * (n + gamma) ** (-_frac_to_mp(e))
-            return EvalResult(val, abs(val) * ctx.eps, "closed_form")
-
-        lam = 1
-        if term.cong is not None:
-            lam = math.lcm(lam, _cong_modulus_single(term.cong))
-        if term.sin_weight is not None:
-            lam = math.lcm(lam, _sin_modulus(term.sin_weight))
-        if chi is not None:
-            lam = math.lcm(lam, chi.modulus)
-
+            return _eval_x_zero(term, plan, params, ctx, cache)
+        e = _exp_value(term.factor)
+        gamma = shift_value(term.factor.shift, _mp_b(plan.b))
+        coeff0 = _frac_to_mp(term.coeff)
+        lam = plan.mod["n"]
         ev = _frac_to_mp(e)
         total = EvalResult(mpf(0), mpf(0), "reduction")
         for rr in range(lam):
-            if term.cong is not None:
-                N = _cong_modulus_single(term.cong)
-                if (term.cong.mult * rr + term.cong.off) % N != 0:
-                    continue
+            w = plan.weight(rr)
+            if w is None:
+                continue
             const = mpc(coeff0)
-            if term.sin_weight is not None:
-                N = _sin_modulus(term.sin_weight)
-                if term.sin_weight.parity == "even":
-                    if rr % N == 0:
-                        continue
-                    const = const / mp.sinpi(mpf(2 * (rr % N)) / N)
-                else:
-                    if (2 * rr + 1) % N == 0:
-                        continue
-                    const = const / mp.sinpi(mpf((2 * rr + 1) % (2 * N)) / N)
-            if chi is not None:
-                v = chi(rr)
-                if v == 0:
-                    continue
-                const = const * mpc(v)
-            t0 = math.ceil((n0 - rr) / lam)
+            if w[1] is not None:
+                const = const / mp.sinpi(_frac_to_mp(w[1]))
+            const = const * mpc(w[0])
+            t0 = math.ceil((plan.n0 - rr) / lam)
             if term.xsel.kind == "xn":
-                const = const * x.power(rr + d + lam * t0, ctx)
-            if x.kind in ("one", "ru") or term.xsel.kind == "none":
-                xl = XSpec.one() if (x.kind == "one" or term.xsel.kind == "none") \
-                    else x.pow_root(lam)
-                phi = lerch_phi(xl.numeric(ctx), ev if e.denominator != 1 else int(e),
-                                t0 + (rr + gamma) / lam, ctx,
-                                x_root=(xl.f, xl.a) if xl.kind == "ru" else (1, 0))
+                const = const * x.power(plan.xexp(rr) + lam * t0, ctx)
+            if x.is_boundary:
+                xl = x.pow_root(lam)
+                phi = lerch_phi(xl.numeric(ctx), _num_exp(e), t0 + (rr + gamma) / lam, ctx,
+                                x_root=xl.root_pair)
             else:
-                xl_num = x.value ** lam
-                phi = lerch_phi(xl_num, ev if e.denominator != 1 else int(e),
-                                t0 + (rr + gamma) / lam, ctx)
+                phi = lerch_phi(x.value ** lam, _num_exp(e), t0 + (rr + gamma) / lam, ctx)
             total = total + phi.scale(const * mpf(lam) ** (-ev))
         return EvalResult(total.value, total.abs_error_bound, total.method)
-
-
-def _cong_modulus_single(cong):
-    if not expr_is_num(cong.modulus):
-        raise ShapeError("unbound congruence modulus")
-    return _as_int(cong.modulus[1], "congruence modulus")
-
-
-def _sin_modulus(sw):
-    if not expr_is_num(sw.modulus):
-        raise ShapeError("unbound sin-weight modulus")
-    return _as_int(sw.modulus[1], "sin-weight modulus")

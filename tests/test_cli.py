@@ -59,6 +59,16 @@ def test_verify_domain_error_exit2(capsys):
     assert "outside (0,1]" in err
 
 
+def test_verify_accepts_root_of_unity_x(capsys):
+    # the comma inside ru(f,a) does not split the list of x values
+    code, out, _ = run(capsys, "verify", "--id", "thm-4.1", "--k", "1", "--N", "3",
+                       "--x", "ru(3,1),-1", "--format", "json")
+    assert code == 0
+    docs = json.loads(out)
+    assert [d["params"]["x"] for d in docs] == ["ru(3,1)", "-1"]
+    assert all(d["pass"] for d in docs)
+
+
 def test_unknown_identity_exit2(capsys):
     code, _, err = run(capsys, "verify", "--id", "thm-9.9")
     assert code == 2

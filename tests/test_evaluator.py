@@ -4,6 +4,8 @@ Brute-force oracles are float64 numpy sums with integral-comparison tails,
 kept deliberately independent of the package's closed forms.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -27,9 +29,9 @@ from dpl.evaluator import (
     side_evaluator,
 )
 from dpl.registry import registry_get
-from dpl.reduction import EvalCache, XSpec, _trans_table, eval_inner_closed
-from dpl.specfun import CHI3, DomainError, PrecisionContext, dirichlet_L, polylog
-from dpl.termlang import bind_term
+from dpl.reduction import ClassPlan, EvalCache, XSpec, _trans_table, eval_inner_closed
+from dpl.specfun import CHI3, CHI4, DomainError, PrecisionContext, dirichlet_L, polylog
+from dpl.termlang import SingleSumTerm, bind_term
 
 CTX = PrecisionContext()
 
@@ -452,3 +454,120 @@ def test_lerch_complex_b_disk():
         from dpl.specfun import lerch_phi
         r = lerch_phi(mpf("0.5"), 2, b, CTX)
         assert abs(r.value - mpmath.lerchphi(mpf("0.5"), 2, b)) <= r.abs_error_bound
+
+
+# ---------------------------------------------------------------------------
+# Residue-class plan
+# ---------------------------------------------------------------------------
+
+X_ZERO_CASES = [
+    ("sum(m>=1,n>=1) chi(m) * x^(m+n-3) / (m^2 * (m+n)^2)", CHI3, lambda: mpf(1) / 12),
+    ("sum(m>=1,n>=1) chi(n) * x^(m+n-3) / (m^2 * (m+n)^2)", CHI4, lambda: mpf(1) / 36),
+    ("single(n>=1; n=0 mod 3) x^(n-1) / (n^2)", None, lambda: mpf(0)),
+    ("single(n>=1) x^(n-1) / (sin2pi(n/3) * n^2)", None, lambda: 2 / mp.sqrt(3)),
+    ("single(n>=1) chi(n) * x^(n-2) / (n^2)", CHI4, lambda: mpf(0)),
+]
+
+
+@pytest.mark.parametrize("strategy", ["reduction", "direct"])
+@pytest.mark.parametrize("text,chi,expected", X_ZERO_CASES,
+                         ids=["chi3-m", "chi4-n", "congruence", "sin", "chi4-single"])
+def test_x_zero_keeps_class_weights(text, chi, expected, strategy):
+    # at x = 0 only the points with a vanishing x exponent survive, and each
+    # keeps its congruence indicator, character values and 1/sin weight
+    t = parse_term(text)
+    params = {"x": parse_x("0")} | ({"chi": chi} if chi is not None else {})
+    evaluate = eval_single if isinstance(t, SingleSumTerm) else eval_double
+    r = evaluate(t, params, CTX, strategy=strategy)
+    with mp75():
+        assert abs(r.value - expected()) <= r.abs_error_bound + mpf(10) ** -45
+
+
+PLAN_CASES = [
+    ("sum(m>=1,n>=1; m=n mod 3) x^n / (m * n^2 * (m+n))", "ru(3,1)", None),
+    ("sum(m>=1,n>=1; m=-2*n mod 5) x^(m+n) / (m * n * (m+n)^2)", "i", None),
+    ("sum(m>=0,n>=0; m=-2*n-2 mod 3) x^m / ((m+1) * (n+1/2)^2 * (m+n+3/2))", "-1", None),
+    ("sum(m>=1,n>=1; m=n+1 mod 5) chi(m) * x^(m+n-1) / (m^2 * (m+n)^2)", "ru(3,1)", CHI4),
+    ("sum(m>=1,n>=1; m=-2*n-2 mod 5) chi(n) * x^n / (n^2 * (m+n)^2)", "i", CHI3),
+    ("sum(m>=1,n>=1) chi(m) * x^n / (m^2 * (m+n)^2)", "i", CHI3),
+    ("sum(m>=1,n>=1) chi(n) * x^m / (m^2 * (m+n)^2)", "ru(3,1)", CHI4),
+    ("sum(m>=1,n>=1) chi(m) * x^(m+n) / (m^2 * (m+n)^2)", "-1", CHI4),
+    ("sum(m>=1,n>=1) chi(m+n) * x^(m+n) / (m^2 * (m+n)^2)", "-1", CHI3),
+    ("sum(m>=1,n>=1) chi(m+n) * x^m / (m^2 * (m+n)^2)", "ru(3,1)", CHI4),
+    ("sum(m>=1,n>=1; m=-2*n mod 3) chi(m+n) * x^n / (m * (m+n)^2)", "i", CHI4),
+    ("sum(m>=1,n>=1) chi(m+n) / (m * (m+n)^2)", "i", CHI3),
+    ("single(n>=1; n=0 mod 3) x^(n-1) / (n^2)", "ru(3,1)", None),
+    ("single(n>=0; 2*n+1=0 mod 5) x^n / ((n+1/2)^2)", "i", None),
+    ("single(n>=1) x^n / (sin2pi(n/5) * n^2)", "-1", None),
+    ("single(n>=1) x^n / (sinpi((2*n+1)/3) * n^2)", "ru(3,1)", None),
+    ("single(n>=1) chi(n) * x^(n+1) / (n^2)", "i", CHI3),
+    ("single(n>=1) chi(n) * x^n / (sin2pi(n/3) * n^2)", "-1", CHI4),
+]
+
+
+def _defined_weight(term, chi, x, m, n, phase):
+    """Congruence indicator, character value, 1/sin weight and (if phase)
+    x power at the lattice point (m, n), read off the term's definition."""
+    if isinstance(term, SingleSumTerm):
+        cong, sw = term.cong, term.sin_weight
+        if cong is not None and (cong.mult * n + cong.off) % cong.modulus[1]:
+            return 0
+        w = chi(n) if term.twist else 1
+        if sw is not None:
+            N = sw.modulus[1]
+            k = 2 * n if sw.parity == "even" else 2 * n + 1
+            if (n if sw.parity == "even" else k) % N == 0:
+                return 0
+            w /= math.sin(math.pi * k / N)
+        e = n + term.xsel.d
+    else:
+        cong = term.cong
+        if cong is not None and (m - cong.coeff * n - cong.offset) % cong.modulus[1]:
+            return 0
+        w = 1
+        for (_, arg) in term.twists:
+            w *= chi({"m": m, "n": n, "mn": m + n}[arg])
+        e = {"none": 0, "xn": n, "xm": m, "xmn": m + n}[term.xsel.kind] + term.xsel.d
+    return w * cmath.exp(2j * math.pi * x.a * e / x.f) if phase else w
+
+
+def _plan_constant(plan, x, r, phase):
+    w = plan.weight(*r)
+    if w is None:
+        return None
+    c = complex(w[0])
+    if w[1] is not None:
+        c /= math.sin(math.pi * w[1])
+    e = plan.xexp(*r)
+    return c * cmath.exp(2j * math.pi * x.a * e / x.f) if phase and e is not None else c
+
+
+@pytest.mark.parametrize("text,x,chi", PLAN_CASES)
+def test_class_plan_pointwise(text, x, chi):
+    # Every lattice point of the box m, n < 4*lam must carry its class's
+    # constant, and a skipped class must vanish at each of its points, for
+    # the grids of both routes: reduction squares the moduli of a double sum
+    # and leaves the x phase of a single sum to the Lerch transcendent;
+    # direct puts x's order into the single-sum modulus.
+    t = parse_term(text)
+    single = isinstance(t, SingleSumTerm)
+    xs = parse_x(x)
+    params = {"x": xs} | ({"chi": chi} if chi is not None else {})
+    plan = ClassPlan(t, params)
+    if single:
+        grids = [((1, plan.mod["n"]), False), ((1, math.lcm(plan.mod["n"], xs.f)), True)]
+    else:
+        grids = [(plan.grid(), True), (plan.grid(square=True), True)]
+    for (lam_m, lam_n), phase in grids:
+        box = [(m, n) for m in range(1 if single else 4 * lam_m) for n in range(4 * lam_n)]
+        checked = 0
+        for (m, n) in box:
+            r = (n % lam_n,) if single else (m % lam_m, n % lam_n)
+            want = _defined_weight(t, chi, xs, m, n, phase)
+            got = _plan_constant(plan, xs, r, phase)
+            if got is None:
+                assert want == 0, (m, n)
+            else:
+                assert abs(got - want) < 1e-9, (m, n, got, want)
+                checked += 1
+        assert checked > 0
