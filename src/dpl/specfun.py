@@ -1,11 +1,19 @@
 """Arbitrary-precision special-function substrate.
 
 Everything here returns an EvalResult: a high-precision value paired with an
-absolute error bound and a tag saying how it was computed. Series are cut off
-per the precision context (direct block of max(2*working_digits, 50) terms,
-then Euler-Maclaurin corrections until the next term drops below
-10^-(working+guard) or 30 corrections are used; the reported bound dominates
-the first omitted correction).
+absolute error bound and a tag saying how it was computed.
+
+Hurwitz zeta values, their log-weighted companions sum_u (u+a)^-s log(u+a)
+and psi(a) all come from one Euler-Maclaurin row kernel
+(euler_maclaurin_row): for a shared a and exponents s = r + phi over a range
+of r, one direct block of N terms (powers by repeated multiplication by
+1/(a+j)) and one correction loop. N is chosen from a, the exponents and the
+precision by a cost model, as in Johansson (arXiv:1309.2877); each column
+then takes corrections until the next drops below 10^-dps min(1, Re(a)^-s)
+with room for Johansson's remainder bound. Each bound is the larger of
+2 x the first omitted correction and Johansson's remainder bound, plus a
+rounding term. hurwitz_zeta, log_zeta_sum and digamma are single columns of
+it; reduction.EvalCache keeps the whole rows one evaluation builds.
 """
 
 from __future__ import annotations
@@ -147,11 +155,12 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta, digamma, log-weighted zeta sums
+# Hurwitz zeta, digamma, log-weighted zeta sums: one Euler-Maclaurin row kernel
 # ---------------------------------------------------------------------------
 
 _MIN_S_GAP = mpf("0.001")
-_MAX_CORRECTIONS = 30
+_MAX_CORRECTIONS = 400   # per column; the block length keeps M far below this
+_LN10 = math.log(10)
 
 
 def _to_mp(z):
@@ -177,8 +186,295 @@ def _check_s_real(s, min_int):
     return sm
 
 
+def split_exponent(s):
+    """s = r + phi with r an int and 0 <= phi < 1 (phi the int 0 when s is integral)."""
+    sm = _to_mp(s)
+    r = int(mp.floor(sm))
+    phi = sm - r
+    return r, (phi if phi else 0)
+
+
+@dataclass(frozen=True)
+class ZetaRow:
+    """Columns s = r + phi, r = r_lo..r_hi, of euler_maclaurin_row at one a.
+
+    zeta[i] is zeta(s, a) and logs[i] is sum_u (u+a)^-s log(u+a) (logs is
+    None when the row was made without them); *_bnd hold their bounds. With
+    phi = 0 the column r = 1 holds psi(a) in place of the divergent zeta(1, a).
+    """
+
+    phi: object
+    r_lo: int
+    zeta: tuple
+    zeta_bnd: tuple
+    logs: tuple | None = None
+    log_bnd: tuple | None = None
+
+    @property
+    def r_hi(self) -> int:
+        return self.r_lo + len(self.zeta) - 1
+
+    def _index(self, r):
+        if not self.r_lo <= r <= self.r_hi:
+            raise IndexError(f"column {r} outside the row {self.r_lo}..{self.r_hi}")
+        if r < 2:   # s = r + phi >= 2 needs no check
+            _check_s_real(r + self.phi, 2)
+        return r - self.r_lo
+
+    def zeta_at(self, r) -> EvalResult:
+        i = self._index(r)
+        return EvalResult(self.zeta[i], self.zeta_bnd[i], "euler_maclaurin")
+
+    def log_zeta_at(self, r) -> EvalResult:
+        i = self._index(r)
+        if self.logs is None:
+            raise DomainError("row made without the log-weighted sums (complex a)")
+        return EvalResult(self.logs[i], self.log_bnd[i], "euler_maclaurin")
+
+    def psi(self) -> EvalResult:
+        if self.phi or self.r_lo != 1:
+            raise ValueError("psi(a) is the column r = 1 of a row with phi = 0")
+        return EvalResult(self.zeta[0], self.zeta_bnd[0], "euler_maclaurin")
+
+
+def _block_length(alpha: float, cols, dps: int, per_term: float, per_column: float,
+                  per_correction: float) -> int:
+    """Length N of the direct block of a row, from a cost model.
+
+    As in Johansson (arXiv:1309.2877, sec. 3), N and the number M of
+    corrections are chosen together: for each candidate N, M(s) is the index
+    of the first correction c_k (s)_(2k-1) A^(1-s-2k), A = alpha + N, below
+    the column's target (estimated with |B_2k/(2k)!| ~ 2 (2 pi)^-2k), and the
+    cost is N (per_term + K per_column) + K mean_s M(s) per_correction. Only
+    the first, middle and last columns are estimated. A >= 2 keeps log(A + t)
+    positive in the bounds of the log-weighted sums.
+    """
+    K = len(cols)
+    samples = sorted({float(cols[0]), float(cols[K // 2]), float(cols[-1])})
+    n0 = max(0, math.ceil(2 - alpha))
+    best = None
+    for step in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384):
+        N = n0 + step
+        A = alpha + N
+        lA, l2piA = math.log(A), 2 * math.log(2 * math.pi * A)
+        total_M = 0
+        for s in samples:
+            # log(|first correction| / target), target 10^-dps min(1, alpha^-s)
+            L = math.log(s / 12) - (s + 1) * lA + dps * _LN10 + s * max(0.0, math.log(alpha))
+            k = 1
+            while L >= 0 and k <= _MAX_CORRECTIONS:
+                step_k = math.log((s + 2 * k - 1) * (s + 2 * k)) - l2piA
+                if step_k >= 0:     # the corrections grow before the target
+                    break
+                L += step_k
+                k += 1
+            if L >= 0:
+                break
+            total_M += k
+        else:
+            cost = N * (per_term + K * per_column) + K * total_M / len(samples) * per_correction
+            if best is None or cost < best[0]:
+                best = (cost, N)
+            elif cost > 2 * best[0]:
+                break
+    return N if best is None else best[1]
+
+
+def _signed_man_exp(x: mpf):
+    """(m, e) with x = m 2^e and m a signed int."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DEFAULT_CTX,
+                        logs: bool = False) -> ZetaRow:
+    """zeta(r + phi, a) for r = r_lo..r_hi, and with logs sum_u (u+a)^-(r+phi) log(u+a).
+
+    One direct block sum_{j<N} (a+j)^-s for every column, by repeated
+    multiplication by 1/(a+j) (one log per j for the log sums or a fractional
+    phi), then one Euler-Maclaurin loop at A = a + N shared by all columns:
+    zeta(s, a) = block + A^(1-s)/(s-1) + A^-s/2 + sum_{k<=M} c_k (s)_(2k-1)
+    A^(-s-2k+1), c_k = B_2k/(2k)!. With phi = 0 the column s = 1 takes -log A
+    in place of A^(1-s)/(s-1) and yields -psi(a). The log sums differentiate
+    the same terms in s. Each column stops at the first correction below
+    10^-dps min(1, Re(a)^-s), or once the corrections grow.
+
+    Bounds: each column's remainder after M corrections is at most the larger
+    of 2 x the first omitted correction and Johansson's bound (arXiv:1309.2877,
+    Thm. 1, with |B~_2M(t)| <= 4 (2M)!/(2 pi)^2M) 4 |(s)_2M| (2 pi)^-2M
+    Re(A)^(1-s-2M)/(s+2M-1), which holds for complex a too; for the log sums,
+    4 (2 pi)^-2M Re(A)^(1-p) (|alpha_2M| ((p-1) log A + 1)/(p-1)^2 +
+    |beta_2M|/(p-1)), p = s + 2M, with f^(2M)(t) = t^-p (alpha_2M log t +
+    beta_2M). A rounding term of 10^-(dps+4) times the sum of the moduli of
+    the summed parts is added.
+    """
+    with ctx.workdps():
+        av = _to_mp(a)
+        if mp.re(av) <= 0:
+            raise DomainError("the Euler-Maclaurin row requires Re a > 0")
+        cplx = isinstance(av, mpc)
+        if logs and cplx:
+            raise DomainError("log-weighted zeta sums require real a > 0")
+        ints = not phi
+        cols = list(range(r_lo, r_hi + 1)) if ints else [r + phi for r in range(r_lo, r_hi + 1)]
+        K = len(cols)
+        if K < 1 or r_lo < 1:
+            raise DomainError("a row needs columns r = r_lo..r_hi with 1 <= r_lo <= r_hi")
+        alpha = mp.re(av)
+        need_log = logs or not ints
+        # relative costs: a block term per column takes 2 mpf operations (4
+        # with logs), a correction per column about 2/3 of one in integers,
+        # a log about 24
+        N = _block_length(float(alpha), cols, ctx.dps, 4 + 24 * need_log,
+                          2 + 2 * logs, (2 + logs) / 3)
+        first = cols[0]
+
+        # direct block
+        z = [mpf(0)] * K
+        zabs = [mpf(0)] * K if cplx else z
+        lsum = [mpf(0)] * K if logs else None
+        lneg = [mpf(0)] * K if logs else None   # 2 |terms| with log(a+j) < 0
+        for j in range(N):
+            x = av + j
+            inv = 1 / x
+            lg = mp.log(x) if need_log else None
+            p = inv ** first if ints else mp.exp(-first * lg)
+            if cplx:
+                q = abs(inv)
+                pa = q ** first if ints else mp.exp(-first * mp.re(lg))
+            for i in range(K):
+                z[i] += p
+                if logs:
+                    t = p * lg
+                    lsum[i] += t
+                    if lg < 0:
+                        lneg[i] -= 2 * t
+                if cplx:
+                    zabs[i] += pa
+                    pa *= q
+                p *= inv
+
+        # one Euler-Maclaurin loop for every column
+        A = av + N
+        Ainv = 1 / A
+        Ainv2 = Ainv * Ainv
+        lA = mp.log(A)
+        reA = mp.re(A)
+        Apow = [Ainv ** first if ints else mp.exp(-first * lA)]
+        for _ in range(K - 1):
+            Apow.append(Apow[-1] * Ainv)
+        # stop column s once c_k (s)_(2k-1) A^(1-2k) <= target(s) |A|^s / W(s):
+        # the target is 10^-dps min(1, Re(a)^-s), and W(s) covers the ratio
+        # of Johansson's bound to the first omitted correction
+        eps = mpf(10) ** (-ctx.dps)
+        g = abs(A) / max(alpha, 1)
+        tgt = [eps * (g ** first if ints else mp.exp(first * mp.log(g)))]
+        for _ in range(K - 1):
+            tgt.append(tgt[-1] * g)
+        w2 = 2 * (2 * math.pi * float(reA)) ** 2
+        # The corrections relative to A^-s, c_k (s)_(2k-1) A^(1-2k), and their
+        # log companions are summed exactly in integers, in units of 2^-P:
+        # with c_k A^(1-2k) = m 2^e and alpha_i, beta_i (f^(i)(t) = t^(-s-i)
+        # (alpha_i log t + beta_i)) held as ints times 2^-F, a correction is
+        # m alpha_(2k-1) 2^(e+P-F), cut to an int. F = 0 for integer s, whose
+        # alpha_i, beta_i are exact ints; the cuts stay below 2^-P per term.
+        P = mp.prec + 20
+        F = 0 if ints else P
+        sfx = cols if ints else [int(mp.ldexp(c, F)) for c in cols]
+        tgt = [int(mp.ldexp(t / max(2.0, w2 / ((float(c) + 1) * (float(c) + 2))), P))
+               for t, c in zip(tgt, cols)]
+        S1, S1i, S2 = [0] * K, [0] * K, [0] * K
+        al, be = [1 << F] * K, [0] * K
+        last = [None] * K
+        zrem, lrem, M = [None] * K, [None] * K, [0] * K
+        twopi_inv2 = 1 / (2 * mp.pi) ** 2
+        tp = mpf(1)                             # (2 pi)^-2(k-1)
+        Aodd = Ainv                             # A^(1-2k)
+        active = list(range(K))
+        k = 1
+        while active:
+            b2k = bernoulli(2 * k)
+            Q = mpf(b2k.numerator) / b2k.denominator / mp.factorial(2 * k) * Aodd
+            qr, er = _signed_man_exp(mp.re(Q))
+            qi, ei = _signed_man_exp(mp.im(Q)) if cplx else (0, 0)
+            er, ei = er + P - F, ei + P - F
+            still = []
+            for i in active:
+                a_, b_ = al[i], be[i]
+                t = sfx[i] + ((2 * k - 3) << F)
+                if k > 1:   # i = 2k-3 -> 2k-2
+                    a_, b_ = -(t * a_ >> F), a_ - (t * b_ >> F)
+                a_even, b_even = a_, b_
+                t += 1 << F  # -> 2k-1
+                a_, b_ = -(t * a_ >> F), a_ - (t * b_ >> F)
+                x = -qr * a_
+                term = x << er if er >= 0 else x >> -er
+                mag = abs(term)
+                if cplx:
+                    x = -qi * a_
+                    term_i = x << ei if ei >= 0 else x >> -ei
+                    mag += abs(term_i)
+                if k > 1 and (mag <= tgt[i] or mag > last[i] or k > _MAX_CORRECTIONS):
+                    # term k omitted, M = k - 1 corrections taken
+                    s, m2 = cols[i], 2 * (k - 1)
+                    Pa = abs(Apow[i])
+                    scale = Pa * abs(A) ** 2 * abs(Aodd) if not cplx else reA ** (1 - s - m2)
+                    a_even = mp.ldexp(abs(a_even), -F)
+                    zrem[i] = max(2 * Pa * mp.ldexp(mag, -P),
+                                  4 * a_even * tp * scale / (s + m2 - 1))
+                    if logs:
+                        pm1 = s + m2 - 1
+                        omitted = Q * mp.ldexp(-a_ * lA - b_, -F)
+                        lrem[i] = max(2 * Pa * abs(omitted),
+                                      4 * tp * scale * (a_even * (pm1 * lA + 1) / pm1 ** 2
+                                                        + mp.ldexp(abs(b_even), -F) / pm1))
+                    M[i] = k - 1
+                    continue
+                S1[i] += term
+                if cplx:
+                    S1i[i] += term_i
+                if logs:
+                    x = qr * b_
+                    S2[i] += x << er if er >= 0 else x >> -er
+                al[i], be[i], last[i] = a_, b_, mag
+                still.append(i)
+            active = still
+            Aodd *= Ainv2
+            tp *= twopi_inv2
+            k += 1
+        S1 = [mpc(mp.ldexp(x, -P), mp.ldexp(y, -P)) if cplx else mp.ldexp(x, -P)
+              for x, y in zip(S1, S1i)]
+        S2 = [mp.ldexp(x, -P) for x in S2]
+
+        zeta, zbnd = [], []
+        logv, lbnd = ([], []) if logs else (None, None)
+        ulp = mpf(10) ** (-(ctx.dps + 4))
+        for i, s in enumerate(cols):
+            P = Apow[i]
+            rnd = ulp * max(1, (N + K + 2 * M[i]) / 10 ** 4)
+            psi_col = ints and s == 1
+            lead = -lA if psi_col else A * P / (s - 1)
+            parts = (lead, P / 2, P * S1[i])
+            val = z[i] + sum(parts)
+            mag = abs(zabs[i]) + sum(abs(v) for v in parts)
+            zeta.append(-val if psi_col else val)
+            zbnd.append(zrem[i] + mag * rnd)
+            if logs:
+                if psi_col:   # the divergent sum_u (u+a)^-1 log(u+a)
+                    logv.append(None)
+                    lbnd.append(None)
+                    continue
+                lparts = (A * P * ((s - 1) * lA + 1) / (s - 1) ** 2, P * lA / 2,
+                          P * (lA * S1[i] - S2[i]))
+                logv.append(lsum[i] + sum(lparts))
+                lmag = abs(lsum[i]) + lneg[i] + sum(abs(v) for v in lparts)
+                lbnd.append(lrem[i] + lmag * rnd)
+        return ZetaRow(phi, r_lo, tuple(zeta), tuple(zbnd),
+                       tuple(logv) if logs else None, tuple(lbnd) if logs else None)
+
+
 def hurwitz_zeta(s, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
-    """zeta(s, a) = sum_{n>=0} (n+a)^-s by direct block + Euler-Maclaurin tail.
+    """zeta(s, a) = sum_{n>=0} (n+a)^-s, one column of euler_maclaurin_row.
 
     s: real >= 1 + 1e-3, or integer >= 2.  a: complex with Re a > 0.
     """
@@ -187,62 +483,17 @@ def hurwitz_zeta(s, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         av = _to_mp(a)
         if mp.re(av) <= 0:
             raise DomainError("hurwitz_zeta requires Re a > 0")
-        n0 = max(2 * ctx.working_digits, 50)
-        eps = ctx.eps
-        total = mpf(0)
-        for j in range(n0):
-            total += (av + j) ** (-sv)
-        A = av + n0
-        total += A ** (1 - sv) / (sv - 1) + A ** (-sv) / 2
-        # corrections B_{2r}/(2r)! * (s)_{2r-1} * A^{-s-2r+1}
-        poch = sv                      # (s)_1
-        Apow = A ** (-sv - 1)
-        Ainv2 = A ** (-2)
-        bound_term = None
-        for r in range(1, _MAX_CORRECTIONS + 1):
-            b2r = bernoulli(2 * r)
-            coef = mpf(b2r.numerator) / b2r.denominator / mp.factorial(2 * r)
-            term = coef * poch * Apow
-            if abs(term) < eps:
-                bound_term = abs(term)
-                break
-            total += term
-            poch *= (sv + 2 * r - 1) * (sv + 2 * r)
-            Apow *= Ainv2
-            bound_term = abs(term)
-        bound = 2 * bound_term + abs(total) * mpf(10) ** (-(ctx.dps + 4))
-        return EvalResult(total, bound, "euler_maclaurin")
+        r, phi = split_exponent(sv)
+        return euler_maclaurin_row(av, phi, r, r, ctx).zeta_at(r)
 
 
 def digamma(a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
-    """psi(a) for Re a > 0: recurrence shift into the asymptotic region."""
+    """psi(a) for Re a > 0, the column s = 1 of euler_maclaurin_row."""
     with ctx.workdps():
         av = _to_mp(a)
         if mp.re(av) <= 0:
             raise DomainError("digamma requires Re a > 0")
-        eps = ctx.eps
-        thr = max(20, ctx.dps // 2 + 8)
-        shift = mpf(0)
-        z = av
-        while abs(z) < thr:
-            shift += 1 / z
-            z += 1
-        val = mp.log(z) - 1 / (2 * z)
-        zpow = z ** (-2)
-        zcur = zpow
-        bound_term = None
-        for r in range(1, 61):
-            b2r = bernoulli(2 * r)
-            term = mpf(b2r.numerator) / b2r.denominator / (2 * r) * zcur
-            if abs(term) < eps:
-                bound_term = abs(term)
-                break
-            val -= term
-            zcur *= zpow
-            bound_term = abs(term)
-        safety = 2 if isinstance(av, mpf) else 4
-        bound = safety * bound_term + (abs(val) + abs(shift)) * mpf(10) ** (-(ctx.dps + 4))
-        return EvalResult(val - shift, bound, "euler_maclaurin")
+        return euler_maclaurin_row(av, 0, 1, 1, ctx).psi()
 
 
 _gamma_cache: dict = {}
@@ -269,34 +520,8 @@ def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         av = _to_mp(a)
         if isinstance(av, mpc) or av <= 0:
             raise DomainError("log_zeta_sum requires real a > 0")
-        eps = ctx.eps
-        n0 = max(2 * ctx.working_digits, 50)
-        total = mpf(0)
-        for j in range(n0):
-            x = av + j
-            total += x ** (-rv) * mp.log(x)
-        A = av + n0
-        logA = mp.log(A)
-        total += A ** (1 - rv) * ((rv - 1) * logA + 1) / (rv - 1) ** 2
-        total += A ** (-rv) * logA / 2
-        # f(x) = x^-r log x, f^(i)(x) = x^(-r-i) (alpha_i log x + beta_i)
-        alpha, beta = mpf(1), mpf(0)
-        i = 0
-        bound_term = None
-        for j in range(1, _MAX_CORRECTIONS + 1):
-            while i < 2 * j - 1:
-                alpha, beta = -(rv + i) * alpha, alpha - (rv + i) * beta
-                i += 1
-            b2j = bernoulli(2 * j)
-            coef = mpf(b2j.numerator) / b2j.denominator / mp.factorial(2 * j)
-            term = -coef * A ** (-rv - i) * (alpha * logA + beta)
-            if abs(term) < eps:
-                bound_term = abs(term)
-                break
-            total += term
-            bound_term = abs(term)
-        bound = 2 * bound_term + abs(total) * mpf(10) ** (-(ctx.dps + 4))
-        return EvalResult(total, bound, "euler_maclaurin")
+        r0, phi = split_exponent(rv)
+        return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +538,15 @@ def root_of_unity(f: int, a: int, ctx: PrecisionContext = DEFAULT_CTX):
 
 
 def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX, fmax: int = 64):
-    """Return (f, a) with x = e^{2 pi i a/f} and gcd(a,f)=1, or None."""
+    """Return (f, a) with x = e^{2 pi i a/f} and gcd(a,f)=1, or None.
+
+    x must be a root to the rounding level 10^-dps of the working precision
+    (root_of_unity rounds at 10^-(dps+8)); a point merely near a root is not
+    one, and is summed as an interior point.
+    """
     with ctx.workdps():
         xv = _to_mp(x)
-        tol = mpf(10) ** (-(ctx.dps // 2))
+        tol = ctx.eps
         if abs(abs(xv) - 1) > tol:
             return None
         ang = mp.arg(mpc(xv)) / (2 * mp.pi)
@@ -332,6 +562,23 @@ def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX, fmax: int = 64):
 # ---------------------------------------------------------------------------
 # Lerch transcendent and polylogarithm
 # ---------------------------------------------------------------------------
+
+# Longest truncation of a geometric sum with |x| < 1: the interior series of
+# lerch_phi, and in reduction the geometric outer sums and the diagonal sums
+# of x^(m+n) terms. Their length grows like 1/(1 - |x|); past the cap an
+# evaluation raises DomainError instead of running for hours. The admitted
+# |x| falls with the precision: about 0.9991-0.9993 at 50 working digits,
+# 0.9974-0.9976 at 200 (the README tabulates it).
+MAX_GEOMETRIC_TERMS = 200_000
+
+
+def geometric_length(T: int) -> int:
+    """T, once checked against MAX_GEOMETRIC_TERMS."""
+    if T > MAX_GEOMETRIC_TERMS:
+        raise DomainError(f"|x| too close to 1: the geometric sum needs {T} > "
+                          f"{MAX_GEOMETRIC_TERMS} terms")
+    return T
+
 
 def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
               force_series=False) -> EvalResult:
@@ -380,7 +627,7 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
         r = abs(xv)
         eps = ctx.eps
         # |tail| <= r^(T+1) (T+1+Re b)^(-s) / (1-r) for s >= 0
-        T = int(mp.ceil((-mp.log(eps * (1 - r)) ) / (-mp.log(r)))) + 4
+        T = geometric_length(int(mp.ceil((-mp.log(eps * (1 - r))) / (-mp.log(r)))) + 4)
         total = mpf(0)
         xp = mpc(1) if isinstance(xv, mpc) else mpf(1)
         for n in range(T + 1):

@@ -571,3 +571,83 @@ def test_class_plan_pointwise(text, x, chi):
                 assert abs(got - want) < 1e-9, (m, n, got, want)
                 checked += 1
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Fixed parameters and x next to the unit circle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["direct", "reduction"])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_fixed_minus_one_is_a_root_of_unity(s, strategy):
+    # aux-phi fixes x = -1; bound as a number, the direct route divided by
+    # 1 - |x| = 0
+    entry = registry_get("aux-phi")
+    p = IdentityParams.bind(entry.spec, {"s": str(s)})
+    assert p.numeric["x"] == XSpec.root(2, 1)
+    rep = eval_identity(entry, {"s": str(s)}, CTX, strategy=strategy)
+    assert rep.passed
+    with mp75():
+        eta = (1 - mpf(2) ** (1 - s)) * mpmath.zeta(s)
+        assert abs(rep.lhs.value + eta) <= max(rep.lhs.abs_error_bound, mpf(entry.tolerance))
+
+
+def _raises_domain_error_quickly(fn):
+    import time
+
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError):
+        fn()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_x_next_to_a_root_is_not_snapped_and_does_not_hang():
+    # x = -(1 - 10^-30) is not -1: snapping it gave the value at -1 with a
+    # 1e-62 bound, 1e-30 away from the true one; summing it needs ~1e32 terms
+    from dpl.specfun import as_root_of_unity, lerch_phi
+
+    with CTX.workdps():
+        x = -(1 - mpf(10) ** -30)
+    assert as_root_of_unity(x, CTX) is None
+    _raises_domain_error_quickly(lambda: lerch_phi(x, 3, Fraction(1, 2), CTX))
+    near_one = str(1 - Fraction(1, 10 ** 30))
+    _raises_domain_error_quickly(lambda: eval_identity(
+        registry_get("thm-1.1"), {"k": "1", "b": "1/2", "x": near_one}, CTX))
+
+
+def test_interior_truncations_stay_far_below_the_cap(monkeypatch):
+    # the operations of the benchmark's interior workload, at 50 digits
+    import dpl.reduction
+    import dpl.specfun
+
+    lengths = []
+
+    def record(T, _orig=dpl.specfun.geometric_length):
+        lengths.append(T)
+        return _orig(T)
+
+    monkeypatch.setattr(dpl.specfun, "geometric_length", record)
+    monkeypatch.setattr(dpl.reduction, "geometric_length", record)
+    ops = [("thm-1.1", {"k": "1", "b": "1/4", "x": "1/2"}),
+           ("thm-1.1", {"k": "2", "b": "1/2", "x": "1/2"})]
+    ops += [(i, {"k": "1", "x": x}) for i in ("cor-1.2", "thm-1.4", "prop-3.1")
+            for x in ("1/2", "-1/2")]
+    ops += [("cor-1.2", {"k": "1", "x": x}) for x in ("1/10", "-1/3")]
+    for ident, params in ops:
+        entry = registry_get(ident)
+        assert eval_identity(entry, params, CTX, strategy=entry.strategy).passed
+    assert lengths and max(lengths) * 100 < dpl.specfun.MAX_GEOMETRIC_TERMS
+
+
+def test_x_just_inside_the_cap_still_evaluates():
+    # at 30 working digits the interior Lerch series needs 199 363 terms at
+    # x = 0.9995 and 249 773 at x = 0.9996, across MAX_GEOMETRIC_TERMS
+    from dpl.specfun import lerch_phi
+
+    ctx = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
+    with ctx.workdps():
+        x = mpf("0.9995")
+        res = lerch_phi(x, 1, 1, ctx)
+        assert abs(res.value + mp.log(1 - x) / x) <= res.abs_error_bound
+        assert res.abs_error_bound < mpf(10) ** -35
+        _raises_domain_error_quickly(lambda: lerch_phi(mpf("0.9996"), 1, 1, ctx))

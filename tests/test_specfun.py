@@ -33,7 +33,11 @@ from dpl.specfun import (
     make_character,
     polylog,
     root_of_unity,
+    euler_maclaurin_row,
+    split_exponent,
 )
+from dpl import specfun
+from dpl.reduction import EvalCache
 
 CTX = PrecisionContext()
 
@@ -237,6 +241,127 @@ def test_log_zeta_sum_vs_mpmath_derivative(r, a):
         res = log_zeta_sum(r, mpf(a), CTX)
         ref = -mpmath.diff(lambda s: mpmath.zeta(s, mpf(a)), mpf(r))
         assert abs(res.value - ref) <= res.abs_error_bound + mpf(10) ** -55
+
+
+# ---------------------------------------------------------------------------
+# The Euler-Maclaurin row kernel and the rows an evaluation keeps
+# ---------------------------------------------------------------------------
+
+ROW_POINTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(15, 2),
+              Fraction(257, 4), Fraction(65), Fraction(1000), mpc("0.75", "2.5")]
+
+
+def _reference_slack(ref, dps):
+    # mpmath's zeta at dps + 40 digits is good to about 10^-(dps+40) relative to
+    # max(1, |value|), not relative to a tiny value; below that slack a bound
+    # cannot be checked against it
+    return mpf(10) ** (-(dps + 38)) * max(1, abs(ref))
+
+
+def _within(res, ref, dps):
+    """res's bound dominates its error and is near the working precision."""
+    return (abs(res.value - ref) <= res.abs_error_bound + _reference_slack(ref, dps)
+            and res.abs_error_bound <= mpf(10) ** (-(dps - 5)) * max(1, abs(ref)))
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_row_bounds_dominate_true_error(digits):
+    ctx = PrecisionContext(working_digits=digits, guard_digits=10,
+                           output_digits=digits - 10)
+    for a in ROW_POINTS:
+        real = not isinstance(a, mpc)
+        for phi in (0, Fraction(1, 2)):
+            with ctx.workdps():
+                av = specfun._to_mp(a)
+                ph = specfun._to_mp(phi) if phi else 0
+                row = euler_maclaurin_row(av, ph, 1, 70, ctx, logs=real)
+            with mp.workdps(ctx.dps + 40):
+                bad = []
+                for r in range(2, 71):
+                    s = r + specfun._to_mp(phi)
+                    if not _within(row.zeta_at(r), mpmath.zeta(s, av), ctx.dps):
+                        bad.append(("zeta", r))
+                    if real and not _within(row.log_zeta_at(r), -mpmath.zeta(s, av, 1), ctx.dps):
+                        bad.append(("log", r))
+                if not phi:
+                    ref = mpmath.digamma(av)
+                    for res in (row.psi(), digamma(av, ctx)):
+                        if not _within(res, ref, ctx.dps):
+                            bad.append(("psi", a))
+                assert not bad, (a, phi, bad)
+
+
+def test_single_column_wrappers_are_accurate():
+    # hurwitz_zeta and log_zeta_sum choose their own block for one column; at
+    # a = 45/4 and s = 3/2 an unreachable target once picked a block too short
+    with mp.workdps(CTX.dps + 40):
+        for a in (Fraction(1, 4), Fraction(45, 4), Fraction(257, 4), Fraction(1000)):
+            for s in (2, 7, Fraction(3, 2), Fraction(5, 2), 40):
+                sm, am = specfun._to_mp(s), specfun._to_mp(a)
+                assert _within(hurwitz_zeta(s, a, CTX), mpmath.zeta(sm, am), CTX.dps)
+                assert _within(log_zeta_sum(s, a, CTX), -mpmath.zeta(sm, am, 1), CTX.dps)
+
+
+def test_split_exponent():
+    assert split_exponent(3) == (3, 0)
+    assert split_exponent(Fraction(7, 2)) == (3, mpf("0.5"))
+    r, phi = split_exponent(mpf(2))
+    assert (r, phi) == (2, 0) and isinstance(phi, int)
+
+
+def test_eval_cache_keeps_precisions_apart():
+    ctx30 = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
+    ctx50 = PrecisionContext(working_digits=50, guard_digits=10, output_digits=30)
+    with ctx30.workdps():
+        a = mpf(1) / 3 + 40
+    cache30, cache50 = EvalCache(ctx30), EvalCache(ctx50)
+    row30 = cache30.row(a, 0, 8)
+    row50 = cache50.row(a, 0, 8)
+    assert row50 is not row30
+    assert cache30.row(a, 0, 8) is row30
+    with mp.workdps(120):
+        for r in range(2, 9):
+            ref = mpmath.zeta(r, a)
+            assert abs(row50.zeta_at(r).value - ref) <= row50.zeta_at(r).abs_error_bound
+            assert row50.zeta_at(r).abs_error_bound < mpf(10) ** -55 * ref
+            assert row30.zeta_at(r).abs_error_bound > mpf(10) ** -55 * ref
+
+
+def test_eval_cache_keeps_one_row_per_argument():
+    cache = EvalCache(CTX)
+    a = mpf("64.25")
+    for r in range(2, 12):
+        cache.zeta(r, a)
+        cache.log_zeta(r, a)
+    cache.psi(a)
+    cache.zeta(Fraction(5, 2), a)
+    cache.zeta(3, a + 1)
+    assert sorted(cache.rows, key=str) == sorted([(a, 0), (a, mpf("0.5")), (a + 1, 0)],
+                                                 key=str)
+
+
+def test_eval_cache_extends_a_short_row():
+    ctx = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
+    cache = EvalCache(ctx)
+    short = cache.row(mpf("77.5"), 0, 3)
+    longer = cache.row(mpf("77.5"), 0, 5)
+    assert longer.r_hi >= 6 and longer is not short
+    assert cache.row(mpf("77.5"), 0, 4) is longer
+    z3, z3_long = short.zeta_at(3), longer.zeta_at(3)
+    assert abs(z3.value - z3_long.value) <= z3.abs_error_bound + z3_long.abs_error_bound
+
+
+def test_row_domain_checks():
+    row = euler_maclaurin_row(mpf(5), 0, 1, 3, CTX, logs=True)
+    with pytest.raises(DomainError):
+        row.zeta_at(1)              # the r = 1 column of a phi = 0 row is psi
+    with pytest.raises(DomainError):
+        row.log_zeta_at(1)
+    crow = EvalCache(CTX).row(mpc(5, 1), 0, 3)
+    with pytest.raises(DomainError):
+        crow.log_zeta_at(2)         # no log sums at complex a
+    with pytest.raises(DomainError):
+        euler_maclaurin_row(mpf(-1), 0, 1, 3, CTX)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,122 @@
+"""Paired benchmark runs of two dpl checkouts, written to one BENCH json.
+
+The changed checkout is the one holding this script. For every workload of
+its BENCHMARK.json, runs `perfbench/run.py` of each checkout in turn for N
+pairs of runs of the benchmark's `run_seconds`, one seed per pair,
+alternating which side goes first, then one traced run per side. Each run
+uses the perfbench/ and src/ of its own checkout, as the benchmark does.
+Usage:
+
+    python3 tools/bench_pairs.py --parent ../parent --pairs 10 --seeds 41 \\
+        --out BENCH_<n>.json
+
+The output holds, per workload and end-to-end metric of BENCHMARK.json, each
+side's runs, median and quartiles, and how many pairs the change won; the
+failed-operation counts of every run; and the per-layer totals of the
+traced run of each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One perfbench run; the JSON object of its last line of output."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else (values[0],) * 3
+    return {"median": med, "q1": q1, "q3": q3, "runs": values}
+
+
+def revision(checkout: Path) -> dict:
+    """The checkout's git HEAD (None outside git) and whether its working
+    tree differs from HEAD."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    return {"revision": head,
+            "modified": bool(git("status", "--porcelain", "--untracked-files=no"))
+            if head else None}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="the parent checkout")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", type=int, default=41, help="seed of the first pair")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    seeds = list(range(args.seeds, args.seeds + args.pairs))
+    report = {
+        "parent": revision(sides["parent"]),
+        "change": revision(sides["change"]),
+        "pairs": args.pairs, "seeds": seeds, "seconds": seconds,
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": len(os.sched_getaffinity(0))},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "workloads": {},
+    }
+    for name in (w["name"] for w in bench["workloads"]):
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = run_bench(sides[side], name, seed, seconds, 0)
+                runs[side].append(out)
+                print(f"{name} seed {seed} {side}: "
+                      + ", ".join(f"{m} {out['metrics'][m]['value']:.4g}" for m in metrics),
+                      file=sys.stderr, flush=True)
+        entry = {"end_to_end": {}, "failed": {}, "attempted": {}, "per_layer": {}}
+        for metric, better in metrics.items():
+            vals = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in runs}
+            wins = sum((c < p) if better == "lower" else (c > p)
+                       for p, c in zip(vals["parent"], vals["change"]))
+            entry["end_to_end"][metric] = {
+                "better": better,
+                "parent": summary(vals["parent"]),
+                "change": summary(vals["change"]),
+                "change_wins": wins,
+                "change_over_parent": statistics.median(vals["change"])
+                / statistics.median(vals["parent"]),
+            }
+        for side in runs:
+            entry["failed"][side] = [r["failed"] for r in runs[side]]
+            entry["attempted"][side] = [r["attempted"] for r in runs[side]]
+            traced = run_bench(sides[side], name, seeds[0], seconds, 1)
+            entry["per_layer"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
+        report["workloads"][name] = entry
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
