@@ -4,10 +4,15 @@ The reduction strategy rewrites the inner index sum of a double series in
 closed form (Hurwitz zetas and digammas via two-pole partial fractions), then
 accelerates the outer sum: a direct block driven by one-step recurrences, plus
 a tail obtained by expanding every factor in inverse powers of the outer
-variable. Tail base sums are Hurwitz zetas and their log-weighted companions
-at one shared argument, taken together as one row of the package's
-Euler-Maclaurin kernel (specfun.euler_maclaurin_row), kept for the rest of
-the evaluation by EvalCache.
+variable; the expansions multiply as truncated series, convolved only over
+the kept orders. Tail base sums are Hurwitz zetas and their log-weighted
+companions at one shared argument, taken together as one row of the
+package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row).
+
+An evaluation keeps its rows and its outer sums in one EvalCache: the outer
+sum of each atom shape (an atom without its coefficient) is formed once and
+scaled by the coefficient of every atom that has that shape. Nothing is kept
+between evaluations.
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -138,23 +143,30 @@ def shift_value(shift, bval):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation cache: rows of the Euler-Maclaurin kernel, one per (a, phi)
+# Evaluation cache: kernel rows per (a, phi), outer sums per atom shape
 # ---------------------------------------------------------------------------
 
 class EvalCache:
-    """Hurwitz zeta, digamma and log-weighted zeta values for one evaluation.
+    """Rows of special values and outer sums of atom shapes, for one evaluation.
 
-    Every value is a column of a row of specfun.euler_maclaurin_row. The
-    cache keeps one row r = 1..r_max per (a, phi), phi the fractional part
-    of the exponent, for as long as the evaluation holds it; rows at a real
-    a carry the log-weighted sums, since the tails that need zeta at an a
+    Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
+    row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
+    per (a, phi), phi the fractional part of the exponent; rows at a real a
+    carry the log-weighted sums, since the tails that need zeta at an a
     mostly need them too. A row too short for a request is rebuilt at least
     twice as long.
+
+    It also keeps, in sums, the coefficient-free outer sum of every atom
+    shape (slope, rpows, trans, u0, phase) that _sum_atom has summed: the
+    terms of one side, and the two sides of an identity, share many shapes
+    with different coefficients. Both live as long as the evaluation holds
+    the cache; nothing is kept between evaluations.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.rows = {}
+        self.sums = {}
 
     def row(self, a, phi, r_hi: int) -> ZetaRow:
         row = self.rows.get((a, phi))
@@ -231,50 +243,82 @@ class _Series:
         self.rem = []
 
     def mul(self, other, v0):
-        out = _Series(self.R)
+        """The product truncated after v^-R, valid for v >= v0.
+
+        Only the kept triangle i + j <= R is convolved. The dropped terms
+        i + j > R become remainder items at the power R + 1, bounded by
+        suffix sums in O(R):
+
+            sum_{i+j>R} |s_i||o_j| v0^(R+1-i-j)
+                = v0^(R+1) sum_i |s_i| v0^-i sum_{j>R-i} |o_j| v0^-j,
+
+        which by the triangle inequality is at least the dropped part's
+        sum_r |conv_r| v0^(R+1-r). Every power of v0 comes from one table.
+        """
         R = self.R
-        conv_a = [mpf(0)] * (2 * R + 1)
-        conv_b = [mpf(0)] * (2 * R + 1)
+        out = _Series(R)
+        ca, cb = out.a, out.b
         # log^2 products never occur: at most one factor carries logs
         oa = [(j, aj) for j, aj in enumerate(other.a) if aj]
         ob = [(j, bj) for j, bj in enumerate(other.b) if bj]
         for i, (ai, bi) in enumerate(zip(self.a, self.b)):
+            k = R - i
             if ai:
                 for j, aj in oa:
-                    conv_a[i + j] += ai * aj
+                    if j > k:
+                        break
+                    ca[i + j] += ai * aj
                 for j, bj in ob:
-                    conv_b[i + j] += ai * bj
+                    if j > k:
+                        break
+                    cb[i + j] += ai * bj
             if bi:
                 for j, aj in oa:
-                    conv_b[i + j] += bi * aj
-        out.a[: R + 1] = conv_a[: R + 1]
-        out.b[: R + 1] = conv_b[: R + 1]
+                    if j > k:
+                        break
+                    cb[i + j] += bi * aj
+        inv = 1 / v0
+        pw = [mpf(1)]   # pw[r] = v0^-r
+        for _ in range(R + 1):
+            pw.append(pw[-1] * inv)
+        # suffix sums over j >= k of |o_j| v0^-j, without and with log
+        sa = [mpf(0)] * (R + 2)
+        sb = [mpf(0)] * (R + 2)
+        for j in range(R, -1, -1):
+            sa[j] = sa[j + 1] + abs(other.a[j]) * pw[j]
+            sb[j] = sb[j + 1] + abs(other.b[j]) * pw[j]
         dropped = mpf(0)
         dropped_log = mpf(0)
-        for r in range(R + 1, 2 * R + 1):
-            dropped += abs(conv_a[r]) * v0 ** (R + 1 - r)
-            dropped_log += abs(conv_b[r]) * v0 ** (R + 1 - r)
+        for i in range(1, R + 1):
+            ai = abs(self.a[i]) * pw[i]
+            bi = abs(self.b[i]) * pw[i]
+            k = R + 1 - i
+            dropped += ai * sa[k]
+            dropped_log += ai * sb[k] + bi * sa[k]
         if dropped:
-            out.rem.append((dropped, R + 1, False))
+            out.rem.append((dropped / pw[R + 1], R + 1, False))
         if dropped_log:
-            out.rem.append((dropped_log, R + 1, True))
+            out.rem.append((dropped_log / pw[R + 1], R + 1, True))
         # cross remainders: |P| and |rho| envelopes at v >= v0
-        sup_self = self._sup(v0)
-        sup_other = other._sup(v0)
+        lv = mp.log(v0)
+        sup_self = self._sup(pw, lv)
+        sup_other = other._sup(pw, lv)
         for (c, p, lg) in self.rem:
             out.rem.append((c * sup_other, p, lg))
         for (c, p, lg) in other.rem:
             out.rem.append((c * sup_self, p, lg))
         for (c1, p1, lg1) in self.rem:
             for (c2, p2, lg2) in other.rem:
-                out.rem.append((c1 * c2 * v0 ** (-min(p1, p2)), max(p1, p2), lg1 or lg2))
+                p = min(p1, p2)
+                out.rem.append((c1 * c2 * (pw[p] if p <= R + 1 else v0 ** (-p)),
+                                max(p1, p2), lg1 or lg2))
         return out
 
-    def _sup(self, v0):
+    def _sup(self, pw, lv):
+        """sup over v >= v0 of |the kept part|, from pw[r] = v0^-r and lv = log v0."""
         s = mpf(0)
-        lv = mp.log(v0)
         for r in range(self.R + 1):
-            s += (abs(self.a[r]) + abs(self.b[r]) * lv) * v0 ** (-r)
+            s += (abs(self.a[r]) + abs(self.b[r]) * lv) * pw[r]
         return s
 
 
@@ -409,17 +453,29 @@ def _trans_table(trans, slope, u0, U0, cache):
     return vals, cur.abs_error_bound
 
 
-def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
-              U0=None) -> EvalResult:
+def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     """sum_{u>=u0} phase(u) * atom(u).
 
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
-    (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path.
+    (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
+    without atom.coef depends on the atom's shape alone, so the cache sums
+    each shape once per evaluation and scales it by each atom's coefficient.
     """
+    key = (atom.slope, atom.rpows, atom.trans, u0, phase)
+    shape_sum = cache.sums.get(key)
+    if shape_sum is None:
+        if phase is None:
+            shape_sum = _sum_shape(atom, u0, cache, ctx)
+        else:
+            shape_sum = _sum_atom_geometric(atom, u0, *phase, cache, ctx)
+        cache.sums[key] = shape_sum
+    return atom.coef.times(shape_sum)
+
+
+def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, U0=None) -> EvalResult:
+    """sum_{u>=u0} atom(u) / atom.coef: a direct block up to U0, then the
+    tail from the atom's expansion in inverse powers of u."""
     lam = atom.slope
-    if phase is not None:
-        X, x0 = phase
-        return _sum_atom_geometric(atom, u0, X, x0, cache, ctx)
     U0 = U0 or (u0 + max(64, int(0.6 * ctx.dps) + 10))
     tvals, tbnd = (None, mpf(0))
     if atom.trans is not None:
@@ -443,7 +499,7 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
         max_delta = max(max_delta, abs(mpf(atom.trans[-1]) - gamma_star))
     if v0 < 2 * max_delta + 8:
         U0b = int((2 * max_delta + 8 - gamma_star) / lam) + 1
-        return _sum_atom(atom, u0, phase, cache, ctx, U0=max(U0 + 8, U0b))
+        return _sum_shape(atom, u0, cache, ctx, U0=max(U0 + 8, U0b))
     R = max(36, int(ctx.dps * 2.303 / mp.log(v0 / max(max_delta, mpf(1)))) + 8)
     frac_extra = mpf(0)
     series = None
@@ -502,12 +558,12 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx,
         tail_bound = tail_bound + extra
     out_val = total + tail
     bound = direct_bound + tail_bound + abs(out_val) * mpf(10) ** (-(ctx.dps + 2))
-    res = EvalResult(out_val, bound, "euler_maclaurin")
-    return atom.coef.times(res)
+    return EvalResult(out_val, bound, "euler_maclaurin")
 
 
 def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
-    """Geometric outer phase: truncate when |X|^u underflows the target."""
+    """sum_{u>=u0} x0 X^u atom(u) / atom.coef, truncated when |X|^u
+    underflows the target."""
     lam = atom.slope
     r = abs(X)
     if r >= 1:
@@ -530,7 +586,7 @@ def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> Ev
         xp = xp * X
     tail_bound = abs(xp) * last_mag / (1 - r) * 2
     bound = tail_bound + tbnd * (U1 - u0 + 1) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-    return atom.coef.times(EvalResult(total, bound, "direct_tail"))
+    return EvalResult(total, bound, "direct_tail")
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +875,7 @@ def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
         elif term.xsel.kind == "xm":
             raise ShapeError("x = 0 with an x^m numerator leaves an uncatalogued n-sum")
         elif term.xsel.kind == "xn":
-            # the inner m-sum at n = -d; eval_inner_closed takes bare terms only
+            # the inner m-sum at n = -d, split into classes by its weights
             if -d < plan.n0:
                 return zero
             return eval_inner_closed(term, -d, params, ctx, cache=cache, include_phase=False)
@@ -850,13 +906,13 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
 
     Catalogued shapes: only a joint chain; or one pure-m factor of any
     positive integer order together with an optional joint chain. The x power
-    must not involve m. Congruences and twists are handled by the full
-    class-splitting evaluator, not here.
+    must not involve m. A congruence or twist splits m into residue classes
+    mod plan.mod["m"], each with its ClassPlan weight at n: the class
+    m = rho + L t is the same closed form (_inner_closed) at the arguments
+    (rho + g)/L, times L^-(e+q).
     """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
-        if term.cong is not None or term.twists:
-            raise ShapeError("inner closed form on a bare term only")
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
         plan = ClassPlan(term, params)
@@ -874,36 +930,52 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             scale = scale * plan.x.power(n + term.xsel.d, ctx)
         if mfac is None and jfac is None:
             raise DomainError("no inner factors: divergent")
-        if mfac is None:
+        e = q = None
+        if mfac is not None:
+            e = _as_int(_exp_value(mfac), "inner exponent")
+        if jfac is not None:
             q = _exp_value(jfac)
-            gJ = shift_value(jfac.shift, b_mp)
-            if q <= 1:
-                raise DomainError("divergent inner sum")
-            res = cache.zeta(_as_int(q, "exponent") if q.denominator == 1 else _frac_to_mp(q),
-                             m0 + n + gJ)
-            return res.scale(scale)
-        e = _as_int(_exp_value(mfac), "inner exponent")
-        gM = shift_value(mfac.shift, b_mp)
-        aM = m0 + gM
-        if mp.re(aM) <= 0:
-            raise DomainError("inner factor vanishes inside the range")
-        if jfac is None:
-            if e < 2:
-                raise DomainError("divergent inner sum")
-            return cache.zeta(e, aM).scale(scale)
-        q = _as_int(_exp_value(jfac), "joint exponent")
-        gJ = shift_value(jfac.shift, b_mp)
-        aJ = m0 + n + gJ
-        w = aJ - aM
-        A, B = two_pole_coeffs(e, q)
-        total = EvalResult(mpf(0), mpf(0), "closed_form")
-        for i in range(2, e + 1):
-            total = total + cache.zeta(i, aM).scale(_frac_to_mp(A[i]) * w ** (-(q + e - i)))
-        for j in range(2, q + 1):
-            total = total + cache.zeta(j, aJ).scale(_frac_to_mp(B[j]) * w ** (-(e + q - j)))
-        A1 = _frac_to_mp(A[1]) * w ** (-(e + q - 1))
-        total = total + (cache.psi(aJ) - cache.psi(aM)).scale(A1)
-        return total.scale(scale)
+            if mfac is not None:
+                q = _as_int(q, "joint exponent")
+        if (q is None and e < 2) or (e is None and q <= 1):
+            raise DomainError("divergent inner sum")
+        gM = shift_value(mfac.shift, b_mp) if mfac is not None else mpf(0)
+        gJ = shift_value(jfac.shift, b_mp) if jfac is not None else mpf(0)
+        L = plan.mod["m"]
+        total = None
+        for rho in range(L):
+            w = plan.weight(rho, n)
+            if w is None:
+                continue
+            t0 = math.ceil((m0 - rho) / L)
+            part = _inner_closed(e, q, (t0 * L + rho + gM) / L,
+                                 (t0 * L + rho + n + gJ) / L, cache).scale(_mp_value(w[0]))
+            total = part if total is None else total + part
+        if total is None:
+            return EvalResult(mpf(0), mpf(0), "closed_form")
+        ptot = Fraction(e or 0) + Fraction(q or 0)
+        return total.scale(scale * mpf(L) ** (-_frac_to_mp(ptot)))
+
+
+def _inner_closed(e, q, aM, aJ, cache) -> EvalResult:
+    """sum_{t>=0} (t + aM)^-e (t + aJ)^-q by two-pole partial fractions; e is
+    None without the m-factor (then q > 1 may be a Fraction), q is None
+    without the joint factor."""
+    if e is None:
+        return cache.zeta(_num_exp(q), aJ)
+    if mp.re(aM) <= 0:
+        raise DomainError("inner factor vanishes inside the range")
+    if q is None:
+        return cache.zeta(e, aM)
+    w = aJ - aM
+    A, B = two_pole_coeffs(e, q)
+    total = EvalResult(mpf(0), mpf(0), "closed_form")
+    for i in range(2, e + 1):
+        total = total + cache.zeta(i, aM).scale(_frac_to_mp(A[i]) * w ** (-(q + e - i)))
+    for j in range(2, q + 1):
+        total = total + cache.zeta(j, aJ).scale(_frac_to_mp(B[j]) * w ** (-(e + q - j)))
+    A1 = _frac_to_mp(A[1]) * w ** (-(e + q - 1))
+    return total + (cache.psi(aJ) - cache.psi(aM)).scale(A1)
 
 
 def _eval_double_geometric2d(term, plan, ctx) -> EvalResult:

@@ -483,6 +483,31 @@ def test_x_zero_keeps_class_weights(text, chi, expected, strategy):
         assert abs(r.value - expected()) <= r.abs_error_bound + mpf(10) ** -45
 
 
+# x^n numerators with a twist or a congruence: at x = 0 only n = -d survives,
+# and the inner m-sum keeps the weights of its residue classes
+X_ZERO_INNER_CASES = [
+    ("sum(m>=1,n>=1) chi(n) * x^(n-1) / (m^2 * (m+n)^2)", CHI4,
+     lambda: mp.nsum(lambda m: 1 / (m ** 2 * (m + 1) ** 2), [1, mp.inf])),
+    ("sum(m>=1,n>=1; m=n mod 3) x^(n-1) / (m^2 * (m+n)^2)", None,
+     lambda: mp.nsum(lambda t: 1 / ((3 * t + 1) ** 2 * (3 * t + 2) ** 2), [0, mp.inf])),
+    ("sum(m>=1,n>=1) chi(m) * x^(n-2) / (m * (m+n)^2)", CHI3,
+     lambda: mp.nsum(lambda t: 1 / ((3 * t + 1) * (3 * t + 3) ** 2)
+                     - 1 / ((3 * t + 2) * (3 * t + 4) ** 2), [0, mp.inf])),
+]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "reduction", "direct"])
+@pytest.mark.parametrize("text,chi,expected", X_ZERO_INNER_CASES,
+                         ids=["chi4-n", "congruence", "chi3-m"])
+def test_x_zero_inner_sum_keeps_class_weights(text, chi, expected, strategy):
+    t = parse_term(text)
+    params = {"x": parse_x("0")} | ({"chi": chi} if chi is not None else {})
+    r = eval_double(t, params, CTX, strategy=strategy)
+    with mp.workdps(CTX.working_digits + CTX.guard_digits + 30):
+        assert abs(r.value - expected()) <= r.abs_error_bound
+    assert r.abs_error_bound < mpf(10) ** -(CTX.working_digits + 5)
+
+
 PLAN_CASES = [
     ("sum(m>=1,n>=1; m=n mod 3) x^n / (m * n^2 * (m+n))", "ru(3,1)", None),
     ("sum(m>=1,n>=1; m=-2*n mod 5) x^(m+n) / (m * n * (m+n)^2)", "i", None),
@@ -651,3 +676,157 @@ def test_x_just_inside_the_cap_still_evaluates():
         assert abs(res.value + mp.log(1 - x) / x) <= res.abs_error_bound
         assert res.abs_error_bound < mpf(10) ** -35
         _raises_domain_error_quickly(lambda: lerch_phi(mpf("0.9996"), 1, 1, ctx))
+
+
+# ---------------------------------------------------------------------------
+# Outer-sum engine: per-evaluation shape sums and the truncated product
+# ---------------------------------------------------------------------------
+
+MEMO_SIDES = [
+    ("thm-1.1", {"k": "1", "b": "1/2", "x": "1"}),
+    ("thm-1.1", {"k": "1", "b": "1/2", "x": "-1"}),
+    ("thm-1.1", {"k": "1", "b": "1/2", "x": "i"}),
+    ("cor-1.3", {"k": "1", "chi": "chi3"}),
+    ("gkz-even", {"N": "3"}),
+]
+
+
+@pytest.mark.parametrize("ident,assignments", MEMO_SIDES,
+                         ids=["thm-1.1-x1", "thm-1.1-x-1", "thm-1.1-xi", "cor-1.3", "gkz-even"])
+def test_shape_sums_change_no_number(ident, assignments, monkeypatch):
+    # each term alone, on a fresh cache, against the same term inside a
+    # whole-side evaluation, whose cache holds the earlier terms' shape sums
+    import dpl.evaluator
+    from dpl.termlang import DoubleSumTerm, expand_group
+
+    entry = registry_get(ident)
+    with CTX.workdps():
+        p = IdentityParams.bind(entry.spec, assignments)
+    seen = []
+
+    def record(evaluate):
+        def wrapped(*args, **kwargs):
+            seen.append(evaluate(*args, **kwargs))
+            return seen[-1]
+        return wrapped
+
+    for side in ("lhs", "rhs"):
+        # eval_side skips the groups whose weight vanishes at these parameters
+        terms = [t for g in (entry.spec.lhs if side == "lhs" else entry.spec.rhs)
+                 if dpl.evaluator.weight_value(g.weight, p.env, p.numeric, CTX) != 0
+                 for t in expand_group(g, p.env)]
+        fresh = [(eval_double if isinstance(t, DoubleSumTerm) else eval_single)(
+            t, p.numeric, CTX, entry.strategy, EvalCache(CTX)) for t in terms]
+        seen.clear()
+        with monkeypatch.context() as mpatch:
+            mpatch.setattr(dpl.evaluator, "eval_double", record(dpl.evaluator.eval_double))
+            mpatch.setattr(dpl.evaluator, "eval_single", record(dpl.evaluator.eval_single))
+            eval_side(entry.spec, side, p, CTX, entry.strategy, EvalCache(CTX))
+        assert len(seen) == len(fresh)
+        for a, b in zip(fresh, seen):
+            assert (a.value, a.abs_error_bound, a.method) == (b.value, b.abs_error_bound, b.method)
+
+
+def test_shape_sums_are_kept_apart_by_start_and_phase():
+    # the two n ranges share every atom shape but its start u0, and the two
+    # x values every shape but its geometric phase
+    cases = [("sum(m>=1,n>=0) 1 / ((n+1)^2*(m+n+1)^2)", {}),
+             ("sum(m>=1,n>=1) 1 / ((n+1)^2*(m+n+1)^2)", {}),
+             ("sum(m>=1,n>=1) x^n / (n^2*(m+n)^2)", {"x": parse_x("1/2")}),
+             ("sum(m>=1,n>=1) x^n / (n^2*(m+n)^2)", {"x": parse_x("-1/2")})]
+    fresh = [eval_double(parse_term(t), p, CTX, "reduction", EvalCache(CTX)) for t, p in cases]
+    cache = EvalCache(CTX)
+    shared = [eval_double(parse_term(t), p, CTX, "reduction", cache) for t, p in cases]
+    for a, b in zip(fresh, shared):
+        assert (a.value, a.abs_error_bound) == (b.value, b.abs_error_bound)
+
+
+def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch):
+    from dpl.reduction import _Series
+
+    calls = []
+    mul = _Series.mul
+    monkeypatch.setattr(_Series, "mul", lambda self, *a: calls.append(1) or mul(self, *a))
+    t = parse_term("sum(m>b,n>=0) x^n / ((m-b)^2*(n+b)*(m+n)^2)")
+    params = {"b": Fraction(1, 3), "x": parse_x("-1")}
+    cache = EvalCache(CTX)
+    first = eval_double(t, params, CTX, "reduction", cache)
+    assert calls and cache.sums
+    calls.clear()
+    again = eval_double(t, params, CTX, "reduction", cache)
+    assert not calls
+    assert (first.value, first.abs_error_bound) == (again.value, again.abs_error_bound)
+
+
+def _random_series(rng, R, logs, rem_log):
+    from dpl.reduction import _Series
+
+    s = _Series(R)
+    for r in range(R + 1):
+        s.a[r] = mpf(rng.uniform(-3, 3)) * mpf(rng.uniform(0.5, 2)) ** r
+        if logs and rng.random() < 0.6:
+            s.b[r] = mpf(rng.uniform(-2, 2))
+    s.rem = [(mpf(rng.uniform(0, 1e-3)), R + 1, False), (mpf(rng.uniform(0, 1e-3)), R + 2, False)]
+    if rem_log:
+        s.rem.append((mpf(rng.uniform(0, 1e-3)), R + 1, True))
+    return s
+
+
+def _full_convolution(s, o):
+    """Every product a_i a_j, a_i b_j and b_i a_j of two series, in one
+    O(R^2) loop over all index pairs."""
+    R = s.R
+    ca, cb = [mpf(0)] * (2 * R + 1), [mpf(0)] * (2 * R + 1)
+    for i in range(R + 1):
+        for j in range(R + 1):
+            ca[i + j] += s.a[i] * o.a[j]
+            cb[i + j] += s.a[i] * o.b[j]
+            cb[i + j] += s.b[i] * o.a[j]
+    return ca, cb
+
+
+def _series_at(s, v, signs):
+    """The function a series with remainder items stands for: its kept part
+    plus each item at full size, with the given signs."""
+    f = sum((s.a[r] + s.b[r] * mp.log(v)) * v ** -r for r in range(s.R + 1))
+    return f + sum(sg * c * v ** -p * (mp.log(v) if lg else 1)
+                   for sg, (c, p, lg) in zip(signs, s.rem))
+
+
+def _rem_at(s, v):
+    return sum(c * v ** -p * (mp.log(v) if lg else 1) for (c, p, lg) in s.rem)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_series_product_against_full_convolution(seed):
+    with CTX.workdps():
+        _check_series_product(random.Random(seed), seed % 2 == 0)
+
+
+def _check_series_product(rng, logs_first):
+    R = rng.choice([8, 13, 21])
+    v0 = mpf(rng.choice([12, 30, 75]))
+    # at most one factor carries logs, as in the tails of _sum_atom
+    s = _random_series(rng, R, logs_first, logs_first)
+    o = _random_series(rng, R, not logs_first, not logs_first)
+    for series in (s, o):   # mixed signs with some exact zeros
+        series.a[rng.randrange(R + 1)] = mpf(0)
+    out = s.mul(o, v0)
+    ca, cb = _full_convolution(s, o)
+    assert out.a == ca[:R + 1] and out.b == cb[:R + 1]
+    # the dropped half's bound dominates sum_{r>R} |conv_r| v0^(R+1-r)
+    dropped = sum(abs(ca[r]) * v0 ** (R + 1 - r) for r in range(R + 1, 2 * R + 1))
+    dropped_log = sum(abs(cb[r]) * v0 ** (R + 1 - r) for r in range(R + 1, 2 * R + 1))
+    slack = 1 - mpf(10) ** -(CTX.working_digits)
+    assert out.rem[0] == (out.rem[0][0], R + 1, False) and out.rem[0][0] >= dropped * slack
+    assert out.rem[1] == (out.rem[1][0], R + 1, True) and out.rem[1][0] >= dropped_log * slack
+    # the truncated product lies within its remainder items of the product of
+    # the functions the factors stand for, at v0 and 2 v0 and every sign choice
+    for v in (v0, 2 * v0):
+        for _ in range(4):
+            sg = [rng.choice((-1, 1)) for _ in s.rem], [rng.choice((-1, 1)) for _ in o.rem]
+            with mp.workdps(mp.dps + 40):
+                exact = _series_at(s, v, sg[0]) * _series_at(o, v, sg[1])
+                err = abs(exact - _series_at(out, v, [0] * len(out.rem)))
+                # plus the roundings of the product at working precision
+                assert err <= _rem_at(out, v) + abs(exact) * mpf(10) ** -(CTX.working_digits)
