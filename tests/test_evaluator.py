@@ -493,12 +493,16 @@ X_ZERO_INNER_CASES = [
     ("sum(m>=1,n>=1) chi(m) * x^(n-2) / (m * (m+n)^2)", CHI3,
      lambda: mp.nsum(lambda t: 1 / ((3 * t + 1) * (3 * t + 3) ** 2)
                      - 1 / ((3 * t + 2) * (3 * t + 4) ** 2), [0, mp.inf])),
+    # the (m+n) character sets the class modulus in m, beyond ClassPlan.pair_mod
+    ("sum(m>=1,n>=1) chi(m+n) * x^(n-1) / (m^2 * (m+n)^2)", CHI3,
+     lambda: mp.nsum(lambda t: 1 / ((3 * t + 3) ** 2 * (3 * t + 4) ** 2)
+                     - 1 / ((3 * t + 1) ** 2 * (3 * t + 2) ** 2), [0, mp.inf])),
 ]
 
 
 @pytest.mark.parametrize("strategy", ["auto", "reduction", "direct"])
 @pytest.mark.parametrize("text,chi,expected", X_ZERO_INNER_CASES,
-                         ids=["chi4-n", "congruence", "chi3-m"])
+                         ids=["chi4-n", "congruence", "chi3-m", "chi3-mn"])
 def test_x_zero_inner_sum_keeps_class_weights(text, chi, expected, strategy):
     t = parse_term(text)
     params = {"x": parse_x("0")} | ({"chi": chi} if chi is not None else {})
