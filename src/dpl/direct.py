@@ -5,9 +5,10 @@ truncated in each index and corrected with Euler-Maclaurin terms whose
 integrals come from exp-substituted Gauss-Laguerre quadrature. Everything runs
 in numpy float64/complex128, so values carry ~1e-11 absolute accuracy -- the
 point is a cross-check of the high-precision numerics, not sharp bounds.
-Residue classes make oscillating phases constant; their weights and phases
-come from the exact reduction.ClassPlan shared with the reduction path (and
-checked pointwise by its own test), on a grid of per-index moduli chosen here.
+Residue classes make oscillating phases constant; the classes, their weights
+and their phases come from the exact reduction.ClassPlan shared with the
+reduction path (and checked pointwise by its own test): a single sum's
+modulus plan.mod["n"], a double sum's grid plan.grid().
 |x| < 1 phases truncate geometrically. Bounds are correction-size estimates
 plus a roundoff floor and are tagged direct_tail; x = 0 is the exact finite
 sum of the reduction path.
@@ -235,7 +236,7 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
     bf = float(plan.b) if plan.b is not None else 0.0
     e = float(_exp_value(term.factor))
     gamma = float(term.factor.shift.q0) + term.factor.shift.q1 * bf
-    lam = math.lcm(plan.mod["n"], x.f)
+    lam = plan.mod["n"]
 
     total = 0.0 + 0j
     err = 0.0

@@ -18,7 +18,10 @@ Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
 classes first. ClassPlan holds that split exactly, for this route and for the
 direct oracle alike; x = 0 keeps only the points whose x exponent vanishes,
-each with its class weight.
+each with its class weight. A single sum needs no inner closed form: on the
+unit circle its classes make one periodic Hurwitz sum
+(specfun.periodic_zeta_sum), and with |x| < 1 each class is a one-factor
+atom with a geometric phase.
 
 Terms weighted by x^(m+n) with |x| < 1 take a separate route: they are summed
 along the diagonals N = m + n, where the (m+n) part of the summand depends on
@@ -44,6 +47,7 @@ from .specfun import (
     euler_maclaurin_row,
     geometric_length,
     hurwitz_zeta,  # noqa: F401  (perfbench's tests check that its tracer rebinds it here)
+    periodic_zeta_sum,
     root_of_unity,
     split_exponent,
 )
@@ -95,13 +99,9 @@ class XSpec:
         return XSpec("num", value=v)
 
     @property
-    def is_boundary(self):
-        return self.kind in ("one", "ru")
-
-    @property
     def root_pair(self):
         """(f, a) for x = e^(2 pi i a/f) on the unit circle, else None."""
-        return (self.f, self.a) if self.is_boundary else None
+        return (self.f, self.a) if self.kind in ("one", "ru") else None
 
     def numeric(self, ctx) -> object:
         if self.kind == "zero":
@@ -121,14 +121,6 @@ class XSpec:
         if self.kind == "ru":
             return root_of_unity(self.f, self.a * e, ctx)
         return self.value ** e
-
-    def pow_root(self, e: int):
-        """XSpec for x^e when x is 1 or a root of unity."""
-        if self.kind == "one":
-            return self
-        if self.kind == "ru":
-            return XSpec.root(self.f, self.a * e)
-        raise ShapeError("pow_root needs a root of unity")
 
 
 def _frac_to_mp(q: Fraction):
@@ -223,12 +215,6 @@ class Atom:
     slope: int
     rpows: tuple  # ((gamma, p) ...) with p > 0 (mpf or int powers)
     trans: tuple | None = None  # ('zeta', j, gamma_z) | ('psi', gamma_z)
-
-    def min_power(self):
-        p = sum(pp for (_, pp) in self.rpows)
-        if self.trans and self.trans[0] == "zeta":
-            p += self.trans[1] - 1
-        return p
 
 
 class _Series:
@@ -638,12 +624,12 @@ class ClassPlan:
     On a residue class of the index lattice the congruence indicator, the
     character values, the 1/sin weight and a root-of-unity power of x are
     constant. The plan resolves b and the index starts m0, n0; the moduli
-    mod[idx] per index that the congruence, the twists and (for double sums)
-    a root-of-unity x require; and, for any class or lattice point, its
-    weight and its x exponent. It holds ints, Fractions and the characters'
-    stored values only: each evaluation route picks its own grid from the
-    moduli and does its own numerics. A single sum leaves x out of its
-    modulus, since the Lerch transcendent takes the phase x^lam.
+    mod[idx] per index that the congruence, the twists and a root-of-unity x
+    require; and, for any class or lattice point, its weight and its x
+    exponent. It holds ints, Fractions and the characters' stored values
+    only. A single sum's classes are those of mod["n"] on both routes; a
+    double sum's route picks its grid from the moduli (grid). Each route
+    does its own numerics.
     """
 
     def __init__(self, term, params):
@@ -667,7 +653,7 @@ class ClassPlan:
         sw = term.sin_weight if single else None
         self.sin_mod = _int_modulus(sw.modulus, "sin-weight modulus") if sw else 1
         if single:
-            self.mod = {"n": math.lcm(self.cong_mod, self.sin_mod, tw.get("n", 1))}
+            self.mod = {"n": math.lcm(self.cong_mod, self.sin_mod, tw.get("n", 1), self.x.f)}
             return
         by_x = {"none": "", "xn": "n", "xm": "m", "xmn": "mn"}[term.xsel.kind]
         both = math.lcm(self.cong_mod, tw.get("mn", 1))
@@ -1137,21 +1123,26 @@ def _num_exp(p: Fraction):
 
 def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
                           cache: EvalCache | None = None) -> EvalResult:
-    """Single sums via the Lerch transcendent after residue-class splitting."""
-    from .specfun import lerch_phi
+    """Single sums over the residue classes n = rr + lam t, lam = plan.mod["n"].
 
+    On the unit circle every class has a constant weight and x phase, so the
+    sum is one periodic Hurwitz sum (specfun.periodic_zeta_sum, with its psi
+    closed form at exponent 1). With |x| < 1 each class is a one-factor atom
+    summed with the geometric phase x^(lam t).
+    """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
         plan = ClassPlan(term, params)
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
-        e = _exp_value(term.factor)
+        e = _num_exp(_exp_value(term.factor))
         gamma = shift_value(term.factor.shift, _mp_b(plan.b))
         coeff0 = _frac_to_mp(term.coeff)
         lam = plan.mod["n"]
-        ev = _frac_to_mp(e)
+        lam_e = mpf(lam) ** (-mpf(e))
         total = EvalResult(mpf(0), mpf(0), "reduction")
+        terms = []
         for rr in range(lam):
             w = plan.weight(rr)
             if w is None:
@@ -1160,14 +1151,17 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
             if w[1] is not None:
                 const = const / mp.sinpi(_frac_to_mp(w[1]))
             const = const * mpc(w[0])
-            t0 = math.ceil((plan.n0 - rr) / lam)
             if term.xsel.kind == "xn":
-                const = const * x.power(plan.xexp(rr) + lam * t0, ctx)
-            if x.is_boundary:
-                xl = x.pow_root(lam)
-                phi = lerch_phi(xl.numeric(ctx), _num_exp(e), t0 + (rr + gamma) / lam, ctx,
-                                x_root=xl.root_pair)
+                const = const * x.power(plan.xexp(rr), ctx)
+            t0 = math.ceil((plan.n0 - rr) / lam)
+            a = t0 + (rr + gamma) / lam
+            if mp.re(a) <= 0:
+                raise DomainError("single sum needs Re(n + shift) > 0 over its range")
+            if x.kind == "num":
+                atom = Atom(EvalResult(const, mpf(0), "reduction"), lam, ((rr + gamma, e),))
+                total = total + _sum_atom(atom, t0, (x.value ** lam, mpf(1)), cache, ctx)
             else:
-                phi = lerch_phi(x.value ** lam, _num_exp(e), t0 + (rr + gamma) / lam, ctx)
-            total = total + phi.scale(const * mpf(lam) ** (-ev))
+                terms.append((const * lam_e, a))
+        if terms:
+            total = total + periodic_zeta_sum(terms, e, ctx)
         return EvalResult(total.value, total.abs_error_bound, total.method)

@@ -14,6 +14,11 @@ with room for Johansson's remainder bound. Each bound is the larger of
 2 x the first omitted correction and Johansson's remainder bound, plus a
 rounding term. hurwitz_zeta, log_zeta_sum and digamma are single columns of
 it; reduction.EvalCache keeps the whole rows one evaluation builds.
+
+A periodic sum sum_n w(n) (n+b)^-s on the unit circle, split into residue
+classes, is sum_r w_r zeta(s, a_r): periodic_zeta_sum holds it once, with its
+closed form -sum_r w_r psi(a_r) at s = 1 when the weights cancel. lerch_phi
+at a root of unity, dirichlet_L and the single sums of reduction call it.
 """
 
 from __future__ import annotations
@@ -524,6 +529,24 @@ def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
 
 
+def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
+    """sum_r w_r zeta(s, a_r) over the pairs (w_r, a_r) of terms.
+
+    A sum sum_n w(n) (n+b)^-s with a periodic weight, split into its residue
+    classes, takes this form. At s = 1 each zeta(s, a_r) has the pole
+    1/(s-1) - psi(a_r) + O(s-1), so the sum converges exactly when the
+    weights cancel, and is then -sum_r w_r psi(a_r); otherwise DomainError.
+    """
+    with ctx.workdps():
+        if _to_mp(s) == 1:
+            if abs(sum(w for (w, _) in terms)) > ctx.eps * sum(abs(w) for (w, _) in terms):
+                raise DomainError("divergent sum at s = 1: the class weights do not cancel")
+            parts = [digamma(a, ctx).scale(-w) for (w, a) in terms]
+        else:
+            parts = [hurwitz_zeta(s, a, ctx).scale(w) for (w, a) in terms]
+        return result_sum(parts, method="reduction")
+
+
 # ---------------------------------------------------------------------------
 # Roots of unity on the evaluation boundary
 # ---------------------------------------------------------------------------
@@ -584,11 +607,13 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
               force_series=False) -> EvalResult:
     """Phi(x, s, b) = sum_{n>=0} x^n / (n+b)^s on the closed unit disk.
 
-    Strategy by region: geometric truncation for |x| < 1; exact residue-class
-    reduction to Hurwitz zetas for x a root of unity with s > 1; iterated
-    trailing-window averaging for |x| = 1, s = 1 (empirical bound, method tag
-    direct_tail). force_series routes boundary points through the averaging
-    path regardless of s, as an independent cross-check of the reduction.
+    Strategy by region: geometric truncation for |x| < 1; for x = 1 the
+    Hurwitz zeta; for x = e^(2 pi i a/f), f > 1, the residue classes mod f,
+    Phi = f^-s sum_r x^r zeta(s, (r+b)/f) by periodic_zeta_sum, whose s = 1
+    case is the closed form -f^-1 sum_r x^r psi((r+b)/f). force_series routes
+    boundary points through iterated trailing-window averaging instead
+    (empirical bound, method tag direct_tail), as an independent cross-check
+    of the classes.
     """
     with ctx.workdps():
         bv = _to_mp(b)
@@ -611,15 +636,8 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
             sv = _to_mp(s)
             if force_series:
                 return _lerch_series_averaged(f, a, sv, bv, ctx)
-            if sv > 1 + _MIN_S_GAP or (sv == mp.floor(sv) and int(sv) >= 2):
-                parts = []
-                for r in range(f):
-                    zr = hurwitz_zeta(s, (r + bv) / f, ctx)
-                    parts.append(zr.scale(root_of_unity(f, a * r, ctx)))
-                return result_sum(parts, method="reduction").scale(mpf(f) ** (-sv))
-            if sv == 1:
-                return _lerch_series_averaged(f, a, mpf(1), bv, ctx)
-            raise DomainError("lerch_phi on |x|=1 needs s >= 1")
+            terms = [(root_of_unity(f, a * r, ctx), (r + bv) / f) for r in range(f)]
+            return periodic_zeta_sum(terms, s, ctx).scale(mpf(f) ** (-sv))
         # interior point: geometric series
         sv = _to_mp(s)
         if sv < 1 and not (sv == mp.floor(sv)):
@@ -638,7 +656,8 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
 
 
 def _lerch_series_averaged(f, a, sv, bv, ctx) -> EvalResult:
-    """Boundary-series Phi via iterated averaging of trailing partial sums.
+    """Boundary-series Phi via iterated averaging of trailing partial sums,
+    lerch_phi's force_series cross-check of the residue classes.
 
     Each pass averages windows of one full period f, which kills the leading
     oscillating tail exactly (a period of x^j sums to 0) and gains roughly one
@@ -700,9 +719,6 @@ class Character:
         return Character(self.modulus, tuple(v.conjugate() for v in self.values),
                          self.is_trivial, self.name + "~" if self.name else "")
 
-    def nonzero_residues(self):
-        return [a for a in range(self.modulus) if self.values[a] != 0]
-
 
 def make_character(f: int, table, name: str = "") -> Character:
     """Validate a value table against the character axioms and wrap it."""
@@ -752,29 +768,12 @@ def gauss_sum(chi: Character, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult
 
 
 def dirichlet_L(s, chi: Character, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
-    """L(s; chi) by exact reduction to Hurwitz zetas (s > 1) or digammas (s = 1).
+    """L(s; chi) = f^-s sum_a chi(a) zeta(s, a/f) by periodic_zeta_sum.
 
     For s = 1 the character sum over a period vanishes for nonprincipal chi,
     which kills the divergent part: L(1; chi) = -(1/f) sum_a chi(a) psi(a/f).
     """
     with ctx.workdps():
         f = chi.modulus
-        sv = _to_mp(s)
-        if sv == 1:
-            if chi.is_trivial:
-                raise DomainError("L(1; chi) diverges for principal chi")
-            parts = []
-            for a in range(1, f + 1):
-                v = chi(a)
-                if v == 0:
-                    continue
-                parts.append(digamma(mpf(a) / f, ctx).scale(mpc(v)))
-            return result_sum(parts).scale(mpf(-1) / f)
-        _check_s_real(s, 2)
-        parts = []
-        for a in range(1, f + 1):
-            v = chi(a)
-            if v == 0:
-                continue
-            parts.append(hurwitz_zeta(sv, mpf(a) / f, ctx).scale(mpc(v)))
-        return result_sum(parts).scale(mpf(f) ** (-sv))
+        terms = [(mpc(chi(a)), mpf(a) / f) for a in range(1, f + 1) if chi(a) != 0]
+        return periodic_zeta_sum(terms, s, ctx).scale(mpf(f) ** (-_to_mp(s)))

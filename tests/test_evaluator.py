@@ -574,17 +574,17 @@ def _plan_constant(plan, x, r, phase):
 @pytest.mark.parametrize("text,x,chi", PLAN_CASES)
 def test_class_plan_pointwise(text, x, chi):
     # Every lattice point of the box m, n < 4*lam must carry its class's
-    # constant, and a skipped class must vanish at each of its points, for
-    # the grids of both routes: reduction squares the moduli of a double sum
-    # and leaves the x phase of a single sum to the Lerch transcendent;
-    # direct puts x's order into the single-sum modulus.
+    # constant, x phase included, and a skipped class must vanish at each of
+    # its points. Both routes split a single sum by plan.mod["n"], which
+    # holds x's order; a double sum is checked on its own grid and on the
+    # square one reduction uses once the inner index splits.
     t = parse_term(text)
     single = isinstance(t, SingleSumTerm)
     xs = parse_x(x)
     params = {"x": xs} | ({"chi": chi} if chi is not None else {})
     plan = ClassPlan(t, params)
     if single:
-        grids = [((1, plan.mod["n"]), False), ((1, math.lcm(plan.mod["n"], xs.f)), True)]
+        grids = [((1, plan.mod["n"]), True)]
     else:
         grids = [(plan.grid(), True), (plan.grid(square=True), True)]
     for (lam_m, lam_n), phase in grids:
@@ -680,6 +680,40 @@ def test_x_just_inside_the_cap_still_evaluates():
         assert abs(res.value + mp.log(1 - x) / x) <= res.abs_error_bound
         assert res.abs_error_bound < mpf(10) ** -35
         _raises_domain_error_quickly(lambda: lerch_phi(mpf("0.9996"), 1, 1, ctx))
+
+
+# ---------------------------------------------------------------------------
+# Single sums at exponent 1 on the unit circle
+# ---------------------------------------------------------------------------
+
+CTX40 = PrecisionContext(working_digits=40)
+
+S1_CIRCLE_CASES = [
+    ("single(n>=1) chi(n) / (n)", "1", CHI4, lambda: mp.pi / 4),
+    ("single(n>=1) x^n / (n)", "-1", None, lambda: -mp.log(2)),
+    ("single(n>=0) x^n / (n+1/3)", "ru(3,1)", None,
+     lambda: mpmath.lerchphi(mpmath.expjpi(mpf(2) / 3), 1, mpf(1) / 3)),
+]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "reduction"])
+@pytest.mark.parametrize("text,x,chi,expected", S1_CIRCLE_CASES,
+                         ids=["chi4-x1", "alternating", "ru3-third"])
+def test_single_sum_at_exponent_one_on_the_circle(text, x, chi, expected, strategy):
+    # the class weights cancel, so the sum is -sum_r w_r psi(a_r) to full
+    # precision, not an averaged series with an empirical bound
+    params = {"x": parse_x(x)} | ({"chi": chi} if chi is not None else {})
+    r = eval_single(parse_term(text), params, CTX40, strategy=strategy)
+    with mp.workdps(CTX40.dps + 30):
+        assert abs(r.value - expected()) <= r.abs_error_bound
+    assert r.abs_error_bound <= mpf(10) ** -CTX40.working_digits
+
+
+@pytest.mark.parametrize("text,x", [("single(n>=1) 1 / (n)", "1"),
+                                    ("single(n>=1; n=0 mod 3) x^n / (n)", "ru(3,1)")])
+def test_single_sum_at_exponent_one_without_cancellation_diverges(text, x):
+    _raises_domain_error_quickly(
+        lambda: eval_single(parse_term(text), {"x": parse_x(x)}, CTX, strategy="auto"))
 
 
 # ---------------------------------------------------------------------------

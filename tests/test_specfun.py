@@ -416,13 +416,21 @@ def test_lerch_root_of_unity_grouping():
 
 
 def test_lerch_boundary_s1_against_closed_form():
-    with mp60():
-        for (f, a) in [(2, 1), (3, 1), (4, 1), (5, 2)]:
-            x = root_of_unity(f, a, CTX)
-            r = lerch_phi(x, 1, 1, CTX)
+    # Phi(x, 1, 1) = -log(1 - x)/x at a root of unity x != 1: by default the
+    # classes' digamma closed form to full precision, under force_series the
+    # averaged series with its empirical bound
+    for (f, a) in [(2, 1), (3, 1), (4, 1), (5, 2), (12, 5)]:
+        x = root_of_unity(f, a, CTX)
+        r = lerch_phi(x, 1, 1, CTX)
+        with mp.workdps(CTX.dps + 30):
             ref = -mpmath.log(1 - x) / x
-            assert r.method == "direct_tail"
             assert abs(r.value - ref) <= r.abs_error_bound
+        assert r.abs_error_bound <= mpf(10) ** -(CTX.dps - 5)
+        assert r.method != "direct_tail"
+    ser = lerch_phi(x, 1, 1, CTX, x_root=(f, a), force_series=True)
+    assert ser.method == "direct_tail"
+    with mp.workdps(CTX.dps + 30):
+        assert abs(ser.value - ref) <= ser.abs_error_bound
 
 
 def test_lerch_divergent_rejected():
