@@ -716,6 +716,17 @@ def test_single_sum_at_exponent_one_without_cancellation_diverges(text, x):
         lambda: eval_single(parse_term(text), {"x": parse_x(x)}, CTX, strategy="auto"))
 
 
+def test_single_sum_with_an_exponent_below_one_inside_the_disk():
+    # with |x| < 1 the classes are geometric atoms, which take any positive
+    # exponent; sum_n 2^-n (n+1/2)^(-1/2) = Phi(1/2, 1/2, 1/2)
+    t = bind_term(parse_term("single(n>=0) x^n / ((n+1/2)^s)"), {"s": Fraction(1, 2)})
+    r = eval_single(t, {"x": parse_x("1/2")}, CTX, strategy="reduction")
+    with mp.workdps(CTX.dps + 30):
+        half = mpf(1) / 2
+        assert abs(r.value - mpmath.lerchphi(half, half, half)) <= r.abs_error_bound
+    assert r.abs_error_bound <= mpf(10) ** -CTX.working_digits
+
+
 # ---------------------------------------------------------------------------
 # Outer-sum engine: per-evaluation shape sums and the truncated product
 # ---------------------------------------------------------------------------
