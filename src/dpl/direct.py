@@ -9,9 +9,17 @@ Residue classes make oscillating phases constant; the classes, their weights
 and their phases come from the exact reduction.ClassPlan shared with the
 reduction path (and checked pointwise by its own test): a single sum's
 modulus plan.mod["n"], a double sum's grid plan.grid().
-|x| < 1 phases truncate geometrically. Bounds are correction-size estimates
-plus a roundoff floor and are tagged direct_tail; x = 0 is the exact finite
-sum of the reduction path.
+Each factor of a class is raised to its power on the axis it depends on:
+an m-factor on t, an n-factor on u, an (m+n)-factor on lam_m*t + lam_n*u.
+The direct rectangle of a double sum is then a correlation of the
+(m+n)-factors with the m-factors, with memory linear in the cut-off; only the
+(m+n)-factors at the quadrature nodes of a tail take a 2-D grid.
+|x| < 1 phases truncate geometrically. On the unit circle the classes of a
+single sum share one Euler-Maclaurin cut, so their tails combine into the
+tail of one sum; at exponent 1 that sum converges when the class weights
+cancel (below 1 the class tails cancel past float64, and DomainError says
+so). Bounds are correction-size estimates plus a roundoff floor and are
+tagged direct_tail; x = 0 is the exact finite sum of the reduction path.
 """
 
 from __future__ import annotations
@@ -45,51 +53,90 @@ def _x_complex(x: XSpec) -> complex:
 
 
 class _ProductFactors:
-    """prod_i (base0_i + sm_i*t + sn_i*u)^(-p_i) on numpy grids."""
+    """prod_i (base0_i + s_i)^(-p_i) over the factors of one residue class.
 
-    def __init__(self):
-        self.items = []  # (base0, sm, sn, p)
+    Each factor is kept with the axis it depends on, and raised to its power
+    there: an m-factor on s = lam_m*t, an n-factor on s = lam_n*u, an
+    (m+n)-factor on s = lam_m*t + lam_n*u.
+    """
 
-    def add(self, base0, sm, sn, p):
-        self.items.append((float(base0), float(sm), float(sn), float(p)))
+    def __init__(self, lam_m, lam_n=1):
+        self.lam_m, self.lam_n = lam_m, lam_n
+        self.items = {"m": [], "n": [], "mn": []}  # (base0, p)
+
+    def add(self, combo, base0, p):
+        self.items[combo].append((float(base0), float(p)))
+
+    def axis(self, combo, s):
+        out = 1.0
+        for (b0, p) in self.items[combo]:
+            out = out * (b0 + s) ** (-p)
+        return np.broadcast_to(out, np.shape(s))
 
     def value(self, t, u):
-        out = 1.0
-        for (b0, sm, sn, p) in self.items:
-            out = out * (b0 + sm * t + sn * u) ** (-p)
-        return out
+        """The product at (t, u); t and u broadcast against each other."""
+        sm = self.lam_m * np.asarray(t, dtype=float)
+        sn = self.lam_n * np.asarray(u, dtype=float)
+        return self.axis("m", sm) * self.axis("n", sn) * self.axis("mn", sm + sn)
+
+    def t_sums(self, wt, t, u):
+        """sum_i wt_i value(t_i, u_j) for each u_j of a 1-D u (a scalar u only
+        without (m+n)-factors); only the (m+n)-factors take the 2-D grid."""
+        a = wt * self.axis("m", self.lam_m * t)
+        b = self.axis("n", self.lam_n * np.asarray(u, dtype=float))
+        if not self.items["mn"]:
+            return b * np.sum(a)
+        return b * (a @ self.axis("mn", self.lam_m * t[:, None] + self.lam_n * u[None, :]))
+
+    def lattice_t_sums(self, wt, t0, u0, Tn):
+        """t_sums on the integers t = t0 + i (i < len(wt)), u = u0 + j (j < Tn).
+
+        There an (m+n)-factor depends on k = lam_m*i + lam_n*j alone, so it is
+        one vector C[k], and the sum over i is the correlation of C with the
+        weighted m-factors upsampled by lam_m, read every lam_n.
+        """
+        lm, ln, Tm = self.lam_m, self.lam_n, len(wt)
+        a = wt * self.axis("m", lm * np.arange(t0, t0 + Tm, dtype=float))
+        b = self.axis("n", ln * np.arange(u0, u0 + Tn, dtype=float))
+        if not self.items["mn"]:
+            return b * np.sum(a)
+        k = np.arange(lm * (Tm - 1) + ln * (Tn - 1) + 1, dtype=float)
+        c = self.axis("mn", (lm * t0 + ln * u0) + k)
+        up = np.zeros(lm * (Tm - 1) + 1, dtype=a.dtype)
+        up[::lm] = a
+        # np.correlate conjugates its second argument: a complex one goes in
+        # as its two real parts
+        corr = np.correlate(c, up.real, "valid")
+        if np.iscomplexobj(up):
+            corr = corr + 1j * np.correlate(c, up.imag, "valid")
+        return b * corr[::ln]
 
     def log_derivs_t(self, t, u):
         """(L', L'', L''') of log value with respect to t."""
+        lm = self.lam_m
         l1 = 0.0
         l2 = 0.0
         l3 = 0.0
-        for (b0, sm, sn, p) in self.items:
-            if sm == 0:
-                continue
-            base = b0 + sm * t + sn * u
-            l1 = l1 - p * sm / base
-            l2 = l2 + p * sm ** 2 / base ** 2
-            l3 = l3 - 2 * p * sm ** 3 / base ** 3
+        for (combo, s) in (("m", lm * t), ("mn", lm * t + self.lam_n * u)):
+            for (b0, p) in self.items[combo]:
+                base = b0 + s
+                l1 = l1 - p * lm / base
+                l2 = l2 + p * lm ** 2 / base ** 2
+                l3 = l3 - 2 * p * lm ** 3 / base ** 3
         return l1, l2, l3
 
 
 def _em_tail_t(pf: _ProductFactors, Tcut, u, lag):
-    """sum_{t>=Tcut} pf(t,u) by integral + EM corrections, vectorized in u."""
+    """sum_{t>=Tcut} pf(t,u) by integral + EM corrections, vectorized in u,
+    and the signed last correction f'''/720."""
     nodes, weights = lag
-    tv = Tcut * np.exp(nodes)
     # integral: sum w_i e^{x_i} Tcut ... with f evaluated at Tcut e^{x_i}
-    if np.ndim(u) == 0:
-        vals = pf.value(tv, u)
-        integral = np.sum(weights * np.exp(2 * nodes) * vals * Tcut)
-    else:
-        vals = pf.value(tv[:, None], u[None, :])
-        integral = np.sum(weights[:, None] * np.exp(2 * nodes)[:, None] * vals * Tcut, axis=0)
+    integral = pf.t_sums(weights * np.exp(2 * nodes) * Tcut, Tcut * np.exp(nodes), u)
     f0 = pf.value(Tcut, u)
     l1, l2, l3 = pf.log_derivs_t(Tcut, u)
     f1 = f0 * l1
     f3 = f0 * (l3 + 3 * l2 * l1 + l1 ** 3)
-    return integral + f0 / 2 - f1 / 12 + f3 / 720, np.abs(f3 / 720)
+    return integral + f0 / 2 - f1 / 12 + f3 / 720, f3 / 720
 
 
 def _geom_cutoff(r, lam):
@@ -138,17 +185,12 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
                 const *= xc ** plan.xexp(rm, rn)
             t0 = math.ceil((plan.m0 - rm) / lam_m)
             u0 = math.ceil((plan.n0 - rn) / lam_n)
-            pf = _ProductFactors()
+            pf = _ProductFactors(lam_m, lam_n)
             for (combo, g, p) in fvals:
-                if combo == "m":
-                    pf.add(rm + g, lam_m, 0.0, p)
-                elif combo == "n":
-                    pf.add(rn + g, 0.0, lam_n, p)
-                else:
-                    pf.add(rm + rn + g, lam_m, lam_n, p)
+                pf.add(combo, {"m": rm, "n": rn, "mn": rm + rn}[combo] + g, p)
             Xm = xc ** lam_m if geom_m else None
             Xn = xc ** lam_n if geom_n else None
-            v, e = _class_sum(pf, t0, u0, Xm, Xn, lam_m, lam_n, r_abs)
+            v, e = _class_sum(pf, t0, u0, Xm, Xn, r_abs)
             total += const * v
             err += abs(const) * e
     total *= coeff
@@ -157,25 +199,16 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     return EvalResult(val, mpf(err), "direct_tail")
 
 
-def _class_sum(pf, t0, u0, Xm, Xn, lam_m, lam_n, r_abs):
-    """One residue class: vectorized block plus tails where phases allow."""
-    Tm = _geom_cutoff(r_abs, lam_m) if Xm is not None else max(96, _TCUT // lam_m)
-    Tn = _geom_cutoff(r_abs, lam_n) if Xn is not None else max(96, _TCUT // lam_n)
+def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
+    """One residue class: the direct rectangle plus tails where phases allow."""
+    Tm = _geom_cutoff(r_abs, pf.lam_m) if Xm is not None else max(96, _TCUT // pf.lam_m)
+    Tn = _geom_cutoff(r_abs, pf.lam_n) if Xn is not None else max(96, _TCUT // pf.lam_n)
     t = np.arange(t0, t0 + Tm, dtype=float)
     u = np.arange(u0, u0 + Tn, dtype=float)
+    wt = Xm ** t if Xm is not None else np.ones(Tm)
     err = 0.0
 
-    # direct rectangle, chunked along u
-    block = 0.0 + 0j
-    chunk = max(1, min(Tn, 8 * 10 ** 6 // max(Tm, 1)))
-    inner_direct = np.zeros(Tn, dtype=complex)
-    phase_t = Xm ** t if Xm is not None else None
-    for lo in range(0, Tn, chunk):
-        uu = u[lo:lo + chunk]
-        vals = pf.value(t[:, None], uu[None, :])
-        if phase_t is not None:
-            vals = vals * phase_t[:, None]
-        inner_direct[lo:lo + chunk] = vals.sum(axis=0)
+    inner_direct = pf.lattice_t_sums(wt, t0, u0, Tn)
     # inner tail over t (only without a geometric m-phase)
     if Xm is None:
         tail48, nxt = _em_tail_t(pf, float(t0 + Tm), u, _LAG48)
@@ -191,27 +224,20 @@ def _class_sum(pf, t0, u0, Xm, Xn, lam_m, lam_n, r_abs):
 
     # outer tail over u
     if Xn is None:
-        def F(uv):
-            uv = np.atleast_1d(uv)
-            td = pf.value(t[:, None], uv[None, :])
-            if phase_t is not None:
-                td = td * phase_t[:, None]
-            s = td.sum(axis=0)
-            if Xm is None:
-                tl, _ = _em_tail_t(pf, float(t0 + Tm), uv, _LAG48)
-                s = s + tl
-            return s
-
+        # the outer sum's column F(uv) = sum_t pf(t, uv) at the quadrature
+        # nodes, at U and at a stencil around it, in one grid
         U = float(u0 + Tn)
         nodes48, w48 = _LAG48
         nodes32, w32 = _LAG32
-        f48 = F(U * np.exp(nodes48))
-        f32 = F(U * np.exp(nodes32))
+        uv = np.concatenate([U * np.exp(nodes48), U * np.exp(nodes32),
+                             [U, U - 1.0, U - 0.5, U + 0.5, U + 1.0]])
+        col = pf.t_sums(wt, t, uv)
+        if Xm is None:
+            col = col + _em_tail_t(pf, float(t0 + Tm), uv, _LAG48)[0]
+        f48, f32, f0, sten = col[:48], col[48:80], col[80], col[81:]
         i48 = np.sum(w48 * np.exp(2 * nodes48) * f48 * U)
         i32 = np.sum(w32 * np.exp(2 * nodes32) * f32 * U)
-        f0 = F(U)[0]
         # centered five-point first derivative, h = 1/2
-        sten = F(np.array([U - 1.0, U - 0.5, U + 0.5, U + 1.0]))
         f1 = (sten[0] - 8 * sten[1] + 8 * sten[2] - sten[3]) / 6.0
         tail = i48 + f0 / 2 - f1 / 12
         block = block + tail
@@ -237,9 +263,17 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
     e = float(_exp_value(term.factor))
     gamma = float(term.factor.shift.q0) + term.factor.shift.q1 * bf
     lam = plan.mod["n"]
+    geometric = x.kind == "num" and term.xsel.kind == "xn"
+    # on the unit circle every class takes its tail from one cut T, so the
+    # tails combine linearly into the tail of one sum: integrable at e = 1
+    # when the class weights cancel, though no class's tail is on its own
+    T = max(128, _TCUT // lam) + math.ceil(plan.n0 / lam)
 
     total = 0.0 + 0j
     err = 0.0
+    tails = np.zeros(3, dtype=complex)  # sum_r c_r (tail48_r, tail32_r, nxt_r)
+    wsum = 0.0 + 0j
+    wabs = 0.0
     for rr in range(lam):
         w = plan.weight(rr)
         if w is None:
@@ -251,26 +285,33 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
         t0 = math.ceil((plan.n0 - rr) / lam)
         if x.kind != "one":
             const *= xc ** plan.xexp(rr)
-        pf = _ProductFactors()
-        pf.add(rr + gamma, lam, 0.0, e)
-        if x.kind == "num" and term.xsel.kind == "xn":
+        pf = _ProductFactors(lam)
+        pf.add("m", rr + gamma, e)
+        if geometric:
             X = xc ** lam
-            T = _geom_cutoff(abs(xc), lam)
-            t = np.arange(t0, t0 + T, dtype=float)
+            Tg = _geom_cutoff(abs(xc), lam)
+            t = np.arange(t0, t0 + Tg, dtype=float)
             vals = pf.value(t, 0.0) * X ** t
             total += const * np.sum(vals)
-            err += abs(const) * abs(X) ** (t0 + T) / (1 - abs(X)) * abs(pf.value(t0 + T, 0.0))
+            err += abs(const) * abs(X) ** (t0 + Tg) / (1 - abs(X)) * abs(pf.value(t0 + Tg, 0.0))
         else:
-            if e <= 1:
-                raise DomainError("divergent single sum at x on the unit circle")
-            T = max(128, _TCUT // lam)
-            t = np.arange(t0, t0 + T, dtype=float)
-            vals = pf.value(t, 0.0)
-            s = np.sum(vals)
-            tail48, nxt = _em_tail_t(pf, float(t0 + T), 0.0, _LAG48)
-            tail32, _ = _em_tail_t(pf, float(t0 + T), 0.0, _LAG32)
-            total += const * (s + tail48)
-            err += abs(const) * (abs(tail48 - tail32) + abs(nxt))
+            t = np.arange(t0, T, dtype=float)
+            total += const * np.sum(pf.value(t, 0.0))
+            tail48, nxt = _em_tail_t(pf, float(T), 0.0, _LAG48)
+            tail32, _ = _em_tail_t(pf, float(T), 0.0, _LAG32)
+            tails += const * np.array([tail48, tail32, nxt])
+            wsum += const
+            wabs += abs(const)
+    if wabs:
+        if e <= 1 and abs(wsum) > 1e-12 * wabs:
+            raise DomainError("divergent single sum at x on the unit circle")
+        if e < 1:
+            # each class's tail quadrature grows like e^((1-e) x) at the
+            # Laguerre nodes: the sum of them cancels to roundoff
+            raise DomainError("single sum on the unit circle below exponent 1: "
+                              "its class tails cancel past float64")
+        total += tails[0]
+        err += abs(tails[0] - tails[1]) + abs(tails[2])
     err += _BOUND_FLOOR * (1.0 + abs(total))
     val = mpc(total) if abs(total.imag) > 0 else mpf(total.real)
     return EvalResult(val, mpf(err), "direct_tail")

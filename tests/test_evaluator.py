@@ -727,6 +727,113 @@ def test_single_sum_with_an_exponent_below_one_inside_the_disk():
     assert r.abs_error_bound <= mpf(10) ** -CTX.working_digits
 
 
+@pytest.mark.parametrize("text,x,chi,expected", S1_CIRCLE_CASES,
+                         ids=["chi4-x1", "alternating", "ru3-third"])
+def test_single_sum_at_exponent_one_on_the_circle_direct(text, x, chi, expected):
+    # the float64 oracle sums each class to one shared cut; the class tails
+    # combine into the tail of one convergent sum
+    params = {"x": parse_x(x)} | ({"chi": chi} if chi is not None else {})
+    r = eval_single(parse_term(text), params, CTX40, strategy="direct")
+    assert r.method == "direct_tail"
+    with mp.workdps(CTX40.dps + 30):
+        assert abs(r.value - expected()) <= r.abs_error_bound
+    assert r.abs_error_bound <= mpf("1e-9")
+
+
+@pytest.mark.parametrize("text,x", [("single(n>=1) 1 / (n)", "1"),
+                                    ("single(n>=1; n=0 mod 3) x^n / (n)", "ru(3,1)")])
+def test_single_sum_at_exponent_one_without_cancellation_diverges_direct(text, x):
+    with pytest.raises(DomainError):
+        eval_single(parse_term(text), {"x": parse_x(x)}, CTX, strategy="direct")
+
+
+def test_single_sum_below_exponent_one_on_the_circle_direct_raises():
+    # the weights cancel, but each class's float64 tail grows at the
+    # quadrature nodes and their sum cancels to roundoff
+    t = bind_term(parse_term("single(n>=1) x^n / (n^s)"), {"s": Fraction(1, 2)})
+    with pytest.raises(DomainError):
+        eval_single(t, {"x": parse_x("-1")}, CTX, strategy="direct")
+
+
+# ---------------------------------------------------------------------------
+# Direct oracle: the factored rectangle
+# ---------------------------------------------------------------------------
+
+def _brute_grid(factors, lam, t, u):
+    # every factor powered at every point of the grid t x u
+    vals = np.ones((len(t), len(u)), dtype=complex)
+    for (combo, b0, p) in factors:
+        sm = lam[0] if combo in ("m", "mn") else 0
+        sn = lam[1] if combo in ("n", "mn") else 0
+        vals *= (b0 + sm * t[:, None] + sn * u[None, :]) ** (-p)
+    return vals
+
+
+RECTANGLE_CASES = [
+    # (lam_m, lam_n), factors (combo, base0, p), x, t0, u0
+    ((2, 3), [("m", 1.25, 1.5), ("n", 2.5, 2.0), ("mn", 0.25, 1.0), ("mn", 0.75, 0.5)],
+     0.9 * cmath.exp(0.7j), 1, 2),
+    ((3, 2), [("mn", 1.5, 2.5), ("mn", 2.0, 1.0)], 0.8 * cmath.exp(-2.1j), 2, 1),
+    ((1, 1), [("m", 1.25, 3.0), ("mn", 1.5, 1.0)], 0.5, 1, 0),
+    ((2, 2), [("m", 0.5, 0.5), ("n", 1.0, 1.0), ("mn", 3.0, 1.5)], -0.85, 0, 3),
+]
+
+
+@pytest.mark.parametrize("lam,factors,x,t0,u0", RECTANGLE_CASES,
+                         ids=["2x3-two-mn-complex", "3x2-mn-only", "1x1-real", "2x2-negative"])
+def test_direct_rectangle_against_brute_force_grid(lam, factors, x, t0, u0):
+    # |x| < 1 in both indices: _class_sum is exactly its truncated rectangle
+    from dpl.direct import _ProductFactors, _class_sum, _geom_cutoff
+
+    pf = _ProductFactors(*lam)
+    for (combo, b0, p) in factors:
+        pf.add(combo, b0, p)
+    Xm, Xn = x ** lam[0], x ** lam[1]
+    v, _ = _class_sum(pf, t0, u0, Xm, Xn, abs(x))
+    Tm, Tn = _geom_cutoff(abs(x), lam[0]), _geom_cutoff(abs(x), lam[1])
+    assert Tm > 50 and Tn > 50
+    t = np.arange(t0, t0 + Tm, dtype=float)
+    u = np.arange(u0, u0 + Tn, dtype=float)
+    ref = Xm ** t @ _brute_grid(factors, lam, t, u) @ Xn ** u
+    assert abs(v - ref) <= 1e-13 * abs(ref)
+
+
+def test_direct_rectangle_at_the_unit_circle_cut():
+    # the full cut-off rectangle of a unit-circle class, column by column,
+    # and the column sums at the non-integer quadrature nodes of the u-tail
+    from dpl.direct import _TCUT, _ProductFactors
+
+    lam = (2, 3)
+    factors = [("m", 1.25, 1.5), ("n", 2.5, 2.0), ("mn", 0.25, 1.0), ("mn", 0.75, 0.5)]
+    pf = _ProductFactors(*lam)
+    for (combo, b0, p) in factors:
+        pf.add(combo, b0, p)
+    t0, u0 = 1, 2
+    Tm, Tn = _TCUT // lam[0], _TCUT // lam[1]
+    t = np.arange(t0, t0 + Tm, dtype=float)
+    wt = np.exp(0.3j * t)
+    inner = pf.lattice_t_sums(wt, t0, u0, Tn)
+    ref = wt @ _brute_grid(factors, lam, t, np.arange(u0, u0 + Tn, dtype=float))
+    assert np.all(np.abs(inner - ref) <= 1e-13 * np.abs(ref))
+    uv = np.array([u0 + Tn + 0.5, 1.7e3, 4.2e5])
+    ref = wt @ _brute_grid(factors, lam, t, uv)
+    assert np.all(np.abs(pf.t_sums(wt, t, uv) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_direct_oracle_memory_is_linear_in_the_cut():
+    # powering every factor on the whole Tm x Tn rectangle peaked near 138 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        eval_identity(registry_get("thm-1.1"), {"k": "1", "b": "1/4", "x": "1"}, CTX,
+                      strategy="direct")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Outer-sum engine: per-evaluation shape sums and the truncated product
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ Usage:
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json, each
 side's runs, median and quartiles, and how many pairs the change won; the
-failed-operation counts of every run; and the per-layer totals of the
-traced run of each side.
+failed-operation counts and the correctness verdict of every run; and the
+per-layer totals of the traced run of each side. perfbench/run.py exits 0
+even when a run's outputs are wrong, so this script exits 1, after writing
+the output, when any run of either side (traced runs included) was not
+correct.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
+    incorrect = []
     for name in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
@@ -95,7 +99,8 @@ def main(argv=None) -> int:
                 print(f"{name} seed {seed} {side}: "
                       + ", ".join(f"{m} {out['metrics'][m]['value']:.4g}" for m in metrics),
                       file=sys.stderr, flush=True)
-        entry = {"end_to_end": {}, "failed": {}, "attempted": {}, "per_layer": {}}
+        entry = {"end_to_end": {}, "failed": {}, "correct": {}, "attempted": {},
+                 "per_layer": {}}
         for metric, better in metrics.items():
             vals = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in runs}
             wins = sum((c < p) if better == "lower" else (c > p)
@@ -110,12 +115,19 @@ def main(argv=None) -> int:
             }
         for side in runs:
             entry["failed"][side] = [r["failed"] for r in runs[side]]
+            entry["correct"][side] = [r["correct"] for r in runs[side]]
             entry["attempted"][side] = [r["attempted"] for r in runs[side]]
             traced = run_bench(sides[side], name, seeds[0], seconds, 1)
             entry["per_layer"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
+            if not traced["correct"]:
+                incorrect.append(f"{name} {side} traced seed {seeds[0]}")
+            incorrect += [f"{name} {side} seed {seed}"
+                          for (seed, r) in zip(seeds, runs[side]) if not r["correct"]]
         report["workloads"][name] = entry
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    for run in incorrect:
+        print(f"bench_pairs: incorrect outputs: {run}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
