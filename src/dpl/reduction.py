@@ -3,11 +3,15 @@
 The reduction strategy rewrites the inner index sum of a double series in
 closed form (Hurwitz zetas and digammas via two-pole partial fractions), then
 accelerates the outer sum: a direct block driven by one-step recurrences, plus
-a tail obtained by expanding every factor in inverse powers of the outer
-variable; the expansions multiply as truncated series, convolved only over
-the kept orders. Tail base sums are Hurwitz zetas and their log-weighted
-companions at one shared argument, taken together as one row of the
-package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row).
+a tail obtained by expanding every factor in inverse powers of v, the outer
+variable shifted to the zeta/psi factor's argument. A power factor
+(v + delta)^-p is expanded from its whole exponent p, so it may be
+non-integer; one fractional part per atom moves to the row that sums the
+tail. The zeta/psi factor sits at v itself, so its series is the fixed
+Bernoulli expansion. The expansions multiply as truncated series, convolved
+only over the kept orders. Tail base sums are Hurwitz zetas and their
+log-weighted companions at one shared argument, taken together as one row of
+the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row).
 
 An evaluation keeps its rows and its outer sums in one EvalCache: the outer
 sum of each atom shape (an atom without its coefficient) is formed once and
@@ -32,6 +36,7 @@ tail is bounded geometrically, so the cost is O(T) rather than O(T^2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,24 +314,20 @@ class _Series:
 
 
 def _power_series(R, p, delta, v0):
-    """(v + delta)^(-p) expanded in v^-1; p must sit on the integer grid.
+    """(v + delta)^(-p) = sum_r C(-p, r) delta^r v^-(p+r), expanded in v^-1.
 
-    One fractional exponent per atom is allowed; the caller subtracts its
-    fractional part before calling so every series lands on integer indices
-    (index r stands for the power r plus the atom-wide fractional offset).
+    The coefficients come from the whole exponent p. Index floor(p) + r
+    stands for v^-(floor(p)+r) times v^-frac(p); the row that sums the
+    series carries frac(p), so an atom may hold one fractional exponent.
+    Powers above R become remainder items, and the binomial tail after
+    R + 1 terms is bounded geometrically in |delta|/v0.
     """
     s = _Series(R)
     pm = mpf(p)
-    if pm != mp.floor(pm):
-        raise ShapeError("power series exponent off the integer grid")
-    base = int(pm)
+    base = int(mp.floor(pm))
     term = mpf(1)
     for r in range(0, R + 1):
-        idx = base + r
-        if 0 <= idx <= R:
-            s.a[idx] += term
-        elif idx > R:
-            s.rem.append((abs(term) * v0 ** (R + 1 - idx), R + 1, False))
+        _put(s, term, base + r, v0)
         nxt = term * (-(pm + r)) / (r + 1) * delta
         if nxt == 0:
             return s
@@ -338,74 +339,51 @@ def _power_series(R, p, delta, v0):
     return s
 
 
-def _zeta_series(R, j, delta, v0):
-    """zeta(j, v + delta) expanded about v = infinity (Euler-Maclaurin)."""
-    jm = mpf(j)
+def _put(s, coef, power, v0):
+    """Add coef v^-power to s; a power above R becomes a remainder item."""
+    if power <= s.R:
+        s.a[power] += coef
+    else:
+        s.rem.append((abs(coef) * v0 ** (s.R + 1 - power), s.R + 1, False))
+
+
+def _bernoulli_tail(s, v0, terms):
+    """Add the Euler-Maclaurin terms (coef, power), powers rising, up to
+    v^-(R+1). The expansion envelopes its sum for real v > 0, so twice the
+    first term past v^-(R+1) bounds all that is left out."""
+    for coef, power in terms:
+        if power > s.R + 1:
+            s.rem.append((2 * abs(coef) * v0 ** (s.R + 1 - power), s.R + 1, False))
+            return s
+        _put(s, coef, power, v0)
+
+
+def _b2(r):
+    """The Bernoulli number B_2r as an mpf."""
+    b = bernoulli(2 * r)
+    return mpf(b.numerator) / b.denominator
+
+
+def _zeta_series(R, j, v0):
+    """zeta(j, v), j an integer >= 2, expanded about v = infinity:
+
+        v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1).
+    """
     s = _Series(R)
-    # leading terms (v+delta)^(1-j)/(j-1) and (v+delta)^(-j)/2
-    lead = _power_series(R, jm - 1, delta, v0)
-    for r in range(R + 1):
-        s.a[r] += lead.a[r] / (jm - 1)
-    s.rem.extend((c / abs(jm - 1), p, lg) for (c, p, lg) in lead.rem)
-    half = _power_series(R, jm, delta, v0)
-    for r in range(R + 1):
-        s.a[r] += half.a[r] / 2
-    s.rem.extend((c / 2, p, lg) for (c, p, lg) in half.rem)
-    poch = jm
-    r_ = 1
-    while True:
-        power = jm + 2 * r_ - 1
-        if power > R + 1:
-            # remainder of the asymptotic part: first omitted term envelope
-            b = bernoulli(2 * r_)
-            coef = abs(mpf(b.numerator) / b.denominator) / math.factorial(2 * r_) * abs(poch)
-            s.rem.append((2 * coef * v0 ** (R + 1 - power), R + 1, False))
-            break
-        b = bernoulli(2 * r_)
-        coef = mpf(b.numerator) / b.denominator / math.factorial(2 * r_) * poch
-        piece = _power_series(R, power, delta, v0)
-        for r2 in range(R + 1):
-            s.a[r2] += coef * piece.a[r2]
-        s.rem.extend((abs(coef) * c, p, lg) for (c, p, lg) in piece.rem)
-        poch *= (jm + 2 * r_ - 1) * (jm + 2 * r_)
-        r_ += 1
-    return s
+    _put(s, 1 / mpf(j - 1), j - 1, v0)
+    _put(s, mpf(1) / 2, j, v0)
+    terms = ((_b2(r) / math.factorial(2 * r) * math.prod(range(j, j + 2 * r - 1)),  # (j)_(2r-1)
+              j + 2 * r - 1) for r in itertools.count(1))
+    return _bernoulli_tail(s, v0, terms)
 
 
-def _psi_series(R, delta, v0):
-    """psi(v + delta) = log v + log(1+delta/v) - 1/(2(v+delta)) - sum B terms."""
+def _psi_series(R, v0):
+    """psi(v) = log v - 1/(2v) - sum_{r>=1} B_2r/(2r) v^-2r about v = infinity."""
     s = _Series(R)
     s.b[0] = mpf(1)  # log v
-    # log(1 + delta/v) = sum (-1)^(r+1) (delta/v)^r / r
-    term = mpf(delta)
-    for r in range(1, R + 1):
-        s.a[r] += (-1) ** (r + 1) * term / r
-        term *= delta
-    if delta:
-        ratio = abs(mpf(delta)) / v0
-        if ratio >= 1:
-            raise ShapeError("outer tail starts inside the expansion radius")
-        s.rem.append((abs(term / (R + 1)) / (1 - ratio), R + 1, False))
-    half = _power_series(R, 1, delta, v0)
-    for r in range(R + 1):
-        s.a[r] -= half.a[r] / 2
-    s.rem.extend((c / 2, p, lg) for (c, p, lg) in half.rem)
-    r_ = 1
-    while True:
-        power = 2 * r_
-        if power > R + 1:
-            b = bernoulli(2 * r_)
-            coef = abs(mpf(b.numerator) / b.denominator) / (2 * r_)
-            s.rem.append((2 * coef * v0 ** (R + 1 - power), R + 1, False))
-            break
-        b = bernoulli(2 * r_)
-        coef = mpf(b.numerator) / b.denominator / (2 * r_)
-        piece = _power_series(R, power, delta, v0)
-        for r2 in range(R + 1):
-            s.a[r2] -= coef * piece.a[r2]
-        s.rem.extend((abs(coef) * c, p, lg) for (c, p, lg) in piece.rem)
-        r_ += 1
-    return s
+    _put(s, -mpf(1) / 2, 1, v0)
+    terms = ((-(_b2(r) / (2 * r)), 2 * r) for r in itertools.count(1))
+    return _bernoulli_tail(s, v0, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -475,38 +453,27 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, U0=None) -> EvalResul
             val = val * tvals[u - u0]
         total = total + val
     direct_bound = tbnd * (U0 - u0 + 1) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-    # tail by expansion about v = lam*u + gamma_star
+    # tail by expansion about v = lam*u + gamma_star, at the zeta/psi shift
     gamma_star = atom.trans[-1] if atom.trans else atom.rpows[0][0]
     v0 = lam * U0 + gamma_star
     if v0 <= 0:
         raise ShapeError("tail starts at a nonpositive argument")
     max_delta = max([abs(mpf(g) - gamma_star) for (g, _) in atom.rpows] + [mpf(0)])
-    if atom.trans is not None:
-        max_delta = max(max_delta, abs(mpf(atom.trans[-1]) - gamma_star))
     if v0 < 2 * max_delta + 8:
         U0b = int((2 * max_delta + 8 - gamma_star) / lam) + 1
         return _sum_shape(atom, u0, cache, ctx, U0=max(U0 + 8, U0b))
     R = max(36, int(ctx.dps * 2.303 / mp.log(v0 / max(max_delta, mpf(1)))) + 8)
-    frac_extra = mpf(0)
+    fracs = [mpf(p) - mp.floor(p) for (_, p) in atom.rpows if mpf(p) != mp.floor(p)]
+    if len(fracs) > 1:
+        raise ShapeError("more than one fractional outer exponent")
+    frac_extra = fracs[0] if fracs else mpf(0)
     series = None
     for (g, p) in atom.rpows:
-        pm = mpf(p)
-        if pm != mp.floor(pm):
-            # one fractional exponent allowed; shift the whole grid by it
-            if frac_extra:
-                raise ShapeError("more than one fractional outer exponent")
-            frac_extra = pm - mp.floor(pm)
-    for (g, p) in atom.rpows:
-        pm = mpf(p)
-        off = frac_extra if pm != mp.floor(pm) else 0
-        piece = _power_series(R, pm - off, mpf(g) - gamma_star, v0)
+        piece = _power_series(R, p, mpf(g) - gamma_star, v0)
         series = piece if series is None else series.mul(piece, v0)
     if atom.trans is not None:
         kind = atom.trans[0]
-        if kind == "zeta":
-            piece = _zeta_series(R, atom.trans[1], mpf(atom.trans[-1]) - gamma_star, v0)
-        else:
-            piece = _psi_series(R, mpf(atom.trans[-1]) - gamma_star, v0)
+        piece = _zeta_series(R, atom.trans[1], v0) if kind == "zeta" else _psi_series(R, v0)
         series = piece if series is None else series.mul(piece, v0)
     # base sums: sum_{u>=U0} v^-(r+frac_extra) and the log-weighted companion,
     # all from one row at abase (remainder powers are R + 1)

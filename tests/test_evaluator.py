@@ -986,3 +986,140 @@ def _check_series_product(rng, logs_first):
                 err = abs(exact - _series_at(out, v, [0] * len(out.rem)))
                 # plus the roundings of the product at working precision
                 assert err <= _rem_at(out, v) + abs(exact) * mpf(10) ** -(CTX.working_digits)
+
+
+# ---------------------------------------------------------------------------
+# Outer tails: each factor expanded from its whole exponent
+# ---------------------------------------------------------------------------
+
+def _tail_series_error(series, frac, v, ref):
+    """|v^-frac (kept part) - ref| and v^-frac (remainder items) at v."""
+    kept = _series_at(series, v, [0] * len(series.rem))
+    return abs(v ** -frac * kept - ref), v ** -frac * _rem_at(series, v)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["delta+", "delta-"])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 2), 2, 12])
+def test_power_series_within_its_remainder(p, sign):
+    # (v + delta)^-p with delta/v0 = +-1/2: the kept part times v^-frac(p)
+    # is within its remainder items of mpmath at v0 and 2 v0; at p = 12 the
+    # powers past R become remainder items
+    from dpl.reduction import _power_series
+
+    with CTX.workdps():
+        R, v0 = 36, mpf(16)
+        pm = mpf(p.numerator) / p.denominator if isinstance(p, Fraction) else mpf(p)
+        frac = pm - mp.floor(pm)
+        series = _power_series(R, pm, sign * v0 / 2, v0)
+        for v in (v0, 2 * v0):
+            err, rem = _tail_series_error(series, frac, v, (v + sign * v0 / 2) ** -pm)
+            assert err <= rem + mpf(10) ** -CTX.dps
+
+
+@pytest.mark.parametrize("j", [2, 3, 7])
+def test_zeta_series_within_its_remainder(j):
+    from dpl.reduction import _zeta_series
+
+    with CTX.workdps():
+        R, v0 = 36, mpf(16)
+        series = _zeta_series(R, j, v0)
+        for v in (v0, 2 * v0):
+            err, rem = _tail_series_error(series, 0, v, mpmath.zeta(j, v))
+            assert err <= rem + mpf(10) ** -CTX.dps
+
+
+def test_psi_series_within_its_remainder():
+    from dpl.reduction import _psi_series
+
+    with CTX.workdps():
+        R, v0 = 36, mpf(16)
+        series = _psi_series(R, v0)
+        for v in (v0, 2 * v0):
+            err, rem = _tail_series_error(series, 0, v, mpmath.psi(0, v))
+            assert err <= rem + mpf(10) ** -CTX.dps
+
+
+_HALF = mpf(1) / 2
+SPLIT_START_ATOMS = [
+    # (rpows, trans, the summand at u for the reference)
+    (((mpf(0), mpf(5) / 2),), ("psi", mpf(1)),
+     lambda u: u ** -(mpf(5) / 2) * mpmath.psi(0, u + 1)),
+    (((mpf(0), mpf(5) / 2),), ("zeta", 2, mpf(1)),
+     lambda u: u ** -(mpf(5) / 2) * mpmath.zeta(2, u + 1)),
+    (((_HALF, mpf(3) / 2), (mpf(0), 2)), ("psi", mpf(1)),
+     lambda u: (u + _HALF) ** -(mpf(3) / 2) * u ** -2 * mpmath.psi(0, u + 1)),
+    (((_HALF, mpf(3) / 2), (mpf(0), 1)), ("zeta", 2, mpf(1)),
+     lambda u: (u + _HALF) ** -(mpf(3) / 2) / u * mpmath.zeta(2, u + 1)),
+]
+
+
+@pytest.mark.parametrize("rpows,trans,summand", SPLIT_START_ATOMS,
+                         ids=["u-psi", "u-zeta2", "half-u2-psi", "half-u-zeta2"])
+def test_shape_sum_splits_at_any_start(rpows, trans, summand):
+    # S(1) = sum_{u=1}^{300} atom(u) + S(301) for atoms whose fractional
+    # power sits at another shift than the zeta/psi factor
+    from dpl.reduction import Atom, _sum_shape
+    from dpl.specfun import EvalResult
+
+    atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), 1, rpows, trans)
+    with CTX.workdps():
+        whole = _sum_shape(atom, 1, EvalCache(CTX), CTX)
+        rest = _sum_shape(atom, 301, EvalCache(CTX), CTX)
+    with mp.workdps(CTX.dps + 30):
+        head = mpmath.fsum(summand(mpf(u)) for u in range(1, 301))
+        assert abs(whole.value - head - rest.value) <= whole.abs_error_bound + rest.abs_error_bound
+
+
+FRACTIONAL_POINTS = [
+    ("prop-4.3", {"s": "3/2", "N": "1", "x": "1"}),
+    ("prop-4.3", {"s": "3/2", "N": "1", "x": "-1"}),
+    ("prop-4.5", {"s": "3/2", "N": "3", "x": "1"}),
+    ("prop-4.5", {"s": "3/2", "N": "3", "x": "-1"}),
+    ("thm-2.1", {"s": "3/2", "b": "1/2", "x": "1"}),
+]
+
+
+@pytest.mark.parametrize("ident,assignments", FRACTIONAL_POINTS,
+                         ids=["prop-4.3-x1", "prop-4.3-x-1", "prop-4.5-x1", "prop-4.5-x-1",
+                              "thm-2.1-x1"])
+def test_functional_relations_at_a_fractional_exponent(ident, assignments):
+    # the relations hold for real s >= 1; the residual must stay within the
+    # sides' bounds, not merely within the identity's tolerance
+    rep = eval_identity(registry_get(ident), assignments, CTX40, strategy="auto")
+    assert rep.residual <= rep.bound
+
+
+TWO_SHIFT_TERMS = [
+    # two power factors at different shifts in every outer atom
+    ("sum(m>=1,n>=1) x^n / (m * (n+1/2)^2 * (m+n)^2)", ["1", "-1", "i", "1/2"]),
+    # outer bases n - 5/2 start negative
+    ("sum(m>=1,n>=1) x^n / ((m+5/2) * (m+n)^2)", ["1", "-1"]),
+]
+
+
+@pytest.mark.parametrize("text,xlit", [(t, x) for t, xs in TWO_SHIFT_TERMS for x in xs])
+def test_outer_atoms_at_two_shifts_agree_with_direct(text, xlit):
+    t = parse_term(text)
+    with CTX.workdps():
+        params = {"x": parse_x(xlit)}
+    red = eval_double(t, params, CTX, "reduction")
+    dir_ = eval_double(t, params, CTX, "direct")
+    assert abs(red.value - dir_.value) <= red.abs_error_bound + dir_.abs_error_bound
+
+
+def test_outer_atoms_at_two_shifts_vs_brute_force():
+    # sum_n 2^-n (n+1/2)^-2 sum_m 1/(m (m+n)^2), the inner sum by partial
+    # fractions in exact harmonic numbers, H_n/n^2 - (pi^2/6 - H_n^(2))/n,
+    # and the outer sum cut where 2^-n drops below 10^-(dps+30)
+    t = parse_term("sum(m>=1,n>=1) x^n / (m * (n+1/2)^2 * (m+n)^2)")
+    with CTX.workdps():
+        r = eval_double(t, {"x": parse_x("1/2")}, CTX, "reduction")
+    with mp.workdps(CTX.dps + 30):
+        ref, h1, h2 = mpf(0), Fraction(0), Fraction(0)
+        for n in range(1, int((CTX.dps + 30) * 3.33) + 2):
+            h1 += Fraction(1, n)
+            h2 += Fraction(1, n * n)
+            inner = (mpf(h1.numerator) / h1.denominator / n ** 2
+                     - (mp.pi ** 2 / 6 - mpf(h2.numerator) / h2.denominator) / n)
+            ref += mpf(2) ** -n * (n + _HALF) ** -2 * inner
+        assert abs(r.value - ref) <= r.abs_error_bound
