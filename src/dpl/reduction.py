@@ -463,6 +463,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, U0=None) -> EvalResul
         U0b = int((2 * max_delta + 8 - gamma_star) / lam) + 1
         return _sum_shape(atom, u0, cache, ctx, U0=max(U0 + 8, U0b))
     R = max(36, int(ctx.dps * 2.303 / mp.log(v0 / max(max_delta, mpf(1)))) + 8)
+    # one fractional exponent per atom; the row that sums the tail carries it
     fracs = [mpf(p) - mp.floor(p) for (_, p) in atom.rpows if mpf(p) != mp.floor(p)]
     if len(fracs) > 1:
         raise ShapeError("more than one fractional outer exponent")

@@ -1016,26 +1016,18 @@ def test_power_series_within_its_remainder(p, sign):
             assert err <= rem + mpf(10) ** -CTX.dps
 
 
-@pytest.mark.parametrize("j", [2, 3, 7])
-def test_zeta_series_within_its_remainder(j):
-    from dpl.reduction import _zeta_series
+@pytest.mark.parametrize("j", [2, 3, 7, "psi"])
+def test_zeta_and_psi_series_within_their_remainder(j):
+    # zeta(j, v) and psi(v) about their own argument, kept part against
+    # mpmath at v0 and 2 v0
+    from dpl.reduction import _psi_series, _zeta_series
 
     with CTX.workdps():
         R, v0 = 36, mpf(16)
-        series = _zeta_series(R, j, v0)
+        series = _psi_series(R, v0) if j == "psi" else _zeta_series(R, j, v0)
         for v in (v0, 2 * v0):
-            err, rem = _tail_series_error(series, 0, v, mpmath.zeta(j, v))
-            assert err <= rem + mpf(10) ** -CTX.dps
-
-
-def test_psi_series_within_its_remainder():
-    from dpl.reduction import _psi_series
-
-    with CTX.workdps():
-        R, v0 = 36, mpf(16)
-        series = _psi_series(R, v0)
-        for v in (v0, 2 * v0):
-            err, rem = _tail_series_error(series, 0, v, mpmath.psi(0, v))
+            ref = mpmath.psi(0, v) if j == "psi" else mpmath.zeta(j, v)
+            err, rem = _tail_series_error(series, 0, v, ref)
             assert err <= rem + mpf(10) ** -CTX.dps
 
 
