@@ -21,6 +21,7 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from .registry import DERIVATION_PAIRS, RegistryError, registry_get, registry_list
 from .specfun import DomainError, PrecisionContext
@@ -61,7 +62,7 @@ def _battery_from_args(entry, args):
     """Explicit flags override the registry's default battery."""
     given = {}
     for name in PARAM_FLAGS:
-        raw = getattr(args, name if name != "N" and name != "M" else name, None)
+        raw = getattr(args, name, None)
         if raw is not None:
             given[name] = _expand_range(raw) if name != "chi" else raw.split(",")
     declared = {p.name for p in entry.spec.params if p.kind != "fixed"}
@@ -190,9 +191,8 @@ def cmd_eval_term(args):
     from mpmath import mp
 
     from .dsl import parse_term
-    from .evaluator import eval_double, eval_single, parse_x
-    from .specfun import BUILTIN_CHARACTERS
-    from .termlang import DoubleSumTerm, bind_term
+    from .evaluator import eval_double, eval_single, parse_value, parse_x
+    from .termlang import DoubleSumTerm, ParamDecl, bind_term
 
     ctx = _context(args.digits)
     term = parse_term(args.term)
@@ -200,7 +200,6 @@ def cmd_eval_term(args):
     for name in ("k", "l", "s", "N", "M"):
         raw = getattr(args, name, None)
         if raw is not None:
-            from fractions import Fraction
             env[name] = Fraction(raw)
     term = bind_term(term, env)
     params = {}
@@ -208,10 +207,9 @@ def cmd_eval_term(args):
         with ctx.workdps():
             params["x"] = parse_x(args.x)
     if args.b is not None:
-        from fractions import Fraction
         params["b"] = Fraction(args.b)
     if args.chi is not None:
-        params["chi"] = BUILTIN_CHARACTERS[args.chi]
+        params["chi"] = parse_value(ParamDecl("chi", "char"), args.chi)
     strategy = args.strategy or "auto"
     if isinstance(term, DoubleSumTerm):
         res = eval_double(term, params, ctx, strategy)

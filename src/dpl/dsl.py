@@ -200,10 +200,9 @@ class _Parser:
             factors, sin_w = self.parse_denominator(single=False)
             if sin_w is not None:
                 self.error("sin weights only apply to single sums")
-            term = DoubleSumTerm(Fraction(1), xsel, m_range, n_range,
+            check_convergence_double(factors)
+            return DoubleSumTerm(Fraction(1), xsel, m_range, n_range,
                                  tuple(factors), cong, tuple(twists))
-            _gate_double(term)
-            return term
         n_range = self.parse_range(None)
         cong = None
         if self.peek()[0] == ";":
@@ -664,10 +663,6 @@ def _fold_expr(e):
     return (e[0], a, b)
 
 
-def _gate_double(term):
-    check_convergence_double(term.factors)
-
-
 def parse_term(text: str):
     """Parse one term; round-trips through render_term."""
     p = _Parser(text)
@@ -680,11 +675,6 @@ def parse_identity(text: str) -> IdentitySpec:
     p = _Parser(text)
     spec = p.parse_identity()
     p.expect("eof")
-    for side in (spec.lhs, spec.rhs):
-        for group in side:
-            for fam in group.families:
-                if isinstance(fam.body, DoubleSumTerm):
-                    _gate_double(fam.body)
     return spec
 
 
@@ -734,7 +724,7 @@ def _render_base(combo, shift):
     return f"({base}{s})"
 
 
-def render_factor(f: LinearFactor, single=False) -> str:
+def render_factor(f: LinearFactor) -> str:
     base = _render_base(f.combo, f.shift)
     if expr_is_num(f.exp) and f.exp[1] == 1:
         return base
@@ -745,7 +735,7 @@ def render_factor(f: LinearFactor, single=False) -> str:
     return f"{base}^({render_expr(f.exp)})"
 
 
-def _render_xsel(xsel: XSel, single: bool) -> str:
+def _render_xsel(xsel: XSel) -> str:
     if xsel.kind == "none":
         return ""
     core = {"xn": "n", "xm": "m", "xmn": "m+n"}[xsel.kind]
@@ -775,7 +765,7 @@ def render_term(t) -> str:
             head += f"; m={rhs} mod {_render_modulus(t.cong.modulus)}"
         head += ")"
         numer_parts = []
-        x = _render_xsel(t.xsel, single=False)
+        x = _render_xsel(t.xsel)
         if x:
             numer_parts.append(x)
         for chi, arg in t.twists:
@@ -791,7 +781,7 @@ def render_term(t) -> str:
             lead += f"+{t.cong.off}" if t.cong.off > 0 else str(t.cong.off)
         head += f"; {lead}=0 mod {_render_modulus(t.cong.modulus)}"
     head += ")"
-    x = _render_xsel(t.xsel, single=True)
+    x = _render_xsel(t.xsel)
     numer_parts = [p for p in (x,) if p]
     if t.twist:
         numer_parts.append(f"{t.twist}(n)")
@@ -803,7 +793,7 @@ def render_term(t) -> str:
             denom_parts.append(f"sin2pi(n/{mod})")
         else:
             denom_parts.append(f"sinpi((2*n+1)/{mod})")
-    denom_parts.append(render_factor(t.factor, single=True))
+    denom_parts.append(render_factor(t.factor))
     return f"{head} {numer} / ({' * '.join(denom_parts)})"
 
 

@@ -28,9 +28,7 @@ from .termlang import (
     DoubleSumTerm,
     IdentitySpec,
     SingleSumTerm,
-    TermFamily,
     Weight,
-    expand_family,
     expand_group,
     expr_eval,
 )
@@ -173,12 +171,8 @@ class IdentityParams:
 # Strategy dispatch
 # ---------------------------------------------------------------------------
 
-def eval_double(term, params: dict, ctx: PrecisionContext,
+def eval_double(term: DoubleSumTerm, params: dict, ctx: PrecisionContext,
                 strategy: str = "auto", cache: EvalCache | None = None) -> EvalResult:
-    if isinstance(term, TermFamily):
-        terms = expand_family(term, params.get("env", {}))
-        parts = [eval_double(t, params, ctx, strategy, cache) for t in terms]
-        return result_sum(parts) if parts else EvalResult(mpf(0), mpf(0), "closed_form")
     if strategy == "reduction":
         return eval_double_reduction(term, params, ctx, cache)
     if strategy == "direct":
@@ -411,8 +405,7 @@ def numeric_derivative_b(func, order: int, b0, ctx: PrecisionContext,
 
 
 def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
-                   ctx: PrecisionContext, strategy: str = "auto",
-                   allow_extended_b: bool = False):
+                   ctx: PrecisionContext, strategy: str = "auto"):
     """Returns b -> EvalResult of one side, for derivative stencils.
 
     Sides containing m>b ranges live on b in (0,1); single-sum-only sides are
@@ -423,7 +416,7 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
                        for g in groups for f in g.families)
 
     def func(bval):
-        if not singles_only and not allow_extended_b and not (0 < bval < 1):
+        if not singles_only and not (0 < bval < 1):
             raise DomainError("stencil leaves (0,1) on a side with m>b ranges")
         with ctx.workdps():
             p = IdentityParams.bind(spec, assignments)

@@ -436,32 +436,56 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     return atom.coef.times(shape_sum)
 
 
-def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, U0=None) -> EvalResult:
-    """sum_{u>=u0} atom(u) / atom.coef: a direct block up to U0, then the
-    tail from the atom's expansion in inverse powers of u."""
+def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalResult:
+    """sum_{u>=u0} phase(u) * atom(u) / atom.coef: a direct block up to U0,
+    then a tail.
+
+    Without a phase the tail comes from the atom's expansion in inverse powers
+    of u. With the geometric phase (X, x0), x0 * X^u and |X| < 1, the block
+    runs until |X|^u underflows the target and the tail is bounded
+    geometrically, assuming |atom| falls with u.
+    """
     lam = atom.slope
-    U0 = U0 or (u0 + max(64, int(0.6 * ctx.dps) + 10))
+    if phase is None:
+        U0 = u0 + max(64, int(0.6 * ctx.dps) + 10)
+        # the expansion about v = lam*u + gamma_star, at the zeta/psi shift,
+        # needs v0 >= 2 max|delta| + 8
+        gamma_star = atom.trans[-1] if atom.trans else atom.rpows[0][0]
+        v0 = lam * U0 + gamma_star
+        if v0 <= 0:
+            raise ShapeError("tail starts at a nonpositive argument")
+        max_delta = max([abs(mpf(g) - gamma_star) for (g, _) in atom.rpows] + [mpf(0)])
+        while v0 < 2 * max_delta + 8:
+            U0 = max(U0 + 8, int((2 * max_delta + 8 - gamma_star) / lam) + 1)
+            v0 = lam * U0 + gamma_star
+    else:
+        X, x0 = phase
+        r = abs(X)
+        if r >= 1:
+            raise ShapeError("geometric path needs |X| < 1")
+        cut = int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r))))
+        U0 = u0 + geometric_length(cut + 4) + 1
     tvals, tbnd = (None, mpf(0))
     if atom.trans is not None:
         tvals, tbnd = _trans_table(atom.trans, lam, u0, U0, cache)
     total = mpf(0)
+    xp = None if phase is None else x0 * X ** u0
     for u in range(u0, U0):
         val = mpf(1)
         for (g, p) in atom.rpows:
             val = val * (lam * u + g) ** (-p)
-        if atom.trans is not None:
+        if tvals is not None:
             val = val * tvals[u - u0]
-        total = total + val
+        if xp is None:
+            total = total + val
+        else:
+            total = total + xp * val
+            xp = xp * X
+    if phase is not None:
+        tail_bound = abs(xp) * abs(val) / (1 - r) * 2
+        bound = tail_bound + tbnd * (U0 - u0) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
+        return EvalResult(total, bound, "direct_tail")
     direct_bound = tbnd * (U0 - u0 + 1) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-    # tail by expansion about v = lam*u + gamma_star, at the zeta/psi shift
-    gamma_star = atom.trans[-1] if atom.trans else atom.rpows[0][0]
-    v0 = lam * U0 + gamma_star
-    if v0 <= 0:
-        raise ShapeError("tail starts at a nonpositive argument")
-    max_delta = max([abs(mpf(g) - gamma_star) for (g, _) in atom.rpows] + [mpf(0)])
-    if v0 < 2 * max_delta + 8:
-        U0b = int((2 * max_delta + 8 - gamma_star) / lam) + 1
-        return _sum_shape(atom, u0, cache, ctx, U0=max(U0 + 8, U0b))
     R = max(36, int(ctx.dps * 2.303 / mp.log(v0 / max(max_delta, mpf(1)))) + 8)
     # one fractional exponent per atom; the row that sums the tail carries it
     fracs = [mpf(p) - mp.floor(p) for (_, p) in atom.rpows if mpf(p) != mp.floor(p)]
@@ -516,31 +540,9 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, U0=None) -> EvalResul
 
 
 def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
-    """sum_{u>=u0} x0 X^u atom(u) / atom.coef, truncated when |X|^u
-    underflows the target."""
-    lam = atom.slope
-    r = abs(X)
-    if r >= 1:
-        raise ShapeError("geometric path needs |X| < 1")
-    U1 = u0 + geometric_length(int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r)))) + 4)
-    tvals, tbnd = (None, mpf(0))
-    if atom.trans is not None:
-        tvals, tbnd = _trans_table(atom.trans, lam, u0, U1 + 1, cache)
-    total = mpf(0)
-    xp = x0 * X ** u0
-    last_mag = mpf(0)
-    for u in range(u0, U1 + 1):
-        val = mpf(1)
-        for (g, p) in atom.rpows:
-            val = val * (lam * u + g) ** (-p)
-        if tvals is not None:
-            val = val * tvals[u - u0]
-        total = total + xp * val
-        last_mag = abs(val)
-        xp = xp * X
-    tail_bound = abs(xp) * last_mag / (1 - r) * 2
-    bound = tail_bound + tbnd * (U1 - u0 + 1) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-    return EvalResult(total, bound, "direct_tail")
+    """_sum_shape with the geometric phase x0 X^u, under the name that
+    perfbench traces."""
+    return _sum_shape(atom, u0, cache, ctx, phase=(X, x0))
 
 
 # ---------------------------------------------------------------------------
@@ -721,18 +723,12 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
         gJ = shift_value(jfac.shift, b_mp) if jfac is not None else mpf(0)
         ofac_vals = [(shift_value(f.shift, b_mp), _exp_value(f)) for f in ofacs]
 
-        if ifac is not None and q > 0:
-            eI_i = _as_int(eI, "inner exponent")
-            q_i = _as_int(q, "joint exponent")
-        elif ifac is not None:
-            if eI <= 1:
-                raise DomainError("divergent inner sum")
-            eI_i, q_i = None, None
-        else:
-            if jfac is None or q <= 1:
-                raise DomainError("divergent inner sum")
-            q_i = _as_int(q, "joint exponent")
-            eI_i = None
+        if (not eI and q <= 1) or (not q and eI <= 1):
+            raise DomainError("divergent inner sum")
+        if q:
+            if eI:
+                _as_int(eI, "inner exponent")
+            _as_int(q, "joint exponent")
 
         total = EvalResult(mpf(0), mpf(0), "reduction")
         coeff0 = _frac_to_mp(term.coeff)
@@ -752,70 +748,74 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
                     phase = (x.value ** lam_o, mpf(1))
                 t0 = math.ceil((i0 - rI) / lam_i)
                 u0 = math.ceil((o0 - rO) / lam_o)
-                cls = _class_atoms(eI_i, q_i, eI, q, gI, gJ, ofac_vals,
-                                   rI, rO, lam_i, lam_o, t0, cache, ctx)
-                for atom in cls:
+                for atom in _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO,
+                                         lam_i, lam_o, t0, cache):
                     atom.coef = atom.coef.scale(const)
                     total = total + _sum_atom(atom, u0, phase, cache, ctx)
         return EvalResult(total.value, total.abs_error_bound, "reduction")
 
 
-def _class_atoms(eI_i, q_i, eI, q, gI, gJ, ofac_vals, rI, rO,
-                 lam_i, lam_o, t0, cache, ctx):
-    """Atoms of the inner closed form on one residue class."""
+def _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO, lam_i, lam_o, t0, cache):
+    """Atoms of the inner closed form on one residue class, in the outer
+    class index u.
+
+    The class holds the inner index rI + lam_i t for t >= t0 and the outer
+    index rO + lam_o u, where lam_i is 1 or equals lam_o. Dividing every base
+    by lam_i gives slope lam_o // lam_i in u and the prefactor lam_i^-(total
+    degree). eI and q are the inner and joint exponents as Fractions, 0 for
+    an absent factor and integers when both are present; ofac_vals holds the
+    outer factors' (shift, exponent) pairs.
+    """
+    lam = lam_i
+    slope = lam_o // lam
+    aI = (rI + gI) / lam
+    base_rpows = [((rO + gN) / lam, p) for (gN, p) in ofac_vals]
+    wg = (rO + gJ - gI) / lam
+    zg = (rI + rO + gJ) / lam + t0
+    ptot = eI + q + sum(p for (_, p) in ofac_vals)
+    one = EvalResult(mpf(lam) ** (-_frac_to_mp(ptot)), mpf(0), "reduction")
     atoms = []
-    if lam_i == 1:
-        slope = lam_o
-        aI = rI + gI
-        base_rpows = [(rO + gN, p) for (gN, p) in ofac_vals]
-        wg = rO + gJ - gI
-        zg = rO + gJ + t0
-        prefactor = mpf(1)
-    else:
-        lam = lam_i
-        slope = 1
-        aI = (rI + gI) / lam
-        base_rpows = [((rO + gN) / lam, p) for (gN, p) in ofac_vals]
-        wg = (rO + gJ - gI) / lam
-        zg = (rI + rO + gJ) / lam + t0
-        ptot = (eI if eI else 0) + (q if q else 0) + sum(p for (_, p) in ofac_vals)
-        prefactor = mpf(lam) ** (-_frac_to_mp(Fraction(ptot)))
 
-    def norm_p(p):
-        if isinstance(p, Fraction):
-            return int(p) if p.denominator == 1 else _frac_to_mp(p)
-        return p
+    def mk(coef, extra_rpows, trans):
+        rp = tuple((g, _num_exp(p)) for (g, p) in base_rpows + extra_rpows)
+        atoms.append(Atom(coef, slope, rp, trans))
 
-    def mk(res_coef, extra_rpows, trans):
-        rp = tuple((g, norm_p(p)) for (g, p) in tuple(base_rpows) + tuple(extra_rpows))
-        atoms.append(Atom(res_coef, slope, rp, trans))
-
-    one = EvalResult(prefactor, mpf(0), "reduction")
-    if eI_i is None and q_i is not None:
+    if not eI:
         # joint factor only: inner sum is zeta(q, t0 + aJ(u))
-        if q_i < 2:
+        if q <= 1:
             raise DomainError("divergent inner sum")
-        mk(one, [], ("zeta", q_i, zg))
+        mk(one, [], ("zeta", _num_exp(q), zg))
         return atoms
-    if eI_i is None:
+    if not q:
         # pure inner factor: constant zeta(eI, t0 + aI)
-        zc = cache.zeta(eI if isinstance(eI, int) else _frac_to_mp(eI), t0 + aI)
-        mk(one.times(zc), [], None)
+        mk(one.times(cache.zeta(_frac_to_mp(eI), t0 + aI)), [], None)
         return atoms
     # two-pole case
-    A, B = two_pole_coeffs(eI_i, q_i)
-    for i in range(2, eI_i + 1):
+    e, q = int(eI), int(q)
+    A, B = two_pole_coeffs(e, q)
+    for i in range(2, e + 1):
         zc = cache.zeta(i, t0 + aI)
         coef = one.times(zc).scale(_frac_to_mp(A[i]))
-        mk(coef, [(wg, eI_i + q_i - i)], None)
-    for j in range(2, q_i + 1):
+        mk(coef, [(wg, e + q - i)], None)
+    for j in range(2, q + 1):
         coef = one.scale(_frac_to_mp(B[j]))
-        mk(coef, [(wg, eI_i + q_i - j)], ("zeta", j, zg))
+        mk(coef, [(wg, e + q - j)], ("zeta", j, zg))
     A1 = _frac_to_mp(A[1])
-    mk(one.scale(A1), [(wg, eI_i + q_i - 1)], ("psi", zg))
+    mk(one.scale(A1), [(wg, e + q - 1)], ("psi", zg))
     pc = cache.psi(t0 + aI)
-    mk(one.times(pc).scale(-A1), [(wg, eI_i + q_i - 1)], None)
+    mk(one.times(pc).scale(-A1), [(wg, e + q - 1)], None)
     return atoms
+
+
+def _atom_at(atom: Atom, cache: EvalCache) -> EvalResult:
+    """The atom at u = 0: its coefficient times its powers and its zeta/psi value."""
+    val = atom.coef
+    for (g, p) in atom.rpows:
+        val = val.scale(g ** (-p))
+    if atom.trans is None:
+        return val
+    gz = atom.trans[-1]
+    return val.times(cache.zeta(atom.trans[1], gz) if atom.trans[0] == "zeta" else cache.psi(gz))
 
 
 def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
@@ -861,9 +861,9 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
     Catalogued shapes: only a joint chain; or one pure-m factor of any
     positive integer order together with an optional joint chain. The x power
     must not involve m. A congruence or twist splits m into residue classes
-    mod plan.mod["m"], each with its ClassPlan weight at n: the class
-    m = rho + L t is the same closed form (_inner_closed) at the arguments
-    (rho + g)/L, times L^-(e+q).
+    mod L = plan.mod["m"], each with its ClassPlan weight at n. The class
+    m = rho + L t is the set of _class_atoms with the outer index held at n
+    (rO = n, lam_i = lam_o = L), each taken at u = 0.
     """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
@@ -875,61 +875,37 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             raise DomainError("n below the term's range")
         mfac = term.factor("m")
         jfac = term.factor("mn")
-        scale = _frac_to_mp(term.coeff)
-        for f in term.factors:
-            if f.combo == "n":
-                g = shift_value(f.shift, b_mp)
-                scale = scale * (n + g) ** (-_frac_to_mp(_exp_value(f)))
-        if include_phase and term.xsel.kind == "xn":
-            scale = scale * plan.x.power(n + term.xsel.d, ctx)
         if mfac is None and jfac is None:
             raise DomainError("no inner factors: divergent")
-        e = q = None
+        e = q = Fraction(0)
         if mfac is not None:
-            e = _as_int(_exp_value(mfac), "inner exponent")
+            e = _exp_value(mfac)
+            _as_int(e, "inner exponent")
         if jfac is not None:
             q = _exp_value(jfac)
             if mfac is not None:
-                q = _as_int(q, "joint exponent")
-        if (q is None and e < 2) or (e is None and q <= 1):
+                _as_int(q, "joint exponent")
+        if (not q and e < 2) or (not e and q <= 1):
             raise DomainError("divergent inner sum")
         gM = shift_value(mfac.shift, b_mp) if mfac is not None else mpf(0)
         gJ = shift_value(jfac.shift, b_mp) if jfac is not None else mpf(0)
+        nfac_vals = [(shift_value(f.shift, b_mp), _exp_value(f))
+                     for f in term.factors if f.combo == "n"]
+        const = _frac_to_mp(term.coeff)
+        if include_phase and term.xsel.kind == "xn":
+            const = const * plan.x.power(n + term.xsel.d, ctx)
         L = plan.mod["m"]
-        total = None
+        total = EvalResult(mpf(0), mpf(0), "closed_form")
         for rho in range(L):
             w = plan.weight(rho, n)
             if w is None:
                 continue
             t0 = math.ceil((m0 - rho) / L)
-            part = _inner_closed(e, q, (t0 * L + rho + gM) / L,
-                                 (t0 * L + rho + n + gJ) / L, cache).scale(_mp_value(w[0]))
-            total = part if total is None else total + part
-        if total is None:
-            return EvalResult(mpf(0), mpf(0), "closed_form")
-        ptot = Fraction(e or 0) + Fraction(q or 0)
-        return total.scale(scale * mpf(L) ** (-_frac_to_mp(ptot)))
-
-
-def _inner_closed(e, q, aM, aJ, cache) -> EvalResult:
-    """sum_{t>=0} (t + aM)^-e (t + aJ)^-q by two-pole partial fractions; e is
-    None without the m-factor (then q > 1 may be a Fraction), q is None
-    without the joint factor."""
-    if e is None:
-        return cache.zeta(_num_exp(q), aJ)
-    if mp.re(aM) <= 0:
-        raise DomainError("inner factor vanishes inside the range")
-    if q is None:
-        return cache.zeta(e, aM)
-    w = aJ - aM
-    A, B = two_pole_coeffs(e, q)
-    total = EvalResult(mpf(0), mpf(0), "closed_form")
-    for i in range(2, e + 1):
-        total = total + cache.zeta(i, aM).scale(_frac_to_mp(A[i]) * w ** (-(q + e - i)))
-    for j in range(2, q + 1):
-        total = total + cache.zeta(j, aJ).scale(_frac_to_mp(B[j]) * w ** (-(e + q - j)))
-    A1 = _frac_to_mp(A[1]) * w ** (-(e + q - 1))
-    return total + (cache.psi(aJ) - cache.psi(aM)).scale(A1)
+            if e and mp.re(t0 + (rho + gM) / L) <= 0:
+                raise DomainError("inner factor vanishes inside the range")
+            for atom in _class_atoms(e, q, gM, gJ, nfac_vals, rho, n, L, L, t0, cache):
+                total = total + _atom_at(atom, cache).scale(const * _mp_value(w[0]))
+        return total
 
 
 def _eval_double_geometric2d(term, plan, ctx) -> EvalResult:

@@ -560,8 +560,12 @@ def root_of_unity(f: int, a: int, ctx: PrecisionContext = DEFAULT_CTX):
         return mp.expjpi(mpf(2 * a) / f)
 
 
-def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX, fmax: int = 64):
-    """Return (f, a) with x = e^{2 pi i a/f} and gcd(a,f)=1, or None.
+# Largest order f that as_root_of_unity recognises.
+MAX_ROOT_ORDER = 64
+
+
+def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX):
+    """Return (f, a) with x = e^{2 pi i a/f}, gcd(a,f)=1 and f <= MAX_ROOT_ORDER, or None.
 
     x must be a root to the rounding level 10^-dps of the working precision
     (root_of_unity rounds at 10^-(dps+8)); a point merely near a root is not
@@ -573,7 +577,7 @@ def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX, fmax: int = 64):
         if abs(abs(xv) - 1) > tol:
             return None
         ang = mp.arg(mpc(xv)) / (2 * mp.pi)
-        for f in range(1, fmax + 1):
+        for f in range(1, MAX_ROOT_ORDER + 1):
             a = int(mp.nint(ang * f))
             if abs(ang * f - a) < tol * f:
                 a %= f

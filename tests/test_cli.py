@@ -133,6 +133,16 @@ def test_eval_term_with_symbols(capsys):
     assert abs(float(doc["value"]["re"]) - 1.2020569031595943) < 1e-12
 
 
+def test_eval_term_unknown_character_exit2(capsys):
+    # an unknown --chi is a usage error, as it is for verify
+    code, _, err = run(capsys, "eval-term", "single(n>=1) chi(n) / (n^2)", "--chi", "chi5")
+    assert code == 2
+    assert "unknown character" in err
+    code, _, err = run(capsys, "verify", "--id", "cor-1.3", "--k", "1", "--chi", "chi5")
+    assert code == 2
+    assert "unknown character" in err
+
+
 def test_list_output(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0

@@ -52,6 +52,27 @@ def test_inner_closed_pure_joint_shape():
         assert abs(r.value - ref) <= r.abs_error_bound + mpf(10) ** -55
 
 
+def test_inner_closed_fractional_joint_shape():
+    t = bind_term(parse_term("sum(m>=1,n>=0) 1 / ((n+b)*(m+n+b)^(5/2))"), {})
+    r = eval_inner_closed(t, 2, {"b": Fraction(1, 2)}, CTX)
+    with mp75():
+        ref = mpf(2) / 5 * mpmath.zeta(mpf(5) / 2, mpf(7) / 2)
+        assert abs(r.value - ref) <= r.abs_error_bound + mpf(10) ** -55
+
+
+def test_inner_closed_congruence_split():
+    # m = 2 mod 3 at n = 2: (1/2) sum_t 3^-4 (t+a)^-2 (t+a+w)^-2, a = 2/3,
+    # w = 2/3, by partial fractions in mpmath's zeta and psi
+    t = parse_term("sum(m>=1,n>=1; m=n mod 3) 1 / (m^2*n*(m+n)^2)")
+    r = eval_inner_closed(t, 2, {}, CTX)
+    with mp75():
+        a = w = mpf(2) / 3
+        inner = ((mpmath.zeta(2, a) + mpmath.zeta(2, a + w)) / w ** 2
+                 - 2 * (mpmath.psi(0, a + w) - mpmath.psi(0, a)) / w ** 3)
+        ref = inner / 3 ** 4 / 2
+        assert abs(r.value - ref) <= r.abs_error_bound + mpf(10) ** -55
+
+
 def test_inner_closed_psi_shape_vs_direct_oracle():
     # sum_m 1/(m (m+3)^2) to 1e6 with integral tail as the stated oracle
     t = parse_term("sum(m>=1,n>=1) 1 / (m*(m+n)^2)")
@@ -1086,6 +1107,8 @@ TWO_SHIFT_TERMS = [
     ("sum(m>=1,n>=1) x^n / (m * (n+1/2)^2 * (m+n)^2)", ["1", "-1", "i", "1/2"]),
     # outer bases n - 5/2 start negative
     ("sum(m>=1,n>=1) x^n / ((m+5/2) * (m+n)^2)", ["1", "-1"]),
+    # shifts 39 apart: the tail starts past the default U0, at 2 * 39 + 8
+    ("sum(m>=1,n>=1) x^n / (m * (n+40)^2 * (m+n)^2)", ["1", "-1"]),
 ]
 
 

@@ -60,6 +60,13 @@ def test_parse_term_convergence_gate():
         parse_term("sum(m>=1,n>=1) x^n / (m+n)")
     with pytest.raises(TermError):
         parse_term("sum(m>=1,n>=1) x^n / (m^2*n)")  # n-side diverges
+    # the same gate holds for a double body inside an identity
+    src = '''identity "bad" params (x: unit) {
+      lhs: 1 * [ sum(m>=1,n>=1) x^n / (m^2*n) ];
+      rhs: 1 * [ single(n>=1) x^n / (n^3) ];
+    }'''
+    with pytest.raises(TermError):
+        parse_identity(src)
 
 
 def test_parse_weight_outside_set_rejected():

@@ -4,16 +4,21 @@ The changed checkout is the one holding this script. For the first 3
 battery points of every registry identity, each checkout's own src/ is run
 in a subprocess that evaluates the identity at 50 digits with its
 registered strategy and records, for each side, its value (70 digits), its
-error bound and its method, and the identity's verdict. Usage:
+error bound and its method, and the identity's verdict. The same subprocess
+evaluates a fixed list of bare terms (TERMS) with the reduction strategy:
+they reach paths no battery point does, such as the inner sums at x = 0
+(eval_inner_closed), geometric outer sums and a tail start moved far out.
+Usage:
 
     python3 tools/fingerprint.py --parent ../parent --out fingerprint.json
 
-The output holds both checkouts' records and a summary: how many sides are
-bit-identical in value, bound and method; the worst relative change in
-value; the worst bound ratio (change over parent, farthest from 1); and
-every point whose verdict changed. The script exits 1, after writing the
-output, when any side moved by more than the sum of its two bounds, or
-evaluated on one checkout but raised on the other.
+The output holds both checkouts' records and a summary, for the identity
+sides and, under "terms", for the bare terms: how many are bit-identical in
+value, bound and method; the worst relative change in value; the worst
+bound ratio (change over parent, farthest from 1); and every point whose
+verdict changed. The script exits 1, after writing the output, when any
+side or term moved by more than the sum of its two bounds, or evaluated on
+one checkout but raised on the other.
 """
 
 from __future__ import annotations
@@ -30,17 +35,41 @@ from mpmath import mp, mpc, mpf
 ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
 POINTS = 3
 DIGITS = 50
+# Bare terms and their parameters (an x literal and a builtin character).
+TERMS = [
+    # the inner sums at x = 0 (tests/test_evaluator.py, X_ZERO_INNER_CASES)
+    ("sum(m>=1,n>=1) chi(n) * x^(n-1) / (m^2 * (m+n)^2)", {"x": "0", "chi": "chi4"}),
+    ("sum(m>=1,n>=1; m=n mod 3) x^(n-1) / (m^2 * (m+n)^2)", {"x": "0"}),
+    ("sum(m>=1,n>=1) chi(m) * x^(n-2) / (m * (m+n)^2)", {"x": "0", "chi": "chi3"}),
+    ("sum(m>=1,n>=1) chi(m+n) * x^(n-1) / (m^2 * (m+n)^2)", {"x": "0", "chi": "chi3"}),
+    # geometric outer sums
+    ("single(n>=1) x^n / (n^2)", {"x": "1/2"}),
+    ("sum(m>=1,n>=1) x^n / (m*(m+n)^3)", {"x": "1/2"}),
+    # outer shifts 39 apart: the tail starts past the default cut
+    ("sum(m>=1,n>=1) x^n / (m * (n+40)^2 * (m+n)^2)", {"x": "1"}),
+]
 
 # Runs inside a checkout's own src/; prints one JSON object of records.
 WORKER = f"""
 import json
 from mpmath import mp
-from dpl.evaluator import eval_identity
+from dpl.dsl import parse_term
+from dpl.evaluator import eval_double, eval_identity, eval_single, parse_x
 from dpl.registry import registry_get, registry_ids
-from dpl.specfun import PrecisionContext
+from dpl.specfun import BUILTIN_CHARACTERS, PrecisionContext
+from dpl.termlang import DoubleSumTerm
 
 ctx = PrecisionContext(working_digits={DIGITS})
 out = []
+
+
+def side(r):
+    with mp.workdps(80):
+        v = mp.mpc(r.value)
+        return {{"value": [mp.nstr(v.real, 70), mp.nstr(v.imag, 70)],
+                 "bound": mp.nstr(r.abs_error_bound, 70), "method": r.method}}
+
+
 for ident in registry_ids():
     entry = registry_get(ident)
     for assignment in entry.battery[:{POINTS}]:
@@ -52,13 +81,21 @@ for ident in registry_ids():
         else:
             with mp.workdps(80):
                 rec["passed"] = bool(rep.passed)
-                for side in ("lhs", "rhs"):
-                    r = getattr(rep, side)
-                    v = mp.mpc(r.value)
-                    rec[side] = {{"value": [mp.nstr(v.real, 70), mp.nstr(v.imag, 70)],
-                                  "bound": mp.nstr(r.abs_error_bound, 70),
-                                  "method": r.method}}
+            rec["lhs"], rec["rhs"] = side(rep.lhs), side(rep.rhs)
         out.append(rec)
+for text, given in {TERMS!r}:
+    rec = {{"term": text, "params": given}}
+    try:
+        with ctx.workdps():
+            params = {{"x": parse_x(given["x"])}}
+        if "chi" in given:
+            params["chi"] = BUILTIN_CHARACTERS[given["chi"]]
+        term = parse_term(text)
+        evaluate = eval_double if isinstance(term, DoubleSumTerm) else eval_single
+        rec["sum"] = side(evaluate(term, params, ctx, "reduction"))
+    except Exception as exc:
+        rec["error"] = f"{{type(exc).__name__}}: {{exc}}"
+    out.append(rec)
 print(json.dumps(out))
 """
 
@@ -80,15 +117,17 @@ def compare(parent: list, change: list) -> tuple[dict, bool]:
     worst_rel, worst_ratio = mpf(0), mpf(1)
     verdicts, moved = [], []
     for p, c in zip(parent, change, strict=True):
-        point = f"{p['id']} {p['params']}"
+        point = f"{p.get('id', p.get('term'))} {p['params']}"
         if ("error" in p) != ("error" in c):
             moved.append(f"{point}: {p.get('error', 'evaluates')} -> {c.get('error', 'evaluates')}")
             continue
         if "error" in p:
             continue
-        if p["passed"] != c["passed"]:
+        if p.get("passed") != c.get("passed"):
             verdicts.append(f"{point}: passed {p['passed']} -> {c['passed']}")
-        for side in ("lhs", "rhs"):
+        for side in ("lhs", "rhs", "sum"):
+            if side not in p:
+                continue
             ps, cs = p[side], c[side]
             sides += 1
             identical += ps == cs
@@ -115,8 +154,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     recs = {"parent": records(args.parent.resolve()), "change": records(ROOT)}
+
+    def select(bare):
+        return [[r for r in recs[k] if ("term" in r) == bare] for k in ("parent", "change")]
+
     with mp.workdps(80):
-        summary, failed = compare(recs["parent"], recs["change"])
+        summary, failed = compare(*select(False))
+        summary["terms"], failed_terms = compare(*select(True))
+    failed = failed or failed_terms
     args.out.write_text(json.dumps({"summary": summary, **recs}, indent=1) + "\n")
     print(json.dumps(summary, indent=1))
     return 1 if failed else 0
