@@ -11,12 +11,14 @@ tail. The zeta/psi factor sits at v itself, so its series is the fixed
 Bernoulli expansion. The expansions multiply as truncated series, convolved
 only over the kept orders. Tail base sums are Hurwitz zetas and their
 log-weighted companions at one shared argument, taken together as one row of
-the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row).
+the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row). The
+whole outer sum is fixed point: Python ints in units of 2^-P, one P per
+shape, with every cut counted into the bound.
 
-An evaluation keeps its rows and its outer sums in one EvalCache: the outer
-sum of each atom shape (an atom without its coefficient) is formed once and
-scaled by the coefficient of every atom that has that shape. Nothing is kept
-between evaluations.
+An evaluation keeps its rows and its outer sums in one EvalCache: each row
+is built once, at its final length, and the outer sum of each atom shape (an
+atom without its coefficient) is formed once and scaled by the coefficient
+of every atom that has that shape. Nothing is kept between evaluations.
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -36,18 +38,21 @@ tail is bounded geometrically, so the cost is O(T) rather than O(T^2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .specfun import (
     DomainError,
     EvalResult,
     PrecisionContext,
     ZetaRow,
+    _signed_man_exp,
     bernoulli,
     euler_maclaurin_row,
     geometric_length,
@@ -144,47 +149,114 @@ def shift_value(shift, bval):
 # ---------------------------------------------------------------------------
 
 class EvalCache:
-    """Rows of special values and outer sums of atom shapes, for one evaluation.
+    """Rows of special values, tail expansions and outer sums of atom shapes,
+    for one evaluation.
 
     Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
     row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
-    per (a, phi), phi the fractional part of the exponent; rows at a real a
-    carry the log-weighted sums, since the tails that need zeta at an a
-    mostly need them too. A row too short for a request is rebuilt at least
-    twice as long.
+    per (a, phi), phi the fractional part of the exponent, and builds it once
+    at its final length: a tail row at the length every tail of the
+    precision asks for (_tail_order), with the log-weighted sums; any other
+    row two columns past the first column asked for, without them, since the
+    sums that ask for single columns at one a ask for nearby exponents. A row
+    too short for a request is rebuilt at least twice as long.
 
-    It also keeps, in sums, the coefficient-free outer sum of every atom
-    shape (slope, rpows, trans, u0, phase) that _sum_atom has summed: the
-    terms of one side, and the two sides of an identity, share many shapes
-    with different coefficients. Both live as long as the evaluation holds
-    the cache; nothing is kept between evaluations.
+    It also keeps the fixed-point expansions of the tail factors and the
+    scaled base sums of each tail row (base_sums), and, in sums, the
+    coefficient-free outer sum of every atom shape (slope, rpows, trans, u0,
+    phase) that _sum_atom has summed: the terms of one side, and the two
+    sides of an identity, share many shapes with different coefficients. All
+    of it lives as long as the evaluation holds the cache; nothing is kept
+    between evaluations.
     """
+
+    SPARE_COLUMNS = 3
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.rows = {}
         self.sums = {}
+        self.expansions = {}
+        self.bases = {}
 
-    def row(self, a, phi, r_hi: int) -> ZetaRow:
+    def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
+        """The row at (a, phi) with at least the columns 1..r_hi; a new row
+        gets spare columns more."""
+        logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
         row = self.rows.get((a, phi))
-        if row is None or row.r_hi < r_hi:
+        if row is None or row.r_hi < r_hi or (logs and row.logs is None):
+            r_hi += spare
             if row is not None:
                 r_hi = max(r_hi, 2 * row.r_hi)
-            cplx = isinstance(a, mpc) or (isinstance(a, complex) and a.imag)
-            row = euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=not cplx)
+                logs = logs or row.logs is not None
+            row = euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs)
             self.rows[(a, phi)] = row
         return row
 
     def zeta(self, s, a) -> EvalResult:
         r, phi = split_exponent(s)
-        return self.row(a, phi, r).zeta_at(r)
+        return self.row(a, phi, r, spare=self.SPARE_COLUMNS).zeta_at(r)
 
     def psi(self, a) -> EvalResult:
-        return self.row(a, 0, 1).psi()
+        return self.row(a, 0, 1, spare=self.SPARE_COLUMNS).psi()
 
     def log_zeta(self, r, a) -> EvalResult:
         r, phi = split_exponent(r)
-        return self.row(a, phi, r).log_zeta_at(r)
+        return self.row(a, phi, r, logs=True, spare=self.SPARE_COLUMNS).log_zeta_at(r)
+
+    def series(self, factor, R, v0, P):
+        """The fixed-point expansion of one tail factor about v0: ('pow', p,
+        delta), ('zeta', j) or ('psi',)."""
+        key = (factor, R, v0, P)
+        s = self.expansions.get(key)
+        if s is None:
+            if factor[0] == "pow":
+                s = _power_series(R, factor[1], factor[2], v0, P)
+            elif factor[0] == "zeta":
+                s = _zeta_series(R, factor[1], v0, P)
+            else:
+                s = _psi_series(R, v0, P)
+            self.expansions[key] = s
+        return s
+
+    def base_sums(self, abase, v0, phi, lam, R, P):
+        """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
+        series are, from the row at abase = U0 + gamma*/lam at working
+        precision: for r = 1..R+1, lam^-phi abase^r zeta(r + phi, abase) and
+        lam^-phi abase^r (log lam zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi)
+        log(k + abase)), each an (int, error) pair in units of 2^-P, the
+        error holding the row's bound, the cuts and the rounding of abase
+        against v0/lam (shapes at one shift share the row); (0, 0) where
+        r + phi <= 1."""
+        key = (abase, v0, phi, lam, R, P)
+        out = self.bases.get(key)
+        if out is None:
+            row = self.row(abase, phi, R + 1, logs=True)
+            B, L = [(0, 0)], [(0, 0)]
+            with mp.workprec(P + 20):
+                f = mpf(lam) ** -phi if phi else mpf(1)
+                ll = mp.log(lam)
+                rel = abs(abase * lam - v0) / v0
+                for r in range(1, R + 2):
+                    f *= abase
+                    if r + phi <= 1:
+                        B.append((0, 0))
+                        L.append((0, 0))
+                        continue
+                    z, lz = row.zeta_at(r), row.log_zeta_at(r)
+                    for dest, val, bnd in (
+                            (B, z.value, z.abs_error_bound),
+                            (L, ll * z.value + lz.value, ll * z.abs_error_bound + lz.abs_error_bound)):
+                        n = _fix(f * val, P)
+                        # f takes r + 1 roundings at P + 20 bits, the product one
+                        # more; moving the argument and the scale by rel moves
+                        # each sum by at most (2r + 3) rel (|it| + |its zeta part|)
+                        err = _fix(f * bnd, P) + ((abs(n) * (r + 3)) >> (P + 20)) + 2
+                        if rel:
+                            err += _fix((2 * r + 3) * rel * (abs(f * val) + abs(f * z.value)), P) + 1
+                        dest.append((n, err))
+            out = self.bases[key] = (B, L)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,140 +294,203 @@ class Atom:
     trans: tuple | None = None  # ('zeta', j, gamma_z) | ('psi', gamma_z)
 
 
+# ---------------------------------------------------------------------------
+# Fixed point: ints in units of 2^-P
+# ---------------------------------------------------------------------------
+#
+# An outer sum is summed in Python ints in units of 2^-P, with one P per
+# shape: the working precision plus _GUARD_BITS, raised until every shift of
+# the shape is an exact multiple of 2^-P. Products are summed exactly (in
+# units of 2^-2P) and cut once; every cut int division or shift, and every
+# mpf value taken into an int, is off by less than one unit, and the engine
+# carries a count of such units with each quantity into the bound.
+
+_GUARD_BITS = 8
+_LN2 = math.log(2)
+
+
+def _fix(x, P: int) -> int:
+    """x 2^P as an int, for an mpf x: off by less than 1."""
+    m, e = _signed_man_exp(mpf(x))
+    e += P
+    return m << e if e >= 0 else m >> -e
+
+
+def _unfix(n: int, P: int):
+    """The int n in units of 2^-P as an exact mpf."""
+    return mp.make_mpf(from_man_exp(n, -P))
+
+
+def _ceil_shift(n: int, P: int) -> int:
+    """ceil(n / 2^P) for n >= 0."""
+    return -((-n) >> P)
+
+
+def _shape_unit(shifts) -> int:
+    """P for a shape: the working precision plus guard bits, and at least the
+    number of fraction bits of every shift, so that every base is exact."""
+    P = mp.prec + _GUARD_BITS
+    for g in shifts:
+        if g:
+            P = max(P, -_signed_man_exp(mpf(g))[1])
+    return P
+
+
+def _exponent_parts(p):
+    """(floor(p), frac(p)) of an int, Fraction or mpf exponent; frac is 0 or an mpf."""
+    pm = mpf(p) if not isinstance(p, Fraction) else _frac_to_mp(p)
+    k = int(mp.floor(pm))
+    return k, (pm - k if pm != k else 0)
+
+
 class _Series:
-    """sum_r (a[r] + b[r] log v) v^-r with remainder items (coef, pow, haslog)."""
+    """sum_r (a[r] + b[r] log v) (v0/v)^r, for v >= v0, in fixed point.
 
-    __slots__ = ("R", "a", "b", "rem")
+    a[r] and b[r] are ints in units of 2^-P: the coefficients of v^-r scaled
+    by v0^-r, so they stay O(1) and fall with r, and scaling every
+    coefficient leaves the convolution unchanged. Each is within err units
+    of the exact coefficient, and none below index lo is nonzero. What the
+    series leaves out is at most (rem + rem_log log v) (v0/v)^(R+1) units.
+    b is None without logs; at most one factor of a product carries them.
+    """
 
-    def __init__(self, R):
-        self.R = R
-        self.a = [mpf(0)] * (R + 1)
-        self.b = [mpf(0)] * (R + 1)
-        self.rem = []
+    __slots__ = ("R", "P", "lo", "a", "b", "err", "rem", "rem_log")
 
-    def mul(self, other, v0):
-        """The product truncated after v^-R, valid for v >= v0.
+    def __init__(self, R, P, lo=0, logs=False):
+        self.R, self.P, self.lo = R, P, lo
+        self.a = [0] * (R + 1)
+        self.b = [0] * (R + 1) if logs else None
+        self.err = self.rem = self.rem_log = 0
 
-        Only the kept triangle i + j <= R is convolved. The dropped terms
-        i + j > R become remainder items at the power R + 1, bounded by
-        suffix sums in O(R):
+    def mul(self, other):
+        """The product truncated after index R.
 
-            sum_{i+j>R} |s_i||o_j| v0^(R+1-i-j)
-                = v0^(R+1) sum_i |s_i| v0^-i sum_{j>R-i} |o_j| v0^-j,
-
-        which by the triangle inequality is at least the dropped part's
-        sum_r |conv_r| v0^(R+1-r). Every power of v0 comes from one table.
+        Only the kept triangle i + j <= R is convolved; each kept coefficient
+        is summed exactly and cut once. The dropped pairs i + j > R are at
+        most |s_i||o_j| (v0/v)^(R+1) each for v >= v0, and their sum comes
+        from suffix sums in O(R). The kept part of a factor is at most
+        sum |a| + sum |b| log v for v >= v0, which bounds each remainder
+        times the other factor. Every modulus carries the coefficient's err.
         """
-        R = self.R
-        out = _Series(R)
-        ca, cb = out.a, out.b
-        # log^2 products never occur: at most one factor carries logs
-        oa = [(j, aj) for j, aj in enumerate(other.a) if aj]
-        ob = [(j, bj) for j, bj in enumerate(other.b) if bj]
-        for i, (ai, bi) in enumerate(zip(self.a, self.b)):
-            k = R - i
-            if ai:
-                for j, aj in oa:
-                    if j > k:
-                        break
-                    ca[i + j] += ai * aj
-                for j, bj in ob:
-                    if j > k:
-                        break
-                    cb[i + j] += ai * bj
-            if bi:
-                for j, aj in oa:
-                    if j > k:
-                        break
-                    cb[i + j] += bi * aj
-        inv = 1 / v0
-        pw = [mpf(1)]   # pw[r] = v0^-r
-        for _ in range(R + 1):
-            pw.append(pw[-1] * inv)
-        # suffix sums over j >= k of |o_j| v0^-j, without and with log
-        sa = [mpf(0)] * (R + 2)
-        sb = [mpf(0)] * (R + 2)
-        for j in range(R, -1, -1):
-            sa[j] = sa[j + 1] + abs(other.a[j]) * pw[j]
-            sb[j] = sb[j + 1] + abs(other.b[j]) * pw[j]
-        dropped = mpf(0)
-        dropped_log = mpf(0)
+        if self.b is not None:
+            if other.b is not None:
+                raise ShapeError("log^2 terms in an outer tail")
+            self, other = other, self   # the log-bearing factor second
+        R, P = self.R, self.P
+        logs = other.b is not None
+        out = _Series(R, P, self.lo + other.lo, logs)
+        pairs = [(other.a, out.a)] + ([(other.b, out.b)] if logs else [])
+        for y, acc in pairs:
+            nz = [(j, yj) for j, yj in enumerate(y) if yj]
+            for i, xi in enumerate(self.a):
+                if xi:
+                    k = R - i
+                    for j, yj in nz:
+                        if j > k:
+                            break
+                        acc[i + j] += xi * yj
+            acc[:] = [c >> P for c in acc]
+        e, oe = self.err, other.err
+        sa = self.moduli(self.a)
+        oa = other.moduli(other.a)
+        ob = other.moduli(other.b) if logs else [0] * (R + 1)
+        AS, AO, BO = sum(sa), sum(oa), sum(ob)
+        out.err = _ceil_shift(e * (AO + BO) + oe * AS + (R + 1) * e * oe, P) + 1
+        # the pairs (i, j > R - i): suffix sums of the other factor's moduli
+        dropped = dropped_log = 0
+        fa = fb = 0
         for i in range(1, R + 1):
-            ai = abs(self.a[i]) * pw[i]
-            bi = abs(self.b[i]) * pw[i]
-            k = R + 1 - i
-            dropped += ai * sa[k]
-            dropped_log += ai * sb[k] + bi * sa[k]
-        if dropped:
-            out.rem.append((dropped / pw[R + 1], R + 1, False))
-        if dropped_log:
-            out.rem.append((dropped_log / pw[R + 1], R + 1, True))
-        # cross remainders: |P| and |rho| envelopes at v >= v0
-        lv = mp.log(v0)
-        sup_self = self._sup(pw, lv)
-        sup_other = other._sup(pw, lv)
-        for (c, p, lg) in self.rem:
-            out.rem.append((c * sup_other, p, lg))
-        for (c, p, lg) in other.rem:
-            out.rem.append((c * sup_self, p, lg))
-        for (c1, p1, lg1) in self.rem:
-            for (c2, p2, lg2) in other.rem:
-                p = min(p1, p2)
-                out.rem.append((c1 * c2 * (pw[p] if p <= R + 1 else v0 ** (-p)),
-                                max(p1, p2), lg1 or lg2))
+            fa += oa[R + 1 - i]
+            fb += ob[R + 1 - i]
+            dropped += sa[i] * fa
+            dropped_log += sa[i] * fb
+        out.rem = _ceil_shift(self.rem * AO + other.rem * AS + self.rem * other.rem + dropped, P)
+        out.rem_log = _ceil_shift(self.rem * BO + other.rem_log * AS + self.rem * other.rem_log
+                                  + dropped_log, P)
         return out
 
-    def _sup(self, pw, lv):
-        """sup over v >= v0 of |the kept part|, from pw[r] = v0^-r and lv = log v0."""
-        s = mpf(0)
-        for r in range(self.R + 1):
-            s += (abs(self.a[r]) + abs(self.b[r]) * lv) * pw[r]
-        return s
+    def moduli(self, coefs):
+        """|c_r| + err from index lo on, 0 below it."""
+        return [abs(c) + self.err if r >= self.lo else 0 for r, c in enumerate(coefs)]
+
+    def value_at_v0(self, log_v0):
+        """(the series at v = v0, its error in units); log_v0 is (int, err)."""
+        L, eL = log_v0
+        n = self.R + 1 - self.lo
+        val = sum(self.a)
+        err = self.err * n + self.rem + 1
+        if self.b is not None:
+            sb = sum(self.b)
+            val += (sb * L) >> self.P
+            err += _ceil_shift((self.err * n) * (abs(L) + eL) + abs(sb) * eL
+                               + self.rem_log * (abs(L) + eL), self.P) + 1
+        return val, err
 
 
-def _power_series(R, p, delta, v0):
-    """(v + delta)^(-p) = sum_r C(-p, r) delta^r v^-(p+r), expanded in v^-1.
+def _power_series(R, p, delta, v0, P):
+    """(v + delta)^(-p) = v^-frac(p) sum_r C(-p, r) delta^r v^-(floor(p)+r), scaled.
 
-    The coefficients come from the whole exponent p. Index floor(p) + r
-    stands for v^-(floor(p)+r) times v^-frac(p); the row that sums the
-    series carries frac(p), so an atom may hold one fractional exponent.
-    Powers above R become remainder items, and the binomial tail after
-    R + 1 terms is bounded geometrically in |delta|/v0.
+    The coefficients come from the whole exponent p: index floor(p) + r holds
+    C(-p, r) delta^r v0^-(floor(p)+r), and the row that sums the tail carries
+    frac(p), so an atom may hold one fractional exponent. Each coefficient
+    follows from the last as t (p + r)/(r + 1) (-delta/v0), two cut int
+    steps. Past index R the binomial tail is bounded geometrically, in
+    q = |delta|/v0 max(1, (p + r)/(r + 1)).
     """
-    s = _Series(R)
-    pm = mpf(p)
-    base = int(mp.floor(pm))
-    term = mpf(1)
-    for r in range(0, R + 1):
-        _put(s, term, base + r, v0)
-        nxt = term * (-(pm + r)) / (r + 1) * delta
-        if nxt == 0:
+    k, _ = _exponent_parts(p)
+    pq = Fraction(p) if isinstance(p, (int, Fraction)) else _mpf_fraction(p)
+    pn, pd = pq.numerator, pq.denominator
+    s = _Series(R, P, lo=k)
+    with mp.workprec(P + 20):
+        t = _fix(mpf(v0) ** (-k), P)
+        D = _fix(mpf(delta) / v0, P)
+    e, eD = 2, (2 if delta else 0)
+    r = 0
+    while k + r <= R:
+        s.a[k + r] = t
+        s.err = max(s.err, e)
+        if not delta:
             return s
-        term = nxt
-    ratio = abs(mpf(delta)) / v0
-    if ratio >= 1:
+        e = ((e * (abs(D) + eD) + abs(t) * eD) >> P) + 2
+        t = (t * D) >> P
+        num, den = -(pn + r * pd), pd * (r + 1)
+        e = (e * abs(num)) // den + 2
+        t = (t * num) // den
+        r += 1
+    num, den = abs(pn + r * pd), pd * (r + 1)
+    Q = -((-(abs(D) + eD) * max(num, den)) // den)     # ceil of q in units
+    if Q >= 1 << P:
         raise ShapeError("outer tail starts inside the expansion radius")
-    s.rem.append((abs(term) / (1 - ratio), R + 1, False))
+    s.rem = -((-(abs(t) + e) << P) // ((1 << P) - Q))
     return s
 
 
-def _put(s, coef, power, v0):
-    """Add coef v^-power to s; a power above R becomes a remainder item."""
-    if power <= s.R:
-        s.a[power] += coef
-    else:
-        s.rem.append((abs(coef) * v0 ** (s.R + 1 - power), s.R + 1, False))
+def _mpf_fraction(x):
+    """An mpf as the exact Fraction it holds."""
+    m, e = _signed_man_exp(mpf(x))
+    return Fraction(m) * Fraction(2) ** e
 
 
-def _bernoulli_tail(s, v0, terms):
-    """Add the Euler-Maclaurin terms (coef, power), powers rising, up to
-    v^-(R+1). The expansion envelopes its sum for real v > 0, so twice the
-    first term past v^-(R+1) bounds all that is left out."""
-    for coef, power in terms:
-        if power > s.R + 1:
-            s.rem.append((2 * abs(coef) * v0 ** (s.R + 1 - power), s.R + 1, False))
-            return s
-        _put(s, coef, power, v0)
+def _expansion_series(R, P, v0, terms, lo, logs=False):
+    """A series from expansion terms (index, mpf coefficient), indices rising.
+
+    Terms up to index R are kept, scaled by v0^-index; the term at R + 1 is
+    a remainder item, and the expansion envelopes its sum for real v > 0, so
+    twice the first term past R + 1 bounds all that is left out.
+    """
+    s = _Series(R, P, lo=lo, logs=logs)
+    s.err = 2
+    with mp.workprec(P + 20):
+        inv = 1 / mpf(v0)
+        for n, c in terms:
+            t = abs(_fix(c * inv ** n, P)) + 1 if n > R else _fix(c * inv ** n, P)
+            if n <= R:
+                s.a[n] += t
+            elif n == R + 1:
+                s.rem += t
+            else:
+                s.rem += 2 * t
+                return s
 
 
 def _b2(r):
@@ -364,57 +499,151 @@ def _b2(r):
     return mpf(b.numerator) / b.denominator
 
 
-def _zeta_series(R, j, v0):
-    """zeta(j, v), j an integer >= 2, expanded about v = infinity:
+def _zeta_series(R, j, v0, P):
+    """zeta(j, v) about v = infinity, for real j > 1:
 
-        v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1).
+        v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1),
+
+    index n standing for v^-(n + frac(j)); the row that sums the tail
+    carries frac(j).
     """
-    s = _Series(R)
-    _put(s, 1 / mpf(j - 1), j - 1, v0)
-    _put(s, mpf(1) / 2, j, v0)
-    terms = ((_b2(r) / math.factorial(2 * r) * math.prod(range(j, j + 2 * r - 1)),  # (j)_(2r-1)
-              j + 2 * r - 1) for r in itertools.count(1))
-    return _bernoulli_tail(s, v0, terms)
+    k, _ = _exponent_parts(j)
+    jm = _frac_to_mp(j) if isinstance(j, Fraction) else mpf(j)
+
+    def terms():
+        yield k - 1, 1 / (jm - 1)
+        yield k, mpf(1) / 2
+        poch, fact = jm, mpf(2)        # (j)_(2r-1) and (2r)!
+        for r in itertools.count(1):
+            yield k + 2 * r - 1, _b2(r) / fact * poch
+            poch *= (jm + 2 * r - 1) * (jm + 2 * r)
+            fact *= (2 * r + 1) * (2 * r + 2)
+
+    with mp.workprec(P + 20):
+        return _expansion_series(R, P, v0, terms(), k - 1)
 
 
-def _psi_series(R, v0):
+def _psi_series(R, v0, P):
     """psi(v) = log v - 1/(2v) - sum_{r>=1} B_2r/(2r) v^-2r about v = infinity."""
-    s = _Series(R)
-    s.b[0] = mpf(1)  # log v
-    _put(s, -mpf(1) / 2, 1, v0)
-    terms = ((-(_b2(r) / (2 * r)), 2 * r) for r in itertools.count(1))
-    return _bernoulli_tail(s, v0, terms)
+    def terms():
+        yield 1, -mpf(1) / 2
+        for r in itertools.count(1):
+            yield 2 * r, -_b2(r) / (2 * r)
+
+    with mp.workprec(P + 20):
+        s = _expansion_series(R, P, v0, terms(), 0, logs=True)
+    s.b[0] = 1 << P     # log v, exactly
+    return s
+
+
+# ---------------------------------------------------------------------------
+# Choosing the tail: R per precision, the tail start from both remainders
+# ---------------------------------------------------------------------------
+
+def _tail_order(prec: int) -> int:
+    """R, the last kept power of an Euler-Maclaurin outer tail, per working
+    precision. Every shape at one precision keeps the same R, so every tail
+    row at one argument has the same length and is built once."""
+    return prec // 7 + 2
+
+
+@functools.lru_cache(maxsize=None)
+def _log2_b2(r: int) -> float:
+    """log2 |B_2r|/(2r)!."""
+    b = bernoulli(2 * r)
+    return math.log2(abs(b.numerator)) - math.log2(b.denominator) - math.lgamma(2 * r + 1) / _LN2
+
+
+def _expansion_log2(kind, j=None):
+    """(index, log2 |coefficient|) of the zeta(j)/psi expansion, indices rising."""
+    if kind == "psi":
+        yield 1, -1.0
+        for r in itertools.count(1):
+            yield 2 * r, _log2_b2(r) + math.lgamma(2 * r) / _LN2
+    else:
+        jf = float(j)
+        k = math.floor(jf)
+        yield k - 1, -math.log2(jf - 1)
+        yield k, -1.0
+        for r in itertools.count(1):
+            yield k + 2 * r - 1, _log2_b2(r) + (math.lgamma(jf + 2 * r - 1) - math.lgamma(jf)) / _LN2
+
+
+def _expansion_need(kind, j, R, P) -> float:
+    """The least v0 at which the expansion, cut after index R, leaves out
+    less than 2^-(P+4)."""
+    need = 0.0
+    for n, c in _expansion_log2(kind, j):
+        if n == R + 1:
+            need = max(need, (c + P + 4) / n)
+        elif n > R + 1:
+            return 2 ** max(need, (c + 1 + P + 4) / n)
+
+
+def _binomial_need(p, delta, R, P) -> float:
+    """The least v0 at which (v + delta)^-p, cut after index R, leaves out
+    less than 2^-(P+4), with q <= 1/2."""
+    pf = float(p)
+    k = math.floor(pf)
+    if not delta:
+        return 2 ** ((P + 5) / k) if k > R else 0.0
+    rs = max(R + 1 - k, 0)
+    lc = (math.lgamma(pf + rs) - math.lgamma(pf) - math.lgamma(rs + 1)) / _LN2
+    d = abs(float(delta))
+    need = 2 ** ((lc + rs * math.log2(d) + P + 5) / (k + rs))
+    return max(need, 2 * d * max(1.0, (pf + rs) / (rs + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_start(R: int, P: int) -> float:
+    """v0 at which the psi and every zeta(j), j = 2..8, expansion meets the
+    target after index R: the tail start of most shapes, so that shapes at
+    one shift share it and their tail rows."""
+    return max([_expansion_need("psi", None, R, P)]
+               + [_expansion_need("zeta", j, R, P) for j in range(2, 9)])
 
 
 # ---------------------------------------------------------------------------
 # Outer summation of one atom
 # ---------------------------------------------------------------------------
 
-def _trans_table(trans, slope, u0, U0, cache):
-    """Values of Z(slope*u + gamma) for u in [u0, U0) by one-step recurrence.
+def _trans_table(trans, slope, u0, U0, top, P):
+    """Z(slope*u + gamma) for u in [u0, U0) as ints in units of 2^-P.
 
-    Z is zeta(j, .), with j an int, a Fraction or an mpf, or psi; the table
-    runs down from the one value taken from the cache at u = U0 - 1.
+    Z is zeta(j, .), j an int, a Fraction or an mpf, or psi. The table runs
+    down from top, Z at u = U0, by the exact recurrences zeta(j, a) =
+    zeta(j, a+1) + a^-j and psi(a) = psi(a+1) - 1/a; each new power is one
+    cut int division (times a cut mpf power for a fractional j). Returns the
+    values and, for each, the units it may be off by beyond top's own error.
     """
-    kind = trans[0]
-    gz = trans[-1]
-    a = slope * (U0 - 1) + gz
+    kind, gz = trans[0], trans[-1]
+    one = 1 << P
+    A = (slope * U0) * one + _fix(gz, P)     # exact: P holds every shift
     if kind == "zeta":
-        j = trans[1]
-        if isinstance(j, Fraction):
-            j = _num_exp(j)
-        cur = cache.zeta(j, a)
-    else:
-        cur = cache.psi(a)
-    vals = [None] * (U0 - u0)
-    val = cur.value
-    vals[U0 - 1 - u0] = val
-    for u in range(U0 - 2, u0 - 1, -1):
+        ji, frac = _exponent_parts(trans[1])
+        num = 1 << (P * (ji + 1))
+    n = U0 - u0
+    vals, errs = [0] * n, [0] * n
+    val, err = top, 0
+    for i in range(n - 1, -1, -1):
         for _ in range(slope):
-            a = a - 1
-            val = val + a ** (-j) if kind == "zeta" else val - 1 / a
-        vals[u - u0] = val
-    return vals, cur.abs_error_bound
+            A -= one
+            if not A or (A < 0 and kind == "zeta" and frac):
+                raise ShapeError("zeta/psi argument at a pole or fractional power of a negative")
+            if kind == "psi":
+                val -= (one << P) // A
+                err += 1
+            elif not frac:
+                val += num // A ** ji
+                err += 1
+            else:
+                t = num // A ** ji
+                with mp.workprec(P + 20):
+                    F = _fix(_unfix(A, P) ** -frac, P)
+                val += (t * F) >> P
+                err += ((abs(t) * 2 + abs(F)) >> P) + 2
+        vals[i], errs[i] = val, err
+    return vals, errs
 
 
 def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
@@ -423,7 +652,8 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
     (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
     without atom.coef depends on the atom's shape alone, so the cache sums
-    each shape once per evaluation and scales it by each atom's coefficient.
+    each shape once per evaluation and scales it by each atom's coefficient;
+    the product is one more rounding at working precision.
     """
     key = (atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = cache.sums.get(key)
@@ -433,110 +663,167 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
         else:
             shape_sum = _sum_atom_geometric(atom, u0, *phase, cache, ctx)
         cache.sums[key] = shape_sum
-    return atom.coef.times(shape_sum)
+    out = atom.coef.times(shape_sum)
+    out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
+    return out
 
 
 def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalResult:
     """sum_{u>=u0} phase(u) * atom(u) / atom.coef: a direct block up to U0,
-    then a tail.
+    then a tail, summed in ints in units of 2^-P.
 
-    Without a phase the tail comes from the atom's expansion in inverse powers
-    of u. With the geometric phase (X, x0), x0 * X^u and |X| < 1, the block
-    runs until |X|^u underflows the target and the tail is bounded
-    geometrically, assuming |atom| falls with u.
+    Every factor is expanded in inverse powers of v = slope*u + gamma*, at
+    the zeta/psi shift gamma*, cut after the power R of the precision
+    (_tail_order). U0 is the least start at which those expansions leave
+    out less than 2^-(P+4), taken from the start shared by most shapes
+    (_standard_start), doubled as needed. Without a phase the expansions
+    make the tail, whose base sums are one row at abase = U0 + gamma*/slope.
+    With the geometric phase (X, x0), x0 * X^u and |X| < 1, the block runs
+    on at least until |X|^u underflows the target, and the tail is bounded
+    geometrically, assuming |atom| falls with u. Either way a zeta/psi
+    factor is tabled down from its own expansion at U0.
     """
-    lam = atom.slope
-    if phase is None:
-        U0 = u0 + max(64, int(0.6 * ctx.dps) + 10)
-        # the expansion about v = lam*u + gamma_star, at the zeta/psi shift,
-        # needs v0 >= 2 max|delta| + 8
-        gamma_star = atom.trans[-1] if atom.trans else atom.rpows[0][0]
-        v0 = lam * U0 + gamma_star
-        if v0 <= 0:
-            raise ShapeError("tail starts at a nonpositive argument")
-        max_delta = max([abs(mpf(g) - gamma_star) for (g, _) in atom.rpows] + [mpf(0)])
-        while v0 < 2 * max_delta + 8:
-            U0 = max(U0 + 8, int((2 * max_delta + 8 - gamma_star) / lam) + 1)
-            v0 = lam * U0 + gamma_star
-    else:
-        X, x0 = phase
-        r = abs(X)
-        if r >= 1:
-            raise ShapeError("geometric path needs |X| < 1")
-        cut = int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(r))))
-        U0 = u0 + geometric_length(cut + 4) + 1
-    tvals, tbnd = (None, mpf(0))
-    if atom.trans is not None:
-        tvals, tbnd = _trans_table(atom.trans, lam, u0, U0, cache)
-    total = mpf(0)
-    xp = None if phase is None else x0 * X ** u0
-    for u in range(u0, U0):
-        val = mpf(1)
-        for (g, p) in atom.rpows:
-            val = val * (lam * u + g) ** (-p)
-        if tvals is not None:
-            val = val * tvals[u - u0]
-        if xp is None:
-            total = total + val
-        else:
-            total = total + xp * val
-            xp = xp * X
-    if phase is not None:
-        tail_bound = abs(xp) * abs(val) / (1 - r) * 2
-        bound = tail_bound + tbnd * (U0 - u0) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-        return EvalResult(total, bound, "direct_tail")
-    direct_bound = tbnd * (U0 - u0 + 1) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-    R = max(36, int(ctx.dps * 2.303 / mp.log(v0 / max(max_delta, mpf(1)))) + 8)
+    lam, trans = atom.slope, atom.trans
+    gamma_star = mpf(trans[-1] if trans else atom.rpows[0][0])
+    P = _shape_unit([g for (g, _) in atom.rpows] + ([trans[-1]] if trans else []))
     # one fractional exponent per atom; the row that sums the tail carries it
-    fracs = [mpf(p) - mp.floor(p) for (_, p) in atom.rpows if mpf(p) != mp.floor(p)]
+    fracs = [f for f in [_exponent_parts(p)[1] for (_, p) in atom.rpows]
+             + ([_exponent_parts(trans[1])[1]] if trans and trans[0] == "zeta" else []) if f]
     if len(fracs) > 1:
         raise ShapeError("more than one fractional outer exponent")
-    frac_extra = fracs[0] if fracs else mpf(0)
+    phi = fracs[0] if fracs else 0
+    kind = trans[0] if trans else None
+    j = trans[1] if kind == "zeta" else None
+    R = _tail_order(mp.prec)
+    U0 = u0
+    if phase is None or trans:
+        # the expansions at v0: the zeta/psi factor's starts the table, and
+        # without a phase every factor's makes the tail
+        need = max([_expansion_need(kind, j, R, P) if trans else 0.0]
+                   + [_binomial_need(p, mpf(g) - gamma_star, R, P)
+                      for (g, p) in (atom.rpows if phase is None else ())])
+        V = _standard_start(R, P)
+        while V < need:
+            V *= 2
+        U0 = max(u0, math.ceil((V - float(gamma_star)) / lam))
+        while lam * U0 + gamma_star < need:
+            U0 += 1
+    if phase is not None:
+        X, x0 = phase
+        if abs(X) >= 1:
+            raise ShapeError("geometric path needs |X| < 1")
+        cut = int(mp.ceil((ctx.dps + 6) * mp.log(10) / (-mp.log(abs(X)))))
+        U0 = max(U0, u0 + geometric_length(cut + 4) + 1)
+    with mp.workprec(P + 20):
+        v0 = lam * U0 + gamma_star      # exact: P holds every shift
+    zs, ztab = None, None
+    if trans:
+        zs = cache.series(("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
+        with mp.workprec(P + 20):
+            log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
+            top, top_err = zs.value_at_v0(log_v0)
+            jfrac = _exponent_parts(j)[1] if kind == "zeta" else 0
+            if jfrac:   # the series stands for v^-frac(j) times its sum
+                F = _fix(v0 ** -jfrac, P)
+                top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
+        ztab = (_trans_table(trans, lam, u0, U0, top, P), top_err)
+    total, err2, last = _direct_block(atom, u0, U0, P, ztab, phase)
+    if phase is not None:
+        X, x0 = phase
+        xp_abs, term_abs = last
+        tail_bound = _unfix(xp_abs * term_abs, 2 * P) / (1 - abs(X)) * 2
+        value = _unfix(total[0], 2 * P) if not total[1] else \
+            mpc(_unfix(total[0], 2 * P), _unfix(total[1], 2 * P))
+        return EvalResult(value, tail_bound + _unfix(err2 + 1, 2 * P), "direct_tail")
     series = None
     for (g, p) in atom.rpows:
-        piece = _power_series(R, p, mpf(g) - gamma_star, v0)
-        series = piece if series is None else series.mul(piece, v0)
-    if atom.trans is not None:
-        kind = atom.trans[0]
-        piece = _zeta_series(R, atom.trans[1], v0) if kind == "zeta" else _psi_series(R, v0)
-        series = piece if series is None else series.mul(piece, v0)
-    # base sums: sum_{u>=U0} v^-(r+frac_extra) and the log-weighted companion,
-    # all from one row at abase (remainder powers are R + 1)
-    tail = mpf(0)
-    tail_bound = mpf(0)
-    abase = U0 + gamma_star / lam
-    top = max([R + 1] + [p for (c, p, _) in series.rem if c])
-    row = cache.row(abase, frac_extra if frac_extra else 0, top)
-    for r in range(R + 1):
-        ar, br = series.a[r], series.b[r]
-        if ar == 0 and br == 0:
-            continue
-        rp = r + frac_extra
-        if rp <= 1:
-            raise ShapeError("divergent outer tail")
-        zr = row.zeta_at(r)
-        base = lam ** (-mpf(rp)) * zr.value
-        tail = tail + ar * base
-        tail_bound = tail_bound + abs(ar) * lam ** (-mpf(rp)) * zr.abs_error_bound
-        if br != 0:
-            lz = row.log_zeta_at(r)
-            logbase = lam ** (-mpf(rp)) * (mp.log(lam) * zr.value + lz.value)
-            tail = tail + br * logbase
-            tail_bound = tail_bound + abs(br) * lam ** (-mpf(rp)) * (
-                mp.log(lam) * zr.abs_error_bound + lz.abs_error_bound)
-    for (c, p, lg) in series.rem:
-        if c == 0:
-            continue
-        pr = p + frac_extra
-        zr = row.zeta_at(p)
-        extra = c * lam ** (-mpf(pr)) * abs(zr.value)
-        if lg:
-            lz = row.log_zeta_at(p)
-            extra += c * lam ** (-mpf(pr)) * (abs(mp.log(lam)) * abs(zr.value) + abs(lz.value))
-        tail_bound = tail_bound + extra
-    out_val = total + tail
-    bound = direct_bound + tail_bound + abs(out_val) * mpf(10) ** (-(ctx.dps + 2))
-    return EvalResult(out_val, bound, "euler_maclaurin")
+        piece = cache.series(("pow", p, mpf(g) - gamma_star), R, v0, P)
+        series = piece if series is None else series.mul(piece)
+    if zs is not None:
+        series = zs if series is None else series.mul(zs)
+    if series.lo + phi <= 1:
+        raise ShapeError("divergent outer tail")
+    B, L = cache.base_sums(U0 + gamma_star / lam, v0, phi, lam, R, P)
+    tail, terr = 0, 0
+    e = series.err
+    for r in range(series.lo, R + 1):
+        (zr, ez), ar = B[r], series.a[r]
+        tail += ar * zr
+        terr += abs(ar) * ez + e * (abs(zr) + ez)
+        if series.b is not None:
+            (lr, el), br = L[r], series.b[r]
+            tail += br * lr
+            terr += abs(br) * el + e * (abs(lr) + el)
+    (zr, ez), (lr, el) = B[R + 1], L[R + 1]
+    terr += series.rem * (abs(zr) + ez) + series.rem_log * (abs(lr) + el)
+    return EvalResult(_unfix(total + tail, 2 * P), _unfix(err2 + terr + 1, 2 * P),
+                      "euler_maclaurin")
+
+
+def _direct_block(atom, u0, U0, P, ztab, phase):
+    """sum_{u0 <= u < U0} phase(u) prod_i (slope*u + g_i)^-p_i Z(u), in units
+    of 2^-2P: (total, its error, last) with total a pair (re, im) under a
+    phase, and last = (|phase(U0)|, |last term|) in units of 2^-P.
+
+    The integer parts of the powers make one cut division per u,
+    2^(P(1 + sum p)) // prod W_i^p_i with W_i the exact bases in units; a
+    fractional part is one cut mpf power. The phase advances by one complex
+    multiplication per u, its error carried along.
+    """
+    lam, one = atom.slope, 1 << P
+    bases, ptot, frac_i, frac = [], 0, None, 0
+    for i, (g, p) in enumerate(atom.rpows):
+        k, f = _exponent_parts(p)
+        bases.append([(lam * u0) * one + _fix(g, P), k])
+        ptot += k
+        if f:
+            frac_i, frac = i, f
+    num = 1 << (P * (1 + ptot))
+    step = lam * one
+    (zvals, zerrs), ztop = ztab if ztab is not None else ((None, None), 0)
+    total = err2 = 0
+    if phase is not None:
+        X, x0 = phase
+        with mp.workprec(P + 20):
+            Xc, xp = mpc(X), mpc(x0) * mpc(X) ** u0
+            Xr, Xi, xr, xi = (_fix(mp.re(Xc), P), _fix(mp.im(Xc), P),
+                              _fix(mp.re(xp), P), _fix(mp.im(xp), P))
+        eX, ex = 1, 2
+        Xabs = math.isqrt(Xr * Xr + Xi * Xi) + 2
+        ti = T = eT = 0
+    for n in range(U0 - u0):
+        den = 1
+        for b in bases:
+            den *= b[0] ** b[1]
+            b[0] += step
+        if not den:
+            raise ShapeError("outer factor vanishes in the direct block")
+        M, eM = num // den, 1
+        if frac:
+            W = bases[frac_i][0] - step
+            if W <= 0:
+                raise ShapeError("fractional power of a nonpositive outer base")
+            with mp.workprec(P + 20):
+                F = _fix(_unfix(W, P) ** -frac, P)
+            M, eM = (M * F) >> P, ((abs(M) * 2 + abs(F)) >> P) + 2
+        if zvals is None:
+            T, eT = M << P, eM << P
+        else:
+            Z, eZ = zvals[n], zerrs[n] + ztop
+            T, eT = M * Z, eM * abs(Z) + abs(M) * eZ + eM * eZ
+        if phase is None:
+            total += T
+            err2 += eT
+        else:
+            T, eT = T >> P, (eT >> P) + 2
+            total += T * xr
+            ti += T * xi
+            err2 += abs(T) * ex + eT * (abs(xr) + abs(xi))
+            ex = ((ex * Xabs + (abs(xr) + abs(xi)) * eX) >> P) + 2
+            xr, xi = (xr * Xr - xi * Xi) >> P, (xr * Xi + xi * Xr) >> P
+    if phase is None:
+        return total, err2, None
+    return (total, ti), err2, (abs(xr) + abs(xi) + ex, abs(T) + eT)
 
 
 def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
@@ -790,8 +1077,10 @@ def _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO, lam_i, lam_o, t0, cache):
         # pure inner factor: constant zeta(eI, t0 + aI)
         mk(one.times(cache.zeta(_frac_to_mp(eI), t0 + aI)), [], None)
         return atoms
-    # two-pole case
+    # two-pole case; the longest column first, so that its row is built once
     e, q = int(eI), int(q)
+    if e > 1:
+        cache.zeta(e, t0 + aI)
     A, B = two_pole_coeffs(e, q)
     for i in range(2, e + 1):
         zc = cache.zeta(i, t0 + aI)
@@ -1107,5 +1396,5 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
             else:
                 terms.append((const * lam_e, a))
         if terms:
-            total = total + periodic_zeta_sum(terms, e, ctx)
+            total = total + periodic_zeta_sum(terms, e, ctx, rows=cache)
         return EvalResult(total.value, total.abs_error_bound, total.method)

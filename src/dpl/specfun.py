@@ -529,21 +529,26 @@ def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
 
 
-def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
+def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, rows=None) -> EvalResult:
     """sum_r w_r zeta(s, a_r) over the pairs (w_r, a_r) of terms.
 
     A sum sum_n w(n) (n+b)^-s with a periodic weight, split into its residue
     classes, takes this form. At s = 1 each zeta(s, a_r) has the pole
     1/(s-1) - psi(a_r) + O(s-1), so the sum converges exactly when the
     weights cancel, and is then -sum_r w_r psi(a_r); otherwise DomainError.
+    rows, when given, supplies the values by its zeta(s, a) and psi(a) (as
+    reduction.EvalCache does, from rows shared with the rest of an
+    evaluation); else hurwitz_zeta and digamma do.
     """
     with ctx.workdps():
+        zeta = rows.zeta if rows is not None else (lambda s_, a: hurwitz_zeta(s_, a, ctx))
+        psi = rows.psi if rows is not None else (lambda a: digamma(a, ctx))
         if _to_mp(s) == 1:
             if abs(sum(w for (w, _) in terms)) > ctx.eps * sum(abs(w) for (w, _) in terms):
                 raise DomainError("divergent sum at s = 1: the class weights do not cancel")
-            parts = [digamma(a, ctx).scale(-w) for (w, a) in terms]
+            parts = [psi(a).scale(-w) for (w, a) in terms]
         else:
-            parts = [hurwitz_zeta(s, a, ctx).scale(w) for (w, a) in terms]
+            parts = [zeta(s, a).scale(w) for (w, a) in terms]
         return result_sum(parts, method="reduction")
 
 

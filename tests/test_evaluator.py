@@ -29,7 +29,15 @@ from dpl.evaluator import (
     side_evaluator,
 )
 from dpl.registry import registry_get
-from dpl.reduction import ClassPlan, EvalCache, XSpec, _trans_table, eval_inner_closed
+from dpl.reduction import (
+    ClassPlan,
+    EvalCache,
+    XSpec,
+    _fix,
+    _trans_table,
+    _unfix,
+    eval_inner_closed,
+)
 from dpl.specfun import CHI3, CHI4, DomainError, PrecisionContext, dirichlet_L, polylog
 from dpl.termlang import SingleSumTerm, bind_term
 
@@ -214,13 +222,22 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
         assert abs(r.value - ref) <= r.abs_error_bound
 
 
-def test_trans_table_fractional_zeta_order():
-    # zeta(3/2, 5/4 + 2u) for u in [1, 6), from one cached value at u = 5
+@pytest.mark.parametrize("trans", [("zeta", Fraction(3, 2), mpf(5) / 4), ("zeta", 3, mpf(5) / 4),
+                                   ("psi", mpf(5) / 4)], ids=["zeta-3/2", "zeta-3", "psi"])
+def test_trans_table_within_its_units(trans):
+    # Z(5/4 + 2u) for u in [1, 6) in units of 2^-P, run down from the value
+    # at u = 6: each within its own units of mpmath
+    def ref(a):
+        return mpmath.psi(0, a) if trans[0] == "psi" else mpmath.zeta(mpmath.mpmathify(trans[1]), a)
+
     with CTX.workdps():
-        vals, _ = _trans_table(("zeta", Fraction(3, 2), mpf(5) / 4), 2, 1, 6,
-                               EvalCache(CTX))
-        for u, v in zip(range(1, 6), vals):
-            assert abs(v - mpmath.zeta(mpf(3) / 2, mpf(5) / 4 + 2 * u)) < mpf("1e-55")
+        P = mp.prec + 8
+        with mp.workdps(CTX.dps + 40):
+            top = _fix(ref(mpf(5) / 4 + 12), P)
+        vals, errs = _trans_table(trans, 2, 1, 6, top, P)
+    with mp.workdps(CTX.dps + 40):
+        for u, v, e in zip(range(1, 6), vals, errs):
+            assert abs(_unfix(v, P) - ref(mpf(5) / 4 + 2 * u)) <= _unfix(e + 1, P)
 
 
 # ---------------------------------------------------------------------------
@@ -935,43 +952,53 @@ def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch):
     assert (first.value, first.abs_error_bound) == (again.value, again.abs_error_bound)
 
 
-def _random_series(rng, R, logs, rem_log):
+SERIES_P = 200
+
+
+def _random_series(rng, R, logs):
+    """A fixed-point series with O(1) falling coefficients, some err and
+    remainder units, and logs when asked for."""
     from dpl.reduction import _Series
 
-    s = _Series(R)
-    for r in range(R + 1):
-        s.a[r] = mpf(rng.uniform(-3, 3)) * mpf(rng.uniform(0.5, 2)) ** r
+    one = 1 << SERIES_P
+    s = _Series(R, SERIES_P, lo=rng.choice([0, 1, 2]), logs=logs)
+    for r in range(s.lo, R + 1):
+        s.a[r] = int(rng.uniform(-3, 3) * rng.uniform(0.3, 0.8) ** r * one)
         if logs and rng.random() < 0.6:
-            s.b[r] = mpf(rng.uniform(-2, 2))
-    s.rem = [(mpf(rng.uniform(0, 1e-3)), R + 1, False), (mpf(rng.uniform(0, 1e-3)), R + 2, False)]
-    if rem_log:
-        s.rem.append((mpf(rng.uniform(0, 1e-3)), R + 1, True))
+            s.b[r] = int(rng.uniform(-2, 2) * 0.5 ** r * one)
+    s.a[rng.randrange(s.lo, R + 1)] = 0     # mixed signs with some exact zeros
+    s.err = rng.randrange(1, 50)
+    s.rem = int(rng.uniform(0, 1e-3) * one)
+    s.rem_log = int(rng.uniform(0, 1e-3) * one) if logs else 0
     return s
 
 
-def _full_convolution(s, o):
-    """Every product a_i a_j, a_i b_j and b_i a_j of two series, in one
-    O(R^2) loop over all index pairs."""
-    R = s.R
-    ca, cb = [mpf(0)] * (2 * R + 1), [mpf(0)] * (2 * R + 1)
-    for i in range(R + 1):
-        for j in range(R + 1):
-            ca[i + j] += s.a[i] * o.a[j]
-            cb[i + j] += s.a[i] * o.b[j]
-            cb[i + j] += s.b[i] * o.a[j]
-    return ca, cb
+def _series_fn(s, v, v0, pick):
+    """A function the series stands for: each coefficient moved by pick()
+    times err, and the remainder at pick() times its full size."""
+    t, lv = v0 / v, mp.log(v)
+    f = mpf(0)
+    for r in range(s.lo, s.R + 1):
+        f += (s.a[r] + pick() * s.err) * t ** r
+        if s.b is not None:
+            f += (s.b[r] + pick() * s.err) * lv * t ** r
+    f += pick() * (s.rem + s.rem_log * lv) * t ** (s.R + 1)
+    return f / mpf(2) ** s.P
 
 
-def _series_at(s, v, signs):
-    """The function a series with remainder items stands for: its kept part
-    plus each item at full size, with the given signs."""
-    f = sum((s.a[r] + s.b[r] * mp.log(v)) * v ** -r for r in range(s.R + 1))
-    return f + sum(sg * c * v ** -p * (mp.log(v) if lg else 1)
-                   for sg, (c, p, lg) in zip(signs, s.rem))
+def _series_slack(s, v, v0):
+    """|the function s stands for - its kept part| may reach this at v."""
+    t, lv = v0 / v, mp.log(v)
+    per_coef = 1 + (lv if s.b is not None else 0)
+    return (s.err * per_coef * sum(t ** r for r in range(s.lo, s.R + 1))
+            + (s.rem + s.rem_log * lv) * t ** (s.R + 1)) / mpf(2) ** s.P
 
 
-def _rem_at(s, v):
-    return sum(c * v ** -p * (mp.log(v) if lg else 1) for (c, p, lg) in s.rem)
+def _series_kept(s, v, v0):
+    t, lv = v0 / v, mp.log(v)
+    f = sum((s.a[r] + (s.b[r] * lv if s.b is not None else 0)) * t ** r
+            for r in range(s.R + 1))
+    return f / mpf(2) ** s.P
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -983,73 +1010,65 @@ def test_series_product_against_full_convolution(seed):
 def _check_series_product(rng, logs_first):
     R = rng.choice([8, 13, 21])
     v0 = mpf(rng.choice([12, 30, 75]))
-    # at most one factor carries logs, as in the tails of _sum_atom
-    s = _random_series(rng, R, logs_first, logs_first)
-    o = _random_series(rng, R, not logs_first, not logs_first)
-    for series in (s, o):   # mixed signs with some exact zeros
-        series.a[rng.randrange(R + 1)] = mpf(0)
-    out = s.mul(o, v0)
-    ca, cb = _full_convolution(s, o)
-    assert out.a == ca[:R + 1] and out.b == cb[:R + 1]
-    # the dropped half's bound dominates sum_{r>R} |conv_r| v0^(R+1-r)
-    dropped = sum(abs(ca[r]) * v0 ** (R + 1 - r) for r in range(R + 1, 2 * R + 1))
-    dropped_log = sum(abs(cb[r]) * v0 ** (R + 1 - r) for r in range(R + 1, 2 * R + 1))
-    slack = 1 - mpf(10) ** -(CTX.working_digits)
-    assert out.rem[0] == (out.rem[0][0], R + 1, False) and out.rem[0][0] >= dropped * slack
-    assert out.rem[1] == (out.rem[1][0], R + 1, True) and out.rem[1][0] >= dropped_log * slack
-    # the truncated product lies within its remainder items of the product of
-    # the functions the factors stand for, at v0 and 2 v0 and every sign choice
+    # at most one factor carries logs, as in the tails of _sum_shape
+    s = _random_series(rng, R, logs_first)
+    o = _random_series(rng, R, not logs_first)
+    out = s.mul(o)
+    # every kept coefficient is the exact convolution of the ints, cut once
+    la, lb = (o, s) if logs_first else (s, o)
+    for n in range(R + 1):
+        assert out.a[n] == sum(la.a[i] * lb.a[n - i] for i in range(n + 1)) >> SERIES_P
+        assert out.b[n] == sum(la.a[i] * lb.b[n - i] for i in range(n + 1)) >> SERIES_P
+    # the product of any functions the factors stand for lies within the
+    # product's err and remainder units of its kept part, at v0 and 2 v0
     for v in (v0, 2 * v0):
-        for _ in range(4):
-            sg = [rng.choice((-1, 1)) for _ in s.rem], [rng.choice((-1, 1)) for _ in o.rem]
+        for _ in range(6):
             with mp.workdps(mp.dps + 40):
-                exact = _series_at(s, v, sg[0]) * _series_at(o, v, sg[1])
-                err = abs(exact - _series_at(out, v, [0] * len(out.rem)))
-                # plus the roundings of the product at working precision
-                assert err <= _rem_at(out, v) + abs(exact) * mpf(10) ** -(CTX.working_digits)
+                exact = _series_fn(s, v, v0, lambda: rng.choice((-1, 1))) * \
+                    _series_fn(o, v, v0, lambda: rng.choice((-1, 1)))
+                assert abs(exact - _series_kept(out, v, v0)) <= _series_slack(out, v, v0)
 
 
 # ---------------------------------------------------------------------------
 # Outer tails: each factor expanded from its whole exponent
 # ---------------------------------------------------------------------------
 
-def _tail_series_error(series, frac, v, ref):
-    """|v^-frac (kept part) - ref| and v^-frac (remainder items) at v."""
-    kept = _series_at(series, v, [0] * len(series.rem))
-    return abs(v ** -frac * kept - ref), v ** -frac * _rem_at(series, v)
-
-
 @pytest.mark.parametrize("sign", [1, -1], ids=["delta+", "delta-"])
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 2), 2, 12])
 def test_power_series_within_its_remainder(p, sign):
     # (v + delta)^-p with delta/v0 = +-1/2: the kept part times v^-frac(p)
-    # is within its remainder items of mpmath at v0 and 2 v0; at p = 12 the
-    # powers past R become remainder items
+    # is within its err and remainder units of mpmath at v0 and 2 v0; at
+    # p = 12 the powers past R go to the remainder
     from dpl.reduction import _power_series
 
     with CTX.workdps():
-        R, v0 = 36, mpf(16)
+        R, v0, P = 36, mpf(16), mp.prec + 8
         pm = mpf(p.numerator) / p.denominator if isinstance(p, Fraction) else mpf(p)
         frac = pm - mp.floor(pm)
-        series = _power_series(R, pm, sign * v0 / 2, v0)
+        series = _power_series(R, pm, sign * v0 / 2, v0, P)
         for v in (v0, 2 * v0):
-            err, rem = _tail_series_error(series, frac, v, (v + sign * v0 / 2) ** -pm)
-            assert err <= rem + mpf(10) ** -CTX.dps
+            with mp.workdps(mp.dps + 40):
+                ref = (v + sign * v0 / 2) ** -pm * v ** frac
+                assert abs(_series_kept(series, v, v0) - ref) <= _series_slack(series, v, v0)
 
 
-@pytest.mark.parametrize("j", [2, 3, 7, "psi"])
+@pytest.mark.parametrize("j", [2, 3, 7, Fraction(5, 2), "psi"])
 def test_zeta_and_psi_series_within_their_remainder(j):
     # zeta(j, v) and psi(v) about their own argument, kept part against
-    # mpmath at v0 and 2 v0
+    # mpmath at v0 and 2 v0; a fractional j carries v^-frac(j)
     from dpl.reduction import _psi_series, _zeta_series
 
     with CTX.workdps():
-        R, v0 = 36, mpf(16)
-        series = _psi_series(R, v0) if j == "psi" else _zeta_series(R, j, v0)
+        R, v0, P = 36, mpf(16), mp.prec + 8
+        series = _psi_series(R, v0, P) if j == "psi" else _zeta_series(R, j, v0, P)
         for v in (v0, 2 * v0):
-            ref = mpmath.psi(0, v) if j == "psi" else mpmath.zeta(j, v)
-            err, rem = _tail_series_error(series, 0, v, ref)
-            assert err <= rem + mpf(10) ** -CTX.dps
+            with mp.workdps(mp.dps + 40):
+                if j == "psi":
+                    ref = mpmath.psi(0, v)
+                else:
+                    jm = mpf(j.numerator) / j.denominator if isinstance(j, Fraction) else mpf(j)
+                    ref = mpmath.zeta(jm, v) * v ** (jm - mp.floor(jm))
+                assert abs(_series_kept(series, v, v0) - ref) <= _series_slack(series, v, v0)
 
 
 _HALF = mpf(1) / 2
@@ -1138,3 +1157,73 @@ def test_outer_atoms_at_two_shifts_vs_brute_force():
                      - (mp.pi ** 2 / 6 - mpf(h2.numerator) / h2.denominator) / n)
             ref += mpf(2) ** -n * (n + _HALF) ** -2 * inner
         assert abs(r.value - ref) <= r.abs_error_bound
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point outer-sum engine against a reference 40 digits higher
+# ---------------------------------------------------------------------------
+
+_Q = mpf(1) / 4   # dyadic shifts are the same number at every precision
+OUTER_SHAPES = [
+    # (id, slope, rpows as (shift, exponent), trans, geometric phase X)
+    ("p1-zeta2", 1, ((2 * _Q, 1),), ("zeta", 2, 4 * _Q), None),
+    ("p2-psi", 1, ((_Q, 2),), ("psi", 4 * _Q), None),
+    ("p3-bare", 1, ((3 * _Q, 3),), None, None),
+    ("p3/2-zeta2", 1, ((2 * _Q, Fraction(3, 2)),), ("zeta", 2, 4 * _Q), None),
+    ("equal-shifts-psi", 1, ((2 * _Q, 1), (2 * _Q, 2)), ("psi", 4 * _Q), None),
+    ("unequal-shifts", 1, ((_Q, 1), (3 * _Q, 2)), None, None),
+    ("slope2-zeta3", 2, ((2 * _Q, 2),), ("zeta", 3, 6 * _Q), None),
+    ("slope4-psi", 4, ((3 * _Q, 2),), ("psi", 5 * _Q), None),
+    ("geometric-zeta2", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), 2 * _Q),
+    ("geometric-bare", 1, ((_Q, 3),), None, 2 * _Q),
+]
+
+
+def _outer_shape_sum(shape, ctx):
+    from dpl.reduction import Atom, _sum_shape
+    from dpl.specfun import EvalResult
+
+    _, slope, rpows, trans, X = shape
+    with ctx.workdps():
+        rp = tuple((mpf(g), p if isinstance(p, int) else mpf(p.numerator) / p.denominator)
+                   for (g, p) in rpows)
+        atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), slope, rp, trans)
+        phase = None if X is None else (mpf(X), mpf(1))
+        return _sum_shape(atom, 1, EvalCache(ctx), ctx, phase)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+@pytest.mark.parametrize("shape", OUTER_SHAPES, ids=lambda s: s[0])
+def test_outer_shape_sums_within_their_bounds(shape, digits):
+    # every rounding of the int engine is counted into the bound: the sum
+    # must lie within it of the same shape at 40 more digits, and the bound
+    # must still be small
+    ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
+    ref_ctx = PrecisionContext(working_digits=digits + 40, output_digits=digits + 30)
+    r, ref = _outer_shape_sum(shape, ctx), _outer_shape_sum(shape, ref_ctx)
+    with ref_ctx.workdps():
+        assert abs(r.value - ref.value) <= r.abs_error_bound + ref.abs_error_bound
+        assert r.abs_error_bound <= mpf(10) ** -(ctx.dps - 5) * max(1, abs(r.value))
+
+
+def test_eval_cache_builds_each_row_once(monkeypatch):
+    # one evaluation asks for every row at its final length: no (a, phi) is
+    # built twice, the tail rows and the single columns at small a included
+    import dpl.reduction
+    import dpl.specfun
+
+    built = []
+    real = dpl.specfun.euler_maclaurin_row
+
+    def spy(a, phi, *args, **kwargs):
+        built.append((a, phi))
+        return real(a, phi, *args, **kwargs)
+
+    monkeypatch.setattr(dpl.specfun, "euler_maclaurin_row", spy)
+    monkeypatch.setattr(dpl.reduction, "euler_maclaurin_row", spy)
+    entry = registry_get("thm-1.1")
+    for x in ("-1", "i"):
+        built.clear()
+        rep = eval_identity(entry, {"k": 1, "b": "1/2", "x": x}, CTX, strategy=entry.strategy)
+        assert rep.passed and built
+        assert sorted(built, key=str) == sorted(set(built), key=str)

@@ -3,22 +3,29 @@
 The changed checkout is the one holding this script. For the first 3
 battery points of every registry identity, each checkout's own src/ is run
 in a subprocess that evaluates the identity at 50 digits with its
-registered strategy and records, for each side, its value (70 digits), its
-error bound and its method, and the identity's verdict. The same subprocess
-evaluates a fixed list of bare terms (TERMS) with the reduction strategy:
-they reach paths no battery point does, such as the inner sums at x = 0
-(eval_inner_closed), geometric outer sums and a tail start moved far out.
-Usage:
+registered strategy and records, for each side, its value (to 20 digits
+past the working ones), its error bound and its method, and the identity's
+verdict. The same subprocess evaluates a fixed list of bare terms (TERMS)
+with the reduction strategy: they reach paths no battery point does, such
+as the inner sums at x = 0 (eval_inner_closed), geometric outer sums and a
+tail start moved far out. Usage:
 
     python3 tools/fingerprint.py --parent ../parent --out fingerprint.json
+
+The changed checkout also evaluates every side and term at DIGITS +
+REFERENCE_EXTRA digits, with the same strategy, as a reference for its own
+bounds: a bound too tight in both checkouts passes the comparison of the
+two, but not this check.
 
 The output holds both checkouts' records and a summary, for the identity
 sides and, under "terms", for the bare terms: how many are bit-identical in
 value, bound and method; the worst relative change in value; the worst
-bound ratio (change over parent, farthest from 1); and every point whose
-verdict changed. The script exits 1, after writing the output, when any
-side or term moved by more than the sum of its two bounds, or evaluated on
-one checkout but raised on the other.
+bound ratio (change over parent, farthest from 1); every point whose verdict
+changed; and, against the reference, the worst error/bound ratio and every
+side whose error exceeds its bound. The script exits 1, after writing the
+output, when any side or term moved by more than the sum of its two bounds,
+evaluated on one checkout but raised on the other, or is farther from the
+reference than its bound.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from mpmath import mp, mpc, mpf
 ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
 POINTS = 3
 DIGITS = 50
+REFERENCE_EXTRA = 30
 # Bare terms and their parameters (an x literal and a builtin character).
 TERMS = [
     # the inner sums at x = 0 (tests/test_evaluator.py, X_ZERO_INNER_CASES)
@@ -49,8 +57,8 @@ TERMS = [
     ("sum(m>=1,n>=1) x^n / (m * (n+40)^2 * (m+n)^2)", {"x": "1"}),
 ]
 
-# Runs inside a checkout's own src/; prints one JSON object of records.
-WORKER = f"""
+# Runs inside a checkout's own src/ at {digits}; prints one JSON object of records.
+WORKER = """
 import json
 from mpmath import mp
 from dpl.dsl import parse_term
@@ -59,31 +67,31 @@ from dpl.registry import registry_get, registry_ids
 from dpl.specfun import BUILTIN_CHARACTERS, PrecisionContext
 from dpl.termlang import DoubleSumTerm
 
-ctx = PrecisionContext(working_digits={DIGITS})
+ctx = PrecisionContext(working_digits={digits})
 out = []
 
 
 def side(r):
-    with mp.workdps(80):
+    with mp.workdps({digits} + 30):
         v = mp.mpc(r.value)
-        return {{"value": [mp.nstr(v.real, 70), mp.nstr(v.imag, 70)],
-                 "bound": mp.nstr(r.abs_error_bound, 70), "method": r.method}}
+        return {{"value": [mp.nstr(v.real, {digits} + 20), mp.nstr(v.imag, {digits} + 20)],
+                 "bound": mp.nstr(r.abs_error_bound, {digits} + 20), "method": r.method}}
 
 
 for ident in registry_ids():
     entry = registry_get(ident)
-    for assignment in entry.battery[:{POINTS}]:
+    for assignment in entry.battery[:{points}]:
         rec = {{"id": ident, "params": assignment, "strategy": entry.strategy}}
         try:
             rep = eval_identity(entry, assignment, ctx, strategy=entry.strategy)
         except Exception as exc:
             rec["error"] = f"{{type(exc).__name__}}: {{exc}}"
         else:
-            with mp.workdps(80):
+            with mp.workdps({digits} + 30):
                 rec["passed"] = bool(rep.passed)
             rec["lhs"], rec["rhs"] = side(rep.lhs), side(rep.rhs)
         out.append(rec)
-for text, given in {TERMS!r}:
+for text, given in {terms!r}:
     rec = {{"term": text, "params": given}}
     try:
         with ctx.workdps():
@@ -100,9 +108,10 @@ print(json.dumps(out))
 """
 
 
-def records(checkout: Path) -> list:
+def records(checkout: Path, digits: int = DIGITS) -> list:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", WORKER], cwd=checkout, env=env,
+    worker = WORKER.format(digits=digits, points=POINTS, terms=TERMS)
+    proc = subprocess.run([sys.executable, "-c", worker], cwd=checkout, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -148,20 +157,43 @@ def compare(parent: list, change: list) -> tuple[dict, bool]:
     return summary, bool(moved)
 
 
+def reference_check(change: list, reference: list) -> tuple[dict, bool]:
+    """The worst error/bound ratio of the change's sides against the same
+    sides at more digits, and whether any error exceeds its bound."""
+    worst, over, sides = mpf(0), [], 0
+    for c, r in zip(change, reference, strict=True):
+        for side in ("lhs", "rhs", "sum"):
+            if side not in c or side not in r:
+                continue
+            sides += 1
+            vc, vr = (mpc(*map(mpf, s[side]["value"])) for s in (c, r))
+            bound, ref_bound = mpf(c[side]["bound"]), mpf(r[side]["bound"])
+            err = abs(vc - vr)
+            ratio = err / bound if bound else (mpf(0) if not err else mpf("inf"))
+            worst = max(worst, ratio)
+            if err > bound + ref_bound:
+                over.append(f"{c.get('id', c.get('term'))} {c['params']} {side}: error "
+                            f"{mp.nstr(err, 3)} > bound {mp.nstr(bound, 3)}")
+    return {"digits": DIGITS + REFERENCE_EXTRA, "sides": sides,
+            "worst_error_bound_ratio": mp.nstr(worst, 3), "error_above_bound": over}, bool(over)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="the parent checkout")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     recs = {"parent": records(args.parent.resolve()), "change": records(ROOT)}
+    reference = records(ROOT, DIGITS + REFERENCE_EXTRA)
 
     def select(bare):
         return [[r for r in recs[k] if ("term" in r) == bare] for k in ("parent", "change")]
 
-    with mp.workdps(80):
+    with mp.workdps(DIGITS + REFERENCE_EXTRA + 30):
         summary, failed = compare(*select(False))
         summary["terms"], failed_terms = compare(*select(True))
-    failed = failed or failed_terms
+        summary["reference"], failed_ref = reference_check(recs["change"], reference)
+    failed = failed or failed_terms or failed_ref
     args.out.write_text(json.dumps({"summary": summary, **recs}, indent=1) + "\n")
     print(json.dumps(summary, indent=1))
     return 1 if failed else 0
