@@ -15,17 +15,19 @@ tail start moved far out. Usage:
 The changed checkout also evaluates every side and term at DIGITS +
 REFERENCE_EXTRA digits, with the same strategy, as a reference for its own
 bounds: a bound too tight in both checkouts passes the comparison of the
-two, but not this check.
+two, but not this check. A side whose strategy sums in float64 (`direct`,
+as thm-2.1 is registered) is the same sum at any precision, so it passes
+this check trivially.
 
-The output holds both checkouts' records and a summary, for the identity
-sides and, under "terms", for the bare terms: how many are bit-identical in
-value, bound and method; the worst relative change in value; the worst
-bound ratio (change over parent, farthest from 1); every point whose verdict
-changed; and, against the reference, the worst error/bound ratio and every
-side whose error exceeds its bound. The script exits 1, after writing the
-output, when any side or term moved by more than the sum of its two bounds,
-evaluated on one checkout but raised on the other, or is farther from the
-reference than its bound.
+The output holds both checkouts' records, the reference records and a
+summary, for the identity sides and, under "terms", for the bare terms: how
+many are bit-identical in value, bound and method; the worst relative
+change in value; the worst bound ratio (change over parent, farthest from
+1); every point whose verdict changed; and, against the reference, the
+worst error/bound ratio and every side whose error exceeds its bound. The
+script exits 1, after writing the output, when any side or term moved by
+more than the sum of its two bounds, evaluated on one checkout but raised on
+the other, or is farther from the reference than its bound.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def main(argv=None) -> int:
         summary["terms"], failed_terms = compare(*select(True))
         summary["reference"], failed_ref = reference_check(recs["change"], reference)
     failed = failed or failed_terms or failed_ref
-    args.out.write_text(json.dumps({"summary": summary, **recs}, indent=1) + "\n")
+    args.out.write_text(json.dumps({"summary": summary, **recs, "reference": reference},
+                                   indent=1) + "\n")
     print(json.dumps(summary, indent=1))
     return 1 if failed else 0
 
