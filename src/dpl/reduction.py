@@ -733,7 +733,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         xp_abs, term_abs = last
         tail_bound = _unfix(xp_abs * term_abs, 2 * P) / (1 - abs(X)) * 2
         value = _unfix(total[0], 2 * P) if not total[1] else \
-            mpc(_unfix(total[0], 2 * P), _unfix(total[1], 2 * P))
+            mp.make_mpc((from_man_exp(total[0], -2 * P), from_man_exp(total[1], -2 * P)))
         return EvalResult(value, tail_bound + _unfix(err2 + 1, 2 * P), "direct_tail")
     series = None
     for (g, p) in atom.rpows:

@@ -1165,7 +1165,7 @@ def test_outer_atoms_at_two_shifts_vs_brute_force():
 
 _Q = mpf(1) / 4   # dyadic shifts are the same number at every precision
 OUTER_SHAPES = [
-    # (id, slope, rpows as (shift, exponent), trans, geometric phase X)
+    # (id, slope, rpows as (shift, exponent), trans, geometric phase X, exact)
     ("p1-zeta2", 1, ((2 * _Q, 1),), ("zeta", 2, 4 * _Q), None),
     ("p2-psi", 1, ((_Q, 2),), ("psi", 4 * _Q), None),
     ("p3-bare", 1, ((3 * _Q, 3),), None, None),
@@ -1176,6 +1176,7 @@ OUTER_SHAPES = [
     ("slope4-psi", 4, ((3 * _Q, 2),), ("psi", 5 * _Q), None),
     ("geometric-zeta2", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), 2 * _Q),
     ("geometric-bare", 1, ((_Q, 3),), None, 2 * _Q),
+    ("geometric-imaginary", 1, ((4 * _Q, 3),), None, 0.5j),
 ]
 
 
@@ -1188,7 +1189,7 @@ def _outer_shape_sum(shape, ctx):
         rp = tuple((mpf(g), p if isinstance(p, int) else mpf(p.numerator) / p.denominator)
                    for (g, p) in rpows)
         atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), slope, rp, trans)
-        phase = None if X is None else (mpf(X), mpf(1))
+        phase = None if X is None else (mpmath.mpmathify(X), mpf(1))
         return _sum_shape(atom, 1, EvalCache(ctx), ctx, phase)
 
 
