@@ -157,7 +157,7 @@ class EvalCache:
     per (a, phi), phi the fractional part of the exponent, and builds it once
     at its final length: a tail row at the length every tail of the
     precision asks for (_tail_order), with the log-weighted sums; any other
-    row two columns past the first column asked for, without them, since the
+    row SPARE_COLUMNS past the first column asked for, without them, since the
     sums that ask for single columns at one a ask for nearby exponents. A row
     too short for a request is rebuilt at least twice as long.
 
