@@ -38,7 +38,6 @@ tail is bounded geometrically, so the cost is O(T) rather than O(T^2).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,13 +160,13 @@ class EvalCache:
     sums that ask for single columns at one a ask for nearby exponents. A row
     too short for a request is rebuilt at least twice as long.
 
-    It also keeps the fixed-point expansions of the tail factors and the
-    scaled base sums of each tail row (base_sums), and, in sums, the
-    coefficient-free outer sum of every atom shape (slope, rpows, trans, u0,
-    phase) that _sum_atom has summed: the terms of one side, and the two
-    sides of an identity, share many shapes with different coefficients. All
-    of it lives as long as the evaluation holds the cache; nothing is kept
-    between evaluations.
+    It also keeps the fixed-point expansions of the tail factors (series),
+    the scaled base sums of each tail row (base_sums), the tail start shared
+    by most shapes (start), and, in sums, the coefficient-free outer sum of
+    every atom shape (slope, rpows, trans, u0, phase) that _sum_atom has
+    summed: the terms of one side, and the two sides of an identity, share
+    many shapes with different coefficients. All of it lives as long as the
+    evaluation holds the cache; nothing is kept between evaluations.
     """
 
     SPARE_COLUMNS = 3
@@ -178,6 +177,7 @@ class EvalCache:
         self.sums = {}
         self.expansions = {}
         self.bases = {}
+        self.starts = {}
 
     def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
         """The row at (a, phi) with at least the columns 1..r_hi; a new row
@@ -203,6 +203,13 @@ class EvalCache:
     def log_zeta(self, r, a) -> EvalResult:
         r, phi = split_exponent(r)
         return self.row(a, phi, r, logs=True, spare=self.SPARE_COLUMNS).log_zeta_at(r)
+
+    def start(self, R, P) -> float:
+        """_standard_start(R, P), computed once per evaluation."""
+        V = self.starts.get((R, P))
+        if V is None:
+            V = self.starts[(R, P)] = _standard_start(R, P)
+        return V
 
     def series(self, factor, R, v0, P):
         """The fixed-point expansion of one tail factor about v0: ('pow', p,
@@ -547,7 +554,6 @@ def _tail_order(prec: int) -> int:
     return prec // 7 + 2
 
 
-@functools.lru_cache(maxsize=None)
 def _log2_b2(r: int) -> float:
     """log2 |B_2r|/(2r)!."""
     b = bernoulli(2 * r)
@@ -594,11 +600,10 @@ def _binomial_need(p, delta, R, P) -> float:
     return max(need, 2 * d * max(1.0, (pf + rs) / (rs + 1)))
 
 
-@functools.lru_cache(maxsize=None)
 def _standard_start(R: int, P: int) -> float:
     """v0 at which the psi and every zeta(j), j = 2..8, expansion meets the
     target after index R: the tail start of most shapes, so that shapes at
-    one shift share it and their tail rows."""
+    one shift share it and their tail rows (EvalCache.start keeps it)."""
     return max([_expansion_need("psi", None, R, P)]
                + [_expansion_need("zeta", j, R, P) for j in range(2, 9)])
 
@@ -702,7 +707,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         need = max([_expansion_need(kind, j, R, P) if trans else 0.0]
                    + [_binomial_need(p, mpf(g) - gamma_star, R, P)
                       for (g, p) in (atom.rpows if phase is None else ())])
-        V = _standard_start(R, P)
+        V = cache.start(R, P)
         while V < need:
             V *= 2
         U0 = max(u0, math.ceil((V - float(gamma_star)) / lam))
@@ -768,7 +773,8 @@ def _direct_block(atom, u0, U0, P, ztab, phase):
     The integer parts of the powers make one cut division per u,
     2^(P(1 + sum p)) // prod W_i^p_i with W_i the exact bases in units; a
     fractional part is one cut mpf power. The phase advances by one complex
-    multiplication per u, its error carried along.
+    multiplication per u, its error carried along as a modulus: X and the
+    phase are each off by less than sqrt(2) units, and a cut product too.
     """
     lam, one = atom.slope, 1 << P
     bases, ptot, frac_i, frac = [], 0, None, 0
@@ -788,8 +794,8 @@ def _direct_block(atom, u0, U0, P, ztab, phase):
             Xc, xp = mpc(X), mpc(x0) * mpc(X) ** u0
             Xr, Xi, xr, xi = (_fix(mp.re(Xc), P), _fix(mp.im(Xc), P),
                               _fix(mp.re(xp), P), _fix(mp.im(xp), P))
-        eX, ex = 1, 2
-        Xabs = math.isqrt(Xr * Xr + Xi * Xi) + 2
+        eX, ex = 2, 2
+        Xabs = math.isqrt(Xr * Xr + Xi * Xi) + 1 + eX     # at least |X|
         ti = T = eT = 0
     for n in range(U0 - u0):
         den = 1
@@ -818,8 +824,8 @@ def _direct_block(atom, u0, U0, P, ztab, phase):
             T, eT = T >> P, (eT >> P) + 2
             total += T * xr
             ti += T * xi
-            err2 += abs(T) * ex + eT * (abs(xr) + abs(xi))
-            ex = ((ex * Xabs + (abs(xr) + abs(xi)) * eX) >> P) + 2
+            err2 += abs(T) * ex + eT * (abs(xr) + abs(xi) + ex)
+            ex = _ceil_shift(ex * Xabs + (abs(xr) + abs(xi)) * eX, P) + 2
             xr, xi = (xr * Xr - xi * Xi) >> P, (xr * Xi + xi * Xr) >> P
     if phase is None:
         return total, err2, None
@@ -1079,10 +1085,8 @@ def _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO, lam_i, lam_o, t0, cache):
         return atoms
     # two-pole case; the longest column first, so that its row is built once
     e, q = int(eI), int(q)
-    if e > 1:
-        cache.zeta(e, t0 + aI)
     A, B = two_pole_coeffs(e, q)
-    for i in range(2, e + 1):
+    for i in range(e, 1, -1):
         zc = cache.zeta(i, t0 + aI)
         coef = one.times(zc).scale(_frac_to_mp(A[i]))
         mk(coef, [(wg, e + q - i)], None)

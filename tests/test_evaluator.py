@@ -226,7 +226,7 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
                                    ("psi", mpf(5) / 4)], ids=["zeta-3/2", "zeta-3", "psi"])
 def test_trans_table_within_its_units(trans):
     # Z(5/4 + 2u) for u in [1, 6) in units of 2^-P, run down from the value
-    # at u = 6: each within its own units of mpmath
+    # at u = 6: each within its own units of mpmath, and those below 1e-55
     def ref(a):
         return mpmath.psi(0, a) if trans[0] == "psi" else mpmath.zeta(mpmath.mpmathify(trans[1]), a)
 
@@ -238,6 +238,7 @@ def test_trans_table_within_its_units(trans):
     with mp.workdps(CTX.dps + 40):
         for u, v, e in zip(range(1, 6), vals, errs):
             assert abs(_unfix(v, P) - ref(mpf(5) / 4 + 2 * u)) <= _unfix(e + 1, P)
+            assert _unfix(e + 1, P) < mpf("1e-55")
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1020,11 @@ def _check_series_product(rng, logs_first):
     for n in range(R + 1):
         assert out.a[n] == sum(la.a[i] * lb.a[n - i] for i in range(n + 1)) >> SERIES_P
         assert out.b[n] == sum(la.a[i] * lb.b[n - i] for i in range(n + 1)) >> SERIES_P
+    # the remainders dominate sum_{r>R} |conv_r|, the dropped pairs at v = v0
+    for rem, y in ((out.rem, lb.a), (out.rem_log, lb.b)):
+        dropped = sum(abs(sum(la.a[i] * y[r - i] for i in range(r - R, R + 1)))
+                      for r in range(R + 1, 2 * R + 1))
+        assert rem >= dropped >> SERIES_P
     # the product of any functions the factors stand for lies within the
     # product's err and remainder units of its kept part, at v0 and 2 v0
     for v in (v0, 2 * v0):
@@ -1165,7 +1171,8 @@ def test_outer_atoms_at_two_shifts_vs_brute_force():
 
 _Q = mpf(1) / 4   # dyadic shifts are the same number at every precision
 OUTER_SHAPES = [
-    # (id, slope, rpows as (shift, exponent), trans, geometric phase X, exact)
+    # (id, slope, rpows as (shift, exponent), trans, geometric phase X); X is
+    # taken at 400 digits, the same number at both precisions
     ("p1-zeta2", 1, ((2 * _Q, 1),), ("zeta", 2, 4 * _Q), None),
     ("p2-psi", 1, ((_Q, 2),), ("psi", 4 * _Q), None),
     ("p3-bare", 1, ((3 * _Q, 3),), None, None),
@@ -1174,9 +1181,10 @@ OUTER_SHAPES = [
     ("unequal-shifts", 1, ((_Q, 1), (3 * _Q, 2)), None, None),
     ("slope2-zeta3", 2, ((2 * _Q, 2),), ("zeta", 3, 6 * _Q), None),
     ("slope4-psi", 4, ((3 * _Q, 2),), ("psi", 5 * _Q), None),
-    ("geometric-zeta2", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), 2 * _Q),
-    ("geometric-bare", 1, ((_Q, 3),), None, 2 * _Q),
-    ("geometric-imaginary", 1, ((4 * _Q, 3),), None, 0.5j),
+    ("geometric-zeta2", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), "0.5"),
+    ("geometric-bare", 1, ((_Q, 3),), None, "0.5"),
+    ("geometric-imaginary", 1, ((4 * _Q, 3),), None, "0.5j"),
+    ("geometric-complex", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), "0.3+0.4j"),
 ]
 
 
@@ -1189,7 +1197,8 @@ def _outer_shape_sum(shape, ctx):
         rp = tuple((mpf(g), p if isinstance(p, int) else mpf(p.numerator) / p.denominator)
                    for (g, p) in rpows)
         atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), slope, rp, trans)
-        phase = None if X is None else (mpmath.mpmathify(X), mpf(1))
+        with mp.workdps(400):
+            phase = None if X is None else (mpmath.mpmathify(X), mpf(1))
         return _sum_shape(atom, 1, EvalCache(ctx), ctx, phase)
 
 

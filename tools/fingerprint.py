@@ -24,10 +24,12 @@ summary, for the identity sides and, under "terms", for the bare terms: how
 many are bit-identical in value, bound and method; the worst relative
 change in value; the worst bound ratio (change over parent, farthest from
 1); every point whose verdict changed; and, against the reference, the
-worst error/bound ratio and every side whose error exceeds its bound. The
-script exits 1, after writing the output, when any side or term moved by
-more than the sum of its two bounds, evaluated on one checkout but raised on
-the other, or is farther from the reference than its bound.
+worst error/bound ratio, every side whose error exceeds its bound and every
+point that evaluated at one of the two precisions but raised at the other.
+The script exits 1, after writing the output, when any side or term moved
+by more than the sum of its two bounds, evaluated on one checkout but raised
+on the other, is farther from the reference than its bound, or evaluated at
+one precision only.
 """
 
 from __future__ import annotations
@@ -161,9 +163,15 @@ def compare(parent: list, change: list) -> tuple[dict, bool]:
 
 def reference_check(change: list, reference: list) -> tuple[dict, bool]:
     """The worst error/bound ratio of the change's sides against the same
-    sides at more digits, and whether any error exceeds its bound."""
-    worst, over, sides = mpf(0), [], 0
+    sides at more digits, and whether any error exceeds its bound or any
+    point evaluated at one of the two precisions only."""
+    worst, over, one_sided, sides = mpf(0), [], [], 0
     for c, r in zip(change, reference, strict=True):
+        if ("error" in c) != ("error" in r):
+            one_sided.append(f"{c.get('id', c.get('term'))} {c['params']}: "
+                             f"{c.get('error', 'evaluates')} -> reference "
+                             f"{r.get('error', 'evaluates')}")
+            continue
         for side in ("lhs", "rhs", "sum"):
             if side not in c or side not in r:
                 continue
@@ -177,7 +185,8 @@ def reference_check(change: list, reference: list) -> tuple[dict, bool]:
                 over.append(f"{c.get('id', c.get('term'))} {c['params']} {side}: error "
                             f"{mp.nstr(err, 3)} > bound {mp.nstr(bound, 3)}")
     return {"digits": DIGITS + REFERENCE_EXTRA, "sides": sides,
-            "worst_error_bound_ratio": mp.nstr(worst, 3), "error_above_bound": over}, bool(over)
+            "worst_error_bound_ratio": mp.nstr(worst, 3), "error_above_bound": over,
+            "evaluated_at_one_precision": one_sided}, bool(over or one_sided)
 
 
 def main(argv=None) -> int:
