@@ -51,7 +51,10 @@ from .specfun import (
     EvalResult,
     PrecisionContext,
     ZetaRow,
+    _ceil_shift,
+    _fix,
     _signed_man_exp,
+    _unfix,
     bernoulli,
     euler_maclaurin_row,
     geometric_length,
@@ -228,41 +231,53 @@ class EvalCache:
 
     def base_sums(self, abase, v0, phi, lam, R, P):
         """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
-        series are, from the row at abase = U0 + gamma*/lam at working
-        precision: for r = 1..R+1, lam^-phi abase^r zeta(r + phi, abase) and
-        lam^-phi abase^r (log lam zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi)
-        log(k + abase)), each an (int, error) pair in units of 2^-P, the
-        error holding the row's bound, the cuts and the rounding of abase
-        against v0/lam (shapes at one shift share the row); (0, 0) where
-        r + phi <= 1."""
+        series are, from the row at abase = U0 + gamma*/lam: for r = 1..R+1,
+        lam^-phi abase^r zeta(r + phi, abase) and lam^-phi abase^r (log lam
+        zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi) log(k + abase)),
+        each an (int, error) pair in units of 2^-P. The row holds abase^s
+        times each sum as ints, so a pair is the row's int moved to units
+        2^-P, times log lam and (lam abase)^-phi when they are not 1, each a
+        cut int; the error holds the row's own, one unit per cut, and the
+        rounding of abase against v0/lam (shapes at one shift share the
+        row); (0, 0) where r + phi <= 1."""
         key = (abase, v0, phi, lam, R, P)
         out = self.bases.get(key)
-        if out is None:
-            row = self.row(abase, phi, R + 1, logs=True)
-            B, L = [(0, 0)], [(0, 0)]
-            with mp.workprec(P + 20):
-                f = mpf(lam) ** -phi if phi else mpf(1)
-                ll = mp.log(lam)
-                rel = abs(abase * lam - v0) / v0
-                for r in range(1, R + 2):
-                    f *= abase
-                    if r + phi <= 1:
-                        B.append((0, 0))
-                        L.append((0, 0))
-                        continue
-                    z, lz = row.zeta_at(r), row.log_zeta_at(r)
-                    for dest, val, bnd in (
-                            (B, z.value, z.abs_error_bound),
-                            (L, ll * z.value + lz.value, ll * z.abs_error_bound + lz.abs_error_bound)):
-                        n = _fix(f * val, P)
-                        # f takes r + 1 roundings at P + 20 bits, the product one
-                        # more; moving the argument and the scale by rel moves
-                        # each sum by at most (2r + 3) rel (|it| + |its zeta part|)
-                        err = _fix(f * bnd, P) + ((abs(n) * (r + 3)) >> (P + 20)) + 2
-                        if rel:
-                            err += _fix((2 * r + 3) * rel * (abs(f * val) + abs(f * z.value)), P) + 1
-                        dest.append((n, err))
-            out = self.bases[key] = (B, L)
+        if out is not None:
+            return out
+        row = self.row(abase, phi, R + 1, logs=True)
+        sh = row.P - P
+        with mp.workprec(P + 20):
+            f = _fix((lam * abase) ** -phi, P) if phi else None
+            ll = _fix(mp.log(lam), P)
+            # moving the argument and the scale by rel moves each sum by at
+            # most (2r + 3) rel (|it| + |its zeta part|)
+            rel = _fix(abs(abase * lam - v0) / v0, P) + 1 if abase * lam != v0 else 0
+        B, L = [(0, 0)], [(0, 0)]
+        for r in range(1, R + 2):
+            if r + phi <= 1:
+                B.append((0, 0))
+                L.append((0, 0))
+                continue
+            i = r - row.r_lo
+            z, ez = row.zeta[i], row.zeta_err[i]
+            lz, el = row.logs[i], row.log_err[i]
+            if sh >= 0:
+                z, ez = z >> sh, _ceil_shift(ez, sh) + 1
+                lz, el = lz >> sh, _ceil_shift(el, sh) + 1
+            else:
+                z, ez, lz, el = z << -sh, ez << -sh, lz << -sh, el << -sh
+            if ll:      # log lam, off by less than 2 units
+                lz, el = lz + ((ll * z) >> P), el + ((abs(ll) * ez + 2 * (abs(z) + ez)) >> P) + 2
+            if f is not None:   # (lam abase)^-phi, off by less than 2 units
+                z, ez = (f * z) >> P, ((abs(f) * ez + 2 * (abs(z) + ez)) >> P) + 2
+                lz, el = (f * lz) >> P, ((abs(f) * el + 2 * (abs(lz) + el)) >> P) + 2
+            if rel:
+                mz = abs(z) + ez
+                ez += (((2 * r + 3) * rel * 2 * mz) >> P) + 1
+                el += (((2 * r + 3) * rel * (abs(lz) + el + mz)) >> P) + 1
+            B.append((z, ez))
+            L.append((lz, el))
+        out = self.bases[key] = (B, L)
         return out
 
 
@@ -314,23 +329,6 @@ class Atom:
 
 _GUARD_BITS = 8
 _LN2 = math.log(2)
-
-
-def _fix(x, P: int) -> int:
-    """x 2^P as an int, for an mpf x: off by less than 1."""
-    m, e = _signed_man_exp(mpf(x))
-    e += P
-    return m << e if e >= 0 else m >> -e
-
-
-def _unfix(n: int, P: int):
-    """The int n in units of 2^-P as an exact mpf."""
-    return mp.make_mpf(from_man_exp(n, -P))
-
-
-def _ceil_shift(n: int, P: int) -> int:
-    """ceil(n / 2^P) for n >= 0."""
-    return -((-n) >> P)
 
 
 def _shape_unit(shifts) -> int:

@@ -6,14 +6,19 @@ absolute error bound and a tag saying how it was computed.
 Hurwitz zeta values, their log-weighted companions sum_u (u+a)^-s log(u+a)
 and psi(a) all come from one Euler-Maclaurin row kernel
 (euler_maclaurin_row): for a shared a and exponents s = r + phi over a range
-of r, one direct block of N terms (powers by repeated multiplication by
-1/(a+j)) and one correction loop. N is chosen from a, the exponents and the
-precision by a cost model, as in Johansson (arXiv:1309.2877); each column
-then takes corrections until the next drops below 10^-dps min(1, Re(a)^-s)
-with room for Johansson's remainder bound. Each bound is the larger of
-2 x the first omitted correction and Johansson's remainder bound, plus a
-rounding term. hurwitz_zeta, log_zeta_sum and digamma are single columns of
-it; reduction.EvalCache keeps the whole rows one evaluation builds.
+of r, one direct block of N terms and one correction loop, summed in Python
+ints in units of 2^-P (P the working precision plus _ROW_GUARD bits), each
+column scaled by a^s, so that every column is O(1) or O(a). The block
+advances the powers (a/(a+j))^s by one cut product per column; N is chosen
+from a, the exponents and the precision by a cost model, as in Johansson
+(arXiv:1309.2877), and is 0 for every large a. Each column takes
+corrections until its remainder is below one unit of the outer sums'
+precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
+an int in the same units: the remainder (Johansson's bound, taken as a
+multiple of the first omitted correction) plus one unit per cut.
+hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
+to EvalResults on read; reduction.EvalCache keeps the whole rows one
+evaluation builds, and its tail base sums read their ints directly.
 
 A periodic sum sum_n w(n) (n+b)^-s on the unit circle, split into residue
 classes, is sum_r w_r zeta(s, a_r): periodic_zeta_sum holds it once, with its
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp
 
 
 class DomainError(ValueError):
@@ -166,6 +172,71 @@ def bernoulli(n: int) -> Fraction:
 _MIN_S_GAP = mpf("0.001")
 _MAX_CORRECTIONS = 400   # per column; the block length keeps M far below this
 _LN10 = math.log(10)
+_LN2 = math.log(2)
+# A row sums in units of 2^-(prec + _ROW_GUARD), prec the working precision,
+# and takes corrections until its remainder is below one unit of
+# 2^-(prec + _ROW_GUARD - _UNIT_SLACK): the unit of an outer-sum shape
+# (reduction._GUARD_BITS), which reads the tail rows as they are. log A is
+# held to _LOG_GUARD more bits, since A log A amplifies its error by A.
+_ROW_GUARD = 24
+_UNIT_SLACK = 16
+_LOG_GUARD = 20
+# Relative costs of the parts of a row, for _block_length, in units of one
+# correction of one column. Timed at 50 digits (2-vCPU host, Python 3.11,
+# best of 7 x 10 builds or 7 x 2000 steps): a 35-column row at a = 273.25
+# (N = 0, 809 column corrections) took 1.2-1.7 us per column and
+# correction, 0.6-0.9 us more with the log sums; a block term is a cut int
+# division (0.16 us) and its loop, about 1 us, plus an mpf log (6.7 us)
+# with the log sums and an mpf power (14.2 us) at a fractional phi; a block
+# term per column is a cut product (0.25 us), plus 0.31 us for its log
+# companion; each correction order makes one shared mantissa (2.4 us); and
+# any N > 0 scales each column's tail by (a/A)^s, with its error, about
+# 1.4 us a column, 2.4 us with the log sums (the same row at a = 68.5 with
+# N = 1 against N = 0). The short rows at a = 1/4 and 15/2 (K = 5) spend
+# their time in the same parts.
+_COST_TERM, _COST_TERM_LOG, _COST_TERM_POW = 0.7, 5, 10
+_COST_COLUMN, _COST_COLUMN_LOG = 0.2, 0.2
+_COST_CORRECTION, _COST_CORRECTION_LOG = 1, 0.5
+_COST_ORDER = 1.7
+_COST_SCALE, _COST_SCALE_LOG = 1, 0.7
+_MODEL_COLUMNS = 8
+_bernoulli_ratios: dict = {}
+
+
+def _bernoulli_ratio(k: int, wp: int):
+    """B_2k/(2k)! as (m, e), m 2^e with m an int of about wp bits, below the
+    ratio by less than 2^(1-wp) of it (cached per (k, wp))."""
+    c = _bernoulli_ratios.get((k, wp))
+    if c is None:
+        b = bernoulli(2 * k)
+        num, den = b.numerator, b.denominator * math.factorial(2 * k)
+        sh = wp + den.bit_length() - abs(num).bit_length()
+        c = _bernoulli_ratios[(k, wp)] = ((num << sh) // den, -sh)
+    return c
+
+
+def _float_mul(x, y, wp: int):
+    """The product of x = (xr, xi, xe), standing for (xr + i xi) 2^xe, and y,
+    its mantissas cut to wp bits: off by less than 2^(2-wp) of it."""
+    xr, xi, xe = x
+    yr, yi, ye = y
+    r, i = xr * yr - xi * yi, xr * yi + xi * yr
+    sh = max(abs(r).bit_length(), abs(i).bit_length()) - wp
+    if sh <= 0:
+        return r, i, xe + ye
+    return r >> sh, i >> sh, xe + ye + sh
+
+
+def _float_parts(z):
+    """(mr, mi, e) with z = (mr + i mi) 2^e, for an mpf or mpc z."""
+    m1, e1 = _signed_man_exp(mp.re(z))
+    m2, e2 = _signed_man_exp(mp.im(z)) if isinstance(z, mpc) else (0, 0)
+    if not m2:
+        return m1, 0, e1
+    if not m1:
+        return 0, m2, e2
+    e = min(e1, e2)
+    return m1 << (e1 - e), m2 << (e2 - e), e
 
 
 def _to_mp(z):
@@ -199,21 +270,62 @@ def split_exponent(s):
     return r, (phi if phi else 0)
 
 
+# ---------------------------------------------------------------------------
+# Fixed point: ints in units of 2^-P
+# ---------------------------------------------------------------------------
+
+def _signed_man_exp(x: mpf):
+    """(m, e) with x = m 2^e and m a signed int."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fix(x, P: int) -> int:
+    """x 2^P as an int, for an mpf x: off by less than 1."""
+    m, e = _signed_man_exp(mpf(x))
+    e += P
+    return m << e if e >= 0 else m >> -e
+
+
+def _unfix(n: int, P: int):
+    """The int n in units of 2^-P as an exact mpf."""
+    return mp.make_mpf(from_man_exp(n, -P))
+
+
+def _ceil_shift(n: int, P: int) -> int:
+    """ceil(n / 2^P) for n >= 0."""
+    return -((-n) >> P)
+
+
+def _exact_units(x):
+    """(n, F): x = n 2^-F exactly, F >= 0, for an mpf x."""
+    m, e = _signed_man_exp(x)
+    return (m, -e) if e < 0 else (m << e, 0)
+
+
 @dataclass(frozen=True)
 class ZetaRow:
     """Columns s = r + phi, r = r_lo..r_hi, of euler_maclaurin_row at one a.
 
-    zeta[i] is zeta(s, a) and logs[i] is sum_u (u+a)^-s log(u+a) (logs is
-    None when the row was made without them); *_bnd hold their bounds. With
-    phi = 0 the column r = 1 holds psi(a) in place of the divergent zeta(1, a).
+    The columns are ints in units of 2^-P, each scaled by a^s: zeta[i] is
+    a^s zeta(s, a) (zeta_im its imaginary part at complex a, else None) and
+    logs[i] is a^s sum_u (u+a)^-s log(u+a) (logs is None when the row was
+    made without them); zeta_err and log_err bound their errors in units.
+    With phi = 0 the column r = 1 holds a psi(a) in place of the divergent
+    a zeta(1, a). zeta_at, log_zeta_at and psi return EvalResults, converted
+    on read at the caller's precision, with the rounding of the conversion
+    counted into the bound.
     """
 
+    a: object
     phi: object
     r_lo: int
+    P: int
     zeta: tuple
-    zeta_bnd: tuple
+    zeta_err: tuple
+    zeta_im: tuple | None = None
     logs: tuple | None = None
-    log_bnd: tuple | None = None
+    log_err: tuple | None = None
 
     @property
     def r_hi(self) -> int:
@@ -226,58 +338,83 @@ class ZetaRow:
             _check_s_real(r + self.phi, 2)
         return r - self.r_lo
 
+    def _read(self, n, n_im, err, scale) -> EvalResult:
+        """n 2^-P scale, with its bound."""
+        v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
+        val = v * scale
+        rnd = mp.ldexp(1, 10 - mp.prec)
+        return EvalResult(val, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
+                          "euler_maclaurin")
+
     def zeta_at(self, r) -> EvalResult:
         i = self._index(r)
-        return EvalResult(self.zeta[i], self.zeta_bnd[i], "euler_maclaurin")
+        im = self.zeta_im[i] if self.zeta_im is not None else None
+        return self._read(self.zeta[i], im, self.zeta_err[i], self.a ** -(r + self.phi))
 
     def log_zeta_at(self, r) -> EvalResult:
         i = self._index(r)
         if self.logs is None:
             raise DomainError("row made without the log-weighted sums (complex a)")
-        return EvalResult(self.logs[i], self.log_bnd[i], "euler_maclaurin")
+        return self._read(self.logs[i], None, self.log_err[i], self.a ** -(r + self.phi))
 
     def psi(self) -> EvalResult:
         if self.phi or self.r_lo != 1:
             raise ValueError("psi(a) is the column r = 1 of a row with phi = 0")
-        return EvalResult(self.zeta[0], self.zeta_bnd[0], "euler_maclaurin")
+        im = self.zeta_im[0] if self.zeta_im is not None else None
+        return self._read(self.zeta[0], im, self.zeta_err[0], 1 / self.a)
 
 
-def _block_length(alpha: float, cols, dps: int, per_term: float, per_column: float,
-                  per_correction: float) -> int:
+def _log_target(s: float, dps: int, bits: int, alpha: float, log_absa: float) -> float:
+    """log of a column's absolute target: 10^-dps min(1, alpha^-s), and at
+    most one unit of 2^-bits of a^s zeta(s, a)."""
+    return min(-dps * _LN10 - s * max(0.0, math.log(alpha)), -bits * _LN2 - s * log_absa)
+
+
+def _block_length(alpha: float, log_absa: float, phi: float, r_hi: int, dps: int, bits: int,
+                  logs: bool) -> int:
     """Length N of the direct block of a row, from a cost model.
+
+    The model prices the columns r + phi, r = 1..max(r_hi, _MODEL_COLUMNS),
+    whatever the row's first column: N depends on a, phi, the precision, the
+    log sums and the last column alone, so a column has the same value and
+    bound in every row of up to _MODEL_COLUMNS columns at its argument (the
+    short rows of one evaluation, and the same rows on a fresh cache).
 
     As in Johansson (arXiv:1309.2877, sec. 3), N and the number M of
     corrections are chosen together: for each candidate N, M(s) is the index
     of the first correction c_k (s)_(2k-1) A^(1-s-2k), A = alpha + N, below
-    the column's target (estimated with |B_2k/(2k)!| ~ 2 (2 pi)^-2k), and the
-    cost is N (per_term + K per_column) + K mean_s M(s) per_correction. Only
-    the first, middle and last columns are estimated. A >= 2 keeps log(A + t)
-    positive in the bounds of the log-weighted sums.
+    the column's target (_log_target; |B_2k/(2k)!| ~ 2 (2 pi)^-2k), and the
+    cost, from the _COST_* weights, is N (term + K column) + mean_s M(s) (K
+    correction + order), plus K scale for any N > 0. Only the first, middle
+    and last columns are estimated. A >= 2 keeps log(A + t) positive in the bounds of the
+    log-weighted sums.
     """
+    cols = [r + phi for r in range(1, max(r_hi, _MODEL_COLUMNS) + 1)]
     K = len(cols)
-    samples = sorted({float(cols[0]), float(cols[K // 2]), float(cols[-1])})
+    term = _COST_TERM + _COST_TERM_LOG * logs + _COST_TERM_POW * bool(phi)
+    column = _COST_COLUMN + _COST_COLUMN_LOG * logs
+    per_order = K * (_COST_CORRECTION + _COST_CORRECTION_LOG * logs) + _COST_ORDER
+    scale = K * (_COST_SCALE + _COST_SCALE_LOG * logs)
+    # log(|first correction| / target) is L0 - (s + 1) log A
+    samples = [(s, math.log(s / 12) - _log_target(s, dps, bits, alpha, log_absa))
+               for s in sorted({cols[0], cols[K // 2], cols[-1]})]
     n0 = max(0, math.ceil(2 - alpha))
     best = None
     for step in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384):
         N = n0 + step
+        block = N * (term + K * column) + (scale if N else 0)
+        if best is not None and block >= best[0]:
+            break       # the block alone costs more than the best row
         A = alpha + N
         lA, l2piA = math.log(A), 2 * math.log(2 * math.pi * A)
         total_M = 0
-        for s in samples:
-            # log(|first correction| / target), target 10^-dps min(1, alpha^-s)
-            L = math.log(s / 12) - (s + 1) * lA + dps * _LN10 + s * max(0.0, math.log(alpha))
-            k = 1
-            while L >= 0 and k <= _MAX_CORRECTIONS:
-                step_k = math.log((s + 2 * k - 1) * (s + 2 * k)) - l2piA
-                if step_k >= 0:     # the corrections grow before the target
-                    break
-                L += step_k
-                k += 1
-            if L >= 0:
+        for s, L0 in samples:
+            k = _corrections_needed(L0 - (s + 1) * lA, s, l2piA)
+            if k is None:
                 break
             total_M += k
         else:
-            cost = N * (per_term + K * per_column) + K * total_M / len(samples) * per_correction
+            cost = block + total_M / len(samples) * per_order
             if best is None or cost < best[0]:
                 best = (cost, N)
             elif cost > 2 * best[0]:
@@ -285,33 +422,78 @@ def _block_length(alpha: float, cols, dps: int, per_term: float, per_column: flo
     return N if best is None else best[1]
 
 
-def _signed_man_exp(x: mpf):
-    """(m, e) with x = m 2^e and m a signed int."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _corrections_needed(L: float, s: float, l2piA: float):
+    """The index k of the first correction below the target, or None.
+
+    Correction k + 1 is correction k times (s+2k-1)(s+2k)/(2 pi A)^2, so
+    after m steps log(|correction| / target) is L + lgamma(s+2m+1) -
+    lgamma(s+1) - m l2piA, falling while (s+2m-1)(s+2m) < (2 pi A)^2; None
+    when it does not fall below 0 before the corrections grow."""
+    if L < 0:
+        return 1
+    X = math.exp(l2piA)
+    hi = max(0, int((math.sqrt(X) - s) / 2) + 1)
+    while hi > 0 and (s + 2 * hi - 1) * (s + 2 * hi) >= X:
+        hi -= 1
+    hi = min(hi, _MAX_CORRECTIONS)
+    L -= math.lgamma(s + 1)
+    lg = math.lgamma
+    if hi < 1 or L + lg(s + 2 * hi + 1) - hi * l2piA >= 0:
+        return None
+    lo = 0                      # still >= 0 after lo steps, below 0 after hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if L + lg(s + 2 * mid + 1) - mid * l2piA >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi + 1
+
+
+def _ceil_int(x: float) -> int:
+    """An int >= 2^x (x a float log2), with room for the float's rounding."""
+    return math.ceil(2 ** x * (1 + 1e-9)) + 1 if x < 1000 else 1 << (math.ceil(x) + 1)
 
 
 def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DEFAULT_CTX,
                         logs: bool = False) -> ZetaRow:
-    """zeta(r + phi, a) for r = r_lo..r_hi, and with logs sum_u (u+a)^-(r+phi) log(u+a).
+    """a^s zeta(s, a) for s = r + phi, r = r_lo..r_hi, and with logs
+    a^s sum_u (u+a)^-s log(u+a), as ints in units of 2^-P (a ZetaRow).
 
-    One direct block sum_{j<N} (a+j)^-s for every column, by repeated
-    multiplication by 1/(a+j) (one log per j for the log sums or a fractional
-    phi), then one Euler-Maclaurin loop at A = a + N shared by all columns:
-    zeta(s, a) = block + A^(1-s)/(s-1) + A^-s/2 + sum_{k<=M} c_k (s)_(2k-1)
-    A^(-s-2k+1), c_k = B_2k/(2k)!. With phi = 0 the column s = 1 takes -log A
-    in place of A^(1-s)/(s-1) and yields -psi(a). The log sums differentiate
-    the same terms in s. Each column stops at the first correction below
-    10^-dps min(1, Re(a)^-s), or once the corrections grow.
+    P is the working precision plus _ROW_GUARD bits. With A = a + N:
 
-    Bounds: each column's remainder after M corrections is at most the larger
-    of 2 x the first omitted correction and Johansson's bound (arXiv:1309.2877,
-    Thm. 1, with |B~_2M(t)| <= 4 (2M)!/(2 pi)^2M) 4 |(s)_2M| (2 pi)^-2M
-    Re(A)^(1-s-2M)/(s+2M-1), which holds for complex a too; for the log sums,
-    4 (2 pi)^-2M Re(A)^(1-p) (|alpha_2M| ((p-1) log A + 1)/(p-1)^2 +
-    |beta_2M|/(p-1)), p = s + 2M, with f^(2M)(t) = t^-p (alpha_2M log t +
-    beta_2M). A rounding term of 10^-(dps+4) times the sum of the moduli of
-    the summed parts is added.
+        a^s zeta(s, a) = sum_{j<N} (a/(a+j))^s
+                         + (a/A)^s (A/(s-1) + 1/2 + S1(s)),
+        S1(s) = sum_{k<=M} c_k (s)_(2k-1) A^(1-2k),  c_k = B_2k/(2k)!.
+
+    With phi = 0 the column s = 1 takes -A log A in place of A/(s-1) and
+    yields -a psi(a). The log sums differentiate the same terms in s. When N
+    is 0, as for every large a, (a/A)^s is 1 and a column is a handful of int
+    operations past its corrections. Else each (a/(a+j)) is one cut int
+    division (a pair at complex a), whose powers advance by one cut product
+    per column; a fractional phi takes one cut mpf power per j and the log
+    sums one cut mpf log per j. N comes from a cost model (_block_length).
+    The corrections and their log companions are summed in ints: with c_k
+    A^(1-2k) held as m 2^e, m an int of P + 20 bits shared by every column,
+    and alpha_i, beta_i (f^(i)(t) = t^(-s-i) (alpha_i log t + beta_i)) exact
+    ints (ints times 2^-F at a fractional phi) advanced two orders a step, a
+    correction is m alpha_(2k-1) 2^(e+P-F), cut to an int. A column stops
+    at the first correction whose remainder bound falls below one unit of
+    2^-(P - _UNIT_SLACK) and below 10^-dps min(1, Re(a)^-s) of zeta, or once
+    the corrections grow or vanish.
+
+    Bounds, in the same units: every cut counts one unit, an mpf value taken
+    into an int two, each power (a/(a+j))^s as many as it took products,
+    and the mantissas m and the alpha, beta at a fractional phi their
+    relative rounding, counted against the sum of the corrections' moduli.
+    The remainder after
+    M corrections is Johansson's (arXiv:1309.2877, Thm. 1, with |B~_2M(t)|
+    <= 4 (2M)!/(2 pi)^2M) 4 |(s)_2M| (2 pi)^-2M Re(A)^(1-s-2M)/(s+2M-1),
+    which holds for complex a too; since |c_(M+1)| > 2 (2 pi)^-2(M+1), it is
+    at most the first omitted correction times W = max(2, 2 (2 pi |A|)^2 /
+    ((s+2M-1)(s+2M))) (|A|/Re A)^(s+2M-1). For the log sums, f^(2M)(t) =
+    t^-p (alpha_2M log t + beta_2M), p = s + 2M, gives that bound times
+    log A + 1/(p-1) + |beta_2M/alpha_2M|.
     """
     with ctx.workdps():
         av = _to_mp(a)
@@ -321,161 +503,225 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
         if logs and cplx:
             raise DomainError("log-weighted zeta sums require real a > 0")
         ints = not phi
-        cols = list(range(r_lo, r_hi + 1)) if ints else [r + phi for r in range(r_lo, r_hi + 1)]
-        K = len(cols)
+        K = r_hi - r_lo + 1
         if K < 1 or r_lo < 1:
             raise DomainError("a row needs columns r = r_lo..r_hi with 1 <= r_lo <= r_hi")
-        alpha = mp.re(av)
-        need_log = logs or not ints
-        # relative costs: a block term per column takes 2 mpf operations (4
-        # with logs), a correction per column about 2/3 of one in integers,
-        # a log about 24
-        N = _block_length(float(alpha), cols, ctx.dps, 4 + 24 * need_log,
-                          2 + 2 * logs, (2 + logs) / 3)
-        first = cols[0]
-
-        # direct block
-        z = [mpf(0)] * K
-        zabs = [mpf(0)] * K if cplx else z
-        lsum = [mpf(0)] * K if logs else None
-        lneg = [mpf(0)] * K if logs else None   # 2 |terms| with log(a+j) < 0
-        for j in range(N):
-            x = av + j
-            inv = 1 / x
-            lg = mp.log(x) if need_log else None
-            p = inv ** first if ints else mp.exp(-first * lg)
-            if cplx:
-                q = abs(inv)
-                pa = q ** first if ints else mp.exp(-first * mp.re(lg))
-            for i in range(K):
-                z[i] += p
-                if logs:
-                    t = p * lg
-                    lsum[i] += t
-                    if lg < 0:
-                        lneg[i] -= 2 * t
+        P = mp.prec + _ROW_GUARD
+        # exact ints: a = (ar + i ai) 2^-Pa, s = sfx 2^-F
+        ar, Pr = _exact_units(mp.re(av))
+        ai, Pi = _exact_units(mp.im(av)) if cplx else (0, 0)
+        Pa = max(Pr, Pi)
+        ar, ai = ar << (Pa - Pr), ai << (Pa - Pi)
+        oa = 1 << Pa
+        if ints:
+            F, sfx = 0, list(range(r_lo, r_hi + 1))
+        else:
+            pm, Fp = _exact_units(mpf(phi))
+            F = max(Fp, P)
+            sfx = [(r << F) + (pm << (F - Fp)) for r in range(r_lo, r_hi + 1)]
+        cols = [x / (1 << F) if F else float(x) for x in sfx]
+        alpha = float(mp.re(av))
+        absa = float(abs(av))
+        N = _block_length(alpha, math.log(absa), float(phi), r_hi, ctx.dps, P - _UNIT_SLACK, logs)
+        first = sfx[0]
+        wp = P + 20
+        with mp.workprec(wp):
+            s_first = mp.ldexp(first, -F)       # exact
+            # direct block: p = (a/(a+j))^s, advanced by one product per column
+            z, zi = [0] * K, [0] * K
+            lz = [0] * K if logs else None
+            scale = None                   # (a/A)^s per column, when N > 0
+            lgsum = 0                      # sum_j (|log(a+j)| + 1), in whole numbers
+            for j in range(N + 1 if N else 0):
                 if cplx:
-                    zabs[i] += pa
-                    pa *= q
-                p *= inv
+                    dr = ar + j * oa
+                    den = dr * dr + ai * ai
+                    qr = ((ar * dr + ai * ai) << P) // den
+                    qi = ((ai * j * oa) << P) // den
+                    if ints:
+                        pr, pi_ = qr, qi
+                        for _ in range(first - 1):
+                            pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
+                    else:
+                        w = (av / (av + j)) ** s_first
+                        pr, pi_ = _fix(mp.re(w), P), _fix(mp.im(w), P)
+                    if j == N:
+                        scale = []
+                        for _ in range(K):
+                            scale.append((pr, pi_))
+                            pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
+                        break
+                    for i in range(K):
+                        z[i] += pr
+                        zi[i] += pi_
+                        pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
+                    continue
+                q = (ar << P) // (ar + j * oa)
+                if ints:
+                    p = pow(q, first) >> (P * (first - 1))
+                else:
+                    p = _fix((av / (av + j)) ** s_first, P)
+                if j == N:
+                    scale = []
+                    for _ in range(K):
+                        scale.append(p)
+                        p = (p * q) >> P
+                    break
+                if logs:
+                    lg = _fix(mp.log(av + j), P)
+                    lgsum += (abs(lg) >> P) + 1
+                    for i in range(K):
+                        z[i] += p
+                        lz[i] += (p * lg) >> P
+                        p = (p * q) >> P
+                else:
+                    for i in range(K):
+                        z[i] += p
+                        p = (p * q) >> P
+            # units a power p = (a/(a+j))^s of column i may be off by: e0 + de i
+            e0, de = ((5 * first, 5) if cplx else (first + 1, 2)) if ints else (4, 5 if cplx else 2)
 
-        # one Euler-Maclaurin loop for every column
-        A = av + N
-        Ainv = 1 / A
-        Ainv2 = Ainv * Ainv
-        lA = mp.log(A)
-        reA = mp.re(A)
-        Apow = [Ainv ** first if ints else mp.exp(-first * lA)]
-        for _ in range(K - 1):
-            Apow.append(Apow[-1] * Ainv)
-        # stop column s once c_k (s)_(2k-1) A^(1-2k) <= target(s) |A|^s / W(s):
-        # the target is 10^-dps min(1, Re(a)^-s), and W(s) covers the ratio
-        # of Johansson's bound to the first omitted correction
-        eps = mpf(10) ** (-ctx.dps)
-        g = abs(A) / max(alpha, 1)
-        tgt = [eps * (g ** first if ints else mp.exp(first * mp.log(g)))]
-        for _ in range(K - 1):
-            tgt.append(tgt[-1] * g)
-        w2 = 2 * (2 * math.pi * float(reA)) ** 2
-        # The corrections relative to A^-s, c_k (s)_(2k-1) A^(1-2k), and their
-        # log companions are summed exactly in integers, in units of 2^-P:
-        # with c_k A^(1-2k) = m 2^e and alpha_i, beta_i (f^(i)(t) = t^(-s-i)
-        # (alpha_i log t + beta_i)) held as ints times 2^-F, a correction is
-        # m alpha_(2k-1) 2^(e+P-F), cut to an int. F = 0 for integer s, whose
-        # alpha_i, beta_i are exact ints; the cuts stay below 2^-P per term.
-        P = mp.prec + 20
-        F = 0 if ints else P
-        sfx = cols if ints else [int(mp.ldexp(c, F)) for c in cols]
-        tgt = [int(mp.ldexp(t / max(2.0, w2 / ((float(c) + 1) * (float(c) + 2))), P))
-               for t, c in zip(tgt, cols)]
-        S1, S1i, S2 = [0] * K, [0] * K, [0] * K
-        al, be = [1 << F] * K, [0] * K
-        last = [None] * K
-        zrem, lrem, M = [None] * K, [None] * K, [0] * K
-        twopi_inv2 = 1 / (2 * mp.pi) ** 2
-        tp = mpf(1)                             # (2 pi)^-2(k-1)
-        Aodd = Ainv                             # A^(1-2k)
-        active = list(range(K))
-        k = 1
-        while active:
-            b2k = bernoulli(2 * k)
-            Q = mpf(b2k.numerator) / b2k.denominator / mp.factorial(2 * k) * Aodd
-            qr, er = _signed_man_exp(mp.re(Q))
-            qi, ei = _signed_man_exp(mp.im(Q)) if cplx else (0, 0)
-            er, ei = er + P - F, ei + P - F
-            still = []
-            for i in active:
-                a_, b_ = al[i], be[i]
-                t = sfx[i] + ((2 * k - 3) << F)
-                if k > 1:   # i = 2k-3 -> 2k-2
-                    a_, b_ = -(t * a_ >> F), a_ - (t * b_ >> F)
-                a_even, b_even = a_, b_
-                t += 1 << F  # -> 2k-1
-                a_, b_ = -(t * a_ >> F), a_ - (t * b_ >> F)
-                x = -qr * a_
-                term = x << er if er >= 0 else x >> -er
+            # one Euler-Maclaurin loop at A = a + N for every column
+            A = av + N
+            Ainv = 1 / A
+            Aodd = _float_parts(Ainv)           # A^(1-2k), as _float_mul's triples
+            Ainv2 = _float_parts(Ainv * Ainv)
+            lAx = None
+            if logs or (ints and r_lo == 1):
+                with mp.workprec(wp + _LOG_GUARD):
+                    lA = mp.log(A)
+                lAx = (_fix(mp.re(lA), P + _LOG_GUARD), _fix(mp.im(lA), P + _LOG_GUARD))
+            reA, absA = float(mp.re(A)), float(abs(A))
+        log_absa, log_absA = math.log(absa), math.log(absA)
+        # log2 of W (s+2M-1)(s+2M) without the max: lw for the stopping
+        # rule, lwb and lratio for the bound
+        lw = math.log2(2 * (2 * math.pi * reA) ** 2)
+        lwb = math.log2(2 * (2 * math.pi * absA) ** 2)
+        lratio = math.log2(absA / reA) if cplx else 0.0
+        Qs = [None]                             # -c_k A^(1-2k) at index k
+        Ar, Ai = ar + N * oa, ai                # A 2^Pa
+        Ac = (math.isqrt(Ar * Ar + Ai * Ai) >> Pa) + 1   # |A| rounded up
+        half, one, two = 1 << (P - 1), 1 << F, 2 << F
+        F2 = 2 * F
+        zv, zvi, ze = [], [], []
+        lv, le = ([], []) if logs else (None, None)
+        for i in range(K):
+            s, sf = cols[i], sfx[i]
+            # the target, in units 2^-P relative to A^-s: log2 of the smaller
+            # of 10^-dps min(1, alpha^-s) and one unit of 2^-(P - _UNIT_SLACK)
+            # of a^s zeta, each times |A|^s
+            lt = (_log_target(s, ctx.dps, P - _UNIT_SLACK, alpha, log_absa) + s * log_absA) / _LN2 + P
+            # the corrections: alpha_(2k-1), beta_(2k-1) in units 2^-F from
+            # alpha_1 = -s, beta_1 = 1, advanced two orders a step by
+            # t1 = s + 2k - 3 and t1 + 1
+            a_, b_, t1 = -sf, one, sf + one
+            S1 = S1i = S2 = mag1 = 0            # mag1: the sum of |correction|
+            last = None
+            k = 1
+            while True:
+                try:
+                    nqr, nqi, sh = Qs[k]
+                except IndexError:
+                    # -c_k A^(1-2k) = (nqr + i nqi) 2^(F-P-sh), off by less
+                    # than (10k - 2) 2^-wp of it; sh > 0 since |c_k A^(1-2k)|
+                    # < 1/12 and the mantissas have wp = P + 20 bits
+                    cm, ce = _bernoulli_ratio(k, wp)
+                    nqr, nqi, e = _float_mul((-cm, 0, ce), Aodd, wp)
+                    Aodd = _float_mul(Aodd, Ainv2, wp)
+                    sh = F - P - e
+                    Qs.append((nqr, nqi, sh))
+                if k > 1:
+                    m = t1 * (t1 + one)
+                    if F:
+                        a_, b_ = (m * a_) >> F2, ((m * b_) >> F2) - ((((t1 << 1) + one) * a_) >> F)
+                    else:
+                        a_, b_ = m * a_, m * b_ - ((t1 << 1) + 1) * a_
+                    t1 += two
+                term = (nqr * a_) >> sh
                 mag = abs(term)
                 if cplx:
-                    x = -qi * a_
-                    term_i = x << ei if ei >= 0 else x >> -ei
+                    term_i = (nqi * a_) >> sh
                     mag += abs(term_i)
-                if k > 1 and (mag <= tgt[i] or mag > last[i] or k > _MAX_CORRECTIONS):
-                    # term k omitted, M = k - 1 corrections taken
-                    s, m2 = cols[i], 2 * (k - 1)
-                    Pa = abs(Apow[i])
-                    scale = Pa * abs(A) ** 2 * abs(Aodd) if not cplx else reA ** (1 - s - m2)
-                    a_even = mp.ldexp(abs(a_even), -F)
-                    zrem[i] = max(2 * Pa * mp.ldexp(mag, -P),
-                                  4 * a_even * tp * scale / (s + m2 - 1))
-                    if logs:
-                        pm1 = s + m2 - 1
-                        omitted = Q * mp.ldexp(-a_ * lA - b_, -F)
-                        lrem[i] = max(2 * Pa * abs(omitted),
-                                      4 * tp * scale * (a_even * (pm1 * lA + 1) / pm1 ** 2
-                                                        + mp.ldexp(abs(b_even), -F) / pm1))
-                    M[i] = k - 1
-                    continue
-                S1[i] += term
+                if k > 1 and (mag.bit_length() < lt or mag > last or k > _MAX_CORRECTIONS):
+                    bits = mag.bit_length()
+                    if (bits <= lt - max(1.0, lw - math.log2((s + 2 * k - 3) * (s + 2 * k - 2)))
+                            or not mag or mag > last or k > _MAX_CORRECTIONS):
+                        break
+                S1 += term
+                mag1 += mag
                 if cplx:
-                    S1i[i] += term_i
+                    S1i += term_i
                 if logs:
-                    x = qr * b_
-                    S2[i] += x << er if er >= 0 else x >> -er
-                al[i], be[i], last[i] = a_, b_, mag
-                still.append(i)
-            active = still
-            Aodd *= Ainv2
-            tp *= twopi_inv2
-            k += 1
-        S1 = [mpc(mp.ldexp(x, -P), mp.ldexp(y, -P)) if cplx else mp.ldexp(x, -P)
-              for x, y in zip(S1, S1i)]
-        S2 = [mp.ldexp(x, -P) for x in S2]
-
-        zeta, zbnd = [], []
-        logv, lbnd = ([], []) if logs else (None, None)
-        ulp = mpf(10) ** (-(ctx.dps + 4))
-        for i, s in enumerate(cols):
-            P = Apow[i]
-            rnd = ulp * max(1, (N + K + 2 * M[i]) / 10 ** 4)
-            psi_col = ints and s == 1
-            lead = -lA if psi_col else A * P / (s - 1)
-            parts = (lead, P / 2, P * S1[i])
-            val = z[i] + sum(parts)
-            mag = abs(zabs[i]) + sum(abs(v) for v in parts)
-            zeta.append(-val if psi_col else val)
-            zbnd.append(zrem[i] + mag * rnd)
-            if logs:
-                if psi_col:   # the divergent sum_u (u+a)^-1 log(u+a)
-                    logv.append(None)
-                    lbnd.append(None)
-                    continue
-                lparts = (A * P * ((s - 1) * lA + 1) / (s - 1) ** 2, P * lA / 2,
-                          P * (lA * S1[i] - S2[i]))
-                logv.append(lsum[i] + sum(lparts))
-                lmag = abs(lsum[i]) + lneg[i] + sum(abs(v) for v in lparts)
-                lbnd.append(lrem[i] + lmag * rnd)
-        return ZetaRow(phi, r_lo, tuple(zeta), tuple(zbnd),
-                       tuple(logv) if logs else None, tuple(lbnd) if logs else None)
+                    S2 -= (nqr * b_) >> sh
+                last = mag
+                k += 1
+            # term k omitted, M = k - 1 corrections taken: the remainder is at
+            # most W |term k|
+            M = k - 1
+            pm1 = s + 2 * M - 1
+            e = mag + 4 + ((mag * (16 * k + 16)) >> wp) + ((mag * 4 * k) >> F if F else 0)
+            lwm = max(1.0, lwb - math.log2(pm1 * (pm1 + 1))) + pm1 * lratio
+            zrem = _ceil_int(lwm) * e
+            # the corrections' cuts and mantissa roundings
+            eS1 = 4 * M + 4 + ((mag1 * (16 * M + 16)) >> wp) + ((mag1 * 4 * M) >> F if F else 0)
+            s1 = sf - one                       # (s - 1) 2^F
+            psi = ints and sf == 1
+            if psi:                             # -A log A
+                lr_, li_ = lAx
+                br = -((Ar * lr_ - Ai * li_) >> (Pa + _LOG_GUARD))
+                bi = -((Ar * li_ + Ai * lr_) >> (Pa + _LOG_GUARD))
+                eb = ((3 * Ac) >> _LOG_GUARD) + 3
+            else:                               # A/(s-1)
+                br = (Ar << (P + F)) // (s1 << Pa)
+                bi = (Ai << (P + F)) // (s1 << Pa) if cplx else 0
+                eb = 2
+            br += half + S1
+            bi += S1i
+            eb += eS1 + zrem
+            if scale is None:
+                vr, vi, ev = br, bi, eb
+            else:
+                eb0 = e0 + de * i
+                tr, ti = scale[i] if cplx else (scale[i], 0)
+                vr = z[i] + ((br * tr - bi * ti) >> P)
+                vi = zi[i] + ((br * ti + bi * tr) >> P)
+                # |b t - b~ t~| <= eb (|t| + e_t) + |b| e_t, and the cuts
+                ev = N * eb0 + ((eb * (abs(tr) + abs(ti) + eb0) + (abs(br) + abs(bi)) * eb0) >> P) + 4
+            if psi:                             # a psi(a) = -(a (-psi(a)))
+                vr, vi = -vr, -vi
+            zv.append(vr)
+            zvi.append(vi)
+            ze.append(ev)
+            if not logs:
+                continue
+            if psi:                             # the divergent sum_u (u+a)^-1 log(u+a)
+                lv.append(0)
+                le.append(0)
+                continue
+            # |beta_i/alpha_i| = sum_(m<i) 1/(s+m) rises with i, so alpha, beta
+            # at 2M + 1 bound it at 2M for the log remainder; and it is at most
+            # i/s, so the log companions sum to at most 2M mag1/s in modulus
+            hb = ((abs(b_) << 32) // abs(a_) + 1) / 2 ** 32
+            lrem = _ceil_int(lwm + math.log2(log_absA + 1 / pm1 + hb + 1e-9)) * e
+            mag2 = 2 * M * mag1 // (sf >> F)
+            eS2 = 4 * M + 4 + ((mag2 * (16 * M + 16)) >> wp) + ((mag2 * 4 * M) >> F if F else 0)
+            lx = lAx[0]
+            lc = (lx >> (P + _LOG_GUARD)) + 1    # log A rounded up
+            # A log A/(s-1) + A/(s-1)^2 + log A/2 + log A S1 - S2
+            bl = ((Ar * lx << F) // (s1 << (Pa + _LOG_GUARD))
+                  + (Ar << (P + F2)) // ((s1 * s1) << Pa)
+                  + (lx >> (_LOG_GUARD + 1))
+                  + ((lx * S1) >> (P + _LOG_GUARD)) - S2)
+            el = (((2 * Ac) << F) // (s1 << _LOG_GUARD) + 7 + ((abs(S1) * 2) >> (P + _LOG_GUARD))
+                  + eS1 * lc + eS2 + lrem)
+            if scale is not None:
+                eb0 = e0 + de * i
+                el = eb0 * lgsum + 4 * N + ((el * (scale[i] + eb0) + abs(bl) * eb0) >> P) + 2
+                bl = lz[i] + ((bl * scale[i]) >> P)
+            lv.append(bl)
+            le.append(el)
+        return ZetaRow(av, phi, r_lo, P, tuple(zv), tuple(ze), tuple(zvi) if cplx else None,
+                       tuple(lv) if logs else None, tuple(le) if logs else None)
 
 
 def hurwitz_zeta(s, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:

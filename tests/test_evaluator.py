@@ -1237,3 +1237,46 @@ def test_eval_cache_builds_each_row_once(monkeypatch):
         rep = eval_identity(entry, {"k": 1, "b": "1/2", "x": x}, CTX, strategy=entry.strategy)
         assert rep.passed and built
         assert sorted(built, key=str) == sorted(set(built), key=str)
+
+
+@pytest.mark.parametrize("lam, phi, digits", [
+    (1, 0, 50), (3, 0, 50), (1, Fraction(1, 2), 50), (3, Fraction(1, 2), 50),
+    (1, 0, 200), (3, Fraction(1, 2), 200)],
+    ids=["lam1-50", "lam3-50", "lam1-phi-50", "lam3-phi-50", "lam1-200", "lam3-phi-200"])
+def test_base_sums_within_their_units(lam, phi, digits):
+    # each (int, error) pair of the tail base sums against 40 more digits:
+    # v0^r sum_{u>=U0} (lam u + g)^-s and its log-weighted companion, s = r +
+    # phi; at lam = 3 the row's argument U0 + g/3 is not dyadic, so its
+    # rounding against v0/lam is part of the error
+    from dpl.reduction import _shape_unit, _tail_order
+
+    ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
+    g = mpf(1) / 4
+    with ctx.workdps():
+        cache = EvalCache(ctx)
+        R, P = _tail_order(mp.prec), _shape_unit([g])
+        U0 = math.ceil((cache.start(R, P) - 0.25) / lam)
+        v0 = lam * U0 + g
+        ph = mpf(phi.numerator) / phi.denominator if phi else 0
+        B, L = cache.base_sums(U0 + g / lam, v0, ph, lam, R, P)
+        prec = mp.prec
+    # mpmath's zeta at d digits is good to about 10^-d absolutely, and the
+    # scale v0^r lam^-s is about x^r: 40 digits past the unit need r log10 x more
+    bad = []
+    for r in range(1, R + 2):
+        with mp.workdps(ctx.dps + 40 + math.ceil(r * math.log10(U0 + 1))):
+            x = U0 + g / lam
+            s = r + (mpf(phi.numerator) / phi.denominator if phi else 0)
+            if s <= 1:
+                assert B[r] == L[r] == (0, 0)
+                continue
+            scale = v0 ** r * mpf(lam) ** -s
+            z = mpmath.zeta(s, x)
+            refs = (scale * z, scale * (mp.log(lam) * z - mpmath.zeta(s, x, 1)))
+            for name, (n, err), ref in zip("BL", (B[r], L[r]), refs):
+                if abs(n - mp.ldexp(ref, P)) > err:
+                    bad.append((name, r, float(abs(n - mp.ldexp(ref, P))), err))
+                # and the bound stays near the working precision
+                if err > ((abs(n) + (1 << P)) >> (prec - 16)):
+                    bad.append((name, r, "loose", err))
+    assert not bad, bad

@@ -248,7 +248,9 @@ def test_log_zeta_sum_vs_mpmath_derivative(r, a):
 # ---------------------------------------------------------------------------
 
 ROW_POINTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1), Fraction(15, 2),
-              Fraction(257, 4), Fraction(65), Fraction(1000), mpc("0.75", "2.5")]
+              Fraction(257, 4), Fraction(65), Fraction(1000), mpc("0.75", "2.5"),
+              # tail rows of the benchmark's passes (274/3 is not dyadic)
+              Fraction(549, 8), Fraction(1093, 4), Fraction(274, 3)]
 
 
 def _reference_slack(ref, dps):
