@@ -11,7 +11,7 @@ ints in units of 2^-P (P the working precision plus _ROW_GUARD bits), each
 column scaled by a^s, so that every column is O(1) or O(a). The block
 advances the powers (a/(a+j))^s by one cut product per column; N is chosen
 from a, the exponents and the precision by a cost model, as in Johansson
-(arXiv:1309.2877), and is 0 for every large a. Each column takes
+(arXiv:1309.2877), and is 0 for large a. Each column takes
 corrections until its remainder is below one unit of the outer sums'
 precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
@@ -342,6 +342,8 @@ class ZetaRow:
         """n 2^-P scale, with its bound."""
         v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
         val = v * scale
+        # scale is an mpf power (an exp of a log at 10 more bits for a
+        # fractional s), and the product one more rounding
         rnd = mp.ldexp(1, 10 - mp.prec)
         return EvalResult(val, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
                           "euler_maclaurin")
@@ -468,8 +470,9 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
 
     With phi = 0 the column s = 1 takes -A log A in place of A/(s-1) and
     yields -a psi(a). The log sums differentiate the same terms in s. When N
-    is 0, as for every large a, (a/A)^s is 1 and a column is a handful of int
-    operations past its corrections. Else each (a/(a+j)) is one cut int
+    is 0, as for large a (every tail row of an outer sum at 50 digits),
+    (a/A)^s is 1 and a column is a handful of int operations past its
+    corrections. Else each (a/(a+j)) is one cut int
     division (a pair at complex a), whose powers advance by one cut product
     per column; a fractional phi takes one cut mpf power per j and the log
     sums one cut mpf log per j. N comes from a cost model (_block_length).
@@ -486,10 +489,9 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
     into an int two, each power (a/(a+j))^s as many as it took products,
     and the mantissas m and the alpha, beta at a fractional phi their
     relative rounding, counted against the sum of the corrections' moduli.
-    The remainder after
-    M corrections is Johansson's (arXiv:1309.2877, Thm. 1, with |B~_2M(t)|
-    <= 4 (2M)!/(2 pi)^2M) 4 |(s)_2M| (2 pi)^-2M Re(A)^(1-s-2M)/(s+2M-1),
-    which holds for complex a too; since |c_(M+1)| > 2 (2 pi)^-2(M+1), it is
+    The remainder after M corrections is Johansson's (arXiv:1309.2877,
+    Thm. 1, with |B~_2M(t)| <= 4 (2M)!/(2 pi)^2M) 4 |(s)_2M| (2 pi)^-2M
+    Re(A)^(1-s-2M)/(s+2M-1), which holds for complex a too; since |c_(M+1)| > 2 (2 pi)^-2(M+1), it is
     at most the first omitted correction times W = max(2, 2 (2 pi |A|)^2 /
     ((s+2M-1)(s+2M))) (|A|/Re A)^(s+2M-1). For the log sums, f^(2M)(t) =
     t^-p (alpha_2M log t + beta_2M), p = s + 2M, gives that bound times
