@@ -192,8 +192,10 @@ _LOG_GUARD = 20
 # companion; each correction order makes one shared mantissa (2.4 us); and
 # any N > 0 scales each column's tail by (a/A)^s, with its error, about
 # 1.4 us a column, 2.4 us with the log sums (the same row at a = 68.5 with
-# N = 1 against N = 0). The short rows at a = 1/4 and 15/2 (K = 5) spend
-# their time in the same parts.
+# N = 1 against N = 0). With these weights the short rows at a = 1/4 and
+# 15/2 (K = 5) take N = 66 and 64 and 136 and 144 column corrections, in
+# 0.35-0.41 ms; the weights fitted to the mpf kernel gave N = 26 and 24,
+# and 351 and 274 column corrections.
 _COST_TERM, _COST_TERM_LOG, _COST_TERM_POW = 0.7, 5, 10
 _COST_COLUMN, _COST_COLUMN_LOG = 0.2, 0.2
 _COST_CORRECTION, _COST_CORRECTION_LOG = 1, 0.5
