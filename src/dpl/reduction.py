@@ -51,6 +51,7 @@ from .specfun import (
     EvalResult,
     PrecisionContext,
     ZetaRow,
+    _SHAPE_GUARD,
     _ceil_shift,
     _fix,
     _signed_man_exp,
@@ -164,12 +165,13 @@ class EvalCache:
     too short for a request is rebuilt at least twice as long.
 
     It also keeps the fixed-point expansions of the tail factors (series),
-    the scaled base sums of each tail row (base_sums), the tail start shared
-    by most shapes (start), and, in sums, the coefficient-free outer sum of
-    every atom shape (slope, rpows, trans, u0, phase) that _sum_atom has
-    summed: the terms of one side, and the two sides of an identity, share
-    many shapes with different coefficients. All of it lives as long as the
-    evaluation holds the cache; nothing is kept between evaluations.
+    the tail start shared by most shapes (start), and, in sums, the
+    coefficient-free outer sum of every atom shape (slope, rpows, trans, u0,
+    phase) that _sum_atom has summed: the terms of one side, and the two
+    sides of an identity, share many shapes with different coefficients.
+    All of it lives as long as the evaluation holds the cache; nothing is
+    kept between evaluations. base_sums reads a tail row's ints afresh on
+    each call.
     """
 
     SPARE_COLUMNS = 3
@@ -179,7 +181,6 @@ class EvalCache:
         self.rows = {}
         self.sums = {}
         self.expansions = {}
-        self.bases = {}
         self.starts = {}
 
     def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
@@ -240,10 +241,6 @@ class EvalCache:
         cut int; the error holds the row's own, one unit per cut, and the
         rounding of abase against v0/lam (shapes at one shift share the
         row); (0, 0) where r + phi <= 1."""
-        key = (abase, v0, phi, lam, R, P)
-        out = self.bases.get(key)
-        if out is not None:
-            return out
         row = self.row(abase, phi, R + 1, logs=True)
         sh = row.P - P
         with mp.workprec(P + 20):
@@ -277,8 +274,7 @@ class EvalCache:
                 el += (((2 * r + 3) * rel * (abs(lz) + el + mz)) >> P) + 1
             B.append((z, ez))
             L.append((lz, el))
-        out = self.bases[key] = (B, L)
-        return out
+        return B, L
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +317,20 @@ class Atom:
 # ---------------------------------------------------------------------------
 #
 # An outer sum is summed in Python ints in units of 2^-P, with one P per
-# shape: the working precision plus _GUARD_BITS, raised until every shift of
+# shape: the working precision plus specfun's _SHAPE_GUARD bits (the unit
+# its rows bring their remainders below), raised until every shift of
 # the shape is an exact multiple of 2^-P. Products are summed exactly (in
 # units of 2^-2P) and cut once; every cut int division or shift, and every
 # mpf value taken into an int, is off by less than one unit, and the engine
 # carries a count of such units with each quantity into the bound.
 
-_GUARD_BITS = 8
 _LN2 = math.log(2)
 
 
 def _shape_unit(shifts) -> int:
     """P for a shape: the working precision plus guard bits, and at least the
     number of fraction bits of every shift, so that every base is exact."""
-    P = mp.prec + _GUARD_BITS
+    P = mp.prec + _SHAPE_GUARD
     for g in shifts:
         if g:
             P = max(P, -_signed_man_exp(mpf(g))[1])

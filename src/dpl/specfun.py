@@ -173,13 +173,13 @@ _MIN_S_GAP = mpf("0.001")
 _MAX_CORRECTIONS = 400   # per column; the block length keeps M far below this
 _LN10 = math.log(10)
 _LN2 = math.log(2)
-# A row sums in units of 2^-(prec + _ROW_GUARD), prec the working precision,
-# and takes corrections until its remainder is below one unit of
-# 2^-(prec + _ROW_GUARD - _UNIT_SLACK): the unit of an outer-sum shape
-# (reduction._GUARD_BITS), which reads the tail rows as they are. log A is
-# held to _LOG_GUARD more bits, since A log A amplifies its error by A.
+# An outer-sum shape (reduction) sums in units of 2^-(prec + _SHAPE_GUARD),
+# prec the working precision. A row sums in units of 2^-(prec + _ROW_GUARD)
+# and takes corrections until its remainder is below one unit of the
+# shapes', which read the tail rows as they are. log A is held to
+# _LOG_GUARD more bits, since A log A amplifies its error by A.
+_SHAPE_GUARD = 8
 _ROW_GUARD = 24
-_UNIT_SLACK = 16
 _LOG_GUARD = 20
 # Relative costs of the parts of a row, for _block_length, in units of one
 # correction of one column. Timed at 50 digits (2-vCPU host, Python 3.11,
@@ -189,56 +189,18 @@ _LOG_GUARD = 20
 # division (0.16 us) and its loop, about 1 us, plus an mpf log (6.7 us)
 # with the log sums and an mpf power (14.2 us) at a fractional phi; a block
 # term per column is a cut product (0.25 us), plus 0.31 us for its log
-# companion; each correction order makes one shared mantissa (2.4 us); and
+# companion; each correction order makes one shared factor (2.4 us); and
 # any N > 0 scales each column's tail by (a/A)^s, with its error, about
 # 1.4 us a column, 2.4 us with the log sums (the same row at a = 68.5 with
 # N = 1 against N = 0). With these weights the short rows at a = 1/4 and
-# 15/2 (K = 5) take N = 66 and 64 and 136 and 144 column corrections, in
-# 0.35-0.41 ms; the weights fitted to the mpf kernel gave N = 26 and 24,
-# and 351 and 274 column corrections.
+# 15/2 (K = 5) take N = 66 and 64 and 136 and 144 column corrections; the
+# weights fitted to the mpf kernel gave N = 26 and 24, and 351 and 274.
 _COST_TERM, _COST_TERM_LOG, _COST_TERM_POW = 0.7, 5, 10
 _COST_COLUMN, _COST_COLUMN_LOG = 0.2, 0.2
 _COST_CORRECTION, _COST_CORRECTION_LOG = 1, 0.5
 _COST_ORDER = 1.7
 _COST_SCALE, _COST_SCALE_LOG = 1, 0.7
 _MODEL_COLUMNS = 8
-_bernoulli_ratios: dict = {}
-
-
-def _bernoulli_ratio(k: int, wp: int):
-    """B_2k/(2k)! as (m, e), m 2^e with m an int of about wp bits, below the
-    ratio by less than 2^(1-wp) of it (cached per (k, wp))."""
-    c = _bernoulli_ratios.get((k, wp))
-    if c is None:
-        b = bernoulli(2 * k)
-        num, den = b.numerator, b.denominator * math.factorial(2 * k)
-        sh = wp + den.bit_length() - abs(num).bit_length()
-        c = _bernoulli_ratios[(k, wp)] = ((num << sh) // den, -sh)
-    return c
-
-
-def _float_mul(x, y, wp: int):
-    """The product of x = (xr, xi, xe), standing for (xr + i xi) 2^xe, and y,
-    its mantissas cut to wp bits: off by less than 2^(2-wp) of it."""
-    xr, xi, xe = x
-    yr, yi, ye = y
-    r, i = xr * yr - xi * yi, xr * yi + xi * yr
-    sh = max(abs(r).bit_length(), abs(i).bit_length()) - wp
-    if sh <= 0:
-        return r, i, xe + ye
-    return r >> sh, i >> sh, xe + ye + sh
-
-
-def _float_parts(z):
-    """(mr, mi, e) with z = (mr + i mi) 2^e, for an mpf or mpc z."""
-    m1, e1 = _signed_man_exp(mp.re(z))
-    m2, e2 = _signed_man_exp(mp.im(z)) if isinstance(z, mpc) else (0, 0)
-    if not m2:
-        return m1, 0, e1
-    if not m1:
-        return 0, m2, e2
-    e = min(e1, e2)
-    return m1 << (e1 - e), m2 << (e2 - e), e
 
 
 def _to_mp(z):
@@ -316,7 +278,8 @@ class ZetaRow:
     With phi = 0 the column r = 1 holds a psi(a) in place of the divergent
     a zeta(1, a). zeta_at, log_zeta_at and psi return EvalResults, converted
     on read at the caller's precision, with the rounding of the conversion
-    counted into the bound.
+    counted into the bound. block is the length N of the row's direct block
+    and corrections[i] the number M of corrections column i took.
     """
 
     a: object
@@ -328,6 +291,8 @@ class ZetaRow:
     zeta_im: tuple | None = None
     logs: tuple | None = None
     log_err: tuple | None = None
+    block: int = 0
+    corrections: tuple = ()
 
     @property
     def r_hi(self) -> int:
@@ -406,19 +371,24 @@ def _block_length(alpha: float, log_absa: float, phi: float, r_hi: int, dps: int
     best = None
     for step in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384):
         N = n0 + step
-        block = N * (term + K * column) + (scale if N else 0)
-        if best is not None and block >= best[0]:
-            break       # the block alone costs more than the best row
         A = alpha + N
         lA, l2piA = math.log(A), 2 * math.log(2 * math.pi * A)
         total_M = 0
-        for s, L0 in samples:
-            k = _corrections_needed(L0 - (s + 1) * lA, s, l2piA)
-            if k is None:
+        for s, L in samples:
+            L -= (s + 1) * lA
+            k = 1
+            while L >= 0 and k <= _MAX_CORRECTIONS:
+                step_k = math.log((s + 2 * k - 1) * (s + 2 * k)) - l2piA
+                if step_k >= 0:     # the corrections grow before the target
+                    break
+                L += step_k
+                k += 1
+            if L >= 0:
                 break
             total_M += k
         else:
-            cost = block + total_M / len(samples) * per_order
+            cost = (N * (term + K * column) + (scale if N else 0)
+                    + total_M / len(samples) * per_order)
             if best is None or cost < best[0]:
                 best = (cost, N)
             elif cost > 2 * best[0]:
@@ -426,32 +396,57 @@ def _block_length(alpha: float, log_absa: float, phi: float, r_hi: int, dps: int
     return N if best is None else best[1]
 
 
-def _corrections_needed(L: float, s: float, l2piA: float):
-    """The index k of the first correction below the target, or None.
+def _correction_factors(Ar: int, Ai: int, Pa: int, wp: int):
+    """-c_k A^(1-2k), c_k = B_2k/(2k)!, for k = 1, 2, ..., at the exact
+    A = (Ar + i Ai) 2^-Pa: each as (mr, mi, e), (mr + i mi) 2^e, the longer
+    of the int mantissas mr and mi wp bits long, off by less than 12k 2^-wp
+    of it in modulus.
 
-    Correction k + 1 is correction k times (s+2k-1)(s+2k)/(2 pi A)^2, so
-    after m steps log(|correction| / target) is L + lgamma(s+2m+1) -
-    lgamma(s+1) - m l2piA, falling while (s+2m-1)(s+2m) < (2 pi A)^2; None
-    when it does not fall below 0 before the corrections grow."""
-    if L < 0:
-        return 1
-    X = math.exp(l2piA)
-    hi = max(0, int((math.sqrt(X) - s) / 2) + 1)
-    while hi > 0 and (s + 2 * hi - 1) * (s + 2 * hi) >= X:
-        hi -= 1
-    hi = min(hi, _MAX_CORRECTIONS)
-    L -= math.lgamma(s + 1)
-    lg = math.lgamma
-    if hi < 1 or L + lg(s + 2 * hi + 1) - hi * l2piA >= 0:
-        return None
-    lo = 0                      # still >= 0 after lo steps, below 0 after hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if L + lg(s + 2 * mid + 1) - mid * l2piA >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 1
+    1/A and each c_k are int quotients, and A^(1-2k) advances by one product
+    by 1/A^2 a step; a product is exact and then cut to wp bits. A quotient
+    or a cut is off by less than 2^(1-wp) of its longer component, so by
+    less than 2^(1.5-wp) of its modulus: 1/A^2 is off by 3 of those and each
+    step adds 4, 11.4k - 3.6 times 2^-wp in all, to first order."""
+    def mul(x, y):
+        xr, xi, xe = x
+        yr, yi, ye = y
+        r, i = xr * yr - xi * yi, xr * yi + xi * yr
+        sh = max(abs(r).bit_length(), abs(i).bit_length()) - wp
+        return (r >> sh, i >> sh, xe + ye + sh) if sh > 0 else (r, i, xe + ye)
+
+    D = Ar * Ar + Ai * Ai
+    sh = wp + D.bit_length() - max(abs(Ar), abs(Ai)).bit_length()
+    inv = ((Ar << sh) // D, (-Ai << sh) // D, Pa - sh)
+    inv2 = mul(inv, inv)
+    odd, fact, k = inv, 1, 1
+    while True:
+        fact *= (2 * k - 1) * (2 * k)
+        b = bernoulli(2 * k)
+        num, den = -b.numerator, b.denominator * fact
+        sh = wp + den.bit_length() - abs(num).bit_length()
+        yield mul(((num << sh) // den, 0, -sh), odd)
+        odd = mul(odd, inv2)
+        k += 1
+
+
+def _cut_powers(p, q, K: int, P: int) -> list:
+    """[p, p q, ..., p q^(K-1)] for ints p, q in units of 2^-P ((re, im)
+    pairs of ints at complex values), each product cut to ints. With |p|,
+    |q| <= 1, q off by less than one unit in each part and p by e units in
+    modulus, the i-th is off by less than e + 2i units (e + 3i for pairs:
+    each product adds |q| e + |p| sqrt 2 and a cut of each part)."""
+    out = [p]
+    if isinstance(q, tuple):
+        qr, qi = q
+        pr, pi_ = p
+        for _ in range(K - 1):
+            pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
+            out.append((pr, pi_))
+    else:
+        for _ in range(K - 1):
+            p = (p * q) >> P
+            out.append(p)
+    return out
 
 
 def _ceil_int(x: float) -> int:
@@ -479,13 +474,15 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
     per column; a fractional phi takes one cut mpf power per j and the log
     sums one cut mpf log per j. N comes from a cost model (_block_length).
     The corrections and their log companions are summed in ints: with c_k
-    A^(1-2k) held as m 2^e, m an int of P + 20 bits shared by every column,
-    and alpha_i, beta_i (f^(i)(t) = t^(-s-i) (alpha_i log t + beta_i)) exact
-    ints (ints times 2^-F at a fractional phi) advanced two orders a step, a
-    correction is m alpha_(2k-1) 2^(e+P-F), cut to an int. A column stops
-    at the first correction whose remainder bound falls below one unit of
-    2^-(P - _UNIT_SLACK) and below 10^-dps min(1, Re(a)^-s) of zeta, or once
-    the corrections grow or vanish.
+    A^(1-2k) held as m 2^e, m an int of P + 20 bits shared by every column
+    (_correction_factors), and alpha_i, beta_i (f^(i)(t) = t^(-s-i)
+    (alpha_i log t + beta_i)) exact ints (ints times 2^-F at a fractional
+    phi) advanced two orders a step, a correction is m alpha_(2k-1)
+    2^(e+P-F), cut to an int.
+    A column stops at the first correction whose remainder bound falls below
+    one unit of 2^-(working precision + _SHAPE_GUARD), the unit of an
+    outer-sum shape, and below 10^-dps min(1, Re(a)^-s) of zeta, or once the
+    corrections grow or vanish.
 
     Bounds, in the same units: every cut counts one unit, an mpf value taken
     into an int two, each power (a/(a+j))^s as many as it took products,
@@ -511,6 +508,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
         if K < 1 or r_lo < 1:
             raise DomainError("a row needs columns r = r_lo..r_hi with 1 <= r_lo <= r_hi")
         P = mp.prec + _ROW_GUARD
+        bits = mp.prec + _SHAPE_GUARD
         # exact ints: a = (ar + i ai) 2^-Pa, s = sfx 2^-F
         ar, Pr = _exact_units(mp.re(av))
         ai, Pi = _exact_units(mp.im(av)) if cplx else (0, 0)
@@ -526,7 +524,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
         cols = [x / (1 << F) if F else float(x) for x in sfx]
         alpha = float(mp.re(av))
         absa = float(abs(av))
-        N = _block_length(alpha, math.log(absa), float(phi), r_hi, ctx.dps, P - _UNIT_SLACK, logs)
+        N = _block_length(alpha, math.log(absa), float(phi), r_hi, ctx.dps, bits, logs)
         first = sfx[0]
         wp = P + 20
         with mp.workprec(wp):
@@ -540,56 +538,44 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
                 if cplx:
                     dr = ar + j * oa
                     den = dr * dr + ai * ai
-                    qr = ((ar * dr + ai * ai) << P) // den
-                    qi = ((ai * j * oa) << P) // den
+                    q = (((ar * dr + ai * ai) << P) // den, ((ai * j * oa) << P) // den)
                     if ints:
-                        pr, pi_ = qr, qi
-                        for _ in range(first - 1):
-                            pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
+                        p = _cut_powers(q, q, first, P)[-1]
                     else:
                         w = (av / (av + j)) ** s_first
-                        pr, pi_ = _fix(mp.re(w), P), _fix(mp.im(w), P)
-                    if j == N:
-                        scale = []
-                        for _ in range(K):
-                            scale.append((pr, pi_))
-                            pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
-                        break
-                    for i in range(K):
+                        p = (_fix(mp.re(w), P), _fix(mp.im(w), P))
+                else:
+                    q = (ar << P) // (ar + j * oa)
+                    if ints:
+                        p = pow(q, first) >> (P * (first - 1))
+                    else:
+                        p = _fix((av / (av + j)) ** s_first, P)
+                pows = _cut_powers(p, q, K, P)
+                if j == N:
+                    scale = pows
+                elif cplx:
+                    for i, (pr, pi_) in enumerate(pows):
                         z[i] += pr
                         zi[i] += pi_
-                        pr, pi_ = (pr * qr - pi_ * qi) >> P, (pr * qi + pi_ * qr) >> P
-                    continue
-                q = (ar << P) // (ar + j * oa)
-                if ints:
-                    p = pow(q, first) >> (P * (first - 1))
-                else:
-                    p = _fix((av / (av + j)) ** s_first, P)
-                if j == N:
-                    scale = []
-                    for _ in range(K):
-                        scale.append(p)
-                        p = (p * q) >> P
-                    break
-                if logs:
+                elif logs:
                     lg = _fix(mp.log(av + j), P)
                     lgsum += (abs(lg) >> P) + 1
-                    for i in range(K):
+                    for i, p in enumerate(pows):
                         z[i] += p
                         lz[i] += (p * lg) >> P
-                        p = (p * q) >> P
                 else:
-                    for i in range(K):
+                    for i, p in enumerate(pows):
                         z[i] += p
-                        p = (p * q) >> P
-            # units a power p = (a/(a+j))^s of column i may be off by: e0 + de i
-            e0, de = ((5 * first, 5) if cplx else (first + 1, 2)) if ints else (4, 5 if cplx else 2)
+            # units a power p = (a/(a+j))^s of column i may be off by, e0 + de
+            # i (_cut_powers): its start is off by less than first + 1 at real
+            # a, 3 first at complex a, and 4 from an mpf power
+            if ints:
+                e0, de = (3 * first, 3) if cplx else (first + 1, 2)
+            else:
+                e0, de = 4, 3 if cplx else 2
 
             # one Euler-Maclaurin loop at A = a + N for every column
             A = av + N
-            Ainv = 1 / A
-            Aodd = _float_parts(Ainv)           # A^(1-2k), as _float_mul's triples
-            Ainv2 = _float_parts(Ainv * Ainv)
             lAx = None
             if logs or (ints and r_lo == 1):
                 with mp.workprec(wp + _LOG_GUARD):
@@ -605,16 +591,17 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
         Qs = [None]                             # -c_k A^(1-2k) at index k
         Ar, Ai = ar + N * oa, ai                # A 2^Pa
         Ac = (math.isqrt(Ar * Ar + Ai * Ai) >> Pa) + 1   # |A| rounded up
+        factors = _correction_factors(Ar, Ai, Pa, wp)
         half, one, two = 1 << (P - 1), 1 << F, 2 << F
         F2 = 2 * F
-        zv, zvi, ze = [], [], []
+        zv, zvi, ze, Ms = [], [], [], []
         lv, le = ([], []) if logs else (None, None)
         for i in range(K):
             s, sf = cols[i], sfx[i]
             # the target, in units 2^-P relative to A^-s: log2 of the smaller
-            # of 10^-dps min(1, alpha^-s) and one unit of 2^-(P - _UNIT_SLACK)
-            # of a^s zeta, each times |A|^s
-            lt = (_log_target(s, ctx.dps, P - _UNIT_SLACK, alpha, log_absa) + s * log_absA) / _LN2 + P
+            # of 10^-dps min(1, alpha^-s) and one unit of 2^-bits of a^s zeta,
+            # each times |A|^s
+            lt = (_log_target(s, ctx.dps, bits, alpha, log_absa) + s * log_absA) / _LN2 + P
             # the corrections: alpha_(2k-1), beta_(2k-1) in units 2^-F from
             # alpha_1 = -s, beta_1 = 1, advanced two orders a step by
             # t1 = s + 2k - 3 and t1 + 1
@@ -627,11 +614,10 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
                     nqr, nqi, sh = Qs[k]
                 except IndexError:
                     # -c_k A^(1-2k) = (nqr + i nqi) 2^(F-P-sh), off by less
-                    # than (10k - 2) 2^-wp of it; sh > 0 since |c_k A^(1-2k)|
-                    # < 1/12 and the mantissas have wp = P + 20 bits
-                    cm, ce = _bernoulli_ratio(k, wp)
-                    nqr, nqi, e = _float_mul((-cm, 0, ce), Aodd, wp)
-                    Aodd = _float_mul(Aodd, Ainv2, wp)
+                    # than 12k 2^-wp of it, so a correction's |re| + |im| by
+                    # less than 17k 2^-wp of its own; sh > 0 since |c_k
+                    # A^(1-2k)| < 1/12 and the longer mantissa has wp bits
+                    nqr, nqi, e = next(factors)
                     sh = F - P - e
                     Qs.append((nqr, nqi, sh))
                 if k > 1:
@@ -647,8 +633,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
                     term_i = (nqi * a_) >> sh
                     mag += abs(term_i)
                 if k > 1 and (mag.bit_length() < lt or mag > last or k > _MAX_CORRECTIONS):
-                    bits = mag.bit_length()
-                    if (bits <= lt - max(1.0, lw - math.log2((s + 2 * k - 3) * (s + 2 * k - 2)))
+                    if (mag.bit_length() <= lt - max(1.0, lw - math.log2((s + 2 * k - 3) * (s + 2 * k - 2)))
                             or not mag or mag > last or k > _MAX_CORRECTIONS):
                         break
                 S1 += term
@@ -662,12 +647,13 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
             # term k omitted, M = k - 1 corrections taken: the remainder is at
             # most W |term k|
             M = k - 1
+            Ms.append(M)
             pm1 = s + 2 * M - 1
-            e = mag + 4 + ((mag * (16 * k + 16)) >> wp) + ((mag * 4 * k) >> F if F else 0)
+            e = mag + 4 + ((mag * 17 * k) >> wp) + ((mag * 4 * k) >> F if F else 0)
             lwm = max(1.0, lwb - math.log2(pm1 * (pm1 + 1))) + pm1 * lratio
             zrem = _ceil_int(lwm) * e
             # the corrections' cuts and mantissa roundings
-            eS1 = 4 * M + 4 + ((mag1 * (16 * M + 16)) >> wp) + ((mag1 * 4 * M) >> F if F else 0)
+            eS1 = 4 * M + 4 + ((mag1 * 17 * M) >> wp) + ((mag1 * 4 * M) >> F if F else 0)
             s1 = sf - one                       # (s - 1) 2^F
             psi = ints and sf == 1
             if psi:                             # -A log A
@@ -708,7 +694,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
             hb = ((abs(b_) << 32) // abs(a_) + 1) / 2 ** 32
             lrem = _ceil_int(lwm + math.log2(log_absA + 1 / pm1 + hb + 1e-9)) * e
             mag2 = 2 * M * mag1 // (sf >> F)
-            eS2 = 4 * M + 4 + ((mag2 * (16 * M + 16)) >> wp) + ((mag2 * 4 * M) >> F if F else 0)
+            eS2 = 4 * M + 4 + ((mag2 * 17 * M) >> wp) + ((mag2 * 4 * M) >> F if F else 0)
             lx = lAx[0]
             lc = (lx >> (P + _LOG_GUARD)) + 1    # log A rounded up
             # A log A/(s-1) + A/(s-1)^2 + log A/2 + log A S1 - S2
@@ -725,7 +711,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
             lv.append(bl)
             le.append(el)
         return ZetaRow(av, phi, r_lo, P, tuple(zv), tuple(ze), tuple(zvi) if cplx else None,
-                       tuple(lv) if logs else None, tuple(le) if logs else None)
+                       tuple(lv) if logs else None, tuple(le) if logs else None, N, tuple(Ms))
 
 
 def hurwitz_zeta(s, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:

@@ -293,6 +293,119 @@ def test_row_bounds_dominate_true_error(digits):
                 assert not bad, (a, phi, bad)
 
 
+@pytest.mark.parametrize("A", [(1093, 0, 2), (549, 0, 3), (3, 10, 2), (-7, 9, 0)],
+                         ids=["1093/4", "549/8", "3/4+5/2i", "-7+9i"])
+@pytest.mark.parametrize("wp", [100, 700])
+def test_correction_factors_within_their_claim(A, wp):
+    # each -c_k A^(1-2k) against exact rationals: off by less than 12k 2^-wp
+    # of it in modulus, with the longer mantissa wp bits long
+    Ar, Ai, Pa = A
+    d = Fraction(Ar * Ar + Ai * Ai, 4 ** Pa)
+    inv = (Fraction(Ar, 2 ** Pa) / d, Fraction(-Ai, 2 ** Pa) / d)
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    inv2, odd = mul(inv, inv), inv
+    factors = specfun._correction_factors(Ar, Ai, Pa, wp)
+    for k in range(1, 61):
+        mr, mi, e = next(factors)
+        assert max(abs(mr).bit_length(), abs(mi).bit_length()) == wp
+        c = -bernoulli(2 * k) / math.factorial(2 * k)
+        exact = (c * odd[0], c * odd[1])
+        got = (Fraction(mr) * Fraction(2) ** e, Fraction(mi) * Fraction(2) ** e)
+        err2 = (got[0] - exact[0]) ** 2 + (got[1] - exact[1]) ** 2
+        assert err2 < (Fraction(12 * k, 2 ** wp)) ** 2 * (exact[0] ** 2 + exact[1] ** 2), k
+        odd = mul(odd, inv2)
+
+
+@pytest.mark.parametrize("a", [(Fraction(1093, 4), 0), (Fraction(1, 4), 0),
+                               (Fraction(3, 4), Fraction(5, 2))],
+                         ids=["1093/4", "1/4", "3/4+5/2i"])
+def test_cut_powers_within_their_claim(a):
+    # the row's block powers of q = a/(a+j), q cut to units of 2^-P, from p
+    # = q, against exact rationals: the i-th is off by less than e + 2i
+    # units, e + 3i at complex a, e = 1 (sqrt 2) the start's error
+    P, K = 200, 80
+    ar, ai = a
+    for j in (1, 2, 7):
+        d = (ar + j) ** 2 + ai ** 2
+        qx = ((ar * (ar + j) + ai * ai) / d, ai * j / d)
+        if ai:
+            q = (math.floor(qx[0] * 2 ** P), math.floor(qx[1] * 2 ** P))
+            e, de = math.sqrt(2), 3
+        else:
+            q, e, de = math.floor(qx[0] * 2 ** P), 1, 2
+        px = qx
+        for i, x in enumerate(specfun._cut_powers(q, q, K, P)):
+            xr, xi = x if ai else (x, 0)
+            off = math.hypot(float(xr - px[0] * 2 ** P), float(xi - px[1] * 2 ** P))
+            assert off < e + de * i, (j, i, off)
+            px = (px[0] * qx[0] - px[1] * qx[1], px[0] * qx[1] + px[1] * qx[0])
+
+
+# 1093/4: N = 0; 1/4: a long block; 274/3: not dyadic; phi = 1/2: mpf
+# powers and logs in the block
+CUT_POINTS = [(Fraction(1093, 4), 0, 35), (Fraction(1, 4), 0, 12), (Fraction(274, 3), 0, 20),
+              (Fraction(15, 2), Fraction(1, 2), 12), (Fraction(1093, 4), Fraction(1, 2), 20),
+              (mpc("0.75", "2.5"), 0, 12), (mpc("0.75", "2.5"), Fraction(1, 2), 8)]
+
+
+@pytest.mark.parametrize("a, phi, K", CUT_POINTS,
+                         ids=[f"{a}-{phi}" for a, phi, _ in CUT_POINTS])
+def test_row_cut_counts_cover_the_cut_errors(a, phi, K, monkeypatch):
+    # With the remainder bounds set to 0, a column's bound is its count of
+    # cuts alone. Each int is compared with the sum the row forms at its own
+    # N and M, at 200 more bits: sum_{j<N} (a/(a+j))^s + (a/A)^s (A/(s-1) +
+    # 1/2 + S1), S1 = sum_{k<=M} c_k (s)_(2k-1) A^(1-2k), A = a + N; -A log A
+    # in place of A/(s-1) for a psi(a); for the log sums sum_{j<N}
+    # (a/(a+j))^s log(a+j) + (a/A)^s (A log A/(s-1) + A/(s-1)^2 + log A/2 +
+    # log A S1 - S2), S2 = sum_{k<=M} c_k beta_(2k-1) A^(1-2k), with
+    # f^(i)(t) = t^(-s-i) (alpha_i log t + beta_i) for f(t) = t^-s log t.
+    monkeypatch.setattr(specfun, "_ceil_int", lambda x: 0)
+    ctx = PrecisionContext()
+    real = not isinstance(a, mpc)
+    with ctx.workdps():
+        av = specfun._to_mp(a)
+        ph = specfun._to_mp(phi) if phi else 0
+        row = euler_maclaurin_row(av, ph, 1, K, ctx, logs=real)
+    N, P = row.block, row.P
+
+    def fr(x):
+        return mpf(x.numerator) / x.denominator
+
+    bad = []
+    with mp.workprec(P + 200):
+        A = av + N
+        lA = mp.log(A)
+        for r in range(1, K + 1):
+            sx = r + Fraction(phi)
+            s = fr(sx)
+            al, be, S1, S2 = Fraction(1), Fraction(0), 0, 0
+            for i in range(2 * row.corrections[r - 1]):
+                al, be = -(sx + i) * al, al - (sx + i) * be     # order i + 1
+                if i % 2 == 0:
+                    k = i // 2 + 1
+                    ck = bernoulli(2 * k) / math.factorial(2 * k)
+                    S1 -= fr(ck * al) * A ** (1 - 2 * k)
+                    S2 += fr(ck * be) * A ** (1 - 2 * k)
+            psi = sx == 1
+            v = sum((av / (av + j)) ** s for j in range(N))
+            v += (av / A) ** s * ((-A * lA if psi else A / (s - 1)) + mpf(1) / 2 + S1)
+            cols = [((-v if psi else v), row.zeta[r - 1],
+                     row.zeta_im[r - 1] if row.zeta_im else 0, row.zeta_err[r - 1])]
+            if real and not psi:
+                vl = sum((av / (av + j)) ** s * mp.log(av + j) for j in range(N))
+                vl += (av / A) ** s * (A * lA / (s - 1) + A / (s - 1) ** 2 + lA / 2
+                                       + lA * S1 - S2)
+                cols.append((vl, row.logs[r - 1], 0, row.log_err[r - 1]))
+            for ref, n, ni, err in cols:
+                off = abs(mpc(n, ni) - ref * mp.ldexp(1, P))
+                if off > err:
+                    bad.append((r, float(off), err))
+    assert not bad, (N, bad)
+
+
 def test_single_column_wrappers_are_accurate():
     # hurwitz_zeta and log_zeta_sum choose their own block for one column; at
     # a = 45/4 and s = 3/2 an unreachable target once picked a block too short

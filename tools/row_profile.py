@@ -8,9 +8,9 @@ wrapped, and prints:
 
 - the row builds by kind, with count and seconds: "tail" rows are built for
   base_sums (the outer-sum tails), "other" rows for single columns;
-- the base_sums lookups, the misses among them (the calls that formed the
-  sums, counted by the growth of the EvalCache.bases memo where there is
-  one, else every call) and the seconds base_sums spent outside row builds;
+- the base_sums calls, how many of them had arguments not seen before in
+  their EvalCache (what a memo of the sums per cache would have had to
+  form), and the seconds base_sums spent outside row builds;
 - the wall time of the pass.
 
 Usage, from the root of a dpl checkout (--checkout runs another checkout's
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +47,8 @@ def main(argv=None) -> int:
     run_op(wl.warmup)
 
     rows = {"tail": [0, 0.0], "other": [0, 0.0]}
-    bases = {"lookups": 0, "misses": 0, "seconds": 0.0}
+    bases = {"calls": 0, "distinct": 0, "seconds": 0.0}
+    seen = weakref.WeakKeyDictionary()      # EvalCache -> argument tuples
     in_bases = [False]
     real_row, real_bases = specfun.euler_maclaurin_row, reduction.EvalCache.base_sums
 
@@ -61,8 +63,9 @@ def main(argv=None) -> int:
         return out
 
     def base_sums(self, *a, **kw):
-        memo = getattr(self, "bases", None)
-        before = len(memo) if memo is not None else None
+        keys = seen.setdefault(self, set())
+        bases["distinct"] += a not in keys
+        keys.add(a)
         in_bases[0] = True
         t0 = time.perf_counter()
         try:
@@ -70,8 +73,7 @@ def main(argv=None) -> int:
         finally:
             bases["seconds"] += time.perf_counter() - t0
             in_bases[0] = False
-            bases["lookups"] += 1
-            bases["misses"] += 1 if memo is None else len(memo) - before
+            bases["calls"] += 1
 
     specfun.euler_maclaurin_row = reduction.euler_maclaurin_row = row
     reduction.EvalCache.base_sums = base_sums
@@ -90,7 +92,7 @@ def main(argv=None) -> int:
         print(f"  row builds, {kind:5s}: {n:4d} in {s:.3f} s")
     print(f"  row builds, all  : {rows['tail'][0] + rows['other'][0]:4d} in "
           f"{rows['tail'][1] + rows['other'][1]:.3f} s")
-    print(f"  base_sums: {bases['lookups']} lookups, {bases['misses']} misses, "
+    print(f"  base_sums: {bases['calls']} calls, {bases['distinct']} with new arguments, "
           f"{bases['seconds']:.3f} s outside row builds")
     return 0
 
