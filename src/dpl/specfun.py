@@ -371,29 +371,52 @@ def _block_length(alpha: float, log_absa: float, phi: float, r_hi: int, dps: int
     best = None
     for step in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384):
         N = n0 + step
+        block = N * (term + K * column) + (scale if N else 0)
+        if best is not None and block >= best[0]:
+            break       # the block alone costs more than the best row
         A = alpha + N
         lA, l2piA = math.log(A), 2 * math.log(2 * math.pi * A)
         total_M = 0
-        for s, L in samples:
-            L -= (s + 1) * lA
-            k = 1
-            while L >= 0 and k <= _MAX_CORRECTIONS:
-                step_k = math.log((s + 2 * k - 1) * (s + 2 * k)) - l2piA
-                if step_k >= 0:     # the corrections grow before the target
-                    break
-                L += step_k
-                k += 1
-            if L >= 0:
+        for s, L0 in samples:
+            k = _corrections_needed(L0 - (s + 1) * lA, s, l2piA)
+            if k is None:
                 break
             total_M += k
         else:
-            cost = (N * (term + K * column) + (scale if N else 0)
-                    + total_M / len(samples) * per_order)
+            cost = block + total_M / len(samples) * per_order
             if best is None or cost < best[0]:
                 best = (cost, N)
             elif cost > 2 * best[0]:
                 break
     return N if best is None else best[1]
+
+
+def _corrections_needed(L: float, s: float, l2piA: float):
+    """The index k of the first correction below the target, or None.
+
+    Correction k + 1 is correction k times (s+2k-1)(s+2k)/(2 pi A)^2, so
+    after m steps log(|correction| / target) is L + lgamma(s+2m+1) -
+    lgamma(s+1) - m l2piA, falling while (s+2m-1)(s+2m) < (2 pi A)^2; None
+    when it does not fall below 0 before the corrections grow."""
+    if L < 0:
+        return 1
+    X = math.exp(l2piA)
+    hi = max(0, int((math.sqrt(X) - s) / 2) + 1)
+    while hi > 0 and (s + 2 * hi - 1) * (s + 2 * hi) >= X:
+        hi -= 1
+    hi = min(hi, _MAX_CORRECTIONS)
+    L -= math.lgamma(s + 1)
+    lg = math.lgamma
+    if hi < 1 or L + lg(s + 2 * hi + 1) - hi * l2piA >= 0:
+        return None
+    lo = 0                      # still >= 0 after lo steps, below 0 after hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if L + lg(s + 2 * mid + 1) - mid * l2piA >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi + 1
 
 
 def _correction_factors(Ar: int, Ai: int, Pa: int, wp: int):
