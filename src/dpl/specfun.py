@@ -9,9 +9,11 @@ and psi(a) all come from one Euler-Maclaurin row kernel
 of r, one direct block of N terms and one correction loop, summed in Python
 ints in units of 2^-P (P the working precision plus _ROW_GUARD bits), each
 column scaled by a^s, so that every column is O(1) or O(a). The block
-advances the powers (a/(a+j))^s by one cut product per column; N is chosen
-from a, the exponents and the precision by a cost model, as in Johansson
-(arXiv:1309.2877), and is 0 for large a. Each column takes
+advances the powers (a/(a+j))^s by one cut product per column. As in
+Johansson (arXiv:1309.2877), A = a + N is taken large enough for the
+corrections to converge fast: N = max(0, ceil(bits/_BLOCK_BITS - Re a)), 0
+for large a, depends on Re a and the precision alone, so a column has one
+value and bound whichever row it is read from. Each column takes
 corrections until its remainder is below one unit of the outer sums'
 precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
@@ -181,26 +183,18 @@ _LN2 = math.log(2)
 _SHAPE_GUARD = 8
 _ROW_GUARD = 24
 _LOG_GUARD = 20
-# Relative costs of the parts of a row, for _block_length, in units of one
-# correction of one column. Timed at 50 digits (2-vCPU host, Python 3.11,
-# best of 7 x 10 builds or 7 x 2000 steps): a 35-column row at a = 273.25
-# (N = 0, 809 column corrections) took 1.2-1.7 us per column and
-# correction, 0.6-0.9 us more with the log sums; a block term is a cut int
-# division (0.16 us) and its loop, about 1 us, plus an mpf log (6.7 us)
-# with the log sums and an mpf power (14.2 us) at a fractional phi; a block
-# term per column is a cut product (0.25 us), plus 0.31 us for its log
-# companion; each correction order makes one shared factor (2.4 us); and
-# any N > 0 scales each column's tail by (a/A)^s, with its error, about
-# 1.4 us a column, 2.4 us with the log sums (the same row at a = 68.5 with
-# N = 1 against N = 0). With these weights the short rows at a = 1/4 and
-# 15/2 (K = 5) take N = 66 and 64 and 136 and 144 column corrections; the
-# weights fitted to the mpf kernel gave N = 26 and 24, and 351 and 274.
-_COST_TERM, _COST_TERM_LOG, _COST_TERM_POW = 0.7, 5, 10
-_COST_COLUMN, _COST_COLUMN_LOG = 0.2, 0.2
-_COST_CORRECTION, _COST_CORRECTION_LOG = 1, 0.5
-_COST_ORDER = 1.7
-_COST_SCALE, _COST_SCALE_LOG = 1, 0.7
-_MODEL_COLUMNS = 8
+# A row's direct block runs until A = Re(a) + N reaches bits/_BLOCK_BITS,
+# bits = working precision + _SHAPE_GUARD, so N depends on Re(a) and the
+# precision alone and a column reads the same in every row at its argument.
+# The corrections shrink at best to about e^(-2 pi A), so A must exceed
+# bits ln 2/(2 pi) = bits/9.06; past that a larger A trades corrections for
+# block terms. Timed over the rows of one benchmark pass (best of 3, 2-vCPU
+# host, Python 3.11), any value from 2.5 to 6 builds them in 0.11-0.13 s
+# (unit-circle, 120 rows) and 0.11 s (b-derivative, 150); 3.6 gives N = 0 on
+# every tail row of a unit-circle pass at 50 digits (a >= 68.5) and N =
+# 65-66 on its short rows at a < 1. bits/3.6 > 28 at any admitted precision,
+# so A > 2 and log(A + t) > 0, as the bounds of the log sums need.
+_BLOCK_BITS = 3.6
 
 
 def _to_mp(z):
@@ -339,86 +333,6 @@ def _log_target(s: float, dps: int, bits: int, alpha: float, log_absa: float) ->
     return min(-dps * _LN10 - s * max(0.0, math.log(alpha)), -bits * _LN2 - s * log_absa)
 
 
-def _block_length(alpha: float, log_absa: float, phi: float, r_hi: int, dps: int, bits: int,
-                  logs: bool) -> int:
-    """Length N of the direct block of a row, from a cost model.
-
-    The model prices the columns r + phi, r = 1..max(r_hi, _MODEL_COLUMNS),
-    whatever the row's first column: N depends on a, phi, the precision, the
-    log sums and the last column alone, so a column has the same value and
-    bound in every row of up to _MODEL_COLUMNS columns at its argument (the
-    short rows of one evaluation, and the same rows on a fresh cache).
-
-    As in Johansson (arXiv:1309.2877, sec. 3), N and the number M of
-    corrections are chosen together: for each candidate N, M(s) is the index
-    of the first correction c_k (s)_(2k-1) A^(1-s-2k), A = alpha + N, below
-    the column's target (_log_target; |B_2k/(2k)!| ~ 2 (2 pi)^-2k), and the
-    cost, from the _COST_* weights, is N (term + K column) + mean_s M(s) (K
-    correction + order), plus K scale for any N > 0. Only the first, middle
-    and last columns are estimated. A >= 2 keeps log(A + t) positive in the bounds of the
-    log-weighted sums.
-    """
-    cols = [r + phi for r in range(1, max(r_hi, _MODEL_COLUMNS) + 1)]
-    K = len(cols)
-    term = _COST_TERM + _COST_TERM_LOG * logs + _COST_TERM_POW * bool(phi)
-    column = _COST_COLUMN + _COST_COLUMN_LOG * logs
-    per_order = K * (_COST_CORRECTION + _COST_CORRECTION_LOG * logs) + _COST_ORDER
-    scale = K * (_COST_SCALE + _COST_SCALE_LOG * logs)
-    # log(|first correction| / target) is L0 - (s + 1) log A
-    samples = [(s, math.log(s / 12) - _log_target(s, dps, bits, alpha, log_absa))
-               for s in sorted({cols[0], cols[K // 2], cols[-1]})]
-    n0 = max(0, math.ceil(2 - alpha))
-    best = None
-    for step in (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384):
-        N = n0 + step
-        block = N * (term + K * column) + (scale if N else 0)
-        if best is not None and block >= best[0]:
-            break       # the block alone costs more than the best row
-        A = alpha + N
-        lA, l2piA = math.log(A), 2 * math.log(2 * math.pi * A)
-        total_M = 0
-        for s, L0 in samples:
-            k = _corrections_needed(L0 - (s + 1) * lA, s, l2piA)
-            if k is None:
-                break
-            total_M += k
-        else:
-            cost = block + total_M / len(samples) * per_order
-            if best is None or cost < best[0]:
-                best = (cost, N)
-            elif cost > 2 * best[0]:
-                break
-    return N if best is None else best[1]
-
-
-def _corrections_needed(L: float, s: float, l2piA: float):
-    """The index k of the first correction below the target, or None.
-
-    Correction k + 1 is correction k times (s+2k-1)(s+2k)/(2 pi A)^2, so
-    after m steps log(|correction| / target) is L + lgamma(s+2m+1) -
-    lgamma(s+1) - m l2piA, falling while (s+2m-1)(s+2m) < (2 pi A)^2; None
-    when it does not fall below 0 before the corrections grow."""
-    if L < 0:
-        return 1
-    X = math.exp(l2piA)
-    hi = max(0, int((math.sqrt(X) - s) / 2) + 1)
-    while hi > 0 and (s + 2 * hi - 1) * (s + 2 * hi) >= X:
-        hi -= 1
-    hi = min(hi, _MAX_CORRECTIONS)
-    L -= math.lgamma(s + 1)
-    lg = math.lgamma
-    if hi < 1 or L + lg(s + 2 * hi + 1) - hi * l2piA >= 0:
-        return None
-    lo = 0                      # still >= 0 after lo steps, below 0 after hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if L + lg(s + 2 * mid + 1) - mid * l2piA >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 1
-
-
 def _correction_factors(Ar: int, Ai: int, Pa: int, wp: int):
     """-c_k A^(1-2k), c_k = B_2k/(2k)!, for k = 1, 2, ..., at the exact
     A = (Ar + i Ai) 2^-Pa: each as (mr, mi, e), (mr + i mi) 2^e, the longer
@@ -495,7 +409,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
     corrections. Else each (a/(a+j)) is one cut int
     division (a pair at complex a), whose powers advance by one cut product
     per column; a fractional phi takes one cut mpf power per j and the log
-    sums one cut mpf log per j. N comes from a cost model (_block_length).
+    sums one cut mpf log per j. N = max(0, ceil(bits/_BLOCK_BITS - Re a)).
     The corrections and their log companions are summed in ints: with c_k
     A^(1-2k) held as m 2^e, m an int of P + 20 bits shared by every column
     (_correction_factors), and alpha_i, beta_i (f^(i)(t) = t^(-s-i)
@@ -547,7 +461,7 @@ def euler_maclaurin_row(a, phi, r_lo: int, r_hi: int, ctx: PrecisionContext = DE
         cols = [x / (1 << F) if F else float(x) for x in sfx]
         alpha = float(mp.re(av))
         absa = float(abs(av))
-        N = _block_length(alpha, math.log(absa), float(phi), r_hi, ctx.dps, bits, logs)
+        N = max(0, math.ceil(bits / _BLOCK_BITS - alpha))
         first = sfx[0]
         wp = P + 20
         with mp.workprec(wp):
@@ -912,14 +826,19 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
             raise DomainError("lerch_phi requires s >= 1 for |x| < 1")
         r = abs(xv)
         eps = ctx.eps
-        # |tail| <= r^(T+1) (T+1+Re b)^(-s) / (1-r) for s >= 0
+        # |tail| <= r^(T+1) |T+1+b|^(-s) / (1-q): past n = T the terms fall by
+        # at least q = r ((T+2+Re b)/(T+1+Re b))^max(0, -s) a step
         T = geometric_length(int(mp.ceil((-mp.log(eps * (1 - r))) / (-mp.log(r)))) + 4)
+        q = r * ((T + 2 + mp.re(bv)) / (T + 1 + mp.re(bv))) ** max(0, -sv)
+        if q >= 1:
+            raise DomainError(f"the tail of Phi(x, {s}, b) does not fall geometrically "
+                              f"past {T} terms")
         total = mpf(0)
         xp = mpc(1) if isinstance(xv, mpc) else mpf(1)
         for n in range(T + 1):
             total += xp * (n + bv) ** (-sv)
             xp *= xv
-        bound = abs(xp) / (1 - r) * abs((T + 1 + bv) ** (-sv)) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
+        bound = abs(xp) / (1 - q) * abs((T + 1 + bv) ** (-sv)) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
         return EvalResult(total, bound, "direct_tail")
 
 

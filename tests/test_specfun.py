@@ -345,10 +345,13 @@ def test_cut_powers_within_their_claim(a):
 
 
 # 1093/4: N = 0; 1/4: a long block; 274/3: not dyadic; phi = 1/2: mpf
-# powers and logs in the block
+# powers and logs in the block; 263/4 and 527/8 at 50 digits: just below
+# (N = 1, the shortest block with a scale) and just above (N = 0) the
+# argument bits/_BLOCK_BITS = 237/3.6 where the block ends
 CUT_POINTS = [(Fraction(1093, 4), 0, 35), (Fraction(1, 4), 0, 12), (Fraction(274, 3), 0, 20),
               (Fraction(15, 2), Fraction(1, 2), 12), (Fraction(1093, 4), Fraction(1, 2), 20),
-              (mpc("0.75", "2.5"), 0, 12), (mpc("0.75", "2.5"), Fraction(1, 2), 8)]
+              (mpc("0.75", "2.5"), 0, 12), (mpc("0.75", "2.5"), Fraction(1, 2), 8),
+              (Fraction(263, 4), 0, 20), (Fraction(527, 8), 0, 20)]
 
 
 @pytest.mark.parametrize("a, phi, K", CUT_POINTS,
@@ -404,6 +407,28 @@ def test_row_cut_counts_cover_the_cut_errors(a, phi, K, monkeypatch):
                 if off > err:
                     bad.append((r, float(off), err))
     assert not bad, (N, bad)
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 4), Fraction(15, 2), Fraction(137, 2),
+                               mpc("0.75", "2.5")], ids=["1/4", "15/2", "137/2", "3/4+5/2i"])
+@pytest.mark.parametrize("phi", [0, Fraction(1, 2)], ids=["phi0", "phi1/2"])
+def test_row_columns_do_not_depend_on_the_row(a, phi):
+    # a zeta column has one value and bound at its argument, whichever row it
+    # is read from: a short row without the log sums, or a tail-like row of 35
+    # columns with them (at real a)
+    real = not isinstance(a, mpc)
+    with CTX.workdps():
+        av = specfun._to_mp(a)
+        ph = specfun._to_mp(phi) if phi else 0
+        rows = [euler_maclaurin_row(av, ph, 1, 5, CTX),
+                euler_maclaurin_row(av, ph, 1, 35, CTX, logs=real)]
+        if a == Fraction(137, 2):
+            rows.append(euler_maclaurin_row(av, ph, 1, 35, CTX))
+    short = rows[0]
+    for row in rows[1:]:
+        assert row.zeta[:5] == short.zeta
+        assert row.zeta_err[:5] == short.zeta_err
+        assert (row.zeta_im and row.zeta_im[:5]) == short.zeta_im
 
 
 def test_single_column_wrappers_are_accurate():
@@ -504,8 +529,10 @@ def test_lerch_alternating_is_eta_like():
 
 def test_lerch_interior_vs_mpmath():
     with mp.workdps(CTX.dps + 25):
+        # negative integer s: the terms grow with n before they fall
         for (x, s, b) in [(mpf("0.5"), 2, 1), (mpf("-0.7"), 3, mpf("0.3")),
-                          (mpc("0.2", "0.4"), mpf("1.5"), mpf("1.25"))]:
+                          (mpc("0.2", "0.4"), mpf("1.5"), mpf("1.25")),
+                          (mpf("0.9"), -3, 1), (mpf("0.99"), -2, 1), (mpf("0.5"), -2, 1)]:
             r = lerch_phi(x, s, b, CTX)
             assert abs(r.value - mpmath.lerchphi(x, s, b)) <= r.abs_error_bound
 
@@ -553,6 +580,8 @@ def test_lerch_divergent_rejected():
         lerch_phi(1, 1, 1, CTX)
     with pytest.raises(DomainError):
         lerch_phi(0.5, 2, -1, CTX)
+    with pytest.raises(DomainError):
+        lerch_phi(0.99, -1000, 1, CTX)  # terms still growing past the cut
 
 
 def test_polylog_examples():

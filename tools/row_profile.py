@@ -6,10 +6,11 @@ the workload's warm-up operation and then one pass over its operations in
 their listed order, with the row kernel and reduction.EvalCache.base_sums
 wrapped, and prints:
 
-- the row builds by kind, with count, seconds and the corrections their
-  columns took in all (ZetaRow.corrections; "-" for a checkout whose rows
-  do not record them): "tail" rows are built for base_sums (the outer-sum
-  tails), "other" rows for single columns;
+- the row builds by kind, with count, seconds, the corrections their
+  columns took in all (ZetaRow.corrections) and the distinct lengths N of
+  their direct blocks (ZetaRow.block; "-" for a checkout whose rows do not
+  record them): "tail" rows are built for base_sums (the outer-sum tails),
+  "other" rows for single columns;
 - the base_sums calls, how many of them had arguments not seen before in
   their EvalCache (what a memo of the sums per cache would have had to
   form), and the seconds base_sums spent outside row builds;
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
     wl = WORKLOADS[args.workload]
     run_op(wl.warmup)
 
-    rows = {"tail": [0, 0.0, 0], "other": [0, 0.0, 0]}
+    rows = {"tail": [0, 0.0, 0, set()], "other": [0, 0.0, 0, set()]}
     bases = {"calls": 0, "distinct": 0, "seconds": 0.0}
     seen = weakref.WeakKeyDictionary()      # EvalCache -> argument tuples
     in_bases = [False]
@@ -62,6 +63,7 @@ def main(argv=None) -> int:
         kind[0] += 1
         kind[1] += dt
         kind[2] = sum(out.corrections) + kind[2] if hasattr(out, "corrections") else "-"
+        kind[3] = kind[3] | {out.block} if hasattr(out, "block") else "-"
         bases["seconds"] -= dt if in_bases[0] else 0.0
         return out
 
@@ -91,8 +93,10 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: one pass of {len(wl.ops)} operations in {wall:.3f} s "
           f"({failed} failed), {checkout}")
-    for kind, (n, s, m) in rows.items():
-        print(f"  row builds, {kind:5s}: {n:4d} in {s:.3f} s, {m} column corrections")
+    for kind, (n, s, m, blocks) in rows.items():
+        blocks = ", ".join(map(str, sorted(blocks))) if isinstance(blocks, set) else blocks
+        print(f"  row builds, {kind:5s}: {n:4d} in {s:.3f} s, {m} column corrections, "
+              f"blocks N = {blocks or '-'}")
     print(f"  row builds, all  : {rows['tail'][0] + rows['other'][0]:4d} in "
           f"{rows['tail'][1] + rows['other'][1]:.3f} s")
     print(f"  base_sums: {bases['calls']} calls, {bases['distinct']} with new arguments, "
