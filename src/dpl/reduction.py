@@ -29,11 +29,11 @@ unit circle its classes make one periodic Hurwitz sum
 (specfun.periodic_zeta_sum), and with |x| < 1 each class is a one-factor
 atom with a geometric phase.
 
-Terms weighted by x^(m+n) with |x| < 1 take a separate route: they are summed
-along the diagonals N = m + n, where the (m+n) part of the summand depends on
-N alone and the inner sum over m + n = N advances by running partial sums, one
-new power per step. The sum stops at a triangle N <= N0 + T whose omitted
-tail is bounded geometrically, so the cost is O(T) rather than O(T^2).
+Terms weighted by x^(m+n) are summed along the diagonals N = m + n, inside
+the disk, on the circle and at real exponents alike: the (m+n) part of the
+summand depends on N alone, and the inner sum over one diagonal is a partial
+sum in closed form (zeta or psi at the diagonal's end), so each term becomes
+outer atoms in N, summed as every other atom is.
 """
 
 from __future__ import annotations
@@ -203,10 +203,6 @@ class EvalCache:
 
     def psi(self, a) -> EvalResult:
         return self.row(a, 0, 1, spare=self.SPARE_COLUMNS).psi()
-
-    def log_zeta(self, r, a) -> EvalResult:
-        r, phi = split_exponent(r)
-        return self.row(a, phi, r, logs=True, spare=self.SPARE_COLUMNS).log_zeta_at(r)
 
     def start(self, R, P) -> float:
         """_standard_start(R, P), computed once per evaluation."""
@@ -657,11 +653,7 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     key = (atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = cache.sums.get(key)
     if shape_sum is None:
-        if phase is None:
-            shape_sum = _sum_shape(atom, u0, cache, ctx)
-        else:
-            shape_sum = _sum_atom_geometric(atom, u0, *phase, cache, ctx)
-        cache.sums[key] = shape_sum
+        shape_sum = cache.sums[key] = _sum_shape(atom, u0, cache, ctx, phase=phase)
     out = atom.coef.times(shape_sum)
     out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
     return out
@@ -679,11 +671,12 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
     make the tail, whose base sums are one row at abase = U0 + gamma*/slope.
     With the geometric phase (X, x0), x0 * X^u and |X| < 1, the block runs
     on at least until |X|^u underflows the target, and the tail is bounded
-    geometrically, assuming |atom| falls with u. Either way a zeta/psi
-    factor is tabled down from its own expansion at U0.
+    geometrically, assuming |atom| falls with u; there an atom may have no
+    factor at all. Either way a zeta/psi factor is tabled down from its own
+    expansion at U0.
     """
     lam, trans = atom.slope, atom.trans
-    gamma_star = mpf(trans[-1] if trans else atom.rpows[0][0])
+    gamma_star = mpf(trans[-1] if trans else atom.rpows[0][0] if atom.rpows else 0)
     P = _shape_unit([g for (g, _) in atom.rpows] + ([trans[-1]] if trans else []))
     # one fractional exponent per atom; the row that sums the tail carries it
     fracs = [f for f in [_exponent_parts(p)[1] for (_, p) in atom.rpows]
@@ -740,7 +733,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         series = piece if series is None else series.mul(piece)
     if zs is not None:
         series = zs if series is None else series.mul(zs)
-    if series.lo + phi <= 1:
+    if series is None or series.lo + phi <= 1:
         raise ShapeError("divergent outer tail")
     B, L = cache.base_sums(U0 + gamma_star / lam, v0, phi, lam, R, P)
     tail, terr = 0, 0
@@ -824,12 +817,6 @@ def _direct_block(atom, u0, U0, P, ztab, phase):
     if phase is None:
         return total, err2, None
     return (total, ti), err2, (abs(xr) + abs(xi) + ex, abs(T) + eT)
-
-
-def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
-    """_sum_shape with the geometric phase x0 X^u, under the name that
-    perfbench traces."""
-    return _sum_shape(atom, u0, cache, ctx, phase=(X, x0))
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +966,12 @@ class ClassPlan:
 
 def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
                           cache: EvalCache | None = None) -> EvalResult:
-    """Closed-form reduction of a concrete double term; ShapeError on misses."""
+    """Closed-form reduction of a concrete double term; ShapeError on misses.
+
+    x^(m+n) terms run along the diagonals (_eval_diagonal); any other term
+    is an outer sum over the classes of its outer index of the atoms of its
+    inner closed form (_class_atoms).
+    """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
         xsel = term.xsel
@@ -987,8 +979,8 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
-        if x.kind == "num" and xsel.kind == "xmn":
-            return _eval_double_geometric2d(term, plan, ctx)
+        if xsel.kind == "xmn":
+            return _eval_diagonal(term, plan, ctx, cache)
         if x.kind == "num" and abs(x.value) >= 1:
             raise ShapeError("boundary x that is not a root of unity")
         b_mp = _mp_b(plan.b)
@@ -1000,7 +992,7 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
         jfac = term.factor("mn")
 
         # _class_atoms needs one modulus on both indices once the inner one splits
-        lam_m, lam_n = plan.grid(square=xsel.kind == "xmn" or plan.mod[inner] > 1)
+        lam_m, lam_n = plan.grid(square=plan.mod[inner] > 1)
         lam_i, lam_o = (lam_m, lam_n) if inner == "m" else (lam_n, lam_m)
         i0, o0 = (plan.m0, plan.n0) if inner == "m" else (plan.n0, plan.m0)
 
@@ -1195,152 +1187,157 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
         return total
 
 
-def _eval_double_geometric2d(term, plan, ctx) -> EvalResult:
-    """x^(m+n+d) with |x| < 1, summed along the diagonals N = m + n.
+def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
+    """x^(m+n+d) terms as outer sums over the diagonals N = m + n.
 
-    The (m+n) part of the summand, gamma_N = x^(N+d) (N+g)^(-q) chi(N),
-    depends on N alone, and each step N -> N+1 adds one new m (and one new
-    n) to the inner sum over m + n = N. One-sided terms (an m-factor or an
-    n-factor next to the (m+n) factor, not both) keep one running partial sum
-    of the factor's powers per residue class mod L, where L is the lcm of the
-    congruence modulus and the m- and n-twist moduli; the inner sum is then
-    sum_r phi(r, (N-r) mod L) * P_r(N) with phi the class weight (congruence
-    indicator times character values). Two-sided terms with integer
-    exponents split by two_pole_coeffs on X = m + g_m, Y = n + g_n, with
-    X + Y = W = N + g_m + g_n fixed, into one-sided pieces times powers of W.
-    Any other two-sided shape convolves power tables along each diagonal.
-
-    A diagonal with |W| < 1 is also summed directly: W = 0 where a shifted
-    factor changes sign, and near it the pieces would cancel to a small
-    inner sum after division by a small W.
-
-    The omitted set is the triangle N > N0 + T, which holds k + 1 lattice
-    points at N = N0 + k, each at most corner * r^k in modulus (corner: the
-    summand's modulus bound at N = N0, with each factor taken at its least
-    base over the range). T is the least cut-off with corner * sum_{k>T}
-    (k+1) r^k below 10^-(dps+8) * corner. The rounding bound scales with
-    the sum over N of |gamma_N| times the moduli the inner sum was formed
-    from, so cancellation between pieces is paid for where it occurs.
+    With X = m + g_m, Y = n + g_n and W = X + Y = N + g_m + g_n, the (m+n)
+    factor (N + g)^-q depends on N alone. Two-sided terms with integer
+    exponents split by two_pole_coeffs into one-sided pieces X^-i W^-k and
+    Y^-j W^-k; a one-sided piece summed over one diagonal, class by class
+    mod L = plan.pair_mod, is a partial sum, zeta(i, start) - zeta(i, end)
+    with psi(end) - psi(start) at i = 1. Without an m- or n-factor the inner
+    sum counts the diagonal's points, which is linear in N. So each term is
+    a sum over N of outer atoms with one zeta/psi factor at most. N runs in
+    classes s mod the lcm of L, the (m+n) twist's modulus and a root of
+    unity's order, on which the (m+n) twist and the phase are constant, and
+    _sum_atom sums the atoms of each class with the geometric phase x^N when
+    |x| < 1 (whose tail bound is empirical, so the disk keeps the direct_tail
+    tag) and without one on the circle. The diagonals before every base is
+    positive, W = 0 among them where the shifted factors change sign, are
+    summed directly. Two-sided shapes with a non-integer exponent raise
+    ShapeError.
     """
-    with ctx.workdps():
-        x, m0, n0 = plan.x, plan.m0, plan.n0
-        b_mp = _mp_b(plan.b)
-        N0 = m0 + n0
-        fac = {}  # combo -> (shift value, summed exponent)
-        for f in term.factors:
-            e = _exp_value(f) + (fac[f.combo][1] if f.combo in fac else 0)
-            fac[f.combo] = (shift_value(f.shift, b_mp), e)
-        gm, a = fac.get("m", (mpf(0), Fraction(0)))
-        gn, c = fac.get("n", (mpf(0), Fraction(0)))
-        gj, q = fac.get("mn", (mpf(0), Fraction(0)))
-        coeff0 = _frac_to_mp(term.coeff)
+    x, m0, n0 = plan.x, plan.m0, plan.n0
+    b_mp = _mp_b(plan.b)
+    fac = {}
+    for f in term.factors:
+        e = _exp_value(f) + (fac[f.combo][1] if f.combo in fac else 0)
+        fac[f.combo] = (shift_value(f.shift, b_mp), e)
+    zero = (mpf(0), Fraction(0))
+    (gm, a), (gn, c), (gj, q) = (fac.get(k, zero) for k in ("m", "n", "mn"))
+    if x.kind != "num" and ((not a and q <= 1) or (not q and a <= 1)):
+        raise DomainError("divergent inner sum")
+    # pieces (side, exponent, coefficient, power of 1/W)
+    if a and c:
+        if a.denominator != 1 or c.denominator != 1:
+            raise ShapeError("two-sided diagonal with a non-integer exponent")
+        # Y = W - X: the coefficients for (X, -Y) pick up these signs
+        ai, ci = int(a), int(c)
+        A, B = two_pole_coeffs(ai, ci)
+        pieces = [("m", i, A[i] * (-1) ** (ai - i), ai + ci - i) for i in range(1, ai + 1)]
+        pieces += [("n", j, B[j] * (-1) ** ai, ai + ci - j) for j in range(1, ci + 1)]
+    elif a or c:
+        pieces = [("m", a, Fraction(1), 0)] if a else [("n", c, Fraction(1), 0)]
+        if pieces[0][1] < 1:
+            raise ShapeError("diagonal partial sum below exponent 1")
+    else:
+        pieces = []
+    # atoms start where every base is positive: N + g, the ends of the
+    # partial sums, and W > 1
+    lows = [(gj, 0)] if q else []
+    lows += [(gm + gn, 1)] if a and c else []
+    lows += [(gm + 1 - n0, 0)] if a else []
+    lows += [(gn + 1 - m0, 0)] if c else []
+    N0 = m0 + n0
+    Nstart = max([N0] + [int(mp.floor(lo - mp.re(g))) + 1 for (g, lo) in lows])
+    coeff0 = _frac_to_mp(term.coeff)
+    total = _small_diagonals(plan, range(N0, Nstart), gm, a, gn, c, gj, q, coeff0, ctx)
 
-        # truncation: sum_{k>T} (k+1) r^k = r^(T+1) ((T+2) - (T+1) r) / (1-r)^2
-        r = abs(x.value)
-        T = geometric_length(int(mp.ceil((ctx.dps + 8) * mp.log(10) / (-mp.log(r)))))
-        rt = r ** (T + 1)
-        while rt * ((T + 2) - (T + 1) * r) > mpf(10) ** (-(ctx.dps + 8)) * (1 - r) ** 2:
-            T = geometric_length(T + 1)
-            rt *= r
-        corner = abs(coeff0) * r ** (N0 + term.xsel.d)
-        for combo, (g, p) in fac.items():
-            corner *= _least_base({"m": m0, "n": n0, "mn": N0}[combo], g) ** (-_frac_to_mp(p))
+    L = plan.pair_mod
+    LN = math.lcm(L, plan.joint_mod, x.f)
+    slope = LN // L
+    phase = (x.value ** LN, mpf(1)) if x.kind == "num" else None
+    for s in range(LN):
+        chi = plan.joint(s)
+        if chi == 0:
+            continue
+        const = mpc(coeff0) * mpc(chi) * x.power(plan.xexp(s, 0), ctx)
+        jpow = [((s + gj) / L, q)] if q else []
+        shapes = {}
 
-        # class weights phi(m mod L, n mod L); the (m+n) twist joins gamma_N
-        L = plan.pair_mod
-        phis = [[0 if w is None else _mp_value(w[0])
-                 for w in (plan.weight(rm, rn, joint=False) for rn in range(L))]
-                for rm in range(L)]
-        phimax = max(abs(v) for row in phis for v in row)
-        chi_mn = [_mp_value(plan.joint(N)) for N in range(plan.joint_mod)]
+        def add(coef, rpows, trans=None):
+            rp = {}
+            for (g, p) in rpows:
+                rp[g] = rp.get(g, 0) + p
+            key = (tuple((g, _num_exp(p)) for (g, p) in rp.items() if p), trans)
+            shapes[key] = shapes[key] + coef if key in shapes else coef
 
-        # pieces (side, exponent, coefficient, power of 1/W) of the summand;
-        # None: a two-sided shape outside two_pole_coeffs, convolved instead
-        if a and c and a.denominator == 1 and c.denominator == 1:
-            # Y = W - X: the coefficients for (X, -Y) pick up these signs
-            ai, ci = int(a), int(c)
-            A, B = two_pole_coeffs(ai, ci)
-            pieces = [("m", i, _frac_to_mp(A[i] * (-1) ** (ai - i)), ai + ci - i)
-                      for i in range(1, ai + 1)]
-            pieces += [("n", j, _frac_to_mp(B[j] * (-1) ** ai), ai + ci - j)
-                       for j in range(1, ci + 1)]
-        elif a and c:
-            pieces = None
-        elif c:
-            pieces = [("n", _num_exp(c), mpf(1), 0)]
-        else:
-            pieces = [("m", _num_exp(a), mpf(1), 0)]
-        running = {(side, e): [mpf(0)] * L for (side, e, _, _) in pieces or ()}
-        absrun = dict.fromkeys(running, mpf(0))  # sum of moduli, all classes
-        # nonzero class weights (r, phi) of the running sums, by N mod L
-        wtab = {
-            "m": [[(rho, phis[rho][(s - rho) % L]) for rho in range(L)
-                   if phis[rho][(s - rho) % L]] for s in range(L)],
-            "n": [[(rho, phis[(s - rho) % L][rho]) for rho in range(L)
-                   if phis[(s - rho) % L][rho]] for s in range(L)],
-        }
-        ea, ec, eq = _num_exp(a), _num_exp(c), _num_exp(q)
-        xa, yc = [], []  # (m+g_m)^-a and (n+g_n)^-c tables of the convolution
+        for (side, i, cf, wexp) in pieces:
+            g, own0, other0 = (gm, m0, n0) if side == "m" else (gn, n0, m0)
+            rpows = jpow + ([((s + gm + gn) / L, wexp)] if wexp else [])
+            scale = const * _frac_to_mp(cf) * mpf(L) ** -_frac_to_mp(i + wexp + q)
+            for rho in range(L):
+                w = plan.weight(rho, (s - rho) % L, joint=False) if side == "m" \
+                    else plan.weight((s - rho) % L, rho, joint=False)
+                if w is None:
+                    continue
+                k = EvalResult(scale * mpc(w[0]), mpf(0), "reduction")
+                # the class rho + L t, t >= t0, up to the diagonal's end
+                start = math.ceil((own0 - rho) / L) + (rho + g) / L
+                end = (s - other0 - rho) // L + 1 + (rho + g) / L
+                # psi(end) - psi(start) at i = 1, else zeta(i, start) - zeta(i, end)
+                sign = 1 if i == 1 else -1
+                add(k.scale(sign), rpows, ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
+                add(_start_value(i, start, cache).times(k).scale(-sign), rpows)
+        if not pieces:
+            # the class's points on the diagonal number slope u + c0 = V - v + c0
+            # at V = (N + g)/L = slope u + v
+            v = (s + gj) / L
+            w1 = w0 = 0
+            for rho in range(L):
+                w = plan.weight(rho, (s - rho) % L, joint=False)
+                if w is not None:
+                    w1 += w[0]
+                    w0 += w[0] * ((s - n0 - rho) // L + 1 - math.ceil((m0 - rho) / L))
+            scale = const * mpf(L) ** -_frac_to_mp(q)
+            if w1 and q < 1:
+                raise ShapeError("diagonal count with an (m+n) exponent below 1")
+            if w1:
+                add(EvalResult(scale * mpc(w1), mpf(0), "reduction"), [(v, q - 1)])
+            add(EvalResult(scale * (mpc(w0) - mpc(w1) * v), mpf(0), "reduction"), [(v, q)])
+        u0 = -((s - Nstart) // LN)
+        for (rpows, trans), coef in shapes.items():
+            if coef.value or coef.abs_error_bound:
+                total = total + _sum_atom(Atom(coef, slope, rpows, trans), u0, phase, cache, ctx)
+    return EvalResult(total.value, total.abs_error_bound,
+                      "direct_tail" if x.kind == "num" else "reduction")
 
-        def diagonal(k):
-            """Inner sum over m + n = N0 + k from the whole summand, and the
-            sum of the moduli of its terms."""
-            inner, size = mpf(0), mpf(0)
-            for i in range(k + 1):
-                t = phis[(m0 + i) % L][(n0 + k - i) % L] * xa[i] * yc[k - i]
+
+def _small_diagonals(plan, Ns, gm, a, gn, c, gj, q, coeff0, ctx) -> EvalResult:
+    """The diagonals N in Ns of a _eval_diagonal term, point by point."""
+    total = EvalResult(mpf(0), mpf(0), "reduction")
+    for N in Ns:
+        inner = size = mpf(0)
+        for m in range(plan.m0, N - plan.n0 + 1):
+            w = plan.weight(m, N - m)
+            if w is not None:
+                t = _mp_value(w[0]) * _power(m + gm, a) * _power(N - m + gn, c)
                 inner += t
                 size += abs(t)
-            return inner, size
-
-        xp = x.value ** (N0 + term.xsel.d)
-        total = mpf(0)
-        mag = mpf(0)  # sum over N of |gamma_N| times the inner sum's moduli
-        for k in range(T + 1):
-            N = N0 + k
-            for (side, e) in running:
-                if side == "m":
-                    t = (m0 + k + gm) ** (-e)
-                    running[(side, e)][(m0 + k) % L] += t
-                else:
-                    t = (n0 + k + gn) ** (-e)
-                    running[(side, e)][(n0 + k) % L] += t
-                absrun[(side, e)] += abs(t)
-            W = N + gm + gn
-            if pieces is None or (a and c and abs(W) < 1):
-                xa[len(xa):] = [(m0 + i + gm) ** (-ea) for i in range(len(xa), k + 1)]
-                yc[len(yc):] = [(n0 + i + gn) ** (-ec) for i in range(len(yc), k + 1)]
-                inner, size = diagonal(k)
-            else:
-                inner, size = mpf(0), mpf(0)
-                for (side, e, coef, wexp) in pieces:
-                    P = running[(side, e)]
-                    part = sum(w * P[rho] for (rho, w) in wtab[side][N % L])
-                    scale = coef * W ** (-wexp) if wexp else coef
-                    inner += scale * part
-                    size += abs(scale) * absrun[(side, e)]
-                size *= phimax
-            gamma = xp * chi_mn[N % len(chi_mn)]
-            if q:
-                gamma = gamma * (N + gj) ** (-eq)
-            total += gamma * inner
-            mag += abs(gamma) * size
-            xp *= x.value
-        total = total * coeff0
-        tail = corner * rt * ((T + 2) - (T + 1) * r) / (1 - r) ** 2
-        # each term carries O(T + N0 + L) roundings of relative size
-        # 10^-(dps+8): the x^N recurrence, the running sums, the class sums
-        # and the outer sum; one more digit covers the shift and W roundings
-        rounding = abs(coeff0) * mag * (3 * T + N0 + L + 32) * mpf(10) ** (-(ctx.dps + 7))
-        bound = tail + rounding + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-        return EvalResult(total, bound, "direct_tail")
+        t = coeff0 * plan.x.power(plan.xexp(N, 0), ctx) * _power(N + gj, q)
+        # each point's product and power rounds a few times, the sum once a point
+        total = total + EvalResult(inner * t, size * abs(t) * (N + 8) * mp.eps, "reduction")
+    return total
 
 
-def _least_base(u0, g):
-    """min |u + g| over the integers u >= u0, for a real shift g."""
-    if u0 + g >= 0:
-        return abs(u0 + g)
-    u = int(mp.floor(-g))
-    return min(abs(u + g), abs(u + 1 + g))
+def _power(base, p):
+    """base^-p, 1 for p = 0."""
+    if not p:
+        return 1
+    if not base:
+        raise DomainError("a factor vanishes inside the range")
+    return base ** -_frac_to_mp(p)
+
+
+def _start_value(i, a, cache) -> EvalResult:
+    """zeta(i, a), or psi(a) at i = 1, from the cache, continued to Re a <= 0
+    by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a."""
+    head, size, k = mpf(0), mpf(0), 0
+    while mp.re(a) <= 0:
+        t = _power(a, i)
+        head, size, k, a = head + t, size + abs(t), k + 1, a + 1
+    val = cache.psi(a) if i == 1 else cache.zeta(_num_exp(i), a)
+    return val + EvalResult(-head if i == 1 else head, (k + 2) * size * mp.eps, "reduction")
 
 
 def _num_exp(p: Fraction):

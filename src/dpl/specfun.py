@@ -18,7 +18,7 @@ corrections until its remainder is below one unit of the outer sums'
 precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
 multiple of the first omitted correction) plus one unit per cut.
-hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
+hurwitz_zeta and digamma are single columns of it, converted
 to EvalResults on read; reduction.EvalCache keeps the whole rows one
 evaluation builds, and its tail base sums read their ints directly.
 
@@ -687,21 +687,6 @@ def euler_gamma(ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         return _gamma_cache[key]
 
 
-def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
-    """sum_{u>=0} (u+a)^-r * log(u+a), real a > 0, r integer >= 2 or real > 1.
-
-    Companion primitive to hurwitz_zeta used by tail expansions that carry a
-    logarithm (from psi and from log-bearing asymptotics).
-    """
-    with ctx.workdps():
-        rv = _check_s_real(r, 2)
-        av = _to_mp(a)
-        if isinstance(av, mpc) or av <= 0:
-            raise DomainError("log_zeta_sum requires real a > 0")
-        r0, phi = split_exponent(rv)
-        return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
-
-
 def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, rows=None) -> EvalResult:
     """sum_r w_r zeta(s, a_r) over the pairs (w_r, a_r) of terms.
 
@@ -769,8 +754,8 @@ def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX):
 # ---------------------------------------------------------------------------
 
 # Longest truncation of a geometric sum with |x| < 1: the interior series of
-# lerch_phi, and in reduction the geometric outer sums and the diagonal sums
-# of x^(m+n) terms. Their length grows like 1/(1 - |x|); past the cap an
+# lerch_phi, and in reduction the geometric outer sums (the x^(m+n) diagonals
+# among them). Their length grows like 1/(1 - |x|); past the cap an
 # evaluation raises DomainError instead of running for hours. The admitted
 # |x| falls with the precision: about 0.9991-0.9993 at 50 working digits,
 # 0.9974-0.9976 at 200 (the README tabulates it).
@@ -827,19 +812,27 @@ def lerch_phi(x, s, b, ctx: PrecisionContext = DEFAULT_CTX, x_root=None,
         r = abs(xv)
         eps = ctx.eps
         # |tail| <= r^(T+1) |T+1+b|^(-s) / (1-q): past n = T the terms fall by
-        # at least q = r ((T+2+Re b)/(T+1+Re b))^max(0, -s) a step
-        T = geometric_length(int(mp.ceil((-mp.log(eps * (1 - r))) / (-mp.log(r)))) + 4)
-        q = r * ((T + 2 + mp.re(bv)) / (T + 1 + mp.re(bv))) ** max(0, -sv)
-        if q >= 1:
-            raise DomainError(f"the tail of Phi(x, {s}, b) does not fall geometrically "
-                              f"past {T} terms")
-        total = mpf(0)
+        # at least q = r ((T+2+Re b)/(T+1+Re b))^max(0, -s) a step. T grows
+        # until that is at most eps |partial sum|, since at negative s the
+        # terms grow with n before they fall
+        T = int(mp.ceil((-mp.log(eps * (1 - r))) / (-mp.log(r)))) + 4
+        total, n = mpf(0), 0
         xp = mpc(1) if isinstance(xv, mpc) else mpf(1)
-        for n in range(T + 1):
-            total += xp * (n + bv) ** (-sv)
-            xp *= xv
-        bound = abs(xp) / (1 - q) * abs((T + 1 + bv) ** (-sv)) + abs(total) * mpf(10) ** (-(ctx.dps + 2))
-        return EvalResult(total, bound, "direct_tail")
+        while True:
+            geometric_length(T)
+            q = r * ((T + 2 + mp.re(bv)) / (T + 1 + mp.re(bv))) ** max(0, -sv)
+            if q >= 1:
+                raise DomainError(f"the tail of Phi(x, {s}, b) does not fall geometrically "
+                                  f"past {T} terms")
+            for n in range(n, T + 1):
+                total += xp * (n + bv) ** (-sv)
+                xp *= xv
+            n = T + 1
+            tail = abs(xp) / (1 - q) * abs((T + 1 + bv) ** (-sv))
+            if tail <= eps * abs(total):
+                break
+            T += T // 2 + 1
+        return EvalResult(total, tail + abs(total) * mpf(10) ** (-(ctx.dps + 2)), "direct_tail")
 
 
 def _lerch_series_averaged(f, a, sv, bv, ctx) -> EvalResult:

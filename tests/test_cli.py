@@ -174,12 +174,12 @@ def test_jobs_parallel(capsys):
 
 
 def test_evaluation_failure_exit3(tmp_path, monkeypatch, capsys):
-    # forcing the reduction strategy onto an uncatalogued shape is an
-    # evaluation failure, not a usage error
+    # forcing the reduction strategy onto an uncatalogued shape (two-sided,
+    # with non-integer exponents) is an evaluation failure, not a usage error
     (tmp_path / "hard.dpl").write_text(
         'identity "hard" params (s: real >= 1, x: unit, b: b01) {\n'
-        "  lhs: 1 * [ sum(m>=1,n>=0) x^(m+n) / (m * (n+b) * (m+n+b)^s) ];\n"
-        "  rhs: 1 * [ sum(m>=1,n>=0) x^(m+n) / (m * (n+b) * (m+n+b)^s) ];\n}\n")
+        "  lhs: 1 * [ sum(m>=1,n>=0) x^(m+n) / (m^s * (n+b)^(1/2) * (m+n+b)^2) ];\n"
+        "  rhs: 1 * [ sum(m>=1,n>=0) x^(m+n) / (m^s * (n+b)^(1/2) * (m+n+b)^2) ];\n}\n")
     (tmp_path / "hard.meta.json").write_text(
         '{"id": "hard", "paper_ref": "shape gap", "tags": [], "tolerance": "1e-8",'
         ' "strategy": "reduction", "battery": [{"s": "3/2", "x": "1", "b": "1/2"}]}\n')

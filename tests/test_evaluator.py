@@ -206,16 +206,27 @@ BRUTE_SHAPES = [
 ]
 
 
+# two-sided with non-integer exponents: outside two_pole_coeffs, so reduction
+# raises ShapeError and auto falls back to direct
+OUTSIDE_CATALOG = "sum(m>=1,n>=1) x^(m+n) / (m^(3/2) * n^(1/2) * (m+n)^2)"
+
+
 @pytest.mark.parametrize("xlit", ["1/10", "-1/3"])
 @pytest.mark.parametrize("shape", BRUTE_SHAPES, ids=lambda s: s[0])
 def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
     # the N = m + n re-indexed |x| < 1 path against a plain double sum at
     # 30 more digits
+    from dpl.reduction import ShapeError
+
     text, params, m0, n0, fm, fn, fN, weight = shape
+    strategy = "auto" if text == OUTSIDE_CATALOG else "reduction"
     with CTX.workdps():
         x = parse_x(xlit)
-        r = eval_double(bind_term(parse_term(text), {}), {**params, "x": x}, CTX,
-                        "reduction")
+        term = bind_term(parse_term(text), {})
+        if strategy == "auto":
+            with pytest.raises(ShapeError):
+                eval_double(term, {**params, "x": x}, CTX, "reduction")
+        r = eval_double(term, {**params, "x": x}, CTX, strategy)
     ref, ref_tail = _brute_double(x.value, m0, n0, fm, fn, fN, weight, CTX.dps + 38)
     with mp.workdps(CTX.dps + 38):
         assert ref_tail < r.abs_error_bound / 1000
@@ -1125,6 +1136,35 @@ def test_functional_relations_at_a_fractional_exponent(ident, assignments):
     # sides' bounds, not merely within the identity's tolerance
     rep = eval_identity(registry_get(ident), assignments, CTX40, strategy="auto")
     assert rep.residual <= rep.bound
+
+
+@pytest.mark.parametrize("x", ["1", "-1"])
+@pytest.mark.parametrize("b", ["1/4", "1/2", "3/4"])
+def test_functional_relation_real_exponent_on_the_circle(b, x):
+    # thm-2.1's x^(m+n) terms at real s run as diagonal atoms on the circle:
+    # full precision, no float64 side, and within direct's bound of direct
+    entry = registry_get("thm-2.1")
+    assign = {"s": "3/2", "b": b, "x": x}
+    red = eval_identity(entry, assign, CTX, strategy="reduction")
+    dir_ = eval_identity(entry, assign, CTX, strategy="direct")
+    assert red.residual <= red.bound
+    assert "direct_tail" not in (red.lhs.method, red.rhs.method)
+    for r, d in ((red.lhs, dir_.lhs), (red.rhs, dir_.rhs)):
+        assert abs(r.value - d.value) <= d.abs_error_bound
+
+
+@pytest.mark.parametrize("x", ["i", "ru(3,1)"])
+@pytest.mark.parametrize("text,chi", [
+    ("sum(m>=1,n>=1; m=-2*n mod 3) x^(m+n) / (m * n * (m+n)^(3/2))", None),
+    ("sum(m>=1,n>=1) chi(m+n) * x^(m+n) / (m^2 * (m+n)^(5/2))", CHI3),
+], ids=["congruence", "chi3-mn"])
+def test_diagonal_real_exponent_at_roots_of_unity(text, chi, x):
+    params = {"x": parse_x(x)} | ({"chi": chi} if chi is not None else {})
+    t = bind_term(parse_term(text), {})
+    red = eval_double(t, params, CTX, "reduction")
+    dir_ = eval_double(t, params, CTX, "direct")
+    assert red.method != "direct_tail"
+    assert abs(red.value - dir_.value) <= dir_.abs_error_bound
 
 
 TWO_SHIFT_TERMS = [

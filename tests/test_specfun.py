@@ -29,7 +29,6 @@ from dpl.specfun import (
     gauss_sum,
     hurwitz_zeta,
     lerch_phi,
-    log_zeta_sum,
     make_character,
     polylog,
     root_of_unity,
@@ -234,11 +233,18 @@ def test_euler_gamma_cached_and_thread_consistent():
 # log-weighted zeta sums
 # ---------------------------------------------------------------------------
 
+def _log_column(s, a):
+    """sum_u (u+a)^-s log(u+a): the log column of a one-column row at a."""
+    with CTX.workdps():
+        r, phi = split_exponent(s)
+        return euler_maclaurin_row(specfun._to_mp(a), phi, r, r, CTX, logs=True).log_zeta_at(r)
+
+
 @pytest.mark.parametrize("r,a", [(2, 1.0), (3, 1.5), (5, 0.25), (2.5, 2.0)])
 def test_log_zeta_sum_vs_mpmath_derivative(r, a):
     # sum (u+a)^-r log(u+a) = -d/ds zeta(s, a) at s=r
     with mp.workdps(CTX.dps + 25):
-        res = log_zeta_sum(r, mpf(a), CTX)
+        res = _log_column(r, mpf(a))
         ref = -mpmath.diff(lambda s: mpmath.zeta(s, mpf(a)), mpf(r))
         assert abs(res.value - ref) <= res.abs_error_bound + mpf(10) ** -55
 
@@ -432,14 +438,14 @@ def test_row_columns_do_not_depend_on_the_row(a, phi):
 
 
 def test_single_column_wrappers_are_accurate():
-    # hurwitz_zeta and log_zeta_sum choose their own block for one column; at
+    # hurwitz_zeta and a one-column row choose their own block; at
     # a = 45/4 and s = 3/2 an unreachable target once picked a block too short
     with mp.workdps(CTX.dps + 40):
         for a in (Fraction(1, 4), Fraction(45, 4), Fraction(257, 4), Fraction(1000)):
             for s in (2, 7, Fraction(3, 2), Fraction(5, 2), 40):
                 sm, am = specfun._to_mp(s), specfun._to_mp(a)
                 assert _within(hurwitz_zeta(s, a, CTX), mpmath.zeta(sm, am), CTX.dps)
-                assert _within(log_zeta_sum(s, a, CTX), -mpmath.zeta(sm, am, 1), CTX.dps)
+                assert _within(_log_column(s, a), -mpmath.zeta(sm, am, 1), CTX.dps)
 
 
 def test_split_exponent():
@@ -472,7 +478,7 @@ def test_eval_cache_keeps_one_row_per_argument():
     a = mpf("64.25")
     for r in range(2, 12):
         cache.zeta(r, a)
-        cache.log_zeta(r, a)
+        cache.row(a, 0, r, logs=True).log_zeta_at(r)
     cache.psi(a)
     cache.zeta(Fraction(5, 2), a)
     cache.zeta(3, a + 1)
@@ -535,6 +541,13 @@ def test_lerch_interior_vs_mpmath():
                           (mpf("0.9"), -3, 1), (mpf("0.99"), -2, 1), (mpf("0.5"), -2, 1)]:
             r = lerch_phi(x, s, b, CTX)
             assert abs(r.value - mpmath.lerchphi(x, s, b)) <= r.abs_error_bound
+    # the cut-off counts |T+1+b|^-s too: at s = -3 the bound is as small,
+    # relative to the value, as on the other branches
+    with mp.workdps(80):
+        x = mpf("0.9")
+        r = lerch_phi(x, -3, 1, CTX)
+        assert abs(r.value - mpmath.lerchphi(x, -3, 1)) <= r.abs_error_bound
+        assert r.abs_error_bound <= mpf("1e-59") * abs(r.value)
 
 
 def test_lerch_root_of_unity_grouping():

@@ -7,8 +7,8 @@ registered strategy and records, for each side, its value (to 20 digits
 past the working ones), its error bound and its method, and the identity's
 verdict. The same subprocess evaluates a fixed list of bare terms (TERMS)
 with the reduction strategy: they reach paths no battery point does, such
-as the inner sums at x = 0 (eval_inner_closed), geometric outer sums and a
-tail start moved far out. Usage:
+as the inner sums at x = 0 (eval_inner_closed), geometric outer sums, a
+tail start moved far out and x^(m+n) diagonals. Usage:
 
     python3 tools/fingerprint.py --parent ../parent --out fingerprint.json
 
@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
 POINTS = 3
 DIGITS = 50
 REFERENCE_EXTRA = 30
-# Bare terms and their parameters (an x literal and a builtin character).
+# Bare terms and their parameters (an x literal, a builtin character and b).
 TERMS = [
     # the inner sums at x = 0 (tests/test_evaluator.py, X_ZERO_INNER_CASES)
     ("sum(m>=1,n>=1) chi(n) * x^(n-1) / (m^2 * (m+n)^2)", {"x": "0", "chi": "chi4"}),
@@ -59,11 +59,17 @@ TERMS = [
     ("sum(m>=1,n>=1) x^n / (m*(m+n)^3)", {"x": "1/2"}),
     # outer shifts 39 apart: the tail starts past the default cut
     ("sum(m>=1,n>=1) x^n / (m * (n+40)^2 * (m+n)^2)", {"x": "1"}),
+    # x^(m+n) diagonals: one-sided with a b-shift, a congruence on the
+    # circle, and shifted factors that change sign (W = 0 at m + n = 2)
+    ("sum(m>=1,n>=0) x^(m+n) / ((n+b) * (m+n+b)^2)", {"x": "1/2", "b": "1/4"}),
+    ("sum(m>=1,n>=1; m=-2*n mod 3) x^(m+n) / (m * n * (m+n)^2)", {"x": "i"}),
+    ("sum(m>=1,n>=1) x^(m+n) / ((m-5/3) * (n-1/3) * (m+n)^2)", {"x": "-1/3"}),
 ]
 
 # Runs inside a checkout's own src/ at {digits}; prints one JSON object of records.
 WORKER = """
 import json
+from fractions import Fraction
 from mpmath import mp
 from dpl.dsl import parse_term
 from dpl.evaluator import eval_double, eval_identity, eval_single, parse_x
@@ -102,6 +108,8 @@ for text, given in {terms!r}:
             params = {{"x": parse_x(given["x"])}}
         if "chi" in given:
             params["chi"] = BUILTIN_CHARACTERS[given["chi"]]
+        if "b" in given:
+            params["b"] = Fraction(given["b"])
         term = parse_term(text)
         evaluate = eval_double if isinstance(term, DoubleSumTerm) else eval_single
         rec["sum"] = side(evaluate(term, params, ctx, "reduction"))
