@@ -15,9 +15,9 @@ tail start moved far out and x^(m+n) diagonals. Usage:
 The changed checkout also evaluates every side and term at DIGITS +
 REFERENCE_EXTRA digits, with the same strategy, as a reference for its own
 bounds: a bound too tight in both checkouts passes the comparison of the
-two, but not this check. A side whose strategy sums in float64 (`direct`,
-as thm-2.1 is registered) is the same sum at any precision, so it passes
-this check trivially.
+two, but not this check. A side summed in float64 (`direct`, where `auto`
+falls back to it) is the same sum at any precision, so it passes this
+check trivially.
 
 The output holds both checkouts' records, the reference records and a
 summary, for the identity sides and, under "terms", for the bare terms: how
