@@ -653,7 +653,8 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     key = (atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = cache.sums.get(key)
     if shape_sum is None:
-        shape_sum = cache.sums[key] = _sum_shape(atom, u0, cache, ctx, phase=phase)
+        shape_sum = cache.sums[key] = _sum_shape(atom, u0, cache, ctx) if phase is None \
+            else _sum_atom_geometric(atom, u0, *phase, cache, ctx)
     out = atom.coef.times(shape_sum)
     out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
     return out
@@ -678,9 +679,11 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
     lam, trans = atom.slope, atom.trans
     gamma_star = mpf(trans[-1] if trans else atom.rpows[0][0] if atom.rpows else 0)
     P = _shape_unit([g for (g, _) in atom.rpows] + ([trans[-1]] if trans else []))
-    # one fractional exponent per atom; the row that sums the tail carries it
-    fracs = [f for f in [_exponent_parts(p)[1] for (_, p) in atom.rpows]
-             + ([_exponent_parts(trans[1])[1]] if trans and trans[0] == "zeta" else []) if f]
+    # one fractional power per atom, for the direct block and the tail's row;
+    # a zeta table raises its own, so with a phase (no row) it may add one
+    fracs = [f for (_, p) in atom.rpows if (f := _exponent_parts(p)[1])]
+    if trans and trans[0] == "zeta" and phase is None:
+        fracs += [f for f in [_exponent_parts(trans[1])[1]] if f]
     if len(fracs) > 1:
         raise ShapeError("more than one fractional outer exponent")
     phi = fracs[0] if fracs else 0
@@ -750,6 +753,11 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
     terr += series.rem * (abs(zr) + ez) + series.rem_log * (abs(lr) + el)
     return EvalResult(_unfix(total + tail, 2 * P), _unfix(err2 + terr + 1, 2 * P),
                       "euler_maclaurin")
+
+
+def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
+    """_sum_shape with the geometric phase x0 X^u, under the name perfbench traces."""
+    return _sum_shape(atom, u0, cache, ctx, phase=(X, x0))
 
 
 def _direct_block(atom, u0, U0, P, ztab, phase):
@@ -1204,8 +1212,8 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
     |x| < 1 (whose tail bound is empirical, so the disk keeps the direct_tail
     tag) and without one on the circle. The diagonals before every base is
     positive, W = 0 among them where the shifted factors change sign, are
-    summed directly. Two-sided shapes with a non-integer exponent raise
-    ShapeError.
+    summed directly. Two-sided shapes with a non-integer exponent and
+    one-sided ones with an exponent below 1 raise ShapeError.
     """
     x, m0, n0 = plan.x, plan.m0, plan.n0
     b_mp = _mp_b(plan.b)
@@ -1219,10 +1227,8 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
         raise DomainError("divergent inner sum")
     # pieces (side, exponent, coefficient, power of 1/W)
     if a and c:
-        if a.denominator != 1 or c.denominator != 1:
-            raise ShapeError("two-sided diagonal with a non-integer exponent")
         # Y = W - X: the coefficients for (X, -Y) pick up these signs
-        ai, ci = int(a), int(c)
+        ai, ci = (_as_int(e, "two-sided diagonal exponent") for e in (a, c))
         A, B = two_pole_coeffs(ai, ci)
         pieces = [("m", i, A[i] * (-1) ** (ai - i), ai + ci - i) for i in range(1, ai + 1)]
         pieces += [("n", j, B[j] * (-1) ** ai, ai + ci - j) for j in range(1, ci + 1)]
@@ -1301,6 +1307,9 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
                 total = total + _sum_atom(Atom(coef, slope, rpows, trans), u0, phase, cache, ctx)
     return EvalResult(total.value, total.abs_error_bound,
                       "direct_tail" if x.kind == "num" else "reduction")
+
+
+_eval_double_geometric2d = _eval_diagonal     # the name perfbench traces
 
 
 def _small_diagonals(plan, Ns, gm, a, gn, c, gj, q, coeff0, ctx) -> EvalResult:

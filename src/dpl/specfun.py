@@ -18,7 +18,7 @@ corrections until its remainder is below one unit of the outer sums'
 precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
 multiple of the first omitted correction) plus one unit per cut.
-hurwitz_zeta and digamma are single columns of it, converted
+hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
 to EvalResults on read; reduction.EvalCache keeps the whole rows one
 evaluation builds, and its tail base sums read their ints directly.
 
@@ -685,6 +685,16 @@ def euler_gamma(ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         if key not in _gamma_cache:
             _gamma_cache[key] = -digamma(1, ctx)
         return _gamma_cache[key]
+
+
+def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
+    """sum_{u>=0} (u+a)^-r log(u+a), real a > 0 and r > 1: a row's log column."""
+    with ctx.workdps():
+        av = _to_mp(a)
+        if isinstance(av, mpc) or av <= 0:
+            raise DomainError("log_zeta_sum requires real a > 0")
+        r0, phi = split_exponent(_check_s_real(r, 2))
+        return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
 
 
 def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, rows=None) -> EvalResult:

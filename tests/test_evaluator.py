@@ -199,6 +199,12 @@ BRUTE_SHAPES = [
      _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(m)),
     ("sum(m>=1,n>=1) chi(n) * x^(m+n) / ((m+n)^3)", {"chi": CHI3}, 1, 1,
      _one, _one, lambda N: mpf(N) ** -3, lambda m, n: _chi3(n)),
+    # one-sided, a fractional exponent next to a fractional (m+n) exponent
+    ("sum(m>=1,n>=0) x^(m+n) / ((n+b)^(3/2) * (m+n+b)^(5/2))", {"b": Fraction(1, 4)}, 1, 0,
+     _one, lambda n: (n + mpf(1) / 4) ** mpf(-1.5),
+     lambda N: (N + mpf(1) / 4) ** mpf(-2.5), lambda m, n: 1),
+    ("sum(m>=1,n>=1) x^(m+n) / (m^(1/2) * (m+n)^(5/2))", {}, 1, 1,
+     lambda m: mpf(m) ** mpf(-0.5), _one, lambda N: mpf(N) ** mpf(-2.5), lambda m, n: 1),
     # both shifted factors change sign, and W = (m-5/3) + (n-1/3) = 0 at m+n = 2
     ("sum(m>=1,n>=1) x^(m+n) / ((m-5/3) * (n-1/3) * (m+n)^2)", {}, 1, 1,
      lambda m: 1 / (m - mpf(5) / 3), lambda n: 1 / (n - mpf(1) / 3),
@@ -206,9 +212,12 @@ BRUTE_SHAPES = [
 ]
 
 
-# two-sided with non-integer exponents: outside two_pole_coeffs, so reduction
-# raises ShapeError and auto falls back to direct
-OUTSIDE_CATALOG = "sum(m>=1,n>=1) x^(m+n) / (m^(3/2) * n^(1/2) * (m+n)^2)"
+# outside the diagonal route, so reduction raises ShapeError and auto falls
+# back to direct: two-sided with non-integer exponents (outside
+# two_pole_coeffs), and one-sided with an m-exponent below 1 (whose partial
+# sums would need zeta below 1)
+OUTSIDE_CATALOG = ("sum(m>=1,n>=1) x^(m+n) / (m^(3/2) * n^(1/2) * (m+n)^2)",
+                   "sum(m>=1,n>=1) x^(m+n) / (m^(1/2) * (m+n)^(5/2))")
 
 
 @pytest.mark.parametrize("xlit", ["1/10", "-1/3"])
@@ -219,7 +228,7 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
     from dpl.reduction import ShapeError
 
     text, params, m0, n0, fm, fn, fN, weight = shape
-    strategy = "auto" if text == OUTSIDE_CATALOG else "reduction"
+    strategy = "auto" if text in OUTSIDE_CATALOG else "reduction"
     with CTX.workdps():
         x = parse_x(xlit)
         term = bind_term(parse_term(text), {})

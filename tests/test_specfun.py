@@ -29,6 +29,7 @@ from dpl.specfun import (
     gauss_sum,
     hurwitz_zeta,
     lerch_phi,
+    log_zeta_sum,
     make_character,
     polylog,
     root_of_unity,
@@ -233,18 +234,11 @@ def test_euler_gamma_cached_and_thread_consistent():
 # log-weighted zeta sums
 # ---------------------------------------------------------------------------
 
-def _log_column(s, a):
-    """sum_u (u+a)^-s log(u+a): the log column of a one-column row at a."""
-    with CTX.workdps():
-        r, phi = split_exponent(s)
-        return euler_maclaurin_row(specfun._to_mp(a), phi, r, r, CTX, logs=True).log_zeta_at(r)
-
-
 @pytest.mark.parametrize("r,a", [(2, 1.0), (3, 1.5), (5, 0.25), (2.5, 2.0)])
 def test_log_zeta_sum_vs_mpmath_derivative(r, a):
     # sum (u+a)^-r log(u+a) = -d/ds zeta(s, a) at s=r
     with mp.workdps(CTX.dps + 25):
-        res = _log_column(r, mpf(a))
+        res = log_zeta_sum(r, mpf(a), CTX)
         ref = -mpmath.diff(lambda s: mpmath.zeta(s, mpf(a)), mpf(r))
         assert abs(res.value - ref) <= res.abs_error_bound + mpf(10) ** -55
 
@@ -438,14 +432,14 @@ def test_row_columns_do_not_depend_on_the_row(a, phi):
 
 
 def test_single_column_wrappers_are_accurate():
-    # hurwitz_zeta and a one-column row choose their own block; at
+    # hurwitz_zeta and log_zeta_sum choose their own block for one column; at
     # a = 45/4 and s = 3/2 an unreachable target once picked a block too short
     with mp.workdps(CTX.dps + 40):
         for a in (Fraction(1, 4), Fraction(45, 4), Fraction(257, 4), Fraction(1000)):
             for s in (2, 7, Fraction(3, 2), Fraction(5, 2), 40):
                 sm, am = specfun._to_mp(s), specfun._to_mp(a)
                 assert _within(hurwitz_zeta(s, a, CTX), mpmath.zeta(sm, am), CTX.dps)
-                assert _within(_log_column(s, a), -mpmath.zeta(sm, am, 1), CTX.dps)
+                assert _within(log_zeta_sum(s, a, CTX), -mpmath.zeta(sm, am, 1), CTX.dps)
 
 
 def test_split_exponent():
