@@ -301,8 +301,10 @@ def eval_g(b, k: int, x, ctx: PrecisionContext = None) -> EvalResult:
     """g(b) = cos(pi b)/(x(1-b)) Li_{k+1} + sin(pi b)/(pi x (1-b)^2) Li_{k+1}
               + k sin(pi b)/(pi x (1-b)) Li_{k+2}.
 
-    The two singular pieces cancel at b=1; inside |b-1| < 1e-3 the Taylor
-    form about b=1 is used (the series of sin(pi e)/(pi e^2) - cos(pi e)/e).
+    With e = 1 - b, g = (Li_{k+1}/x) P(e) + (k Li_{k+2}/x) Q(e), where
+    Q = sinc(pi e) and P = (Q - cos(pi e))/e (P = 0, Q = 1 at e = 0). P
+    loses about 2 log10(1/|e|) digits to cancellation near b = 1, so it is
+    formed with that many more.
 
     Both 1/(1-b)-type coefficients multiply Li_{k+1}; that choice is the one
     whose Taylor expansion reproduces the value/derivative triple at b=1
@@ -319,35 +321,12 @@ def eval_g(b, k: int, x, ctx: PrecisionContext = None) -> EvalResult:
         bv = mpc(bv) if (hasattr(bv, "imag") and bv.imag) else mpf(bv)
         li1 = polylog(k + 1, xv, ctx, x_root=xs.root_pair)
         li2 = polylog(k + 2, xv, ctx, x_root=xs.root_pair)
-        eps_b = 1 - bv
-        if abs(eps_b) >= mpf("0.001"):
-            cosb, sinb = mp.cospi(bv), mp.sinpi(bv)
-            val = (cosb / (xv * eps_b)) * li1.value \
-                + (sinb / (mp.pi * xv * eps_b ** 2)) * li1.value \
-                + (k * sinb / (mp.pi * xv * eps_b)) * li2.value
-            bound = (abs(cosb / (xv * eps_b)) + abs(sinb / (mp.pi * xv * eps_b ** 2))) \
-                * li1.abs_error_bound \
-                + abs(k * sinb / (mp.pi * xv * eps_b)) * li2.abs_error_bound \
-                + abs(val) * ctx.eps
-            return EvalResult(val, bound, "closed_form")
-        # Taylor about b=1: P(e) = sum_{r>=1} (-1)^(r+1) pi^(2r) (2r)/(2r+1)! e^(2r-1)
-        #                   Q(e) = sum_{r>=0} (-1)^r pi^(2r) e^(2r) / (2r+1)!
-        e = eps_b
-        P = mpf(0) if not isinstance(e, mpc) else mpc(0)
-        Q = mpf(0) if not isinstance(e, mpc) else mpc(0)
-        pi2 = mp.pi ** 2
-        term_p = pi2 * 2 / mp.factorial(3)      # r = 1 coefficient
-        epow = mpf(1) if not isinstance(e, mpc) else mpc(1)
-        Q += 1 / mp.factorial(1)
-        r = 1
-        while True:
-            P += (-1) ** (r + 1) * (mp.pi ** (2 * r)) * (2 * r) / mp.factorial(2 * r + 1) \
-                * e ** (2 * r - 1)
-            Q += (-1) ** r * (mp.pi ** (2 * r)) * e ** (2 * r) / mp.factorial(2 * r + 1)
-            mag = abs(mp.pi * e) ** (2 * r)
-            if mag < ctx.eps:
-                break
-            r += 1
+        e = 1 - bv
+        P, Q = mpf(0), mpf(1)
+        if e:
+            with mp.extradps(max(0, int(2 * mp.log10(1 / abs(e)))) + 5):
+                Q = mp.sincpi(e)
+                P = (Q - mp.cospi(e)) / e
         val = (li1.value / xv) * P + (k * li2.value / xv) * Q
         bound = abs(P / xv) * li1.abs_error_bound + abs(k * Q / xv) * li2.abs_error_bound \
             + abs(val) * ctx.eps * 4

@@ -300,12 +300,22 @@ class Atom:
     """coef * prod_i (slope*u + gamma_i)^(-p_i) * Z(slope*u + gamma_z).
 
     coef carries an EvalResult so bounds from folded-in constants propagate.
+    The powers are in normal form: powers given at one shift merge into one,
+    their exponents added, a zero exponent drops out and a Fraction exponent
+    becomes an int or an mpf (_num_exp).
     """
 
     coef: EvalResult
     slope: int
-    rpows: tuple  # ((gamma, p) ...) with p > 0 (mpf or int powers)
+    rpows: tuple  # ((gamma, p) ...), gammas distinct, p != 0 an int or an mpf
     trans: tuple | None = None  # ('zeta', j, gamma_z) | ('psi', gamma_z)
+
+    def __post_init__(self):
+        merged = {}
+        for (g, p) in self.rpows:
+            merged[g] = merged.get(g, 0) + p
+        self.rpows = tuple((g, _num_exp(p) if isinstance(p, Fraction) else p)
+                           for (g, p) in merged.items() if p)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +847,12 @@ def _exp_value(f):
     return f.exp[1]
 
 
+def _factor_at(term, combo, b):
+    """(shift at b, exponent) of the term's factor in combo; (0, 0) without one."""
+    f = term.factor(combo)
+    return (mpf(0), Fraction(0)) if f is None else (shift_value(f.shift, b), _exp_value(f))
+
+
 def _as_int(q: Fraction, what: str) -> int:
     if q.denominator != 1:
         raise ShapeError(f"{what} must be an integer for the closed-form catalog")
@@ -995,20 +1011,12 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
 
         inner = "n" if xsel.kind == "xm" else "m"
         outer = "n" if inner == "m" else "m"
-        ifac = term.factor(inner)
-        ofacs = [f for f in term.factors if f.combo == outer]
-        jfac = term.factor("mn")
+        (gI, eI), opow, (gJ, q) = (_factor_at(term, c, b_mp) for c in (inner, outer, "mn"))
 
         # _class_atoms needs one modulus on both indices once the inner one splits
         lam_m, lam_n = plan.grid(square=plan.mod[inner] > 1)
         lam_i, lam_o = (lam_m, lam_n) if inner == "m" else (lam_n, lam_m)
         i0, o0 = (plan.m0, plan.n0) if inner == "m" else (plan.n0, plan.m0)
-
-        eI = _exp_value(ifac) if ifac is not None else Fraction(0)
-        q = _exp_value(jfac) if jfac is not None else Fraction(0)
-        gI = shift_value(ifac.shift, b_mp) if ifac is not None else mpf(0)
-        gJ = shift_value(jfac.shift, b_mp) if jfac is not None else mpf(0)
-        ofac_vals = [(shift_value(f.shift, b_mp), _exp_value(f)) for f in ofacs]
 
         if (not eI and q <= 1) or (not q and eI <= 1):
             raise DomainError("divergent inner sum")
@@ -1035,14 +1043,16 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
                     phase = (x.value ** lam_o, mpf(1))
                 t0 = math.ceil((i0 - rI) / lam_i)
                 u0 = math.ceil((o0 - rO) / lam_o)
-                for atom in _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO,
+                for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
                                          lam_i, lam_o, t0, cache):
                     atom.coef = atom.coef.scale(const)
                     total = total + _sum_atom(atom, u0, phase, cache, ctx)
-        return EvalResult(total.value, total.abs_error_bound, "reduction")
+        # the geometric phase's tail bound is empirical
+        return EvalResult(total.value, total.abs_error_bound,
+                          "direct_tail" if x.kind == "num" else "reduction")
 
 
-def _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO, lam_i, lam_o, t0, cache):
+def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, cache):
     """Atoms of the inner closed form on one residue class, in the outer
     class index u.
 
@@ -1050,22 +1060,20 @@ def _class_atoms(eI, q, gI, gJ, ofac_vals, rI, rO, lam_i, lam_o, t0, cache):
     index rO + lam_o u, where lam_i is 1 or equals lam_o. Dividing every base
     by lam_i gives slope lam_o // lam_i in u and the prefactor lam_i^-(total
     degree). eI and q are the inner and joint exponents as Fractions, 0 for
-    an absent factor and integers when both are present; ofac_vals holds the
-    outer factors' (shift, exponent) pairs.
+    an absent factor and integers when both are present; opow is the outer
+    factor's (shift, exponent), exponent 0 without one.
     """
     lam = lam_i
     slope = lam_o // lam
     aI = (rI + gI) / lam
-    base_rpows = [((rO + gN) / lam, p) for (gN, p) in ofac_vals]
+    gO, pO = opow
     wg = (rO + gJ - gI) / lam
     zg = (rI + rO + gJ) / lam + t0
-    ptot = eI + q + sum(p for (_, p) in ofac_vals)
-    one = EvalResult(mpf(lam) ** (-_frac_to_mp(ptot)), mpf(0), "reduction")
+    one = EvalResult(mpf(lam) ** (-_frac_to_mp(eI + q + pO)), mpf(0), "reduction")
     atoms = []
 
     def mk(coef, extra_rpows, trans):
-        rp = tuple((g, _num_exp(p)) for (g, p) in base_rpows + extra_rpows)
-        atoms.append(Atom(coef, slope, rp, trans))
+        atoms.append(Atom(coef, slope, [((rO + gO) / lam, pO)] + extra_rpows, trans))
 
     if not eI:
         # joint factor only: inner sum is zeta(q, t0 + aJ(u))
@@ -1160,24 +1168,15 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
         b_mp, m0 = _mp_b(plan.b), plan.m0
         if n < plan.n0:
             raise DomainError("n below the term's range")
-        mfac = term.factor("m")
-        jfac = term.factor("mn")
-        if mfac is None and jfac is None:
+        (gM, e), npow, (gJ, q) = (_factor_at(term, c, b_mp) for c in ("m", "n", "mn"))
+        if not e and not q:
             raise DomainError("no inner factors: divergent")
-        e = q = Fraction(0)
-        if mfac is not None:
-            e = _exp_value(mfac)
+        if e:
             _as_int(e, "inner exponent")
-        if jfac is not None:
-            q = _exp_value(jfac)
-            if mfac is not None:
+            if q:
                 _as_int(q, "joint exponent")
         if (not q and e < 2) or (not e and q <= 1):
             raise DomainError("divergent inner sum")
-        gM = shift_value(mfac.shift, b_mp) if mfac is not None else mpf(0)
-        gJ = shift_value(jfac.shift, b_mp) if jfac is not None else mpf(0)
-        nfac_vals = [(shift_value(f.shift, b_mp), _exp_value(f))
-                     for f in term.factors if f.combo == "n"]
         const = _frac_to_mp(term.coeff)
         if include_phase and term.xsel.kind == "xn":
             const = const * plan.x.power(n + term.xsel.d, ctx)
@@ -1190,7 +1189,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             t0 = math.ceil((m0 - rho) / L)
             if e and mp.re(t0 + (rho + gM) / L) <= 0:
                 raise DomainError("inner factor vanishes inside the range")
-            for atom in _class_atoms(e, q, gM, gJ, nfac_vals, rho, n, L, L, t0, cache):
+            for atom in _class_atoms(e, q, gM, gJ, npow, rho, n, L, L, t0, cache):
                 total = total + _atom_at(atom, cache).scale(const * _mp_value(w[0]))
         return total
 
@@ -1217,12 +1216,7 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
     """
     x, m0, n0 = plan.x, plan.m0, plan.n0
     b_mp = _mp_b(plan.b)
-    fac = {}
-    for f in term.factors:
-        e = _exp_value(f) + (fac[f.combo][1] if f.combo in fac else 0)
-        fac[f.combo] = (shift_value(f.shift, b_mp), e)
-    zero = (mpf(0), Fraction(0))
-    (gm, a), (gn, c), (gj, q) = (fac.get(k, zero) for k in ("m", "n", "mn"))
+    (gm, a), (gn, c), (gj, q) = (_factor_at(term, k, b_mp) for k in ("m", "n", "mn"))
     if x.kind != "num" and ((not a and q <= 1) or (not q and a <= 1)):
         raise DomainError("divergent inner sum")
     # pieces (side, exponent, coefficient, power of 1/W)
@@ -1258,19 +1252,19 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
         if chi == 0:
             continue
         const = mpc(coeff0) * mpc(chi) * x.power(plan.xexp(s, 0), ctx)
-        jpow = [((s + gj) / L, q)] if q else []
-        shapes = {}
+        atoms = {}
 
         def add(coef, rpows, trans=None):
-            rp = {}
-            for (g, p) in rpows:
-                rp[g] = rp.get(g, 0) + p
-            key = (tuple((g, _num_exp(p)) for (g, p) in rp.items() if p), trans)
-            shapes[key] = shapes[key] + coef if key in shapes else coef
+            atom = Atom(coef, slope, rpows, trans)
+            key = (atom.rpows, trans)
+            if key in atoms:
+                atoms[key].coef = atoms[key].coef + coef
+            else:
+                atoms[key] = atom
 
         for (side, i, cf, wexp) in pieces:
             g, own0, other0 = (gm, m0, n0) if side == "m" else (gn, n0, m0)
-            rpows = jpow + ([((s + gm + gn) / L, wexp)] if wexp else [])
+            rpows = [((s + gj) / L, q), ((s + gm + gn) / L, wexp)]
             scale = const * _frac_to_mp(cf) * mpf(L) ** -_frac_to_mp(i + wexp + q)
             for rho in range(L):
                 w = plan.weight(rho, (s - rho) % L, joint=False) if side == "m" \
@@ -1302,9 +1296,9 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
                 add(EvalResult(scale * mpc(w1), mpf(0), "reduction"), [(v, q - 1)])
             add(EvalResult(scale * (mpc(w0) - mpc(w1) * v), mpf(0), "reduction"), [(v, q)])
         u0 = -((s - Nstart) // LN)
-        for (rpows, trans), coef in shapes.items():
-            if coef.value or coef.abs_error_bound:
-                total = total + _sum_atom(Atom(coef, slope, rpows, trans), u0, phase, cache, ctx)
+        for atom in atoms.values():
+            if atom.coef.value or atom.coef.abs_error_bound:
+                total = total + _sum_atom(atom, u0, phase, cache, ctx)
     return EvalResult(total.value, total.abs_error_bound,
                       "direct_tail" if x.kind == "num" else "reduction")
 

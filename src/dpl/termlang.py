@@ -119,10 +119,6 @@ class LinearFactor:
         if self.combo not in COMBO_ORDER:
             raise TermError(f"unknown factor combo {self.combo!r}")
 
-    def sort_key(self):
-        ek = self.exp if expr_is_num(self.exp) else ("z", str(self.exp))
-        return (COMBO_ORDER[self.combo], self.shift.q1, self.shift.q0, ek)
-
 
 @dataclass(frozen=True)
 class Congruence:
@@ -180,6 +176,11 @@ N_RANGES = ("n>=0", "n>=1")
 
 @dataclass(frozen=True)
 class DoubleSumTerm:
+    """A double sum in normal form: at most one factor per combination, in
+    m, n, m+n order. Factors given with the same combination and shift merge
+    into one, their exponents added (a symbolic sum is an 'add' node); two
+    shifts on one combination are rejected."""
+
     coeff: Fraction
     xsel: XSel
     m_range: str
@@ -191,12 +192,17 @@ class DoubleSumTerm:
     def __post_init__(self):
         if self.m_range not in M_RANGES or self.n_range not in N_RANGES:
             raise TermError("unknown index range")
-        per_combo = {}
+        merged = {}
         for f in self.factors:
-            per_combo.setdefault(f.combo, set()).add(f.shift)
-        for combo, shifts in per_combo.items():
-            if len(shifts) > 1:
-                raise TermError(f"more than one {combo} factor chain")
+            g = merged.get(f.combo)
+            if g is not None:
+                if g.shift != f.shift:
+                    raise TermError(f"more than one {f.combo} factor chain")
+                exp = E(g.exp[1] + f.exp[1]) if expr_is_num(g.exp) and expr_is_num(f.exp) \
+                    else ("add", g.exp, f.exp)
+                f = LinearFactor(f.combo, f.shift, exp)
+            merged[f.combo] = f
+        object.__setattr__(self, "factors", tuple(merged[c] for c in COMBO_ORDER if c in merged))
         args = [a for (_, a) in self.twists]
         if len(args) != len(set(args)) or any(a not in COMBO_ORDER for a in args):
             raise TermError("invalid twist selectors")
@@ -418,32 +424,13 @@ def expand_group(group: TermGroup, env) -> list:
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonical_factors(factors):
-    merged = {}
-    for f in factors:
-        key = (f.combo, f.shift)
-        if key in merged:
-            a, b = merged[key].exp, f.exp
-            if not (expr_is_num(a) and expr_is_num(b)):
-                raise TermError("cannot merge symbolic exponents")
-            merged[key] = LinearFactor(f.combo, f.shift, E(a[1] + b[1]))
-        else:
-            merged[key] = f
-    return tuple(sorted(merged.values(), key=LinearFactor.sort_key))
-
-
 def skeleton(term):
     """The term with coefficient struck out; the canonical merge key."""
-    if isinstance(term, DoubleSumTerm):
-        term = dataclasses.replace(term, coeff=Fraction(1),
-                                   factors=_canonical_factors(term.factors))
-    else:
-        term = dataclasses.replace(term, coeff=Fraction(1))
-    return term
+    return dataclasses.replace(term, coeff=Fraction(1))
 
 
 def canonicalize(terms) -> list:
-    """Sort factors, merge like terms by summing coefficients, drop zeros."""
+    """Merge like terms by summing coefficients, drop zeros."""
     acc = {}
     for t in terms:
         key = skeleton(t)
@@ -480,11 +467,11 @@ def _int_exp(f):
 def reduce_mixed(terms) -> list:
     """Rewrite until no term carries both a pure-m and a pure-n factor.
 
-    One application consumes one power of the lowest-shift m factor X and the
-    lowest-shift n factor Y and pushes it onto the joint factor with shift
-    shift(X) + shift(Y); the two branches keep the constraint and ranges
-    unchanged. Terminates because the total pure exponent drops by one per
-    application; a step counter asserts the quadratic budget.
+    One application consumes one power of the m factor X and the n factor Y
+    and pushes it onto the joint factor with shift shift(X) + shift(Y); the
+    two branches keep the constraint and ranges unchanged. Terminates
+    because the total pure exponent drops by one per application; a step
+    counter asserts the quadratic budget.
     """
     out = []
     for term in terms:
@@ -497,10 +484,7 @@ def reduce_mixed(terms) -> list:
         stack = [term]
         while stack:
             t = stack.pop()
-            fm = min((f for f in t.factors if f.combo == "m"),
-                     key=LinearFactor.sort_key, default=None)
-            fn = min((f for f in t.factors if f.combo == "n"),
-                     key=LinearFactor.sort_key, default=None)
+            fm, fn, fj = t.factor("m"), t.factor("n"), t.factor("mn")
             if fm is None or fn is None:
                 out.append(t)
                 continue
@@ -508,22 +492,19 @@ def reduce_mixed(terms) -> list:
             if steps > budget:
                 raise TermError("rewriting exceeded its termination budget")
             joint_shift = fm.shift + fn.shift
-            fj = t.factor("mn")
             if fj is not None and fj.shift != joint_shift:
                 raise TermError(
                     f"shifts {fm.shift} + {fn.shift} do not form the joint factor {fj.shift}")
             jexp = _int_exp(fj) if fj is not None else 0
-            rest = tuple(f for f in t.factors if f not in (fm, fn, fj))
             new_joint = LinearFactor("mn", joint_shift, E(jexp + 1))
 
             def rebuild(keep_m_exp, keep_n_exp):
-                fs = list(rest)
+                fs = [new_joint]
                 if keep_m_exp:
                     fs.append(LinearFactor("m", fm.shift, E(keep_m_exp)))
                 if keep_n_exp:
                     fs.append(LinearFactor("n", fn.shift, E(keep_n_exp)))
-                fs.append(new_joint)
-                return dataclasses.replace(t, factors=_canonical_factors(fs))
+                return dataclasses.replace(t, factors=tuple(fs))
 
             em, en = _int_exp(fm), _int_exp(fn)
             stack.append(rebuild(em, en - 1))

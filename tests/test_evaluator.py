@@ -112,6 +112,22 @@ def test_inner_closed_rejects_uncatalogued():
         eval_inner_closed(t, 1, {"x": XSpec.number(mpf("0.5"))}, CTX)
 
 
+@pytest.mark.parametrize("repeated,power,summand", [
+    ("1 / (m * m * (m+n)^2)", "1 / (m^2 * (m+n)^2)", lambda m: 1 / (m ** 2 * (m + 2) ** 2)),
+    ("1 / (m * (m+n) * (m+n)^2)", "1 / (m * (m+n)^3)", lambda m: 1 / (m * (m + 2) ** 3)),
+], ids=["m*m", "(m+n)*(m+n)^2"])
+def test_inner_closed_repeated_factor_is_its_power(repeated, power, summand):
+    # the inner m-sum at n = 2 of a repeated factor is that of its power, and
+    # both match mpmath's sum 40 digits higher
+    head = "sum(m>=1,n>=1) "
+    r = eval_inner_closed(parse_term(head + repeated), 2, {}, CTX)
+    p = eval_inner_closed(parse_term(head + power), 2, {}, CTX)
+    assert (r.value, r.abs_error_bound) == (p.value, p.abs_error_bound)
+    with mp.workdps(CTX.dps + 40):
+        ref = mpmath.nsum(summand, [1, mpmath.inf])
+        assert abs(r.value - ref) <= r.abs_error_bound + mpf(10) ** -(CTX.dps + 5)
+
+
 # ---------------------------------------------------------------------------
 # eval_double / eval_single examples
 # ---------------------------------------------------------------------------
@@ -1196,6 +1212,43 @@ def test_outer_atoms_at_two_shifts_agree_with_direct(text, xlit):
     assert abs(red.value - dir_.value) <= red.abs_error_bound + dir_.abs_error_bound
 
 
+REPEATED_FACTOR_TERMS = [
+    # a repeated factor and its power; at x = 1 the outer sum of one (m+n)
+    # factor alone diverges
+    ("x^n / (m * m * (m+n)^2)", "x^n / (m^2 * (m+n)^2)", "1/2"),
+    ("x^n / (m * (m+n) * (m+n)^2)", "x^n / (m * (m+n)^3)", "1/2"),
+    ("x^m / (n * n * (m+n)^2)", "x^m / (n^2 * (m+n)^2)", "-1"),
+    ("x^n / (m * (m+n) * (m+n)^2)", "x^n / (m * (m+n)^3)", "1"),
+]
+
+
+@pytest.mark.parametrize("repeated,power,xlit", REPEATED_FACTOR_TERMS)
+def test_repeated_factor_evaluates_as_its_power(repeated, power, xlit):
+    head = "sum(m>=1,n>=1) "
+    with CTX.workdps():
+        params = {"x": parse_x(xlit)}
+    red = eval_double(parse_term(head + repeated), params, CTX, "reduction")
+    pw = eval_double(parse_term(head + power), params, CTX, "reduction")
+    dir_ = eval_double(parse_term(head + repeated), params, CTX, "direct")
+    assert (red.value, red.abs_error_bound, red.method) == (pw.value, pw.abs_error_bound, pw.method)
+    assert abs(red.value - dir_.value) <= dir_.abs_error_bound
+
+
+@pytest.mark.parametrize("xlit,geometric", [("1/2", True), ("-1", False)])
+def test_outer_sum_tag_follows_the_phase(xlit, geometric):
+    # inside the disk the outer atoms are summed with the geometric phase,
+    # whose tail bound is empirical, as the single sum's and the diagonal's
+    ctx = PrecisionContext(working_digits=50, output_digits=40)
+    with ctx.workdps():
+        params = {"x": parse_x(xlit)}
+    for text in ("sum(m>=1,n>=1) x^n / (m*(m+n)^3)", "sum(m>=1,n>=1) x^(m+n) / (m*(m+n)^3)",
+                 "single(n>=1) x^n / (n^2)"):
+        t = parse_term(text)
+        evaluate = eval_single if isinstance(t, SingleSumTerm) else eval_double
+        r = evaluate(t, params, ctx, "reduction")
+        assert (r.method == "direct_tail") == geometric, text
+
+
 def test_outer_atoms_at_two_shifts_vs_brute_force():
     # sum_n 2^-n (n+1/2)^-2 sum_m 1/(m (m+n)^2), the inner sum by partial
     # fractions in exact harmonic numbers, H_n/n^2 - (pi^2/6 - H_n^(2))/n,
@@ -1227,6 +1280,8 @@ OUTER_SHAPES = [
     ("p3-bare", 1, ((3 * _Q, 3),), None, None),
     ("p3/2-zeta2", 1, ((2 * _Q, Fraction(3, 2)),), ("zeta", 2, 4 * _Q), None),
     ("equal-shifts-psi", 1, ((2 * _Q, 1), (2 * _Q, 2)), ("psi", 4 * _Q), None),
+    ("equal-shifts-fractional", 1, ((2 * _Q, Fraction(1, 2)), (2 * _Q, Fraction(3, 2))),
+     ("zeta", 2, 4 * _Q), None),
     ("unequal-shifts", 1, ((_Q, 1), (3 * _Q, 2)), None, None),
     ("slope2-zeta3", 2, ((2 * _Q, 2),), ("zeta", 3, 6 * _Q), None),
     ("slope4-psi", 4, ((3 * _Q, 2),), ("psi", 5 * _Q), None),

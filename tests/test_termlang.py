@@ -17,6 +17,7 @@ from dpl.termlang import (
     Shift,
     TermError,
     XSel,
+    bind_term,
     canonicalize,
     canonicalize_group,
     check_derivation,
@@ -47,6 +48,33 @@ def test_parse_term_plain():
     t = parse_term("sum(m>=1,n>=1) x^n / (m*(m+n)^3)")
     assert t.xsel == XSel("xn", 0)
     assert [(f.combo, f.exp) for f in t.factors] == [("m", E(1)), ("mn", E(3))]
+
+
+@pytest.mark.parametrize("repeated,power", [
+    ("sum(m>=1,n>=1) x^n / (m * m * (m+n)^2)", "sum(m>=1,n>=1) x^n / (m^2 * (m+n)^2)"),
+    ("sum(m>=1,n>=1) x^n / ((m+n)^2 * m * (m+n))", "sum(m>=1,n>=1) x^n / (m * (m+n)^3)"),
+    ("sum(m>=1,n>=0) 1 / ((n+b)^(1/2) * (m+n+b)^2 * (n+b))",
+     "sum(m>=1,n>=0) 1 / ((n+b)^(3/2) * (m+n+b)^2)"),
+])
+def test_repeated_factor_is_its_power(repeated, power):
+    # a term holds one factor per combination, in m, n, m+n order
+    t = parse_term(repeated)
+    assert bind_term(t, {}) == bind_term(parse_term(power), {})
+    combos = [f.combo for f in t.factors]
+    assert combos == sorted(set(combos), key=["m", "n", "mn"].index)
+
+
+def test_symbolic_repeated_factor_renders_as_one_power():
+    t = parse_term("sum(m>=1,n>=1) 1 / (m^k * m * (m+n)^2)")
+    assert [f.exp for f in t.factors] == [("add", EV("k"), E(1)), E(2)]
+    text = render_term(t)
+    assert "m^(k+1)" in text
+    assert parse_term(text) == t
+
+
+def test_two_shifts_on_one_combination_rejected():
+    with pytest.raises(TermError):
+        D([F("m"), F("m", 1), F("mn", 0, 0, 2)])
 
 
 def test_parse_term_congruence():

@@ -8,7 +8,8 @@ past the working ones), its error bound and its method, and the identity's
 verdict. The same subprocess evaluates a fixed list of bare terms (TERMS)
 with the reduction strategy: they reach paths no battery point does, such
 as the inner sums at x = 0 (eval_inner_closed), geometric outer sums, a
-tail start moved far out and x^(m+n) diagonals. Usage:
+tail start moved far out, x^(m+n) diagonals and outer atoms whose powers
+merge. Usage:
 
     python3 tools/fingerprint.py --parent ../parent --out fingerprint.json
 
@@ -64,6 +65,9 @@ TERMS = [
     ("sum(m>=1,n>=0) x^(m+n) / ((n+b) * (m+n+b)^2)", {"x": "1/2", "b": "1/4"}),
     ("sum(m>=1,n>=1; m=-2*n mod 3) x^(m+n) / (m * n * (m+n)^2)", {"x": "i"}),
     ("sum(m>=1,n>=1) x^(m+n) / ((m-5/3) * (n-1/3) * (m+n)^2)", {"x": "-1/3"}),
+    # outer atoms whose two powers share a shift and merge into one
+    ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "i"}),
+    ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "1/2"}),
 ]
 
 # Runs inside a checkout's own src/ at {digits}; prints one JSON object of records.
@@ -75,7 +79,7 @@ from dpl.dsl import parse_term
 from dpl.evaluator import eval_double, eval_identity, eval_single, parse_x
 from dpl.registry import registry_get, registry_ids
 from dpl.specfun import BUILTIN_CHARACTERS, PrecisionContext
-from dpl.termlang import DoubleSumTerm
+from dpl.termlang import DoubleSumTerm, bind_term
 
 ctx = PrecisionContext(working_digits={digits})
 out = []
@@ -110,7 +114,7 @@ for text, given in {terms!r}:
             params["chi"] = BUILTIN_CHARACTERS[given["chi"]]
         if "b" in given:
             params["b"] = Fraction(given["b"])
-        term = parse_term(text)
+        term = bind_term(parse_term(text), {{}})
         evaluate = eval_double if isinstance(term, DoubleSumTerm) else eval_single
         rec["sum"] = side(evaluate(term, params, ctx, "reduction"))
     except Exception as exc:
