@@ -11,10 +11,12 @@ reduction path (and checked pointwise by its own test): a single sum's
 modulus plan.mod["n"], a double sum's grid plan.grid().
 Each factor of a class is raised to its power on the axis it depends on:
 an m-factor on t, an n-factor on u, an (m+n)-factor on lam_m*t + lam_n*u.
-The direct rectangle of a double sum is then a correlation of the
-(m+n)-factors with the m-factors, with memory linear in the cut-off; only the
-(m+n)-factors at the quadrature nodes of a tail take a 2-D grid.
-|x| < 1 phases truncate geometrically. On the unit circle the classes of a
+The direct rectangle of a double sum is then, phase by phase of the
+(m+n)-factors, a correlation of them with the m-factors, with memory linear
+in the cut-off; only the (m+n)-factors at the quadrature nodes of a tail take
+a 2-D grid, which each factor builds once and powers in place.
+|x| < 1 phases truncate geometrically, below the cap of
+specfun.geometric_length. On the unit circle the classes of a
 single sum share one Euler-Maclaurin cut, so their tails combine into the
 tail of one sum; at exponent 1 that sum converges when the class weights
 cancel (below 1 the class tails cancel past float64, and DomainError says
@@ -29,7 +31,7 @@ import math
 import numpy as np
 from mpmath import mpc, mpf
 
-from .specfun import DomainError, EvalResult, PrecisionContext
+from .specfun import DomainError, EvalResult, PrecisionContext, geometric_length
 from .termlang import DoubleSumTerm, SingleSumTerm
 from .reduction import ClassPlan, EvalCache, ShapeError, XSpec, _eval_x_zero, _exp_value
 
@@ -37,19 +39,43 @@ _TCUT = 2400
 _BOUND_FLOOR = 1e-10
 
 
-def _lag_nodes(n):
-    x, w = np.polynomial.laguerre.laggauss(n)
-    return x, w
+def _laguerre_rules(*sizes):
+    """Gauss-Laguerre rules for int_T^oo f = T int_0^oo e^-x e^2x f(T e^x) dx,
+    stacked: the nodes e^x of every rule in one vector, and a weight matrix
+    with one row per rule, holding its w e^2x at its own nodes."""
+    rules = [np.polynomial.laguerre.laggauss(n) for n in sizes]
+    ex = np.exp(np.concatenate([x for (x, _) in rules]))
+    weights = np.zeros((len(sizes), len(ex)))
+    start = 0
+    for row, (x, w) in enumerate(rules):
+        weights[row, start:start + len(x)] = w * np.exp(2 * x)
+        start += len(x)
+    return ex, weights
 
 
-_LAG32 = _lag_nodes(32)
-_LAG48 = _lag_nodes(48)
+_LAG = _laguerre_rules(48, 32)    # the rule, and a coarser one for its error
+_LAG48 = (_LAG[0][:48], _LAG[1][:1, :48])   # the rule alone
 
 
 def _x_complex(x: XSpec) -> complex:
     if x.kind == "ru":
         return complex(np.exp(2j * np.pi * x.a / x.f))
     return complex(x.numeric(None))
+
+
+def _power_in_place(base, p):
+    """base^(-p), written over the float array base: a whole p up to 4 by a
+    reciprocal and products, which cost less than np.power."""
+    if p not in (1.0, 2.0, 3.0, 4.0):
+        return np.power(base, -p, out=base)
+    np.reciprocal(base, out=base)
+    if p == 3.0:
+        base *= np.square(base)
+    elif p != 1.0:
+        np.square(base, out=base)
+        if p == 4.0:
+            np.square(base, out=base)
+    return base
 
 
 class _ProductFactors:
@@ -67,49 +93,68 @@ class _ProductFactors:
     def add(self, combo, base0, p):
         self.items[combo].append((float(base0), float(p)))
 
-    def axis(self, combo, s):
-        out = 1.0
+    def axis(self, combo, s, s2=0.0):
+        """The product of combo's factors at s + s2, s and s2 broadcast
+        against each other (s = sm[:, None] and s2 = sn give the grid of
+        np.add.outer). Each factor builds its base once, with its shift
+        folded into s, powers it and multiplies it into the product in place."""
+        out = None
         for (b0, p) in self.items[combo]:
-            out = out * (b0 + s) ** (-p)
-        return np.broadcast_to(out, np.shape(s))
+            # np.asarray: the in-place ufuncs reject a numpy scalar
+            base = _power_in_place(np.asarray(np.add(b0 + s, s2)), p)
+            if out is None:
+                out = base
+            else:
+                out *= base
+        if out is None:
+            return np.ones(np.broadcast(s, s2).shape)
+        return out
 
     def value(self, t, u):
         """The product at (t, u); t and u broadcast against each other."""
         sm = self.lam_m * np.asarray(t, dtype=float)
         sn = self.lam_n * np.asarray(u, dtype=float)
-        return self.axis("m", sm) * self.axis("n", sn) * self.axis("mn", sm + sn)
+        return self.axis("m", sm) * self.axis("n", sn) * self.axis("mn", sm, sn)
 
     def t_sums(self, wt, t, u):
         """sum_i wt_i value(t_i, u_j) for each u_j of a 1-D u (a scalar u only
-        without (m+n)-factors); only the (m+n)-factors take the 2-D grid."""
+        without (m+n)-factors), one row per row of a 2-D wt; only the
+        (m+n)-factors take the 2-D grid."""
         a = wt * self.axis("m", self.lam_m * t)
         b = self.axis("n", self.lam_n * np.asarray(u, dtype=float))
         if not self.items["mn"]:
-            return b * np.sum(a)
-        return b * (a @ self.axis("mn", self.lam_m * t[:, None] + self.lam_n * u[None, :]))
+            return np.multiply.outer(np.sum(a, axis=-1), b)
+        return b * (a @ self.axis("mn", self.lam_m * t[:, None], self.lam_n * u))
 
     def lattice_t_sums(self, wt, t0, u0, Tn):
         """t_sums on the integers t = t0 + i (i < len(wt)), u = u0 + j (j < Tn).
 
-        There an (m+n)-factor depends on k = lam_m*i + lam_n*j alone, so it is
-        one vector C[k], and the sum over i is the correlation of C with the
-        weighted m-factors upsampled by lam_m, read every lam_n.
+        There an (m+n)-factor depends on k = lm*i + ln*j alone, (lm, ln) the
+        grid over its gcd g, so it is one vector C[k]. With ln*j = lm*q + r,
+        the sum over i at u_j is lag q of the correlation of the phase
+        C_r[k] = C[lm*k + r] with the weighted m-factors. The j of one phase
+        step by lm and their lags by ln: each phase is correlated once, over
+        the lags its j span, and read every ln.
         """
-        lm, ln, Tm = self.lam_m, self.lam_n, len(wt)
-        a = wt * self.axis("m", lm * np.arange(t0, t0 + Tm, dtype=float))
-        b = self.axis("n", ln * np.arange(u0, u0 + Tn, dtype=float))
+        g = math.gcd(self.lam_m, self.lam_n)
+        lm, ln, Tm = self.lam_m // g, self.lam_n // g, len(wt)
+        a = wt * self.axis("m", self.lam_m * np.arange(t0, t0 + Tm, dtype=float))
+        b = self.axis("n", self.lam_n * np.arange(u0, u0 + Tn, dtype=float))
         if not self.items["mn"]:
             return b * np.sum(a)
         k = np.arange(lm * (Tm - 1) + ln * (Tn - 1) + 1, dtype=float)
-        c = self.axis("mn", (lm * t0 + ln * u0) + k)
-        up = np.zeros(lm * (Tm - 1) + 1, dtype=a.dtype)
-        up[::lm] = a
-        # np.correlate conjugates its second argument: a complex one goes in
-        # as its two real parts
-        corr = np.correlate(c, up.real, "valid")
-        if np.iscomplexobj(up):
-            corr = corr + 1j * np.correlate(c, up.imag, "valid")
-        return b * corr[::ln]
+        c = self.axis("mn", g * k + (self.lam_m * t0 + self.lam_n * u0))
+        corr = np.empty(Tn, dtype=np.result_type(a, c))
+        for j0 in range(min(lm, Tn)):
+            q0, r = divmod(ln * j0, lm)
+            cr = c[r::lm][q0:q0 + ln * (len(range(j0, Tn, lm)) - 1) + Tm]
+            # np.correlate conjugates its second argument: a complex one goes
+            # in as its two real parts
+            phase = np.correlate(cr, a.real, "valid")
+            if np.iscomplexobj(a):
+                phase = phase + 1j * np.correlate(cr, a.imag, "valid")
+            corr[j0::lm] = phase[::ln]
+        return b * corr
 
     def log_derivs_t(self, t, u):
         """(L', L'', L''') of log value with respect to t."""
@@ -128,21 +173,26 @@ class _ProductFactors:
 
 def _em_tail_t(pf: _ProductFactors, Tcut, u, lag):
     """sum_{t>=Tcut} pf(t,u) by integral + EM corrections, vectorized in u,
-    and the signed last correction f'''/720."""
-    nodes, weights = lag
-    # integral: sum w_i e^{x_i} Tcut ... with f evaluated at Tcut e^{x_i}
-    integral = pf.t_sums(weights * np.exp(2 * nodes) * Tcut, Tcut * np.exp(nodes), u)
+    one row per rule of the stacked rules lag, and the signed last
+    correction f'''/720."""
+    ex, weights = lag
+    integral = pf.t_sums(weights * Tcut, Tcut * ex, u)
     f0 = pf.value(Tcut, u)
     l1, l2, l3 = pf.log_derivs_t(Tcut, u)
     f1 = f0 * l1
     f3 = f0 * (l3 + 3 * l2 * l1 + l1 ** 3)
-    return integral + f0 / 2 - f1 / 12 + f3 / 720, f3 / 720
+    return integral + (f0 / 2 - f1 / 12 + f3 / 720), f3 / 720
 
 
 def _geom_cutoff(r, lam):
+    """Terms of the phase X^t, |X| = r^lam, after which it is below 1e-40;
+    more than specfun.geometric_length allows raise DomainError."""
     if r <= 0:
         return 2
-    return max(8, int(math.ceil(40.0 * math.log(10) / (lam * (-math.log(r))))) + 2)
+    if r >= 1:
+        raise DomainError("a geometric sum needs |x| < 1")
+    return geometric_length(
+        max(8, int(math.ceil(40.0 * math.log(10) / (lam * (-math.log(r)))))) + 2)
 
 
 def eval_term_direct(term, params, ctx: PrecisionContext) -> EvalResult:
@@ -211,8 +261,7 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
     inner_direct = pf.lattice_t_sums(wt, t0, u0, Tn)
     # inner tail over t (only without a geometric m-phase)
     if Xm is None:
-        tail48, nxt = _em_tail_t(pf, float(t0 + Tm), u, _LAG48)
-        tail32, _ = _em_tail_t(pf, float(t0 + Tm), u, _LAG32)
+        (tail48, tail32), nxt = _em_tail_t(pf, float(t0 + Tm), u, _LAG)
         inner_total = inner_direct + tail48
         err += float(np.sum(np.abs(tail48 - tail32))) + float(np.sum(np.abs(nxt)))
     else:
@@ -227,16 +276,13 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
         # the outer sum's column F(uv) = sum_t pf(t, uv) at the quadrature
         # nodes, at U and at a stencil around it, in one grid
         U = float(u0 + Tn)
-        nodes48, w48 = _LAG48
-        nodes32, w32 = _LAG32
-        uv = np.concatenate([U * np.exp(nodes48), U * np.exp(nodes32),
-                             [U, U - 1.0, U - 0.5, U + 0.5, U + 1.0]])
+        ex, weights = _LAG
+        uv = np.concatenate([U * ex, [U, U - 1.0, U - 0.5, U + 0.5, U + 1.0]])
         col = pf.t_sums(wt, t, uv)
         if Xm is None:
-            col = col + _em_tail_t(pf, float(t0 + Tm), uv, _LAG48)[0]
-        f48, f32, f0, sten = col[:48], col[48:80], col[80], col[81:]
-        i48 = np.sum(w48 * np.exp(2 * nodes48) * f48 * U)
-        i32 = np.sum(w32 * np.exp(2 * nodes32) * f32 * U)
+            col = col + _em_tail_t(pf, float(t0 + Tm), uv, _LAG48)[0][0]
+        f0, sten = col[len(ex)], col[len(ex) + 1:]
+        i48, i32 = weights @ col[:len(ex)] * U
         # centered five-point first derivative, h = 1/2
         f1 = (sten[0] - 8 * sten[1] + 8 * sten[2] - sten[3]) / 6.0
         tail = i48 + f0 / 2 - f1 / 12
@@ -297,8 +343,7 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
         else:
             t = np.arange(t0, T, dtype=float)
             total += const * np.sum(pf.value(t, 0.0))
-            tail48, nxt = _em_tail_t(pf, float(T), 0.0, _LAG48)
-            tail32, _ = _em_tail_t(pf, float(T), 0.0, _LAG32)
+            (tail48, tail32), nxt = _em_tail_t(pf, float(T), 0.0, _LAG)
             tails += const * np.array([tail48, tail32, nxt])
             wsum += const
             wabs += abs(const)

@@ -873,12 +873,16 @@ def test_direct_rectangle_against_brute_force_grid(lam, factors, x, t0, u0):
     assert abs(v - ref) <= 1e-13 * abs(ref)
 
 
-def test_direct_rectangle_at_the_unit_circle_cut():
+@pytest.mark.parametrize("lam", [(2, 3), (4, 6), (3, 1), (1, 3), (12, 12)],
+                         ids=["2x3-two-phases", "4x6-gcd-2", "3x1-three-phases",
+                              "1x3-one-phase-strided", "12x12-one-phase"])
+def test_direct_rectangle_at_the_unit_circle_cut(lam):
     # the full cut-off rectangle of a unit-circle class, column by column,
-    # and the column sums at the non-integer quadrature nodes of the u-tail
+    # and the column sums at the non-integer quadrature nodes of the u-tail;
+    # the grids give one phase of the (m+n)-factors or several, and each of
+    # lam_m, lam_n dividing the other
     from dpl.direct import _TCUT, _ProductFactors
 
-    lam = (2, 3)
     factors = [("m", 1.25, 1.5), ("n", 2.5, 2.0), ("mn", 0.25, 1.0), ("mn", 0.75, 0.5)]
     pf = _ProductFactors(*lam)
     for (combo, b0, p) in factors:
@@ -893,6 +897,50 @@ def test_direct_rectangle_at_the_unit_circle_cut():
     uv = np.array([u0 + Tn + 0.5, 1.7e3, 4.2e5])
     ref = wt @ _brute_grid(factors, lam, t, uv)
     assert np.all(np.abs(pf.t_sums(wt, t, uv) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_direct_product_at_a_scalar_point():
+    # every exponent the powering treats apart (whole 1 to 4, and any other)
+    # on each axis, at one point and along t at a scalar u
+    from dpl.direct import _ProductFactors
+
+    factors = [("m", 0.5, 1.0), ("m", 1.5, 3.0), ("n", 0.25, 2.0), ("n", 2.0, 1.5),
+               ("mn", 0.75, 4.0), ("mn", 1.25, 2.0)]
+    pf = _ProductFactors(2, 3)
+    for (combo, b0, p) in factors:
+        pf.add(combo, b0, p)
+    t = np.array([1.0, 2.5, 7.0])
+    ref = _brute_grid(factors, (2, 3), t, np.array([1.5]))[:, 0]
+    v = pf.value(2.5, 1.5)
+    assert np.shape(v) == ()
+    assert abs(v - ref[1]) <= 1e-15 * abs(ref[1])
+    assert np.all(np.abs(pf.value(t, 1.5) - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_direct_geometric_cutoff_needs_the_open_disk():
+    # |x| = 1 divided by zero, and near it the cut-off asked for ~1e9 terms
+    from dpl.direct import _geom_cutoff
+
+    with pytest.raises(DomainError):
+        _geom_cutoff(1.0, 1)
+    with pytest.raises(DomainError):
+        _geom_cutoff(1 - 1e-7, 1)
+    assert _geom_cutoff(0.99, 1) == 9167
+
+
+def test_direct_geometric_single_sum_at_the_circle_raises():
+    # |x| = 1, not a root of unity: no geometric truncation exists
+    with pytest.raises(DomainError):
+        eval_single(parse_term("single(n>=1) x^n / (n^2)"), {"x": parse_x("3/5+4/5i")},
+                    CTX, strategy="direct")
+
+
+def test_direct_geometric_single_sum_near_the_circle():
+    r = eval_single(parse_term("single(n>=1) x^n / (n^2)"), {"x": parse_x("0.99")},
+                    CTX, strategy="direct")
+    with mp.workdps(CTX.dps):
+        assert abs(r.value - mpmath.polylog(2, mpf("0.99"))) <= r.abs_error_bound
+    assert r.abs_error_bound <= mpf("1e-9")
 
 
 def test_direct_oracle_memory_is_linear_in_the_cut():

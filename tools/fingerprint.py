@@ -5,7 +5,8 @@ battery points of every registry identity, each checkout's own src/ is run
 in a subprocess that evaluates the identity at 50 digits with its
 registered strategy and records, for each side, its value (to 20 digits
 past the working ones), its error bound and its method, and the identity's
-verdict. The same subprocess evaluates a fixed list of bare terms (TERMS)
+verdict, and again with the float64 `direct` strategy on every side. The
+same subprocess evaluates a fixed list of bare terms (TERMS)
 with the reduction strategy: they reach paths no battery point does, such
 as the inner sums at x = 0 (eval_inner_closed), geometric outer sums, a
 tail start moved far out, x^(m+n) diagonals and outer atoms whose powers
@@ -21,16 +22,20 @@ falls back to it) is the same sum at any precision, so it passes this
 check trivially.
 
 The output holds both checkouts' records, the reference records and a
-summary, for the identity sides and, under "terms", for the bare terms: how
-many are bit-identical in value, bound and method; the worst relative
-change in value; the worst bound ratio (change over parent, farthest from
-1); every point whose verdict changed; and, against the reference, the
+summary, for the identity sides, under "direct" for the identity sides of
+the `direct` strategy and under "terms" for the bare terms: how many are
+bit-identical in value, bound and method; the worst relative change in
+value; the worst bound ratio (change over parent, farthest from 1); every
+point whose verdict changed; and, against the reference, the
 worst error/bound ratio, every side whose error exceeds its bound and every
 point that evaluated at one of the two precisions but raised at the other.
 The script exits 1, after writing the output, when any side or term moved
 by more than the sum of its two bounds, evaluated on one checkout but raised
 on the other, is farther from the reference than its bound, or evaluated at
-one precision only.
+one precision only; or when a `direct` side moved by more than
+DIRECT_VALUE_TOL * (1 + |v|) in value or by more than DIRECT_BOUND_TOL
+relative in its bound, or changed its method, or a `direct` verdict changed:
+the float64 sums of the two checkouts are the same sums, up to roundoff.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
 POINTS = 3
 DIGITS = 50
 REFERENCE_EXTRA = 30
+DIRECT_VALUE_TOL = 1e-12
+DIRECT_BOUND_TOL = 1e-6
 # Bare terms and their parameters (an x literal, a builtin character and b).
 TERMS = [
     # the inner sums at x = 0 (tests/test_evaluator.py, X_ZERO_INNER_CASES)
@@ -105,6 +112,16 @@ for ident in registry_ids():
                 rec["passed"] = bool(rep.passed)
             rec["lhs"], rec["rhs"] = side(rep.lhs), side(rep.rhs)
         out.append(rec)
+        rec = {{"id": ident, "params": assignment, "strategy": "direct", "oracle": True}}
+        try:
+            rep = eval_identity(entry, assignment, ctx, strategy="direct")
+        except Exception as exc:
+            rec["error"] = f"{{type(exc).__name__}}: {{exc}}"
+        else:
+            with mp.workdps({digits} + 30):
+                rec["passed"] = bool(rep.passed)
+            rec["lhs"], rec["rhs"] = side(rep.lhs), side(rep.rhs)
+        out.append(rec)
 for text, given in {terms!r}:
     rec = {{"term": text, "params": given}}
     try:
@@ -135,9 +152,11 @@ def records(checkout: Path, digits: int = DIGITS) -> list:
     return json.loads(lines[-1])
 
 
-def compare(parent: list, change: list) -> tuple[dict, bool]:
+def compare(parent: list, change: list, strict: bool = False) -> tuple[dict, bool]:
     """The summary of two checkouts' records, and whether any side moved
-    beyond its bounds (or evaluated on one checkout only)."""
+    beyond its bounds (or evaluated on one checkout only). strict, for the
+    float64 `direct` sides, also fails a value or bound that moved past the
+    DIRECT tolerances, a changed method and a changed verdict."""
     identical = sides = 0
     worst_rel, worst_ratio = mpf(0), mpf(1)
     verdicts, moved = [], []
@@ -166,6 +185,17 @@ def compare(parent: list, change: list) -> tuple[dict, bool]:
             if diff > bp + bc:
                 moved.append(f"{point} {side}: moved {mp.nstr(diff, 3)} "
                              f"> bounds {mp.nstr(bp + bc, 3)}")
+            if not strict:
+                continue
+            if diff > DIRECT_VALUE_TOL * (1 + abs(vp)):
+                moved.append(f"{point} {side}: moved {mp.nstr(diff, 3)} > "
+                             f"{DIRECT_VALUE_TOL:g} (1 + |v|)")
+            if abs(bc - bp) > DIRECT_BOUND_TOL * bp:
+                moved.append(f"{point} {side}: bound {mp.nstr(bp, 8)} -> {mp.nstr(bc, 8)}")
+            if ps["method"] != cs["method"]:
+                moved.append(f"{point} {side}: method {ps['method']} -> {cs['method']}")
+    if strict:
+        moved += verdicts
     summary = {"points": len(parent), "sides": sides, "bit_identical": identical,
                "worst_relative_value_change": mp.nstr(worst_rel, 3),
                "worst_bound_ratio": mp.nstr(worst_ratio, 6),
@@ -209,14 +239,17 @@ def main(argv=None) -> int:
     recs = {"parent": records(args.parent.resolve()), "change": records(ROOT)}
     reference = records(ROOT, DIGITS + REFERENCE_EXTRA)
 
-    def select(bare):
-        return [[r for r in recs[k] if ("term" in r) == bare] for k in ("parent", "change")]
+    def select(group):
+        return [[r for r in recs[k] if ("term" if "term" in r else
+                                         "direct" if "oracle" in r else "identity") == group]
+                for k in ("parent", "change")]
 
     with mp.workdps(DIGITS + REFERENCE_EXTRA + 30):
-        summary, failed = compare(*select(False))
-        summary["terms"], failed_terms = compare(*select(True))
+        summary, failed = compare(*select("identity"))
+        summary["direct"], failed_direct = compare(*select("direct"), strict=True)
+        summary["terms"], failed_terms = compare(*select("term"))
         summary["reference"], failed_ref = reference_check(recs["change"], reference)
-    failed = failed or failed_terms or failed_ref
+    failed = failed or failed_direct or failed_terms or failed_ref
     args.out.write_text(json.dumps({"summary": summary, **recs, "reference": reference},
                                    indent=1) + "\n")
     print(json.dumps(summary, indent=1))
