@@ -3,8 +3,11 @@
 Numerically independent of the closed-form reduction path: sums are
 truncated in each index and corrected with Euler-Maclaurin terms whose
 integrals come from exp-substituted Gauss-Laguerre quadrature. Everything runs
-in numpy float64/complex128, so values carry ~1e-11 absolute accuracy -- the
+in numpy float64/complex128, so values carry ~1e-12 absolute accuracy -- the
 point is a cross-check of the high-precision numerics, not sharp bounds.
+The cut-off is short and the tail rules fine: at x = 1 the error comes from
+the tail quadrature, and falls like 1/T in the cut-off but tenfold from the
+48- to the 64-node rule.
 Residue classes make oscillating phases constant; the classes, their weights
 and their phases come from the exact reduction.ClassPlan shared with the
 reduction path (and checked pointwise by its own test): a single sum's
@@ -35,7 +38,7 @@ from .specfun import DomainError, EvalResult, PrecisionContext, geometric_length
 from .termlang import DoubleSumTerm, SingleSumTerm
 from .reduction import ClassPlan, EvalCache, ShapeError, XSpec, _eval_x_zero, _exp_value
 
-_TCUT = 2400
+_TCUT = 600
 _BOUND_FLOOR = 1e-10
 
 
@@ -53,8 +56,8 @@ def _laguerre_rules(*sizes):
     return ex, weights
 
 
-_LAG = _laguerre_rules(48, 32)    # the rule, and a coarser one for its error
-_LAG48 = (_LAG[0][:48], _LAG[1][:1, :48])   # the rule alone
+_LAG = _laguerre_rules(64, 48)    # the rule, and a coarser one for its error
+_LAG64 = (_LAG[0][:64], _LAG[1][:1, :64])   # the rule alone
 
 
 def _x_complex(x: XSpec) -> complex:
@@ -156,19 +159,24 @@ class _ProductFactors:
             corr[j0::lm] = phase[::ln]
         return b * corr
 
-    def log_derivs_t(self, t, u):
-        """(L', L'', L''') of log value with respect to t."""
+    def value_log_derivs_t(self, t, u):
+        """value(t, u) at a scalar t, and (L', L'', L''') of its log with
+        respect to t. Each m- and (m+n)-factor forms the reciprocal r of its
+        base once: the factor is r^p, and the derivatives take r, r^2, r^3,
+        which underflow where a power of the base would overflow."""
         lm = self.lam_m
-        l1 = 0.0
-        l2 = 0.0
-        l3 = 0.0
-        for (combo, s) in (("m", lm * t), ("mn", lm * t + self.lam_n * u)):
+        sn = self.lam_n * np.asarray(u, dtype=float)
+        f = self.axis("n", sn)
+        l1 = l2 = l3 = 0.0
+        for (combo, s) in (("m", lm * t), ("mn", lm * t + sn)):
             for (b0, p) in self.items[combo]:
-                base = b0 + s
-                l1 = l1 - p * lm / base
-                l2 = l2 + p * lm ** 2 / base ** 2
-                l3 = l3 - 2 * p * lm ** 3 / base ** 3
-        return l1, l2, l3
+                r = np.reciprocal(b0 + s)
+                r2 = r * r
+                f = f * r ** p
+                l1 = l1 - p * lm * r
+                l2 = l2 + p * lm ** 2 * r2
+                l3 = l3 - 2 * p * lm ** 3 * (r2 * r)
+        return f, l1, l2, l3
 
 
 def _em_tail_t(pf: _ProductFactors, Tcut, u, lag):
@@ -177,8 +185,7 @@ def _em_tail_t(pf: _ProductFactors, Tcut, u, lag):
     correction f'''/720."""
     ex, weights = lag
     integral = pf.t_sums(weights * Tcut, Tcut * ex, u)
-    f0 = pf.value(Tcut, u)
-    l1, l2, l3 = pf.log_derivs_t(Tcut, u)
+    f0, l1, l2, l3 = pf.value_log_derivs_t(Tcut, u)
     f1 = f0 * l1
     f3 = f0 * (l3 + 3 * l2 * l1 + l1 ** 3)
     return integral + (f0 / 2 - f1 / 12 + f3 / 720), f3 / 720
@@ -261,9 +268,9 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
     inner_direct = pf.lattice_t_sums(wt, t0, u0, Tn)
     # inner tail over t (only without a geometric m-phase)
     if Xm is None:
-        (tail48, tail32), nxt = _em_tail_t(pf, float(t0 + Tm), u, _LAG)
-        inner_total = inner_direct + tail48
-        err += float(np.sum(np.abs(tail48 - tail32))) + float(np.sum(np.abs(nxt)))
+        (tail64, tail48), nxt = _em_tail_t(pf, float(t0 + Tm), u, _LAG)
+        inner_total = inner_direct + tail64
+        err += float(np.sum(np.abs(tail64 - tail48))) + float(np.sum(np.abs(nxt)))
     else:
         inner_total = inner_direct
         err += abs(Xm) ** (Tm + t0) / (1 - abs(Xm)) * float(np.max(np.abs(pf.value(t0 + Tm, u0))))
@@ -280,14 +287,14 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
         uv = np.concatenate([U * ex, [U, U - 1.0, U - 0.5, U + 0.5, U + 1.0]])
         col = pf.t_sums(wt, t, uv)
         if Xm is None:
-            col = col + _em_tail_t(pf, float(t0 + Tm), uv, _LAG48)[0][0]
+            col = col + _em_tail_t(pf, float(t0 + Tm), uv, _LAG64)[0][0]
         f0, sten = col[len(ex)], col[len(ex) + 1:]
-        i48, i32 = weights @ col[:len(ex)] * U
+        i64, i48 = weights @ col[:len(ex)] * U
         # centered five-point first derivative, h = 1/2
         f1 = (sten[0] - 8 * sten[1] + 8 * sten[2] - sten[3]) / 6.0
-        tail = i48 + f0 / 2 - f1 / 12
+        tail = i64 + f0 / 2 - f1 / 12
         block = block + tail
-        err += abs(i48 - i32) * 2 + abs(f1) * 1e-4 + abs(f0) * 1e-8
+        err += abs(i64 - i48) * 2 + abs(f1) * 1e-4 + abs(f0) * 1e-8
     else:
         last = abs(inner_total[-1])
         err += abs(Xn) ** (Tn + u0) / (1 - abs(Xn)) * last * 2
@@ -317,7 +324,7 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
 
     total = 0.0 + 0j
     err = 0.0
-    tails = np.zeros(3, dtype=complex)  # sum_r c_r (tail48_r, tail32_r, nxt_r)
+    tails = np.zeros(3, dtype=complex)  # sum_r c_r (tail64_r, tail48_r, nxt_r)
     wsum = 0.0 + 0j
     wabs = 0.0
     for rr in range(lam):
@@ -343,8 +350,8 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
         else:
             t = np.arange(t0, T, dtype=float)
             total += const * np.sum(pf.value(t, 0.0))
-            (tail48, tail32), nxt = _em_tail_t(pf, float(T), 0.0, _LAG)
-            tails += const * np.array([tail48, tail32, nxt])
+            (tail64, tail48), nxt = _em_tail_t(pf, float(T), 0.0, _LAG)
+            tails += const * np.array([tail64, tail48, nxt])
             wsum += const
             wabs += abs(const)
     if wabs:

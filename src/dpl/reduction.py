@@ -1367,6 +1367,9 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
+        if x.kind == "num" and abs(x.value) >= 1:
+            # a numeric x is no root of unity: off the open disk no route sums it
+            raise DomainError("a geometric sum needs |x| < 1")
         e = _num_exp(_exp_value(term.factor))
         gamma = shift_value(term.factor.shift, _mp_b(plan.b))
         coeff0 = _frac_to_mp(term.coeff)

@@ -476,15 +476,14 @@ def test_criterion_14e_cutoff_robustness():
             t = _random_catalog_term(rng)
             xs = rng.choice([XSpec.one(), XSpec.number(mpf("0.5"))])
             params = {"x": xs}
-            coarse_cut = 1200
             default_cut = direct_mod._TCUT
+            default = eval_double(t, params, CTX, "direct")
             try:
-                direct_mod._TCUT = coarse_cut
-                coarse = eval_double(t, params, CTX, "direct")
+                direct_mod._TCUT = 2 * default_cut
+                fine = eval_double(t, params, CTX, "direct")
             finally:
                 direct_mod._TCUT = default_cut
-            fine = eval_double(t, params, CTX, "direct")
-            ok &= abs(coarse.value - fine.value) <= coarse.abs_error_bound
+            ok &= abs(default.value - fine.value) <= default.abs_error_bound
             checks += 1
     record(14, f"cutoff robustness (seed {SEED + 3})", ok and checks >= 100,
-           f"{checks} draws, doubling the cutoff stays within the coarse bound")
+           f"{checks} draws, doubling the cutoff stays within the default bound")

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from dpl.cli import main
 
 JSON_KEYS = ["identity", "params", "digits", "strategy", "lhs", "rhs",
@@ -141,6 +143,15 @@ def test_eval_term_unknown_character_exit2(capsys):
     code, _, err = run(capsys, "verify", "--id", "cor-1.3", "--k", "1", "--chi", "chi5")
     assert code == 2
     assert "unknown character" in err
+
+
+@pytest.mark.parametrize("strategy", ["auto", "reduction", "direct"])
+def test_eval_term_geometric_single_sum_on_the_circle_exit2(capsys, strategy):
+    # |x| = 1 but not a root of unity: no route sums it, and each says so alike
+    code, _, err = run(capsys, "eval-term", "single(n>=1) x^n / (n^2)",
+                       "--x=3/5+4/5i", "--strategy", strategy)
+    assert code == 2
+    assert "needs |x| < 1" in err
 
 
 def test_list_output(capsys):

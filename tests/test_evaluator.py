@@ -403,6 +403,25 @@ def test_derivative_consistency_both_sides_interior():
         assert abs(dl.value - dr.value) <= dl.abs_error_bound + dr.abs_error_bound
 
 
+@pytest.mark.parametrize("order,calls", [(1, 6), (2, 7)])
+def test_derivative_stencil_evaluates_the_centre_once(order, calls):
+    # h, h/2 and h/4 each take f(b0 + h) and f(b0 - h); a second derivative
+    # shares one f(b0) between the three levels
+    from dpl.specfun import EvalResult
+
+    seen = []
+
+    def func(b):
+        seen.append(b)
+        return EvalResult(mp.exp(3 * b), mpf(0), "reduction")
+
+    with mp75():
+        d = numeric_derivative_b(func, order, Fraction(1, 2), CTX, h=mpf("0.01"))
+        assert len(seen) == calls and len(set(seen)) == calls
+        exact = 3 ** order * mp.exp(mpf(3) / 2)
+        assert abs(d.value - exact) <= d.abs_error_bound
+
+
 def test_stencil_domain_guard():
     spec = registry_get("thm-1.1").spec
     func = side_evaluator(spec, "lhs", {"k": 1, "x": "1/2", "b": "1/2"}, CTX)
@@ -941,6 +960,24 @@ def test_direct_geometric_single_sum_near_the_circle():
     with mp.workdps(CTX.dps):
         assert abs(r.value - mpmath.polylog(2, mpf("0.99"))) <= r.abs_error_bound
     assert r.abs_error_bound <= mpf("1e-9")
+
+
+@pytest.mark.parametrize("ident,assignments,limit", [
+    ("thm-1.1", {"k": 1, "b": "1/4", "x": "1"}, 1.05e-12),
+    ("cor-1.2", {"k": 1, "x": "1"}, 0.75e-12),
+], ids=["thm-1.1", "cor-1.2"])
+def test_direct_accuracy_at_x_one(ident, assignments, limit):
+    # at x = 1 the tail quadrature sets the oracle's error; each limit is half
+    # the error of a 2400 cut-off with the 48- and 32-node rules (2.1e-12 and
+    # 1.5e-12), against the reduction value at 40 digits
+    ctx = PrecisionContext(working_digits=40)
+    spec = registry_get(ident).spec
+    with ctx.workdps():
+        p = IdentityParams.bind(spec, assignments)
+        ref = eval_side(spec, "lhs", p, ctx, "reduction")
+        r = eval_side(spec, "lhs", p, ctx, "direct")
+        assert abs(r.value - ref.value) <= limit
+        assert abs(r.value - ref.value) <= r.abs_error_bound
 
 
 def test_direct_oracle_memory_is_linear_in_the_cut():
