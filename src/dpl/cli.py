@@ -240,15 +240,15 @@ def build_parser():
                                             "double polylogarithms")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_params=True):
+    def add_common(sp, report=True):
         sp.add_argument("--digits", type=int, default=50)
         sp.add_argument("--strategy", choices=("auto", "reduction", "direct"))
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        sp.add_argument("--tolerance")
-        if with_params:
-            for name in ("k", "l", "s", "x", "b", "N", "M", "chi"):
-                sp.add_argument(f"--{name}")
+        if report:
+            sp.add_argument("--out")
+            sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+            sp.add_argument("--tolerance")
+        for name in ("k", "l", "s", "x", "b", "N", "M", "chi"):
+            sp.add_argument(f"--{name}")
 
     sp = sub.add_parser("verify", help="evaluate an identity on one or more points")
     sp.add_argument("--id", required=True)
@@ -271,7 +271,7 @@ def build_parser():
 
     sp = sub.add_parser("eval-term", help="evaluate an ad-hoc DSL term")
     sp.add_argument("term")
-    add_common(sp)
+    add_common(sp, report=False)     # it always writes one JSON record to stdout
     sp.set_defaults(func=cmd_eval_term)
 
     sp = sub.add_parser("list", help="list registry identities")

@@ -36,7 +36,7 @@ from mpmath import mpc, mpf
 
 from .specfun import DomainError, EvalResult, PrecisionContext, geometric_length
 from .termlang import DoubleSumTerm, SingleSumTerm
-from .reduction import ClassPlan, EvalCache, ShapeError, XSpec, _eval_x_zero, _exp_value
+from .reduction import ClassPlan, EvalCache, XSpec, _eval_x_zero, _exp_value
 
 _TCUT = 600
 _BOUND_FLOOR = 1e-10
@@ -214,12 +214,11 @@ def eval_term_direct(term, params, ctx: PrecisionContext) -> EvalResult:
 
 def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     xsel = term.xsel
-    plan = ClassPlan(term, params)
+    with ctx.workdps():     # a raw x binds at the working precision on both routes
+        plan = ClassPlan(term, params)
     x = plan.x
     if x.kind == "zero":
         return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
-    if x.kind == "num" and abs(x.value) >= 1:
-        raise ShapeError("boundary x that is not a root of unity")
     xc = _x_complex(x)
     bf = float(plan.b) if plan.b is not None else 0.0
     lam_m, lam_n = plan.grid()
@@ -237,9 +236,7 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
             w = plan.weight(rm, rn)
             if w is None:
                 continue
-            const = complex(w[0])
-            if x.kind != "one":
-                const *= xc ** plan.xexp(rm, rn)
+            const = complex(w[0]) * xc ** plan.xexp(rm, rn)
             t0 = math.ceil((plan.m0 - rm) / lam_m)
             u0 = math.ceil((plan.n0 - rn) / lam_n)
             pf = _ProductFactors(lam_m, lam_n)
@@ -256,10 +253,16 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     return EvalResult(val, mpf(err), "direct_tail")
 
 
+def _rectangle_length(lam):
+    """The direct rectangle's length along an index of class modulus lam,
+    without a geometric phase on it (read from _TCUT at each call)."""
+    return max(96, _TCUT // lam)
+
+
 def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
     """One residue class: the direct rectangle plus tails where phases allow."""
-    Tm = _geom_cutoff(r_abs, pf.lam_m) if Xm is not None else max(96, _TCUT // pf.lam_m)
-    Tn = _geom_cutoff(r_abs, pf.lam_n) if Xn is not None else max(96, _TCUT // pf.lam_n)
+    Tm = _geom_cutoff(r_abs, pf.lam_m) if Xm is not None else _rectangle_length(pf.lam_m)
+    Tn = _geom_cutoff(r_abs, pf.lam_n) if Xn is not None else _rectangle_length(pf.lam_n)
     t = np.arange(t0, t0 + Tm, dtype=float)
     u = np.arange(u0, u0 + Tn, dtype=float)
     wt = Xm ** t if Xm is not None else np.ones(Tm)
@@ -307,7 +310,8 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
 # ---------------------------------------------------------------------------
 
 def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
-    plan = ClassPlan(term, params)
+    with ctx.workdps():
+        plan = ClassPlan(term, params)
     x = plan.x
     if x.kind == "zero":
         return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
@@ -335,9 +339,8 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
         if w[1] is not None:
             const /= math.sin(math.pi * w[1].numerator / w[1].denominator)
         const *= complex(w[0])
+        const *= xc ** plan.xexp(rr)
         t0 = math.ceil((plan.n0 - rr) / lam)
-        if x.kind != "one":
-            const *= xc ** plan.xexp(rr)
         pf = _ProductFactors(lam)
         pf.add("m", rr + gamma, e)
         if geometric:

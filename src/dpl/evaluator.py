@@ -81,49 +81,36 @@ def parse_value(decl, raw):
 
 
 def parse_x(raw) -> XSpec:
-    """x literals: rationals, 'i'/'-i', 'a+bi', or exact roots 'ru(f,a)'."""
+    """An x literal in its normal form (XSpec.number), at the precision in
+    force: a rational 'p/q', a complex 'a+bi' with rational parts ('i', '-i'
+    and '3i' among them), or the exact root 'ru(f,a)' = e^(2 pi i a/f); any
+    other value is a number as it is."""
     if isinstance(raw, XSpec):
         return raw
-    if isinstance(raw, str):
-        s = raw.strip().replace(" ", "")
-        if s.startswith("ru(") and s.endswith(")"):
-            f, a = s[3:-1].split(",")
-            return XSpec.root(int(f), int(a))
-        if s == "i":
-            return XSpec.root(4, 1)
-        if s == "-i":
-            return XSpec.root(4, 3)
-        if s.endswith("i"):
-            body = s[:-1]
-            for cut in range(len(body), -1, -1):
-                re_part, im_part = body[:cut], body[cut:]
-                if re_part in ("", "+", "-") or im_part in ("", "+", "-"):
-                    continue
-                try:
-                    rv, iv = Fraction(re_part), Fraction(im_part)
-                except ValueError:
-                    continue
-                return XSpec.number(mpc(_frac_to_mp(rv), _frac_to_mp(iv)))
+    if not isinstance(raw, str):
+        return XSpec.number(raw)
+    s = raw.strip().replace(" ", "")
+    if s.startswith("ru(") and s.endswith(")"):
+        f, a = s[3:-1].split(",")
+        return XSpec.root(int(f), int(a))
+    if s.endswith("i"):
+        body = s[:-1]
+        for cut in range(len(body), -1, -1):
+            re_part, im_part = body[:cut], body[cut:]
+            if re_part and im_part[:1] not in ("+", "-"):
+                continue
             try:
-                return XSpec.number(mpc(0, _frac_to_mp(Fraction(body or "1"))))
-            except ValueError as exc:
-                raise DomainError(f"cannot parse complex literal {raw!r}") from exc
-        try:
-            q = Fraction(s)
-        except ValueError as exc:
-            raise DomainError(f"cannot parse x value {raw!r}") from exc
-        if q == 1:
-            return XSpec.one()
-        if q == -1:
-            return XSpec.root(2, 1)
-        if q == 0:
-            return XSpec.zero()
-        return XSpec.number(_frac_to_mp(q))
-    if isinstance(raw, complex):
-        return XSpec.number(mpc(raw))
-    if isinstance(raw, Fraction):
-        return parse_x(str(raw))
-    return XSpec.number(raw)
+                rv = Fraction(re_part or 0)
+                iv = Fraction(im_part + "1" if im_part in ("", "+", "-") else im_part)
+            except ValueError:
+                continue
+            return XSpec.number(mpc(_frac_to_mp(rv), _frac_to_mp(iv)))
+        raise DomainError(f"cannot parse complex literal {raw!r}")
+    try:
+        q = Fraction(s)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse x value {raw!r}") from exc
+    return XSpec.number(_frac_to_mp(q))
 
 
 def bind_params(spec: IdentitySpec, assignments: dict):

@@ -47,6 +47,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
 from .specfun import (
+    MAX_ROOT_ORDER,
     DomainError,
     EvalResult,
     PrecisionContext,
@@ -55,7 +56,9 @@ from .specfun import (
     _ceil_shift,
     _fix,
     _signed_man_exp,
+    _to_mp,
     _unfix,
+    as_root_of_unity,
     bernoulli,
     euler_maclaurin_row,
     geometric_length,
@@ -77,16 +80,21 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class XSpec:
-    """Evaluation point x, kept exact when it is a root of unity."""
+    """Evaluation point x, in one normal form made where x is bound.
 
-    kind: str  # 'zero' | 'one' | 'ru' | 'num'
+    'zero' is x = 0; 'ru' is the exact root of unity e^(2 pi i a/f), x = 1
+    being f = 1, a = 0; 'num' is any other point, 0 < |x| < 1. XSpec.number
+    is the only code that decides which a numeric x is.
+    """
+
+    kind: str  # 'zero' | 'ru' | 'num'
     f: int = 1
     a: int = 0
     value: object = None  # mpf/mpc for 'num'
 
     @staticmethod
     def one():
-        return XSpec("one")
+        return XSpec("ru")
 
     @staticmethod
     def zero():
@@ -95,40 +103,45 @@ class XSpec:
     @staticmethod
     def root(f, a):
         a %= f
-        if a == 0:
-            return XSpec("one")
         g = math.gcd(a, f)
         return XSpec("ru", f // g, a // g)
 
     @staticmethod
     def number(v):
-        v = mpc(v) if isinstance(v, complex) or (hasattr(v, "imag") and v.imag) else mpf(v)
-        if v == 0:
-            return XSpec("zero")
-        if v == 1:
-            return XSpec("one")
-        if abs(v) > 1:
-            raise DomainError("x must satisfy |x| <= 1")
+        """The normal form of a numeric x, at the precision in force: a zero
+        imaginary part is dropped; 0 is zero; a root of unity of order up to
+        MAX_ROOT_ORDER (as_root_of_unity) is that exact root; any other
+        |x| >= 1 raises DomainError; the rest is num."""
+        v = _to_mp(v)
+        v = v.real if isinstance(v, mpc) and not v.imag else v
+        if not v:
+            return XSpec.zero()
+        # the roots met most, without as_root_of_unity's search
+        for (exact, f, a) in ((1, 1, 0), (-1, 2, 1), (1j, 4, 1), (-1j, 4, 3)):
+            if v == exact:
+                return XSpec.root(f, a)
+        root = as_root_of_unity(v)
+        if root is not None:
+            return XSpec.root(*root)
+        if abs(v) >= 1:
+            raise DomainError(f"x = {mp.nstr(v, 8)} is no root of unity of order <= "
+                              f"{MAX_ROOT_ORDER}: a geometric sum needs |x| < 1")
         return XSpec("num", value=v)
 
     @property
     def root_pair(self):
         """(f, a) for x = e^(2 pi i a/f) on the unit circle, else None."""
-        return (self.f, self.a) if self.kind in ("one", "ru") else None
+        return (self.f, self.a) if self.kind == "ru" else None
 
     def numeric(self, ctx) -> object:
         if self.kind == "zero":
             return mpf(0)
-        if self.kind == "one":
-            return mpf(1)
         if self.kind == "ru":
             return root_of_unity(self.f, self.a, ctx)
         return self.value
 
     def power(self, e: int, ctx):
         """x^e, exact for roots of unity."""
-        if self.kind == "one":
-            return mpf(1)
         if self.kind == "zero":
             return mpf(1) if e == 0 else mpf(0)
         if self.kind == "ru":
@@ -931,7 +944,7 @@ class ClassPlan:
         self.pair_mod = math.lcm(self.cong_mod, tw.get("m", 1), tw.get("n", 1))
         self.joint_mod = tw.get("mn", 1)
         self.coupled = term.cong is not None or "mn" in tw or \
-            (term.xsel.kind == "xmn" and self.x.kind == "ru")
+            (term.xsel.kind == "xmn" and self.x.f > 1)
 
     def grid(self, square=False):
         """Moduli (lam_m, lam_n) of a class grid of a double sum: one modulus
@@ -980,12 +993,10 @@ class ClassPlan:
         return None if chi == 0 else (chi, s)
 
     def xexp(self, *r):
-        """Exponent of x at the class or lattice point r; None without x."""
+        """Exponent of x at the class or lattice point r; 0 without x."""
         xsel = self.term.xsel
-        if xsel.kind == "none":
-            return None
         m, n = r if len(r) == 2 else (0, r[0])
-        return {"xn": n, "xm": m, "xmn": m + n}[xsel.kind] + xsel.d
+        return {"none": 0, "xn": n, "xm": m, "xmn": m + n}[xsel.kind] + xsel.d
 
 
 def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
@@ -1005,8 +1016,6 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
             return _eval_x_zero(term, plan, params, ctx, cache)
         if xsel.kind == "xmn":
             return _eval_diagonal(term, plan, ctx, cache)
-        if x.kind == "num" and abs(x.value) >= 1:
-            raise ShapeError("boundary x that is not a root of unity")
         b_mp = _mp_b(plan.b)
 
         inner = "n" if xsel.kind == "xm" else "m"
@@ -1027,20 +1036,15 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
 
         total = EvalResult(mpf(0), mpf(0), "reduction")
         coeff0 = _frac_to_mp(term.coeff)
+        # a geometric phase on the outer index only
+        phase = (x.value ** lam_o, mpf(1)) if x.kind == "num" else None
         for rI in range(lam_i):
             for rO in range(lam_o):
                 rm, rn = (rI, rO) if inner == "m" else (rO, rI)
                 w = plan.weight(rm, rn)
                 if w is None:
                     continue
-                const = mpc(coeff0) * mpc(w[0])
-                phase = None
-                if x.kind == "ru":
-                    const = const * x.power(plan.xexp(rm, rn), ctx)
-                elif x.kind == "num":
-                    # geometric phase on the outer index only
-                    const = const * x.value ** plan.xexp(rm, rn)
-                    phase = (x.value ** lam_o, mpf(1))
+                const = mpc(coeff0) * mpc(w[0]) * x.power(plan.xexp(rm, rn), ctx)
                 t0 = math.ceil((i0 - rI) / lam_i)
                 u0 = math.ceil((o0 - rO) / lam_o)
                 for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
@@ -1127,7 +1131,7 @@ def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
             # the inner m-sum at n = -d, split into classes by its weights
             if -d < plan.n0:
                 return zero
-            return eval_inner_closed(term, -d, params, ctx, cache=cache, include_phase=False)
+            return eval_inner_closed(term, -d, params, ctx, cache=cache)
         else:
             factors = term.factors
             points = [(m, -d - m) for m in range(plan.m0, -d - plan.n0 + 1)]
@@ -1150,7 +1154,7 @@ def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
 
 
 def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext,
-                      cache: EvalCache | None = None, include_phase: bool = True) -> EvalResult:
+                      cache: EvalCache | None = None) -> EvalResult:
     """Inner m-sum at fixed integer n as zetas, digammas, and rationals.
 
     Catalogued shapes: only a joint chain; or one pure-m factor of any
@@ -1177,9 +1181,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
                 _as_int(q, "joint exponent")
         if (not q and e < 2) or (not e and q <= 1):
             raise DomainError("divergent inner sum")
-        const = _frac_to_mp(term.coeff)
-        if include_phase and term.xsel.kind == "xn":
-            const = const * plan.x.power(n + term.xsel.d, ctx)
+        const = _frac_to_mp(term.coeff) * plan.x.power(plan.xexp(0, n), ctx)
         L = plan.mod["m"]
         total = EvalResult(mpf(0), mpf(0), "closed_form")
         for rho in range(L):
@@ -1367,9 +1369,6 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
-        if x.kind == "num" and abs(x.value) >= 1:
-            # a numeric x is no root of unity: off the open disk no route sums it
-            raise DomainError("a geometric sum needs |x| < 1")
         e = _num_exp(_exp_value(term.factor))
         gamma = shift_value(term.factor.shift, _mp_b(plan.b))
         coeff0 = _frac_to_mp(term.coeff)
@@ -1384,9 +1383,7 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
             const = mpc(coeff0)
             if w[1] is not None:
                 const = const / mp.sinpi(_frac_to_mp(w[1]))
-            const = const * mpc(w[0])
-            if term.xsel.kind == "xn":
-                const = const * x.power(plan.xexp(rr), ctx)
+            const = const * mpc(w[0]) * x.power(plan.xexp(rr), ctx)
             t0 = math.ceil((plan.n0 - rr) / lam)
             a = t0 + (rr + gamma) / lam
             if mp.re(a) <= 0:

@@ -737,26 +737,29 @@ def root_of_unity(f: int, a: int, ctx: PrecisionContext = DEFAULT_CTX):
 MAX_ROOT_ORDER = 64
 
 
-def as_root_of_unity(x, ctx: PrecisionContext = DEFAULT_CTX):
+def as_root_of_unity(x, ctx: PrecisionContext | None = None):
     """Return (f, a) with x = e^{2 pi i a/f}, gcd(a,f)=1 and f <= MAX_ROOT_ORDER, or None.
 
     x must be a root to the rounding level 10^-dps of the working precision
-    (root_of_unity rounds at 10^-(dps+8)); a point merely near a root is not
-    one, and is summed as an interior point.
+    (root_of_unity rounds at 10^-(dps+8)), under ctx.workdps() or, without
+    ctx, at the precision in force as ctx.workdps() sets it; a point merely
+    near a root is not one.
     """
-    with ctx.workdps():
-        xv = _to_mp(x)
-        tol = ctx.eps
-        if abs(abs(xv) - 1) > tol:
-            return None
-        ang = mp.arg(mpc(xv)) / (2 * mp.pi)
-        for f in range(1, MAX_ROOT_ORDER + 1):
-            a = int(mp.nint(ang * f))
-            if abs(ang * f - a) < tol * f:
-                a %= f
-                g = math.gcd(a, f) if a else f
-                return (f // g, a // g) if a else (1, 0)
+    if ctx is not None:
+        with ctx.workdps():
+            return as_root_of_unity(x)
+    xv = _to_mp(x)
+    tol = mpf(10) ** (8 - mp.dps)
+    if abs(abs(xv) - 1) > tol:
         return None
+    ang = mp.arg(mpc(xv)) / (2 * mp.pi)
+    for f in range(1, MAX_ROOT_ORDER + 1):
+        a = int(mp.nint(ang * f))
+        if abs(ang * f - a) < tol * f:
+            a %= f
+            g = math.gcd(a, f)
+            return (f // g, a // g)
+    return None
 
 
 # ---------------------------------------------------------------------------

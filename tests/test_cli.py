@@ -154,6 +154,31 @@ def test_eval_term_geometric_single_sum_on_the_circle_exit2(capsys, strategy):
     assert "needs |x| < 1" in err
 
 
+@pytest.mark.parametrize("strategy", ["auto", "reduction", "direct"])
+@pytest.mark.parametrize("term", ["sum(m>=1,n>=1) x^n / (m * (m+n)^2)",
+                                  "sum(m>=1,n>=1) x^(m+n) / (m * (m+n)^2)"],
+                         ids=["xn", "xmn"])
+def test_eval_term_double_sum_on_the_circle_exit2(capsys, term, strategy):
+    code, _, err = run(capsys, "eval-term", term, "--x=3/5+4/5i", "--strategy", strategy)
+    assert code == 2
+    assert "needs |x| < 1" in err
+
+
+def test_eval_term_spellings_of_a_point_print_alike(capsys):
+    outs = [run(capsys, "eval-term", "single(n>=1) x^n / (n^2)", f"--x={x}")
+            for x in ("-1", "-1+0i", "ru(2,1)")]
+    assert outs[0][0] == 0
+    assert outs[1:] == outs[:1] * 2
+
+
+@pytest.mark.parametrize("flag", ["--out=report.json", "--format=json", "--tolerance=1e-8"])
+def test_eval_term_rejects_the_report_flags(capsys, flag):
+    # eval-term writes one JSON record to stdout and computes no residual
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-term", "single(n>=1) 1 / (n^2)", flag])
+    assert exc.value.code == 2
+
+
 def test_list_output(capsys):
     code, out, _ = run(capsys, "list")
     assert code == 0

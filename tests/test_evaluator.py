@@ -518,7 +518,7 @@ def test_strategy_agreement_smoke():
 
 
 def test_parse_x_literals():
-    assert parse_x("1").kind == "one"
+    assert parse_x("1") == XSpec.root(1, 0)
     assert parse_x("-1") == XSpec.root(2, 1)
     assert parse_x("i") == XSpec.root(4, 1)
     assert parse_x("ru(3,1)") == XSpec.root(3, 1)
@@ -527,6 +527,40 @@ def test_parse_x_literals():
     assert v.kind == "num" and v.value == mpf("0.5")
     with pytest.raises(DomainError):
         parse_x("3/2")
+
+
+# every spelling of one point, as a literal or as a number passed as it is
+SPELLINGS = [
+    (XSpec.root(4, 1), ["i", "1i", "0+1i", "ru(4,1)", mpmath.mpc(0, 1), 1j]),
+    (XSpec.root(2, 1), ["-1", "-1+0i", "ru(2,1)", mpf(-1), -1]),
+    (XSpec.root(1, 0), ["1", "1+0i", 1]),
+    (XSpec.number(mpf("0.5")), ["1/2", "1/2+0i"]),
+]
+
+
+@pytest.mark.parametrize("point,spellings", SPELLINGS, ids=["i", "-1", "1", "1/2"])
+def test_every_spelling_of_a_point_binds_and_evaluates_alike(point, spellings):
+    term = parse_term("sum(m>=1,n>=1) x^n / (m * (m+n)^2)")
+    ref = eval_double(term, {"x": point}, CTX)
+    for raw in spellings:
+        with CTX.workdps():
+            assert parse_x(raw) == point, raw
+        if not isinstance(raw, str):
+            r = eval_double(term, {"x": raw}, CTX)
+            assert (r.value, r.abs_error_bound, r.method) == \
+                (ref.value, ref.abs_error_bound, ref.method), raw
+
+
+@pytest.mark.parametrize("raw", ["3/5+4/5i", "3/2", mpmath.mpc("0.6", "0.8")],
+                         ids=["circle-literal", "outside", "circle-number"])
+def test_a_point_off_the_disk_that_is_no_root_raises(raw):
+    with CTX.workdps(), pytest.raises(DomainError, match=r"needs \|x\| < 1"):
+        parse_x(raw)
+    if not isinstance(raw, str):
+        term = parse_term("sum(m>=1,n>=1) x^n / (m * (m+n)^2)")
+        for strategy in ("auto", "reduction", "direct"):
+            with pytest.raises(DomainError):
+                eval_double(term, {"x": raw}, CTX, strategy)
 
 
 def test_g_accepts_complex_b_near_one():
@@ -900,14 +934,14 @@ def test_direct_rectangle_at_the_unit_circle_cut(lam):
     # and the column sums at the non-integer quadrature nodes of the u-tail;
     # the grids give one phase of the (m+n)-factors or several, and each of
     # lam_m, lam_n dividing the other
-    from dpl.direct import _TCUT, _ProductFactors
+    from dpl.direct import _ProductFactors, _rectangle_length
 
     factors = [("m", 1.25, 1.5), ("n", 2.5, 2.0), ("mn", 0.25, 1.0), ("mn", 0.75, 0.5)]
     pf = _ProductFactors(*lam)
     for (combo, b0, p) in factors:
         pf.add(combo, b0, p)
     t0, u0 = 1, 2
-    Tm, Tn = _TCUT // lam[0], _TCUT // lam[1]
+    Tm, Tn = _rectangle_length(lam[0]), _rectangle_length(lam[1])
     t = np.arange(t0, t0 + Tm, dtype=float)
     wt = np.exp(0.3j * t)
     inner = pf.lattice_t_sums(wt, t0, u0, Tn)

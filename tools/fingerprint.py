@@ -8,7 +8,8 @@ past the working ones), its error bound and its method, and the identity's
 verdict, and again with the float64 `direct` strategy on every side. The
 same subprocess evaluates a fixed list of bare terms (TERMS)
 with the reduction strategy: they reach paths no battery point does, such
-as the inner sums at x = 0 (eval_inner_closed), geometric outer sums, a
+as the inner sums at x = 0 (eval_inner_closed) and the other sums at
+x = 0, geometric outer sums, a
 tail start moved far out, x^(m+n) diagonals and outer atoms whose powers
 merge. Usage:
 
@@ -62,6 +63,9 @@ TERMS = [
     ("sum(m>=1,n>=1; m=n mod 3) x^(n-1) / (m^2 * (m+n)^2)", {"x": "0"}),
     ("sum(m>=1,n>=1) chi(m) * x^(n-2) / (m * (m+n)^2)", {"x": "0", "chi": "chi3"}),
     ("sum(m>=1,n>=1) chi(m+n) * x^(n-1) / (m^2 * (m+n)^2)", {"x": "0", "chi": "chi3"}),
+    # the finite sums at x = 0 of a single sum (1/4) and of an x^(m+n) term (1/3)
+    ("single(n>=1) x^(n-2) / (n^2)", {"x": "0"}),
+    ("sum(m>=1,n>=1) x^(m+n-3) / (m * n * (m+n))", {"x": "0"}),
     # geometric outer sums
     ("single(n>=1) x^n / (n^2)", {"x": "1/2"}),
     ("sum(m>=1,n>=1) x^n / (m*(m+n)^3)", {"x": "1/2"}),
