@@ -91,8 +91,14 @@ def parse_x(raw) -> XSpec:
         return XSpec.number(raw)
     s = raw.strip().replace(" ", "")
     if s.startswith("ru(") and s.endswith(")"):
-        f, a = s[3:-1].split(",")
-        return XSpec.root(int(f), int(a))
+        try:
+            f, a = (int(v) for v in s[3:-1].split(","))
+        except ValueError as exc:
+            raise DomainError(f"cannot parse root of unity {raw!r}: "
+                              "ru(f,a) needs two integers") from exc
+        if f < 1:
+            raise DomainError(f"root of unity {raw!r} needs an order f >= 1")
+        return XSpec.root(f, a)
     if s.endswith("i"):
         body = s[:-1]
         for cut in range(len(body), -1, -1):
@@ -377,18 +383,26 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
 
     Sides containing m>b ranges live on b in (0,1); single-sum-only sides are
     analytic across b=1 and may be probed on a two-sided stencil there.
+
+    The parameters are bound once, and the function holds one EvalCache that
+    every point of the stencil evaluates with: its rows, tables, base sums
+    and shape sums live as long as the function. Its entries are keyed by
+    exact arguments at ctx, so those that depend on b are simply never read
+    again, and those that do not (the rows at a = 1, an integer tail row)
+    are made once per stencil.
     """
     groups = spec.lhs if side == "lhs" else spec.rhs
     singles_only = all(isinstance(f.body, SingleSumTerm)
                        for g in groups for f in g.families)
+    with ctx.workdps():
+        p = IdentityParams.bind(spec, assignments)
+    cache = EvalCache(ctx)
 
     def func(bval):
         if not singles_only and not (0 < bval < 1):
             raise DomainError("stencil leaves (0,1) on a side with m>b ranges")
-        with ctx.workdps():
-            p = IdentityParams.bind(spec, assignments)
-        p.numeric["b"] = bval
-        return eval_side(spec, side, p, ctx, strategy)
+        at_b = IdentityParams(p.env, {**p.numeric, "b": bval}, p.display)
+        return eval_side(spec, side, at_b, ctx, strategy, cache)
 
     return func
 

@@ -15,10 +15,15 @@ the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row). The
 whole outer sum is fixed point: Python ints in units of 2^-P, one P per
 shape, with every cut counted into the bound.
 
-An evaluation keeps its rows and its outer sums in one EvalCache: each row
-is built once, at its final length, and the outer sum of each atom shape (an
-atom without its coefficient) is formed once and scaled by the coefficient
-of every atom that has that shape. Nothing is kept between evaluations.
+What no argument changes is made once and kept for the process: the
+Bernoulli coefficients of the zeta/psi tail expansions and the tail starts
+they need (per kind, exponent, order and unit), as the row kernel keeps its
+c_k mantissas. What depends on a, b, x, v0 or a shift lives in one
+EvalCache, as long as its holder keeps it: an evaluation, or a derivative
+stencil (evaluator.side_evaluator). There each row is built once, at its
+final length, each zeta/psi table and each set of tail base sums once, and
+the outer sum of each atom shape (an atom without its coefficient) once,
+scaled by the coefficient of every atom that has that shape.
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -38,6 +43,7 @@ outer atoms in N, summed as every other atom is.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -165,8 +171,8 @@ def shift_value(shift, bval):
 # ---------------------------------------------------------------------------
 
 class EvalCache:
-    """Rows of special values, tail expansions and outer sums of atom shapes,
-    for one evaluation.
+    """Rows of special values, tail expansions, tables and outer sums of
+    atom shapes, for one evaluation or one derivative stencil.
 
     Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
     row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
@@ -178,13 +184,16 @@ class EvalCache:
     too short for a request is rebuilt at least twice as long.
 
     It also keeps the fixed-point expansions of the tail factors (series),
-    the tail start shared by most shapes (start), and, in sums, the
-    coefficient-free outer sum of every atom shape (slope, rpows, trans, u0,
-    phase) that _sum_atom has summed: the terms of one side, and the two
-    sides of an identity, share many shapes with different coefficients.
-    All of it lives as long as the evaluation holds the cache; nothing is
-    kept between evaluations. base_sums reads a tail row's ints afresh on
-    each call.
+    the zeta/psi tables of the direct blocks (table), the tail base sums
+    (base_sums), and, in sums, the coefficient-free outer sum of every atom
+    shape (slope, rpows, trans, u0, phase) that _sum_atom has summed: the
+    terms of one side, and the two sides of an identity, share many shapes
+    with different coefficients.
+    Every entry is keyed by the exact arguments it was made from, at the
+    cache's one ctx, so an entry read again is the entry a fresh cache would
+    make. All of it lives as long as its holder keeps the cache: an
+    evaluation, or the function of evaluator.side_evaluator, whose stencil
+    points share the entries that do not depend on b.
     """
 
     SPARE_COLUMNS = 3
@@ -194,7 +203,8 @@ class EvalCache:
         self.rows = {}
         self.sums = {}
         self.expansions = {}
-        self.starts = {}
+        self.tables = {}
+        self.bases = {}
 
     def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
         """The row at (a, phi) with at least the columns 1..r_hi; a new row
@@ -217,13 +227,6 @@ class EvalCache:
     def psi(self, a) -> EvalResult:
         return self.row(a, 0, 1, spare=self.SPARE_COLUMNS).psi()
 
-    def start(self, R, P) -> float:
-        """_standard_start(R, P), computed once per evaluation."""
-        V = self.starts.get((R, P))
-        if V is None:
-            V = self.starts[(R, P)] = _standard_start(R, P)
-        return V
-
     def series(self, factor, R, v0, P):
         """The fixed-point expansion of one tail factor about v0: ('pow', p,
         delta), ('zeta', j) or ('psi',)."""
@@ -239,6 +242,28 @@ class EvalCache:
             self.expansions[key] = s
         return s
 
+    def table(self, trans, slope, u0, U0, R, P):
+        """The zeta/psi factor Z(slope*u + gamma_z) for u in [u0, U0), tabled
+        down (_trans_table) from its expansion at v0 = slope*U0 + gamma_z:
+        ((values, their errors), the error of the top value), in units of
+        2^-P."""
+        key = (trans, slope, u0, U0, P)
+        tab = self.tables.get(key)
+        if tab is None:
+            kind, gz = trans[0], mpf(trans[-1])
+            with mp.workprec(P + 20):
+                v0 = slope * U0 + gz        # exact: P holds every shift
+            zs = self.series(("psi",) if kind == "psi" else ("zeta", trans[1]), R, v0, P)
+            with mp.workprec(P + 20):
+                log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
+                top, top_err = zs.value_at_v0(log_v0)
+                jfrac = _exponent_parts(trans[1])[1] if kind == "zeta" else 0
+                if jfrac:   # the series stands for v^-frac(j) times its sum
+                    F = _fix(v0 ** -jfrac, P)
+                    top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
+            tab = self.tables[key] = (_trans_table(trans, slope, u0, U0, top, P), top_err)
+        return tab
+
     def base_sums(self, abase, v0, phi, lam, R, P):
         """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
         series are, from the row at abase = U0 + gamma*/lam: for r = 1..R+1,
@@ -249,7 +274,11 @@ class EvalCache:
         2^-P, times log lam and (lam abase)^-phi when they are not 1, each a
         cut int; the error holds the row's own, one unit per cut, and the
         rounding of abase against v0/lam (shapes at one shift share the
-        row); (0, 0) where r + phi <= 1."""
+        row); (0, 0) where r + phi <= 1. Kept per (abase, v0, phi, lam, R,
+        P)."""
+        key = (abase, v0, phi, lam, R, P)
+        if key in self.bases:
+            return self.bases[key]
         row = self.row(abase, phi, R + 1, logs=True)
         sh = row.P - P
         with mp.workprec(P + 20):
@@ -283,6 +312,7 @@ class EvalCache:
                 el += (((2 * r + 3) * rel * (abs(lz) + el + mz)) >> P) + 1
             B.append((z, ez))
             L.append((lz, el))
+        self.bases[key] = B, L
         return B, L
 
 
@@ -519,39 +549,56 @@ def _b2(r):
     return mpf(b.numerator) / b.denominator
 
 
-def _zeta_series(R, j, v0, P):
-    """zeta(j, v) about v = infinity, for real j > 1:
+def _expansion_coefficients(kind, j=None):
+    """(index, mpf coefficient) of the zeta(j)/psi expansion about v =
+    infinity, indices rising, at the precision in force:
 
-        v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1),
+        zeta(j, v) = v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1),
+        psi(v) = log v - 1/(2v) - sum_{r>=1} B_2r/(2r) v^-2r,
 
-    index n standing for v^-(n + frac(j)); the row that sums the tail
-    carries frac(j).
+    index n standing for v^-(n + frac(j)) (the row that sums the tail
+    carries frac(j)); the log v of psi is not among them.
     """
-    k, _ = _exponent_parts(j)
-    jm = _frac_to_mp(j) if isinstance(j, Fraction) else mpf(j)
-
-    def terms():
-        yield k - 1, 1 / (jm - 1)
-        yield k, mpf(1) / 2
-        poch, fact = jm, mpf(2)        # (j)_(2r-1) and (2r)!
-        for r in itertools.count(1):
-            yield k + 2 * r - 1, _b2(r) / fact * poch
-            poch *= (jm + 2 * r - 1) * (jm + 2 * r)
-            fact *= (2 * r + 1) * (2 * r + 2)
-
-    with mp.workprec(P + 20):
-        return _expansion_series(R, P, v0, terms(), k - 1)
-
-
-def _psi_series(R, v0, P):
-    """psi(v) = log v - 1/(2v) - sum_{r>=1} B_2r/(2r) v^-2r about v = infinity."""
-    def terms():
+    if kind == "psi":
         yield 1, -mpf(1) / 2
         for r in itertools.count(1):
             yield 2 * r, -_b2(r) / (2 * r)
+        return
+    k, _ = _exponent_parts(j)
+    jm = _frac_to_mp(j) if isinstance(j, Fraction) else mpf(j)
+    yield k - 1, 1 / (jm - 1)
+    yield k, mpf(1) / 2
+    poch, fact = jm, mpf(2)        # (j)_(2r-1) and (2r)!
+    for r in itertools.count(1):
+        yield k + 2 * r - 1, _b2(r) / fact * poch
+        poch *= (jm + 2 * r - 1) * (jm + 2 * r)
+        fact *= (2 * r + 1) * (2 * r + 2)
 
+
+@functools.lru_cache(maxsize=256)
+def _expansion_terms(kind, j, R, P) -> tuple:
+    """The terms of _expansion_coefficients at P + 20 bits, through the
+    first past index R + 1: all that _expansion_series reads. They depend on
+    no argument of a sum, so each (kind, j, R, P) is made once per process
+    (the 256 met last are kept)."""
+    terms = []
     with mp.workprec(P + 20):
-        s = _expansion_series(R, P, v0, terms(), 0, logs=True)
+        for n, c in _expansion_coefficients(kind, j):
+            terms.append((n, c))
+            if n > R + 1:
+                return tuple(terms)
+
+
+def _zeta_series(R, j, v0, P):
+    """zeta(j, v) about v = infinity, for real j > 1 (_expansion_coefficients),
+    scaled by v0."""
+    k, _ = _exponent_parts(j)
+    return _expansion_series(R, P, v0, _expansion_terms("zeta", j, R, P), k - 1)
+
+
+def _psi_series(R, v0, P):
+    """psi(v) about v = infinity (_expansion_coefficients), scaled by v0."""
+    s = _expansion_series(R, P, v0, _expansion_terms("psi", None, R, P), 0, logs=True)
     s.b[0] = 1 << P     # log v, exactly
     return s
 
@@ -588,9 +635,10 @@ def _expansion_log2(kind, j=None):
             yield k + 2 * r - 1, _log2_b2(r) + (math.lgamma(jf + 2 * r - 1) - math.lgamma(jf)) / _LN2
 
 
+@functools.lru_cache(maxsize=256)
 def _expansion_need(kind, j, R, P) -> float:
     """The least v0 at which the expansion, cut after index R, leaves out
-    less than 2^-(P+4)."""
+    less than 2^-(P+4); made once per (kind, j, R, P) for the process."""
     need = 0.0
     for n, c in _expansion_log2(kind, j):
         if n == R + 1:
@@ -613,10 +661,12 @@ def _binomial_need(p, delta, R, P) -> float:
     return max(need, 2 * d * max(1.0, (pf + rs) / (rs + 1)))
 
 
+@functools.lru_cache(maxsize=None)
 def _standard_start(R: int, P: int) -> float:
     """v0 at which the psi and every zeta(j), j = 2..8, expansion meets the
     target after index R: the tail start of most shapes, so that shapes at
-    one shift share it and their tail rows (EvalCache.start keeps it)."""
+    one shift share it and their tail rows; made once per (R, P) for the
+    process."""
     return max([_expansion_need("psi", None, R, P)]
                + [_expansion_need("zeta", j, R, P) for j in range(2, 9)])
 
@@ -670,8 +720,8 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
     (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
     without atom.coef depends on the atom's shape alone, so the cache sums
-    each shape once per evaluation and scales it by each atom's coefficient;
-    the product is one more rounding at working precision.
+    each shape once for as long as it lives and scales it by each atom's
+    coefficient; the product is one more rounding at working precision.
     """
     key = (atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = cache.sums.get(key)
@@ -720,7 +770,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         need = max([_expansion_need(kind, j, R, P) if trans else 0.0]
                    + [_binomial_need(p, mpf(g) - gamma_star, R, P)
                       for (g, p) in (atom.rpows if phase is None else ())])
-        V = cache.start(R, P)
+        V = _standard_start(R, P)
         while V < need:
             V *= 2
         U0 = max(u0, math.ceil((V - float(gamma_star)) / lam))
@@ -734,17 +784,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         U0 = max(U0, u0 + geometric_length(cut + 4) + 1)
     with mp.workprec(P + 20):
         v0 = lam * U0 + gamma_star      # exact: P holds every shift
-    zs, ztab = None, None
-    if trans:
-        zs = cache.series(("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
-        with mp.workprec(P + 20):
-            log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
-            top, top_err = zs.value_at_v0(log_v0)
-            jfrac = _exponent_parts(j)[1] if kind == "zeta" else 0
-            if jfrac:   # the series stands for v^-frac(j) times its sum
-                F = _fix(v0 ** -jfrac, P)
-                top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
-        ztab = (_trans_table(trans, lam, u0, U0, top, P), top_err)
+    ztab = cache.table(trans, lam, u0, U0, R, P) if trans else None
     total, err2, last = _direct_block(atom, u0, U0, P, ztab, phase)
     if phase is not None:
         X, x0 = phase
@@ -757,7 +797,8 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
     for (g, p) in atom.rpows:
         piece = cache.series(("pow", p, mpf(g) - gamma_star), R, v0, P)
         series = piece if series is None else series.mul(piece)
-    if zs is not None:
+    if trans:
+        zs = cache.series(("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
         series = zs if series is None else series.mul(zs)
     if series is None or series.lo + phi <= 1:
         raise ShapeError("divergent outer tail")

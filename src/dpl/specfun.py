@@ -20,7 +20,9 @@ an int in the same units: the remainder (Johansson's bound, taken as a
 multiple of the first omitted correction) plus one unit per cut.
 hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
 to EvalResults on read; reduction.EvalCache keeps the whole rows one
-evaluation builds, and its tail base sums read their ints directly.
+evaluation (or one derivative stencil) builds, and its tail base sums read
+their ints directly. The c_k mantissas of the corrections depend on no
+argument and are made once per process.
 
 A periodic sum sum_n w(n) (n+b)^-s on the unit circle, split into residue
 classes, is sum_r w_r zeta(s, a_r): periodic_zeta_sum holds it once, with its
@@ -30,6 +32,7 @@ at a root of unity, dirichlet_L and the single sums of reduction call it.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -355,15 +358,22 @@ def _correction_factors(Ar: int, Ai: int, Pa: int, wp: int):
     sh = wp + D.bit_length() - max(abs(Ar), abs(Ai)).bit_length()
     inv = ((Ar << sh) // D, (-Ai << sh) // D, Pa - sh)
     inv2 = mul(inv, inv)
-    odd, fact, k = inv, 1, 1
+    odd, k = inv, 1
     while True:
-        fact *= (2 * k - 1) * (2 * k)
-        b = bernoulli(2 * k)
-        num, den = -b.numerator, b.denominator * fact
-        sh = wp + den.bit_length() - abs(num).bit_length()
-        yield mul(((num << sh) // den, 0, -sh), odd)
+        m, e = _neg_bernoulli_factor(k, wp)
+        yield mul((m, 0, e), odd)
         odd = mul(odd, inv2)
         k += 1
+
+
+@functools.lru_cache(maxsize=None)
+def _neg_bernoulli_factor(k: int, wp: int):
+    """-c_k = -B_2k/(2k)! as (m, e), m 2^e, m an int quotient of wp or wp + 1
+    bits (_correction_factors); made once per (k, wp) for the process."""
+    b = bernoulli(2 * k)
+    num, den = -b.numerator, b.denominator * math.factorial(2 * k)
+    sh = wp + den.bit_length() - abs(num).bit_length()
+    return (num << sh) // den, -sh
 
 
 def _cut_powers(p, q, K: int, P: int) -> list:

@@ -164,6 +164,14 @@ def test_eval_term_double_sum_on_the_circle_exit2(capsys, term, strategy):
     assert "needs |x| < 1" in err
 
 
+@pytest.mark.parametrize("x", ["ru(4)", "ru(4,x)", "ru(0,1)"])
+def test_eval_term_malformed_root_of_unity_exit2(capsys, x):
+    # a root literal without two integers, or of order 0, is a usage error
+    code, _, err = run(capsys, "eval-term", "single(n>=1) x^n / (n^2)", f"--x={x}")
+    assert code == 2
+    assert "root of unity" in err
+
+
 def test_eval_term_spellings_of_a_point_print_alike(capsys):
     outs = [run(capsys, "eval-term", "single(n>=1) x^n / (n^2)", f"--x={x}")
             for x in ("-1", "-1+0i", "ru(2,1)")]

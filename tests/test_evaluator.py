@@ -403,6 +403,45 @@ def test_derivative_consistency_both_sides_interior():
         assert abs(dl.value - dr.value) <= dl.abs_error_bound + dr.abs_error_bound
 
 
+def test_derivative_stencil_shares_one_cache(monkeypatch):
+    # the thm-1.1 lhs stencil through side_evaluator, whose points share one
+    # EvalCache, against one whose every point builds a fresh cache: the
+    # same derivative and bound, and the rows that do not depend on b (a = 1
+    # and the integer tail row) built once per stencil in place of six times
+    from collections import Counter
+
+    from dpl import reduction
+
+    built = []
+    row = reduction.euler_maclaurin_row
+    monkeypatch.setattr(reduction, "euler_maclaurin_row",
+                        lambda a, phi, *rest, **kw: built.append((a, phi)) or
+                        row(a, phi, *rest, **kw))
+    ctx = PrecisionContext(working_digits=30, output_digits=20)
+    spec = registry_get("thm-1.1").spec
+    assign = {"k": 1, "x": "1", "b": "1/2"}
+    shared = numeric_derivative_b(side_evaluator(spec, "lhs", assign, ctx), 1,
+                                  Fraction(1, 2), ctx)
+    shared_builds = Counter(built)
+    built.clear()
+    with ctx.workdps():
+        p = IdentityParams.bind(spec, assign)
+
+    def fresh_point(b):
+        at_b = IdentityParams(p.env, {**p.numeric, "b": b}, p.display)
+        return eval_side(spec, "lhs", at_b, ctx, "auto", EvalCache(ctx))
+
+    fresh = numeric_derivative_b(fresh_point, 1, Fraction(1, 2), ctx)
+    fresh_builds = Counter(built)
+    assert (shared.value, shared.abs_error_bound, shared.method) == \
+        (fresh.value, fresh.abs_error_bound, fresh.method)
+    tail = [a for (a, phi) in shared_builds if a > 1 and a == int(a)]
+    assert len(tail) == 1
+    for key in ((1, 0), (tail[0], 0)):
+        assert shared_builds[key] == 1
+        assert fresh_builds[key] == 6
+
+
 @pytest.mark.parametrize("order,calls", [(1, 6), (2, 7)])
 def test_derivative_stencil_evaluates_the_centre_once(order, calls):
     # h, h/2 and h/4 each take f(b0 + h) and f(b0 - h); a second derivative
@@ -1232,6 +1271,55 @@ def test_zeta_and_psi_series_within_their_remainder(j):
                 assert abs(_series_kept(series, v, v0) - ref) <= _series_slack(series, v, v0)
 
 
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("j", [2, 5, mpf(5) / 2, "psi"])
+def test_kept_expansion_coefficients_make_the_fresh_series(j, digits):
+    # the zeta/psi series from the coefficient lists kept for the process
+    # equal, int for int, the series from freshly generated coefficients
+    from dpl.reduction import (_expansion_coefficients, _expansion_series, _exponent_parts,
+                               _psi_series, _zeta_series)
+
+    ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
+    with ctx.workdps():
+        R, P = digits // 2, mp.prec + 8
+        for v0 in (mpf(16), mpf(1001) / 4):
+            kept = (_psi_series(R, v0, P) if j == "psi" else _zeta_series(R, j, v0, P))
+            with mp.workprec(P + 20):
+                if j == "psi":
+                    fresh = _expansion_series(R, P, v0, _expansion_coefficients("psi"), 0,
+                                              logs=True)
+                    fresh.b[0] = 1 << P
+                else:
+                    fresh = _expansion_series(R, P, v0, _expansion_coefficients("zeta", j),
+                                              _exponent_parts(j)[0] - 1)
+            for name in fresh.__slots__:
+                assert getattr(kept, name) == getattr(fresh, name), name
+
+
+@pytest.mark.parametrize("x", ["1", "1/2"])
+def test_shapes_summed_in_one_cache_match_fresh_caches(x):
+    # the two zeta(2) shapes share a table, and all three shapes (at one
+    # shift) the tail base sums of their cache; each summed in its own fresh
+    # cache gives the same sum and bound, with the geometric phase too
+    from dpl.reduction import Atom, _sum_atom
+    from dpl.specfun import EvalResult
+
+    one = EvalResult(mpf(1), mpf(0), "reduction")
+    with CTX.workdps():
+        atoms = [Atom(one, 1, ((mpf(0), 2),), ("psi", mpf(1))),
+                 Atom(one, 1, ((mpf(0), 3),), ("zeta", 2, mpf(1))),
+                 Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))]
+        phase = None if x == "1" else (mpf(1) / 2, mpf(1))
+        cache = EvalCache(CTX)
+        shared = [_sum_atom(a, 1, phase, cache, CTX) for a in atoms]
+        fresh = [_sum_atom(a, 1, phase, EvalCache(CTX), CTX) for a in atoms]
+        assert len(cache.tables) == 2
+        if phase is None:
+            assert len(cache.bases) == 1
+    for s, f in zip(shared, fresh):
+        assert (s.value, s.abs_error_bound, s.method) == (f.value, f.abs_error_bound, f.method)
+
+
 _HALF = mpf(1) / 2
 SPLIT_START_ATOMS = [
     # (rpows, trans, the summand at u for the reference)
@@ -1471,14 +1559,14 @@ def test_base_sums_within_their_units(lam, phi, digits):
     # v0^r sum_{u>=U0} (lam u + g)^-s and its log-weighted companion, s = r +
     # phi; at lam = 3 the row's argument U0 + g/3 is not dyadic, so its
     # rounding against v0/lam is part of the error
-    from dpl.reduction import _shape_unit, _tail_order
+    from dpl.reduction import _shape_unit, _standard_start, _tail_order
 
     ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
     g = mpf(1) / 4
     with ctx.workdps():
         cache = EvalCache(ctx)
         R, P = _tail_order(mp.prec), _shape_unit([g])
-        U0 = math.ceil((cache.start(R, P) - 0.25) / lam)
+        U0 = math.ceil((_standard_start(R, P) - 0.25) / lam)
         v0 = lam * U0 + g
         ph = mpf(phi.numerator) / phi.denominator if phi else 0
         B, L = cache.base_sums(U0 + g / lam, v0, ph, lam, R, P)

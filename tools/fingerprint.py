@@ -11,7 +11,10 @@ with the reduction strategy: they reach paths no battery point does, such
 as the inner sums at x = 0 (eval_inner_closed) and the other sums at
 x = 0, geometric outer sums, a
 tail start moved far out, x^(m+n) diagonals and outer atoms whose powers
-merge. Usage:
+merge. It also takes, at DERIVATIVE_DIGITS, the first b-derivatives of
+thm-1.1 sides that the benchmark's `b-derivative` workload takes
+(DERIVATIVES: numeric_derivative_b through side_evaluator), each with its
+value, bound and method. Usage:
 
     python3 tools/fingerprint.py --parent ../parent --out fingerprint.json
 
@@ -20,20 +23,22 @@ REFERENCE_EXTRA digits, with the same strategy, as a reference for its own
 bounds: a bound too tight in both checkouts passes the comparison of the
 two, but not this check. A side summed in float64 (`direct`, where `auto`
 falls back to it) is the same sum at any precision, so it passes this
-check trivially.
+check trivially. The derivatives carry `direct_tail` bounds (a Richardson
+spread), so they are compared with the parent only.
 
 The output holds both checkouts' records, the reference records and a
 summary, for the identity sides, under "direct" for the identity sides of
-the `direct` strategy and under "terms" for the bare terms: how many are
+the `direct` strategy, under "terms" for the bare terms and under
+"derivatives" for the b-derivatives: how many are
 bit-identical in value, bound and method; the worst relative change in
 value; the worst bound ratio (change over parent, farthest from 1); every
 point whose verdict changed; and, against the reference, the
 worst error/bound ratio, every side whose error exceeds its bound and every
 point that evaluated at one of the two precisions but raised at the other.
-The script exits 1, after writing the output, when any side or term moved
-by more than the sum of its two bounds, evaluated on one checkout but raised
-on the other, is farther from the reference than its bound, or evaluated at
-one precision only; or when a `direct` side moved by more than
+The script exits 1, after writing the output, when any side, term or
+derivative moved by more than the sum of its two bounds or evaluated on one
+checkout but raised on the other; when a side or term is farther from the
+reference than its bound, or evaluated at one precision only; or when a `direct` side moved by more than
 DIRECT_VALUE_TOL * (1 + |v|) in value or by more than DIRECT_BOUND_TOL
 relative in its bound, or changed its method, or a `direct` verdict changed:
 the float64 sums of the two checkouts are the same sums, up to roundoff.
@@ -80,6 +85,12 @@ TERMS = [
     ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "i"}),
     ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "1/2"}),
 ]
+# The b-derivative workload's points: (side, thm-1.1 parameters), at
+# DERIVATIVE_DIGITS with the benchmark's 10 guard digits.
+DERIVATIVE_DIGITS = 30
+DERIVATIVES = [("lhs", {"k": "1", "x": x, "b": "1/2"}) for x in ("1", "-1")] + [
+    ("rhs", {"k": k, "x": x, "b": b}) for b in ("1/2", "1") for k in ("1", "2")
+    for x in ("1", "-1")]
 
 # Runs inside a checkout's own src/ at {digits}; prints one JSON object of records.
 WORKER = """
@@ -87,7 +98,8 @@ import json
 from fractions import Fraction
 from mpmath import mp
 from dpl.dsl import parse_term
-from dpl.evaluator import eval_double, eval_identity, eval_single, parse_x
+from dpl.evaluator import (eval_double, eval_identity, eval_single, numeric_derivative_b,
+                           parse_x, side_evaluator)
 from dpl.registry import registry_get, registry_ids
 from dpl.specfun import BUILTIN_CHARACTERS, PrecisionContext
 from dpl.termlang import DoubleSumTerm, bind_term
@@ -141,13 +153,24 @@ for text, given in {terms!r}:
     except Exception as exc:
         rec["error"] = f"{{type(exc).__name__}}: {{exc}}"
     out.append(rec)
+dctx = PrecisionContext(working_digits={dd}, guard_digits=10, output_digits={dd} - 10)
+entry = registry_get("thm-1.1")
+for which, given in {derivatives!r}:
+    rec = {{"id": f"thm-1.1 d/db {{which}}", "params": given, "derivative": True}}
+    try:
+        func = side_evaluator(entry.spec, which, given, dctx, strategy=entry.strategy)
+        rec["sum"] = side(numeric_derivative_b(func, 1, Fraction(given["b"]), dctx))
+    except Exception as exc:
+        rec["error"] = f"{{type(exc).__name__}}: {{exc}}"
+    out.append(rec)
 print(json.dumps(out))
 """
 
 
-def records(checkout: Path, digits: int = DIGITS) -> list:
+def records(checkout: Path, digits: int = DIGITS, derivatives: bool = True) -> list:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    worker = WORKER.format(digits=digits, points=POINTS, terms=TERMS)
+    worker = WORKER.format(digits=digits, points=POINTS, terms=TERMS, dd=DERIVATIVE_DIGITS,
+                           derivatives=DERIVATIVES if derivatives else [])
     proc = subprocess.run([sys.executable, "-c", worker], cwd=checkout, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -241,19 +264,23 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     recs = {"parent": records(args.parent.resolve()), "change": records(ROOT)}
-    reference = records(ROOT, DIGITS + REFERENCE_EXTRA)
+    reference = records(ROOT, DIGITS + REFERENCE_EXTRA, derivatives=False)
 
-    def select(group):
-        return [[r for r in recs[k] if ("term" if "term" in r else
-                                         "direct" if "oracle" in r else "identity") == group]
-                for k in ("parent", "change")]
+    def group(r):
+        return ("term" if "term" in r else "direct" if "oracle" in r else
+                "derivative" if "derivative" in r else "identity")
+
+    def select(name):
+        return [[r for r in recs[k] if group(r) == name] for k in ("parent", "change")]
 
     with mp.workdps(DIGITS + REFERENCE_EXTRA + 30):
         summary, failed = compare(*select("identity"))
         summary["direct"], failed_direct = compare(*select("direct"), strict=True)
         summary["terms"], failed_terms = compare(*select("term"))
-        summary["reference"], failed_ref = reference_check(recs["change"], reference)
-    failed = failed or failed_direct or failed_terms or failed_ref
+        summary["derivatives"], failed_deriv = compare(*select("derivative"))
+        summary["reference"], failed_ref = reference_check(
+            [r for r in recs["change"] if group(r) != "derivative"], reference)
+    failed = failed or failed_direct or failed_terms or failed_deriv or failed_ref
     args.out.write_text(json.dumps({"summary": summary, **recs, "reference": reference},
                                    indent=1) + "\n")
     print(json.dumps(summary, indent=1))

@@ -12,8 +12,8 @@ wrapped, and prints:
   record them): "tail" rows are built for base_sums (the outer-sum tails),
   "other" rows for single columns;
 - the base_sums calls, how many of them had arguments not seen before in
-  their EvalCache (what a memo of the sums per cache would have had to
-  form), and the seconds base_sums spent outside row builds;
+  their EvalCache (the sums the cache forms; it keeps them for the rest),
+  and the seconds base_sums spent outside row builds;
 - the wall time of the pass.
 
 Usage, from the root of a dpl checkout (--checkout runs another checkout's
