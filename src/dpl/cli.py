@@ -51,8 +51,12 @@ def _expand_range(text: str):
     for piece in re.split(r",(?![^(]*\))", text):
         piece = piece.strip()
         if ".." in piece:
-            lo, hi = piece.split("..")
-            out.extend(str(v) for v in range(int(lo), int(hi) + 1))
+            try:
+                lo, hi = (int(v) for v in piece.split(".."))
+            except ValueError as exc:
+                raise DomainError(f"cannot parse range {piece!r}: lo..hi needs two integers") \
+                    from exc
+            out.extend(str(v) for v in range(lo, hi + 1))
         elif piece:
             out.append(piece)
     return out
@@ -165,7 +169,10 @@ def cmd_derive(args):
         sys.stderr.write(f"error: {pair[0]} -> {pair[1]} is not a registered "
                          f"partial-fraction pair\n")
         return EXIT_USAGE
-    ks = [int(v) for v in _expand_range(args.k or "1..3")]
+    try:
+        ks = [int(v) for v in _expand_range(args.k or "1..3")]
+    except ValueError as exc:
+        raise DomainError(f"cannot parse k value {args.k!r}: k needs integers") from exc
     report = check_derivation(registry_get(pair[0]).spec, registry_get(pair[1]).spec, ks)
     lines = [f"derivation {report.from_id} -> {report.to_id}"]
     for s in report.samples:

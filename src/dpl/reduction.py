@@ -18,12 +18,15 @@ shape, with every cut counted into the bound.
 What no argument changes is made once and kept for the process: the
 Bernoulli coefficients of the zeta/psi tail expansions and the tail starts
 they need (per kind, exponent, order and unit), as the row kernel keeps its
-c_k mantissas. What depends on a, b, x, v0 or a shift lives in one
-EvalCache, as long as its holder keeps it: an evaluation, or a derivative
-stencil (evaluator.side_evaluator). There each row is built once, at its
-final length, each zeta/psi table and each set of tail base sums once, and
-the outer sum of each atom shape (an atom without its coefficient) once,
-scaled by the coefficient of every atom that has that shape.
+c_k mantissas. What depends on a, b, x, v0 or a shift is reached through an
+EvalCache, where each row is built once, at its final length, each zeta/psi
+table and each set of tail base sums once, and the outer sum of each atom
+shape (an atom without its coefficient) once, scaled by the coefficient of
+every atom that has that shape. Rows and shape sums live per process, in
+STORE, keyed by (ctx, mp.prec) and bounded at its 4096 least recently used
+entries, so that the points of a battery share them; tables, base sums and
+expansions live per evaluation, or per derivative stencil
+(evaluator.side_evaluator).
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -43,9 +46,11 @@ outer atoms in N, summed as every other atom is.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,9 +175,40 @@ def shift_value(shift, bval):
 # Evaluation cache: kernel rows per (a, phi), outer sums per atom shape
 # ---------------------------------------------------------------------------
 
+class Store(collections.OrderedDict):
+    """Entries by key, at most limit of them (None: no limit); past the
+    limit the entry read or made least recently goes first."""
+
+    def __init__(self, limit=None):
+        super().__init__()
+        self.limit = limit
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            value = super().get(key)
+            if value is not None:
+                self.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self.lock:
+            self[key] = value
+            self.move_to_end(key)
+            if self.limit is not None and len(self) > self.limit:
+                self.popitem(last=False)
+            return value
+
+
+# The rows (about 2 KB each) and shape sums (about 0.3 KB) that evaluations
+# share, for the process; a whole 50-digit registry battery makes about
+# 2 400 of them (82 rows), some 2 MB.
+STORE = Store(limit=4096)
+
+
 class EvalCache:
     """Rows of special values, tail expansions, tables and outer sums of
-    atom shapes, for one evaluation or one derivative stencil.
+    atom shapes.
 
     Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
     row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
@@ -187,37 +223,44 @@ class EvalCache:
     the zeta/psi tables of the direct blocks (table), the tail base sums
     (base_sums), and, in sums, the coefficient-free outer sum of every atom
     shape (slope, rpows, trans, u0, phase) that _sum_atom has summed: the
-    terms of one side, and the two sides of an identity, share many shapes
-    with different coefficients.
-    Every entry is keyed by the exact arguments it was made from, at the
-    cache's one ctx, so an entry read again is the entry a fresh cache would
-    make. All of it lives as long as its holder keeps the cache: an
-    evaluation, or the function of evaluator.side_evaluator, whose stencil
-    points share the entries that do not depend on b.
+    terms of one side, the two sides of an identity and the points of a
+    battery share many shapes with different coefficients.
+    Every entry is keyed by the exact arguments it was made from, with the
+    cache's ctx and the mp.prec in force, so an entry read again is the
+    entry a fresh cache would make. Expansions, tables and base sums live
+    as long as the cache: one evaluation, or the stencil of
+    evaluator.side_evaluator. Rows and shape sums, small and read again
+    across evaluations, live per process in STORE when the cache is shared
+    (shared=True: evaluator and the reduction entry points make such
+    caches), whose least recently used entry goes past 4096 entries. A bare
+    EvalCache(ctx) keeps its own, unbounded, for as long as it lives.
     """
 
     SPARE_COLUMNS = 3
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, shared=False):
         self.ctx = ctx
-        self.rows = {}
-        self.sums = {}
+        self.rows, self.sums = (STORE, STORE) if shared else (Store(), Store())
         self.expansions = {}
         self.tables = {}
         self.bases = {}
+
+    def key(self, *parts):
+        """parts as a key of rows or sums: with the ctx and the mp.prec in force."""
+        return (self.ctx, mp.prec) + parts
 
     def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
         """The row at (a, phi) with at least the columns 1..r_hi; a new row
         gets spare columns more."""
         logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
-        row = self.rows.get((a, phi))
+        key = self.key(a, phi)
+        row = self.rows.get(key)
         if row is None or row.r_hi < r_hi or (logs and row.logs is None):
             r_hi += spare
             if row is not None:
                 r_hi = max(r_hi, 2 * row.r_hi)
                 logs = logs or row.logs is not None
-            row = euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs)
-            self.rows[(a, phi)] = row
+            row = self.rows.put(key, euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs))
         return row
 
     def zeta(self, s, a) -> EvalResult:
@@ -719,15 +762,16 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
 
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
     (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
-    without atom.coef depends on the atom's shape alone, so the cache sums
-    each shape once for as long as it lives and scales it by each atom's
-    coefficient; the product is one more rounding at working precision.
+    without atom.coef depends on the atom's shape alone, so the cache's sums
+    (STORE for a shared cache) hold each shape's once and it is scaled by
+    each atom's coefficient; the product is one more rounding at working
+    precision.
     """
-    key = (atom.slope, atom.rpows, atom.trans, u0, phase)
+    key = cache.key(atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = cache.sums.get(key)
     if shape_sum is None:
-        shape_sum = cache.sums[key] = _sum_shape(atom, u0, cache, ctx) if phase is None \
-            else _sum_atom_geometric(atom, u0, *phase, cache, ctx)
+        shape_sum = cache.sums.put(key, _sum_shape(atom, u0, cache, ctx) if phase is None
+                                   else _sum_atom_geometric(atom, u0, *phase, cache, ctx))
     out = atom.coef.times(shape_sum)
     out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
     return out
@@ -1049,7 +1093,7 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
     inner closed form (_class_atoms).
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
+        cache = cache or EvalCache(ctx, shared=True)
         xsel = term.xsel
         plan = ClassPlan(term, params)
         x = plan.x
@@ -1206,7 +1250,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
     (rO = n, lam_i = lam_o = L), each taken at u = 0.
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
+        cache = cache or EvalCache(ctx, shared=True)
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
         plan = ClassPlan(term, params)
@@ -1405,7 +1449,7 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
     summed with the geometric phase x^(lam t).
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
+        cache = cache or EvalCache(ctx, shared=True)
         plan = ClassPlan(term, params)
         x = plan.x
         if x.kind == "zero":

@@ -172,6 +172,30 @@ def test_eval_term_malformed_root_of_unity_exit2(capsys, x):
     assert "root of unity" in err
 
 
+@pytest.mark.parametrize("args", [
+    ("--id", "thm-1.1", "--k", "1", "--x", "1", "--b", "abc"),
+    ("--id", "thm-1.1", "--k", "1", "--x", "1", "--b", "1/0"),
+    ("--id", "thm-1.1", "--k", "1", "--x", "1", "--b", "1/2+1/2i"),
+    ("--id", "thm-1.1", "--k", "abc", "--x", "1", "--b", "1/2"),
+    ("--id", "thm-1.1", "--k", "1", "--x", "1/0", "--b", "1/2"),
+    ("--id", "thm-2.1", "--s", "abc"),
+    ("--id", "thm-4.1", "--N", "abc"),
+    ("--id", "euler-sum", "--l", "1..x")],
+    ids=["b-abc", "b-1/0", "b-complex", "k-abc", "x-1/0", "s-abc", "N-abc", "l-range"])
+def test_verify_malformed_numeric_literal_exit2(capsys, args):
+    # a literal that is no number, or a range that is no pair of integers,
+    # is a usage error, found before anything is evaluated
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2
+    assert err.startswith("error: cannot parse") and not out
+
+
+def test_derive_malformed_k_exit2(capsys):
+    code, out, err = run(capsys, "derive", "--from", "thm-2.1", "--to", "thm-1.1", "--k", "abc")
+    assert code == 2
+    assert err.startswith("error: cannot parse") and not out
+
+
 def test_eval_term_spellings_of_a_point_print_alike(capsys):
     outs = [run(capsys, "eval-term", "single(n>=1) x^n / (n^2)", f"--x={x}")
             for x in ("-1", "-1+0i", "ru(2,1)")]

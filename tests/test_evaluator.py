@@ -407,11 +407,14 @@ def test_derivative_stencil_shares_one_cache(monkeypatch):
     # the thm-1.1 lhs stencil through side_evaluator, whose points share one
     # EvalCache, against one whose every point builds a fresh cache: the
     # same derivative and bound, and the rows that do not depend on b (a = 1
-    # and the integer tail row) built once per stencil in place of six times
+    # and the integer tail row) built once per stencil in place of six times.
+    # The store starts empty: its rows, made by earlier evaluations, would
+    # otherwise stand in for the stencil's own
     from collections import Counter
 
     from dpl import reduction
 
+    monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
     built = []
     row = reduction.euler_maclaurin_row
     monkeypatch.setattr(reduction, "euler_maclaurin_row",
@@ -1529,7 +1532,8 @@ def test_outer_shape_sums_within_their_bounds(shape, digits):
 
 def test_eval_cache_builds_each_row_once(monkeypatch):
     # one evaluation asks for every row at its final length: no (a, phi) is
-    # built twice, the tail rows and the single columns at small a included
+    # built twice, the tail rows and the single columns at small a included,
+    # though the evaluation reads and fills the process store
     import dpl.reduction
     import dpl.specfun
 
@@ -1544,10 +1548,108 @@ def test_eval_cache_builds_each_row_once(monkeypatch):
     monkeypatch.setattr(dpl.reduction, "euler_maclaurin_row", spy)
     entry = registry_get("thm-1.1")
     for x in ("-1", "i"):
+        # each evaluation in an empty store, which would else lend it the
+        # rows of the evaluations before it
+        monkeypatch.setattr(dpl.reduction, "STORE", dpl.reduction.Store(dpl.reduction.STORE.limit))
         built.clear()
         rep = eval_identity(entry, {"k": 1, "b": "1/2", "x": x}, CTX, strategy=entry.strategy)
         assert rep.passed and built
         assert sorted(built, key=str) == sorted(set(built), key=str)
+
+
+# a mixed battery at 50 and 100 digits: (identity, assignments, digits)
+MIXED_BATTERY = [("thm-1.1", {"k": 1, "x": x, "b": b}, 50)
+                 for x in ("1", "-1", "i", "1/2") for b in ("1/4", "1/2")] + \
+    [("thm-1.1", {"k": 1, "x": "1", "b": "1/4"}, 100)] + \
+    [(i, a, d) for d in (50, 100) for (i, a) in (("cor-1.2", {"k": 1, "x": "-1"}),
+                                                 ("euler-sum", {"l": 4}))]
+
+
+def test_evaluation_order_does_not_matter(monkeypatch):
+    # the points of a mixed battery share rows and shape sums through the
+    # process store; evaluated in one process forwards, backwards and each
+    # in an empty store, every side has the same value, bound and method,
+    # to the last bit
+    from dpl import reduction
+    from dpl.reduction import Atom, _sum_atom
+    from dpl.specfun import EvalResult
+
+    def empty():
+        monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
+
+    def sides(ident, assign, digits):
+        ctx = PrecisionContext(working_digits=digits, output_digits=digits - 20)
+        rep = eval_identity(registry_get(ident), assign, ctx)
+        with mp.workprec(1024):     # every bit of each value and bound
+            return [repr((r.value, r.abs_error_bound, r.method)) for r in (rep.lhs, rep.rhs)]
+
+    empty()
+    forward = [sides(*p) for p in MIXED_BATTERY]
+    empty()
+    backward = [sides(*p) for p in reversed(MIXED_BATTERY)][::-1]
+    alone = []
+    for p in MIXED_BATTERY:
+        empty()
+        alone.append(sides(*p))
+    assert forward == backward == alone
+    # the store is keyed by (ctx, mp.prec): an evaluation under another
+    # mp.prec reads the entries made at its ctx's, and a shape summed with
+    # one ctx at two precisions gives at each what a bare cache gives
+    with mp.workdps(137):
+        assert sides(*MIXED_BATTERY[0]) == forward[0]
+    one = EvalResult(mpf(1), mpf(0), "reduction")
+    atom = Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))
+    with CTX.workdps():
+        prec = mp.prec
+    for p in (prec, prec + 64):
+        with mp.workprec(p):
+            shared = _sum_atom(atom, 1, None, EvalCache(CTX, shared=True), CTX)
+            bare = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
+        with mp.workprec(1024):
+            assert repr(shared) == repr(bare)
+
+
+def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):
+    # thm-1.1 lhs b-derivative stencils at four b values make more rows and
+    # shape sums than a store of 200 holds: the store never holds more, and
+    # after the sweep it holds the 200 entries that the sweep's own reads
+    # and writes used last, in that order
+    from dpl import reduction
+
+    store = reduction.Store(limit=200)
+    monkeypatch.setattr(reduction, "STORE", store)
+    order, made, sizes = [], set(), []
+    get, put = store.get, store.put
+
+    def use(key):
+        if key in order:
+            order.remove(key)
+        order.append(key)
+        del order[:-store.limit]
+
+    def spy_get(key):
+        value = get(key)
+        if value is not None:
+            use(key)
+        return value
+
+    def spy_put(key, value):
+        put(key, value)
+        use(key)
+        made.add(key)
+        sizes.append(len(store))
+        return value
+
+    monkeypatch.setattr(store, "get", spy_get)
+    monkeypatch.setattr(store, "put", spy_put)
+    ctx = PrecisionContext(working_digits=30, output_digits=20)
+    spec = registry_get("thm-1.1").spec
+    for b in ("1/8", "1/4", "3/8", "1/2"):
+        func = side_evaluator(spec, "lhs", {"k": 1, "x": "1", "b": b}, ctx)
+        numeric_derivative_b(func, 1, Fraction(b), ctx)
+        assert max(sizes) <= store.limit
+    assert len(made) > store.limit and max(sizes) == store.limit
+    assert list(store) == order
 
 
 @pytest.mark.parametrize("lam, phi, digits", [

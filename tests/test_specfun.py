@@ -467,8 +467,14 @@ def test_eval_cache_keeps_precisions_apart():
             assert row30.zeta_at(r).abs_error_bound > mpf(10) ** -55 * ref
 
 
-def test_eval_cache_keeps_one_row_per_argument():
-    cache = EvalCache(CTX)
+@pytest.mark.parametrize("shared", [False, True], ids=["bare", "shared"])
+def test_eval_cache_keeps_one_row_per_argument(monkeypatch, shared):
+    # a bare cache keeps its own rows; a shared one keeps them in the
+    # process store, emptied here so that it holds this test's rows only
+    from dpl import reduction
+
+    monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
+    cache = EvalCache(CTX, shared=shared)
     a = mpf("64.25")
     for r in range(2, 12):
         cache.zeta(r, a)
@@ -476,8 +482,9 @@ def test_eval_cache_keeps_one_row_per_argument():
     cache.psi(a)
     cache.zeta(Fraction(5, 2), a)
     cache.zeta(3, a + 1)
-    assert sorted(cache.rows, key=str) == sorted([(a, 0), (a, mpf("0.5")), (a + 1, 0)],
-                                                 key=str)
+    # each keyed with the cache's ctx and the mp.prec in force
+    assert sorted(cache.rows, key=str) == sorted(
+        [cache.key(a, 0), cache.key(a, mpf("0.5")), cache.key(a + 1, 0)], key=str)
 
 
 def test_eval_cache_extends_a_short_row():

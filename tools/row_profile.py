@@ -12,9 +12,17 @@ wrapped, and prints:
   record them): "tail" rows are built for base_sums (the outer-sum tails),
   "other" rows for single columns;
 - the base_sums calls, how many of them had arguments not seen before in
-  their EvalCache (the sums the cache forms; it keeps them for the rest),
-  and the seconds base_sums spent outside row builds;
+  their EvalCache (the sums the cache forms; it keeps them for the rest of
+  its evaluation, or of its derivative stencil), and the seconds base_sums
+  spent outside row builds;
 - the wall time of the pass.
+
+Rows and outer shape sums live per process, in reduction.STORE (at most
+4096 entries, the least recently used dropped first), as in the benchmark's
+worker: the pass builds no row that the warm-up or an earlier operation
+built at the same precision, and an operation whose shape sums are stored
+forms no base sums for them, so the counts and times of an operation
+depend on the operations before it.
 
 Usage, from the root of a dpl checkout (--checkout runs another checkout's
 src/ and perfbench/ instead, such as a parent commit):
