@@ -215,7 +215,7 @@ def eval_side(spec: IdentitySpec, side: str, p: IdentityParams, ctx: PrecisionCo
               strategy: str = "auto", cache: EvalCache | None = None) -> EvalResult:
     """Evaluate one side: weighted groups of expanded term families."""
     groups = spec.lhs if side == "lhs" else spec.rhs
-    cache = cache or EvalCache(ctx, shared=True)
+    cache = cache or EvalCache(ctx)
     with ctx.workdps():
         total = EvalResult(mpf(0), mpf(0), "reduction")
         for group in groups:
@@ -288,7 +288,7 @@ def eval_identity(spec_or_entry, assignments: dict, ctx: PrecisionContext,
     with ctx.workdps():  # x literals such as 1/10 must round at working precision
         p = IdentityParams.bind(spec, assignments)
     start = time.perf_counter()
-    cache = EvalCache(ctx, shared=True)
+    cache = EvalCache(ctx)
     lhs = eval_side(spec, "lhs", p, ctx, strategy, cache)
     rhs = eval_side(spec, "rhs", p, ctx, strategy, cache)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -394,12 +394,12 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     Sides containing m>b ranges live on b in (0,1); single-sum-only sides are
     analytic across b=1 and may be probed on a two-sided stencil there.
 
-    The parameters are bound once, and the function holds one shared
-    EvalCache that every point of the stencil evaluates with. Its rows and
-    shape sums live per process, in reduction.STORE (bounded; the entries
-    that depend on b are never read again, so they are the first to go),
-    so the rows that do not depend on b (a = 1, an integer tail row) are
-    made once per process at ctx. Its tables, base sums and expansions live
+    The parameters are bound once, and the function holds one EvalCache
+    that every point of the stencil evaluates with. Rows and shape sums
+    live per process, in reduction.STORE (bounded; the entries that depend
+    on b are never read again, so they are the first to go), so the rows
+    that do not depend on b (a = 1, an integer tail row) are made once per
+    process at ctx. Its tables, base sums and expansions live
     per stencil, as long as the function: the six points share those that
     do not depend on b (a third of a stencil's tables, some 5% of its time).
     """
@@ -408,7 +408,7 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
                        for g in groups for f in g.families)
     with ctx.workdps():
         p = IdentityParams.bind(spec, assignments)
-    cache = EvalCache(ctx, shared=True)
+    cache = EvalCache(ctx)
 
     def func(bval):
         if not singles_only and not (0 < bval < 1):

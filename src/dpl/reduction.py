@@ -176,10 +176,10 @@ def shift_value(shift, bval):
 # ---------------------------------------------------------------------------
 
 class Store(collections.OrderedDict):
-    """Entries by key, at most limit of them (None: no limit); past the
-    limit the entry read or made least recently goes first."""
+    """Entries by key, at most limit of them; past the limit the entry read
+    or made least recently goes first."""
 
-    def __init__(self, limit=None):
+    def __init__(self, limit):
         super().__init__()
         self.limit = limit
         self.lock = threading.Lock()
@@ -195,7 +195,7 @@ class Store(collections.OrderedDict):
         with self.lock:
             self[key] = value
             self.move_to_end(key)
-            if self.limit is not None and len(self) > self.limit:
+            if len(self) > self.limit:
                 self.popitem(last=False)
             return value
 
@@ -227,26 +227,23 @@ class EvalCache:
     battery share many shapes with different coefficients.
     Every entry is keyed by the exact arguments it was made from, with the
     cache's ctx and the mp.prec in force, so an entry read again is the
-    entry a fresh cache would make. Expansions, tables and base sums live
-    as long as the cache: one evaluation, or the stencil of
-    evaluator.side_evaluator. Rows and shape sums, small and read again
-    across evaluations, live per process in STORE when the cache is shared
-    (shared=True: evaluator and the reduction entry points make such
-    caches), whose least recently used entry goes past 4096 entries. A bare
-    EvalCache(ctx) keeps its own, unbounded, for as long as it lives.
+    entry a fresh cache in an empty STORE would make. Expansions, tables
+    and base sums live as long as the cache: one evaluation, or the stencil
+    of evaluator.side_evaluator. Rows and shape sums, small and read again
+    across evaluations, live per process in STORE, shared by every cache,
+    whose least recently used entry goes past 4096 entries.
     """
 
     SPARE_COLUMNS = 3
 
-    def __init__(self, ctx, shared=False):
+    def __init__(self, ctx):
         self.ctx = ctx
-        self.rows, self.sums = (STORE, STORE) if shared else (Store(), Store())
         self.expansions = {}
         self.tables = {}
         self.bases = {}
 
     def key(self, *parts):
-        """parts as a key of rows or sums: with the ctx and the mp.prec in force."""
+        """parts as a key of STORE: with the ctx and the mp.prec in force."""
         return (self.ctx, mp.prec) + parts
 
     def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
@@ -254,13 +251,13 @@ class EvalCache:
         gets spare columns more."""
         logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
         key = self.key(a, phi)
-        row = self.rows.get(key)
+        row = STORE.get(key)
         if row is None or row.r_hi < r_hi or (logs and row.logs is None):
             r_hi += spare
             if row is not None:
                 r_hi = max(r_hi, 2 * row.r_hi)
                 logs = logs or row.logs is not None
-            row = self.rows.put(key, euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs))
+            row = STORE.put(key, euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs))
         return row
 
     def zeta(self, s, a) -> EvalResult:
@@ -762,16 +759,15 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
 
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
     (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
-    without atom.coef depends on the atom's shape alone, so the cache's sums
-    (STORE for a shared cache) hold each shape's once and it is scaled by
-    each atom's coefficient; the product is one more rounding at working
-    precision.
+    without atom.coef depends on the atom's shape alone, so STORE holds each
+    shape's once and it is scaled by each atom's coefficient; the product is
+    one more rounding at working precision.
     """
     key = cache.key(atom.slope, atom.rpows, atom.trans, u0, phase)
-    shape_sum = cache.sums.get(key)
+    shape_sum = STORE.get(key)
     if shape_sum is None:
-        shape_sum = cache.sums.put(key, _sum_shape(atom, u0, cache, ctx) if phase is None
-                                   else _sum_atom_geometric(atom, u0, *phase, cache, ctx))
+        shape_sum = STORE.put(key, _sum_shape(atom, u0, cache, ctx) if phase is None
+                              else _sum_atom_geometric(atom, u0, *phase, cache, ctx))
     out = atom.coef.times(shape_sum)
     out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
     return out
@@ -1093,7 +1089,7 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
     inner closed form (_class_atoms).
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx, shared=True)
+        cache = cache or EvalCache(ctx)
         xsel = term.xsel
         plan = ClassPlan(term, params)
         x = plan.x
@@ -1250,7 +1246,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
     (rO = n, lam_i = lam_o = L), each taken at u = 0.
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx, shared=True)
+        cache = cache or EvalCache(ctx)
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
         plan = ClassPlan(term, params)
@@ -1449,7 +1445,7 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
     summed with the geometric phase x^(lam t).
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx, shared=True)
+        cache = cache or EvalCache(ctx)
         plan = ClassPlan(term, params)
         x = plan.x
         if x.kind == "zero":

@@ -1,4 +1,7 @@
-"""Shared test plumbing: the acceptance suite's per-criterion summary."""
+"""Shared test plumbing: the acceptance suite's per-criterion summary, and an
+empty store of rows and shape sums."""
+
+import pytest
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -15,3 +18,18 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """Swaps an empty reduction.STORE in for the test, and again at each
+    call of the function it returns: rows and shape sums live per process,
+    so a test that counts builds, or compares with a fresh cache, starts
+    from an empty store."""
+    from dpl import reduction
+
+    def empty():
+        monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
+
+    empty()
+    return empty

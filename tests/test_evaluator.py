@@ -403,18 +403,17 @@ def test_derivative_consistency_both_sides_interior():
         assert abs(dl.value - dr.value) <= dl.abs_error_bound + dr.abs_error_bound
 
 
-def test_derivative_stencil_shares_one_cache(monkeypatch):
+def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     # the thm-1.1 lhs stencil through side_evaluator, whose points share one
     # EvalCache, against one whose every point builds a fresh cache: the
     # same derivative and bound, and the rows that do not depend on b (a = 1
     # and the integer tail row) built once per stencil in place of six times.
-    # The store starts empty: its rows, made by earlier evaluations, would
-    # otherwise stand in for the stencil's own
+    # The stencil, and each fresh point, starts from an empty store: its
+    # rows, made by earlier evaluations, would otherwise stand in for their own
     from collections import Counter
 
     from dpl import reduction
 
-    monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
     built = []
     row = reduction.euler_maclaurin_row
     monkeypatch.setattr(reduction, "euler_maclaurin_row",
@@ -432,6 +431,7 @@ def test_derivative_stencil_shares_one_cache(monkeypatch):
 
     def fresh_point(b):
         at_b = IdentityParams(p.env, {**p.numeric, "b": b}, p.display)
+        empty_store()
         return eval_side(spec, "lhs", at_b, ctx, "auto", EvalCache(ctx))
 
     fresh = numeric_derivative_b(fresh_point, 1, Fraction(1, 2), ctx)
@@ -1085,9 +1085,10 @@ MEMO_SIDES = [
 
 @pytest.mark.parametrize("ident,assignments", MEMO_SIDES,
                          ids=["thm-1.1-x1", "thm-1.1-x-1", "thm-1.1-xi", "cor-1.3", "gkz-even"])
-def test_shape_sums_change_no_number(ident, assignments, monkeypatch):
-    # each term alone, on a fresh cache, against the same term inside a
-    # whole-side evaluation, whose cache holds the earlier terms' shape sums
+def test_shape_sums_change_no_number(ident, assignments, monkeypatch, empty_store):
+    # each term alone, on a fresh cache in an empty store, against the same
+    # term inside a whole-side evaluation, whose store holds the earlier
+    # terms' shape sums
     import dpl.evaluator
     from dpl.termlang import DoubleSumTerm, expand_group
 
@@ -1107,8 +1108,12 @@ def test_shape_sums_change_no_number(ident, assignments, monkeypatch):
         terms = [t for g in (entry.spec.lhs if side == "lhs" else entry.spec.rhs)
                  if dpl.evaluator.weight_value(g.weight, p.env, p.numeric, CTX) != 0
                  for t in expand_group(g, p.env)]
-        fresh = [(eval_double if isinstance(t, DoubleSumTerm) else eval_single)(
-            t, p.numeric, CTX, entry.strategy, EvalCache(CTX)) for t in terms]
+        fresh = []
+        for t in terms:
+            empty_store()
+            fresh.append((eval_double if isinstance(t, DoubleSumTerm) else eval_single)(
+                t, p.numeric, CTX, entry.strategy, EvalCache(CTX)))
+        empty_store()
         seen.clear()
         with monkeypatch.context() as mpatch:
             mpatch.setattr(dpl.evaluator, "eval_double", record(dpl.evaluator.eval_double))
@@ -1119,21 +1124,26 @@ def test_shape_sums_change_no_number(ident, assignments, monkeypatch):
             assert (a.value, a.abs_error_bound, a.method) == (b.value, b.abs_error_bound, b.method)
 
 
-def test_shape_sums_are_kept_apart_by_start_and_phase():
+def test_shape_sums_are_kept_apart_by_start_and_phase(empty_store):
     # the two n ranges share every atom shape but its start u0, and the two
     # x values every shape but its geometric phase
     cases = [("sum(m>=1,n>=0) 1 / ((n+1)^2*(m+n+1)^2)", {}),
              ("sum(m>=1,n>=1) 1 / ((n+1)^2*(m+n+1)^2)", {}),
              ("sum(m>=1,n>=1) x^n / (n^2*(m+n)^2)", {"x": parse_x("1/2")}),
              ("sum(m>=1,n>=1) x^n / (n^2*(m+n)^2)", {"x": parse_x("-1/2")})]
-    fresh = [eval_double(parse_term(t), p, CTX, "reduction", EvalCache(CTX)) for t, p in cases]
+    fresh = []
+    for t, p in cases:
+        empty_store()
+        fresh.append(eval_double(parse_term(t), p, CTX, "reduction", EvalCache(CTX)))
+    empty_store()
     cache = EvalCache(CTX)
     shared = [eval_double(parse_term(t), p, CTX, "reduction", cache) for t, p in cases]
     for a, b in zip(fresh, shared):
         assert (a.value, a.abs_error_bound) == (b.value, b.abs_error_bound)
 
 
-def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch):
+def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch, empty_store):
+    from dpl import reduction
     from dpl.reduction import _Series
 
     calls = []
@@ -1143,7 +1153,7 @@ def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch):
     params = {"b": Fraction(1, 3), "x": parse_x("-1")}
     cache = EvalCache(CTX)
     first = eval_double(t, params, CTX, "reduction", cache)
-    assert calls and cache.sums
+    assert calls and reduction.STORE
     calls.clear()
     again = eval_double(t, params, CTX, "reduction", cache)
     assert not calls
@@ -1300,10 +1310,11 @@ def test_kept_expansion_coefficients_make_the_fresh_series(j, digits):
 
 
 @pytest.mark.parametrize("x", ["1", "1/2"])
-def test_shapes_summed_in_one_cache_match_fresh_caches(x):
+def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
     # the two zeta(2) shapes share a table, and all three shapes (at one
     # shift) the tail base sums of their cache; each summed in its own fresh
-    # cache gives the same sum and bound, with the geometric phase too
+    # cache, in an empty store, gives the same sum and bound, with the
+    # geometric phase too
     from dpl.reduction import Atom, _sum_atom
     from dpl.specfun import EvalResult
 
@@ -1315,7 +1326,10 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x):
         phase = None if x == "1" else (mpf(1) / 2, mpf(1))
         cache = EvalCache(CTX)
         shared = [_sum_atom(a, 1, phase, cache, CTX) for a in atoms]
-        fresh = [_sum_atom(a, 1, phase, EvalCache(CTX), CTX) for a in atoms]
+        fresh = []
+        for a in atoms:
+            empty_store()
+            fresh.append(_sum_atom(a, 1, phase, EvalCache(CTX), CTX))
         assert len(cache.tables) == 2
         if phase is None:
             assert len(cache.bases) == 1
@@ -1530,7 +1544,7 @@ def test_outer_shape_sums_within_their_bounds(shape, digits):
         assert r.abs_error_bound <= mpf(10) ** -(ctx.dps - 5) * max(1, abs(r.value))
 
 
-def test_eval_cache_builds_each_row_once(monkeypatch):
+def test_eval_cache_builds_each_row_once(monkeypatch, empty_store):
     # one evaluation asks for every row at its final length: no (a, phi) is
     # built twice, the tail rows and the single columns at small a included,
     # though the evaluation reads and fills the process store
@@ -1550,7 +1564,7 @@ def test_eval_cache_builds_each_row_once(monkeypatch):
     for x in ("-1", "i"):
         # each evaluation in an empty store, which would else lend it the
         # rows of the evaluations before it
-        monkeypatch.setattr(dpl.reduction, "STORE", dpl.reduction.Store(dpl.reduction.STORE.limit))
+        empty_store()
         built.clear()
         rep = eval_identity(entry, {"k": 1, "b": "1/2", "x": x}, CTX, strategy=entry.strategy)
         assert rep.passed and built
@@ -1565,17 +1579,13 @@ MIXED_BATTERY = [("thm-1.1", {"k": 1, "x": x, "b": b}, 50)
                                                  ("euler-sum", {"l": 4}))]
 
 
-def test_evaluation_order_does_not_matter(monkeypatch):
+def test_evaluation_order_does_not_matter(empty_store):
     # the points of a mixed battery share rows and shape sums through the
     # process store; evaluated in one process forwards, backwards and each
     # in an empty store, every side has the same value, bound and method,
     # to the last bit
-    from dpl import reduction
     from dpl.reduction import Atom, _sum_atom
     from dpl.specfun import EvalResult
-
-    def empty():
-        monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
 
     def sides(ident, assign, digits):
         ctx = PrecisionContext(working_digits=digits, output_digits=digits - 20)
@@ -1583,30 +1593,28 @@ def test_evaluation_order_does_not_matter(monkeypatch):
         with mp.workprec(1024):     # every bit of each value and bound
             return [repr((r.value, r.abs_error_bound, r.method)) for r in (rep.lhs, rep.rhs)]
 
-    empty()
     forward = [sides(*p) for p in MIXED_BATTERY]
-    empty()
+    empty_store()
     backward = [sides(*p) for p in reversed(MIXED_BATTERY)][::-1]
     alone = []
     for p in MIXED_BATTERY:
-        empty()
+        empty_store()
         alone.append(sides(*p))
     assert forward == backward == alone
-    # the store is keyed by (ctx, mp.prec): an evaluation under another
-    # mp.prec reads the entries made at its ctx's, and a shape summed with
-    # one ctx at two precisions gives at each what a bare cache gives
-    with mp.workdps(137):
-        assert sides(*MIXED_BATTERY[0]) == forward[0]
+    # the store is keyed by (ctx, mp.prec): a shape summed with one ctx at
+    # one precision, then at another in a store that holds it at the first,
+    # gives at each what an empty store gives
     one = EvalResult(mpf(1), mpf(0), "reduction")
     atom = Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))
     with CTX.workdps():
         prec = mp.prec
-    for p in (prec, prec + 64):
+    for p in (prec, prec + 64, prec):
         with mp.workprec(p):
-            shared = _sum_atom(atom, 1, None, EvalCache(CTX, shared=True), CTX)
-            bare = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
+            stored = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
+            empty_store()
+            fresh = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
         with mp.workprec(1024):
-            assert repr(shared) == repr(bare)
+            assert repr(stored) == repr(fresh)
 
 
 def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):

@@ -467,14 +467,12 @@ def test_eval_cache_keeps_precisions_apart():
             assert row30.zeta_at(r).abs_error_bound > mpf(10) ** -55 * ref
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["bare", "shared"])
-def test_eval_cache_keeps_one_row_per_argument(monkeypatch, shared):
-    # a bare cache keeps its own rows; a shared one keeps them in the
-    # process store, emptied here so that it holds this test's rows only
+def test_eval_cache_keeps_one_row_per_argument(empty_store):
+    # the cache keeps its rows in the process store, emptied here so that it
+    # holds this test's rows only
     from dpl import reduction
 
-    monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
-    cache = EvalCache(CTX, shared=shared)
+    cache = EvalCache(CTX)
     a = mpf("64.25")
     for r in range(2, 12):
         cache.zeta(r, a)
@@ -483,11 +481,11 @@ def test_eval_cache_keeps_one_row_per_argument(monkeypatch, shared):
     cache.zeta(Fraction(5, 2), a)
     cache.zeta(3, a + 1)
     # each keyed with the cache's ctx and the mp.prec in force
-    assert sorted(cache.rows, key=str) == sorted(
+    assert sorted(reduction.STORE, key=str) == sorted(
         [cache.key(a, 0), cache.key(a, mpf("0.5")), cache.key(a + 1, 0)], key=str)
 
 
-def test_eval_cache_extends_a_short_row():
+def test_eval_cache_extends_a_short_row(empty_store):
     ctx = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
     cache = EvalCache(ctx)
     short = cache.row(mpf("77.5"), 0, 3)
