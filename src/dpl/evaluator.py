@@ -3,7 +3,10 @@
 Weights specialize at the bound parameters (sin/cos of pi*b are exact at the
 half-integers, so b=1 and b=1/2 kill their groups outright); group values
 accumulate error bounds term by term, and the verdict is recomputed from the
-stored fields on every access.
+stored fields on every access. A group's expanded term families are made
+once per (group, env) for the process (reduction.PLANS), as are the b-free
+plans of its terms, so a side evaluated at a new b pays only for what
+depends on b.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .termlang import (
     expr_eval,
 )
 from .reduction import EvalCache, ShapeError, XSpec, _frac_to_mp, _mp_b, \
-    eval_double_reduction, eval_single_reduction
+    eval_double_reduction, eval_single_reduction, planned
 
 STRATEGIES = ("auto", "reduction", "direct")
 
@@ -222,7 +225,10 @@ def eval_side(spec: IdentitySpec, side: str, p: IdentityParams, ctx: PrecisionCo
             w = weight_value(group.weight, p.env, p.numeric, ctx)
             if w == 0:
                 continue
-            terms = expand_group(group, p.env)
+            # keyed by the group's id: the entry holds the group, so no other
+            # object takes that id while it is kept
+            _, terms = planned(("terms", id(group), tuple(sorted(p.env.items()))),
+                               lambda: (group, expand_group(group, p.env)))
             parts = []
             for term in terms:
                 if isinstance(term, DoubleSumTerm):
@@ -402,6 +408,11 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     process at ctx. Its tables, base sums and expansions live
     per stencil, as long as the function: the six points share those that
     do not depend on b (a third of a stencil's tables, some 5% of its time).
+    The expanded families and the term plans (their classes, weights and
+    constants, and the b-free atoms of the inner closed forms) live per
+    process, in reduction.PLANS, so each point computes only its shifts,
+    what b's value decides, its inner zeta/psi values and the shapes new
+    at its b.
     """
     groups = spec.lhs if side == "lhs" else spec.rhs
     singles_only = all(isinstance(f.body, SingleSumTerm)

@@ -28,6 +28,16 @@ entries, so that the points of a battery share them; tables, base sums and
 expansions live per evaluation, or per derivative stencil
 (evaluator.side_evaluator).
 
+What depends on a term and x but not on b is planned once per process, in
+PLANS, apart from STORE and bounded the same way: the term's ClassPlan
+(ClassPlan.of, keyed by the term, mp.prec and the parameters but b) with
+its classes, their weights and constants, and the b-free atoms of the inner
+closed forms (_inner_form). A point at a new b evaluates the shifts,
+resolves what b's value decides (the start of an m>b range, shifts that
+merge, the diagonals' start, every DomainError check), reads its inner
+zeta/psi values, looks up or sums each atom's shape and adds every atom's
+value and bound into one pair per term.
+
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
 classes first. ClassPlan holds that split exactly, for this route and for the
@@ -47,6 +57,7 @@ outer atoms in N, summed as every other atom is.
 from __future__ import annotations
 
 import collections
+import copy
 import functools
 import itertools
 import math
@@ -204,6 +215,15 @@ class Store(collections.OrderedDict):
 # share, for the process; a whole 50-digit registry battery makes about
 # 2 400 of them (82 rows), some 2 MB.
 STORE = Store(limit=4096)
+# The b-free plans of terms (ClassPlan.of) and expanded term families, for
+# the process, apart from STORE so that they never evict its entries.
+PLANS = Store(limit=4096)
+
+
+def planned(key, make):
+    """PLANS' entry at key, made by make() when missing."""
+    plan = PLANS.get(key)
+    return plan if plan is not None else PLANS.put(key, make())
 
 
 class EvalCache:
@@ -382,13 +402,13 @@ def two_pole_coeffs(e: int, q: int):
 class Atom:
     """coef * prod_i (slope*u + gamma_i)^(-p_i) * Z(slope*u + gamma_z).
 
-    coef carries an EvalResult so bounds from folded-in constants propagate.
+    coef is a (value, bound) pair, so bounds from folded-in constants propagate.
     The powers are in normal form: powers given at one shift merge into one,
     their exponents added, a zero exponent drops out and a Fraction exponent
     becomes an int or an mpf (_num_exp).
     """
 
-    coef: EvalResult
+    coef: tuple
     slope: int
     rpows: tuple  # ((gamma, p) ...), gammas distinct, p != 0 an int or an mpf
     trans: tuple | None = None  # ('zeta', j, gamma_z) | ('psi', gamma_z)
@@ -428,6 +448,8 @@ def _shape_unit(shifts) -> int:
 
 def _exponent_parts(p):
     """(floor(p), frac(p)) of an int, Fraction or mpf exponent; frac is 0 or an mpf."""
+    if isinstance(p, int):
+        return p, 0
     pm = mpf(p) if not isinstance(p, Fraction) else _frac_to_mp(p)
     k = int(mp.floor(pm))
     return k, (pm - k if pm != k else 0)
@@ -754,23 +776,24 @@ def _trans_table(trans, slope, u0, U0, top, P):
     return vals, errs
 
 
-def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> EvalResult:
-    """sum_{u>=u0} phase(u) * atom(u).
+def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> tuple:
+    """sum_{u>=u0} phase(u) * atom(u), as (value, bound).
 
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
     (X, x0) meaning x0 * X^u with |X| < 1 for the geometric path. The sum
     without atom.coef depends on the atom's shape alone, so STORE holds each
-    shape's once and it is scaled by each atom's coefficient; the product is
-    one more rounding at working precision.
+    shape's once and it is scaled by each atom's coefficient, with the bound
+    of EvalResult.times; the product is one more rounding at working
+    precision.
     """
     key = cache.key(atom.slope, atom.rpows, atom.trans, u0, phase)
     shape_sum = STORE.get(key)
     if shape_sum is None:
         shape_sum = STORE.put(key, _sum_shape(atom, u0, cache, ctx) if phase is None
                               else _sum_atom_geometric(atom, u0, *phase, cache, ctx))
-    out = atom.coef.times(shape_sum)
-    out.abs_error_bound += abs(out.value) * mp.ldexp(1, 2 - mp.prec)
-    return out
+    (cv, ce), sv, se = atom.coef, shape_sum.value, shape_sum.abs_error_bound
+    value = cv * sv
+    return value, abs(cv) * se + abs(sv) * ce + ce * se + abs(value) * mp.ldexp(1, 2 - mp.prec)
 
 
 def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalResult:
@@ -992,20 +1015,17 @@ class ClassPlan:
     only. A single sum's classes are those of mod["n"] on both routes; a
     double sum's route picks its grid from the moduli (grid). Each route
     does its own numerics.
+
+    Only b and m0 depend on b (bind); ClassPlan.of keeps the rest per
+    process, with what the routes make from it that no b changes (memo).
     """
 
     def __init__(self, term, params):
         self.term = term
         single = isinstance(term, SingleSumTerm)
-        factors = (term.factor,) if single else term.factors
-        m_after_b = not single and term.m_range == "m>b"
-        self.b = params.get("b")
-        if self.b is None and (m_after_b or any(f.shift.q1 for f in factors)):
-            raise DomainError("term references the shift parameter b, none bound")
         self.n0 = 0 if term.n_range == "n>=0" else 1
-        self.m0 = None
-        if not single:
-            self.m0 = 0 if term.m_range == "m>=0" else 2 if m_after_b and self.b >= 1 else 1
+        self.bind(params.get("b"))
+        self.made = {}
         self.x = _xspec_of(params) if term.xsel.kind != "none" else XSpec.one()
         twists = (((term.twist, "n"),) if term.twist else ()) if single else term.twists
         self.chars = {arg: params[name] for (name, arg) in twists}
@@ -1026,6 +1046,38 @@ class ClassPlan:
         self.joint_mod = tw.get("mn", 1)
         self.coupled = term.cong is not None or "mn" in tw or \
             (term.xsel.kind == "xmn" and self.x.f > 1)
+
+    @staticmethod
+    def of(term, params) -> "ClassPlan":
+        """ClassPlan(term, params), made once per process (PLANS) at the term,
+        mp.prec and every parameter but b, and bound to this b. A ctx acts on
+        a plan only through the mp.prec it sets. The key holds the term's id:
+        the plan holds the term, so no other object takes that id while the
+        plan is kept."""
+        key = (id(term), mp.prec) + tuple((k, v) for (k, v) in params.items() if k != "b")
+        plan = copy.copy(planned(key, lambda: ClassPlan(term, params)))
+        plan.bind(params.get("b"))
+        return plan
+
+    def bind(self, b):
+        """Binds b and the start m0 of a double sum, 2 for an m>b range at
+        b >= 1; DomainError when the term needs b and none is bound."""
+        t = self.term
+        single = isinstance(t, SingleSumTerm)
+        m_after_b = not single and t.m_range == "m>b"
+        if b is None and (m_after_b or any(f.shift.q1 for f in
+                                           ((t.factor,) if single else t.factors))):
+            raise DomainError("term references the shift parameter b, none bound")
+        self.b = b
+        self.m0 = None if single else \
+            0 if t.m_range == "m>=0" else 2 if m_after_b and b >= 1 else 1
+
+    def memo(self, name, make):
+        """The plan's b-free value name, made by make() on first use."""
+        value = self.made.get(name)
+        if value is None:
+            value = self.made[name] = make()
+        return value
 
     def grid(self, square=False):
         """Moduli (lam_m, lam_n) of a class grid of a double sum: one modulus
@@ -1086,12 +1138,14 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
 
     x^(m+n) terms run along the diagonals (_eval_diagonal); any other term
     is an outer sum over the classes of its outer index of the atoms of its
-    inner closed form (_class_atoms).
+    inner closed form (_class_atoms). The classes with their weights and
+    constants are made once per plan (ClassPlan.of); a point adds the value
+    and bound of every atom into one pair.
     """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
         xsel = term.xsel
-        plan = ClassPlan(term, params)
+        plan = ClassPlan.of(term, params)
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
@@ -1115,81 +1169,83 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
                 _as_int(eI, "inner exponent")
             _as_int(q, "joint exponent")
 
-        total = EvalResult(mpf(0), mpf(0), "reduction")
-        coeff0 = _frac_to_mp(term.coeff)
-        # a geometric phase on the outer index only
-        phase = (x.value ** lam_o, mpf(1)) if x.kind == "num" else None
-        for rI in range(lam_i):
-            for rO in range(lam_o):
-                rm, rn = (rI, rO) if inner == "m" else (rO, rI)
-                w = plan.weight(rm, rn)
-                if w is None:
-                    continue
-                const = mpc(coeff0) * mpc(w[0]) * x.power(plan.xexp(rm, rn), ctx)
-                t0 = math.ceil((i0 - rI) / lam_i)
-                u0 = math.ceil((o0 - rO) / lam_o)
-                for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
-                                         lam_i, lam_o, t0, cache):
-                    atom.coef = atom.coef.scale(const)
-                    total = total + _sum_atom(atom, u0, phase, cache, ctx)
+        def classes():
+            coeff0, out = _frac_to_mp(term.coeff), []
+            for rI in range(lam_i):
+                for rO in range(lam_o):
+                    rm, rn = (rI, rO) if inner == "m" else (rO, rI)
+                    w = plan.weight(rm, rn)
+                    if w is not None:
+                        out.append((rI, rO, mpc(coeff0) * mpc(w[0])
+                                    * x.power(plan.xexp(rm, rn), ctx)))
+            # a geometric phase on the outer index only
+            return out, (x.value ** lam_o, mpf(1)) if x.kind == "num" else None
+
+        consts, phase = plan.memo("classes", classes)
+        value = bound = mpf(0)
+        for (rI, rO, const) in consts:
+            t0 = math.ceil((i0 - rI) / lam_i)
+            u0 = math.ceil((o0 - rO) / lam_o)
+            for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
+                                     lam_i, lam_o, t0, cache, const):
+                v, e = _sum_atom(atom, u0, phase, cache, ctx)
+                value, bound = value + v, bound + e
         # the geometric phase's tail bound is empirical
-        return EvalResult(total.value, total.abs_error_bound,
-                          "direct_tail" if x.kind == "num" else "reduction")
+        return EvalResult(value, bound, "direct_tail" if x.kind == "num" else "reduction")
 
 
-def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, cache):
+@functools.lru_cache(maxsize=256)
+def _inner_form(eI, q, pO, lam, prec):
+    """What no class or b changes of the atoms of _class_atoms: lam^-(eI +
+    q + pO) and, per atom, (its inner zeta/psi factor, ('zeta', s), ('psi',)
+    or None; its partial-fraction coefficient; the exponent at its joint
+    shift; its outer zeta/psi factor, ('zeta', j), ('psi',) or None), the
+    longest inner column first, so that its row is built once. Made once per
+    (eI, q, pO, lam, prec) for the process (the 256 met last are kept)."""
+    one = mpf(lam) ** (-_frac_to_mp(eI + q + pO))
+    if not eI:      # joint factor only: the inner sum is zeta(q, t0 + aJ(u))
+        return one, ((None, 1, 0, ("zeta", _num_exp(q))),)
+    if not q:       # pure inner factor: the constant zeta(eI, t0 + aI)
+        return one, ((("zeta", _frac_to_mp(eI)), 1, 0, None),)
+    e, q = int(eI), int(q)
+    A, B = two_pole_coeffs(e, q)
+    A1 = _frac_to_mp(A[1])
+    return one, (tuple((("zeta", i), _frac_to_mp(A[i]), e + q - i, None) for i in range(e, 1, -1))
+                 + tuple((None, _frac_to_mp(B[j]), e + q - j, ("zeta", j)) for j in range(2, q + 1))
+                 + ((None, A1, e + q - 1, ("psi",)), (("psi",), -A1, e + q - 1, None)))
+
+
+def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, cache, const=1):
     """Atoms of the inner closed form on one residue class, in the outer
-    class index u.
+    class index u, their coefficients times const.
 
     The class holds the inner index rI + lam_i t for t >= t0 and the outer
     index rO + lam_o u, where lam_i is 1 or equals lam_o. Dividing every base
     by lam_i gives slope lam_o // lam_i in u and the prefactor lam_i^-(total
     degree). eI and q are the inner and joint exponents as Fractions, 0 for
     an absent factor and integers when both are present; opow is the outer
-    factor's (shift, exponent), exponent 0 without one.
+    factor's (shift, exponent), exponent 0 without one. The atoms come from
+    _inner_form, at this class's shifts and inner zeta/psi values.
     """
     lam = lam_i
-    slope = lam_o // lam
-    aI = (rI + gI) / lam
     gO, pO = opow
-    wg = (rO + gJ - gI) / lam
-    zg = (rI + rO + gJ) / lam + t0
-    one = EvalResult(mpf(lam) ** (-_frac_to_mp(eI + q + pO)), mpf(0), "reduction")
+    one, forms = _inner_form(eI, q, pO, lam, mp.prec)
+    aI = t0 + (rI + gI) / lam
+    og, wg, zg = (rO + gO) / lam, (rO + gJ - gI) / lam, (rI + rO + gJ) / lam + t0
     atoms = []
-
-    def mk(coef, extra_rpows, trans):
-        atoms.append(Atom(coef, slope, [((rO + gO) / lam, pO)] + extra_rpows, trans))
-
-    if not eI:
-        # joint factor only: inner sum is zeta(q, t0 + aJ(u))
-        if q <= 1:
-            raise DomainError("divergent inner sum")
-        mk(one, [], ("zeta", _num_exp(q), zg))
-        return atoms
-    if not q:
-        # pure inner factor: constant zeta(eI, t0 + aI)
-        mk(one.times(cache.zeta(_frac_to_mp(eI), t0 + aI)), [], None)
-        return atoms
-    # two-pole case; the longest column first, so that its row is built once
-    e, q = int(eI), int(q)
-    A, B = two_pole_coeffs(e, q)
-    for i in range(e, 1, -1):
-        zc = cache.zeta(i, t0 + aI)
-        coef = one.times(zc).scale(_frac_to_mp(A[i]))
-        mk(coef, [(wg, e + q - i)], None)
-    for j in range(2, q + 1):
-        coef = one.scale(_frac_to_mp(B[j]))
-        mk(coef, [(wg, e + q - j)], ("zeta", j, zg))
-    A1 = _frac_to_mp(A[1])
-    mk(one.scale(A1), [(wg, e + q - 1)], ("psi", zg))
-    pc = cache.psi(t0 + aI)
-    mk(one.times(pc).scale(-A1), [(wg, e + q - 1)], None)
+    for (inner, c, p, trans) in forms:
+        cv, ce = one, mpf(0)
+        if inner:
+            z = cache.psi(aI) if inner[0] == "psi" else cache.zeta(inner[1], aI)
+            cv, ce = one * z.value, abs(one) * z.abs_error_bound
+        atoms.append(Atom((cv * c * const, ce * abs(c) * abs(const)), lam_o // lam,
+                          ((og, pO), (wg, p)), trans and trans + (zg,)))
     return atoms
 
 
 def _atom_at(atom: Atom, cache: EvalCache) -> EvalResult:
     """The atom at u = 0: its coefficient times its powers and its zeta/psi value."""
-    val = atom.coef
+    val = EvalResult(*atom.coef, "reduction")
     for (g, p) in atom.rpows:
         val = val.scale(g ** (-p))
     if atom.trans is None:
@@ -1295,26 +1351,56 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
     tag) and without one on the circle. The diagonals before every base is
     positive, W = 0 among them where the shifted factors change sign, are
     summed directly. Two-sided shapes with a non-integer exponent and
-    one-sided ones with an exponent below 1 raise ShapeError.
+    one-sided ones with an exponent below 1 raise ShapeError. The pieces and
+    each class s's constant and weighted residues rho are made once per plan
+    (ClassPlan.memo); a point resolves the shifts, the start and the small
+    diagonals, and merges the atoms whose shifts coincide at its b.
     """
     x, m0, n0 = plan.x, plan.m0, plan.n0
     b_mp = _mp_b(plan.b)
     (gm, a), (gn, c), (gj, q) = (_factor_at(term, k, b_mp) for k in ("m", "n", "mn"))
     if x.kind != "num" and ((not a and q <= 1) or (not q and a <= 1)):
         raise DomainError("divergent inner sum")
-    # pieces (side, exponent, coefficient, power of 1/W)
-    if a and c:
-        # Y = W - X: the coefficients for (X, -Y) pick up these signs
-        ai, ci = (_as_int(e, "two-sided diagonal exponent") for e in (a, c))
-        A, B = two_pole_coeffs(ai, ci)
-        pieces = [("m", i, A[i] * (-1) ** (ai - i), ai + ci - i) for i in range(1, ai + 1)]
-        pieces += [("n", j, B[j] * (-1) ** ai, ai + ci - j) for j in range(1, ci + 1)]
-    elif a or c:
-        pieces = [("m", a, Fraction(1), 0)] if a else [("n", c, Fraction(1), 0)]
-        if pieces[0][1] < 1:
-            raise ShapeError("diagonal partial sum below exponent 1")
-    else:
-        pieces = []
+    coeff0 = _frac_to_mp(term.coeff)
+    L = plan.pair_mod
+    LN = math.lcm(L, plan.joint_mod, x.f)
+
+    def classes():
+        # pieces (side, exponent, coefficient, power of 1/W)
+        if a and c:
+            # Y = W - X: the coefficients for (X, -Y) pick up these signs
+            ai, ci = (_as_int(e, "two-sided diagonal exponent") for e in (a, c))
+            A, B = two_pole_coeffs(ai, ci)
+            pieces = [("m", i, A[i] * (-1) ** (ai - i), ai + ci - i) for i in range(1, ai + 1)]
+            pieces += [("n", j, B[j] * (-1) ** ai, ai + ci - j) for j in range(1, ci + 1)]
+        elif a or c:
+            pieces = [("m", a, Fraction(1), 0)] if a else [("n", c, Fraction(1), 0)]
+            if pieces[0][1] < 1:
+                raise ShapeError("diagonal partial sum below exponent 1")
+        else:
+            pieces = []
+        # per class s of N: its constant and, per piece, the weighted rho
+        # (without pieces, the weights of the diagonal's count)
+        out = []
+        for s in range(LN):
+            chi = plan.joint(s)
+            if chi == 0:
+                continue
+            const = mpc(coeff0) * mpc(chi) * x.power(plan.xexp(s, 0), ctx)
+
+            def weights(side):
+                ws = ((rho, plan.weight(rho, (s - rho) % L, joint=False) if side == "m"
+                       else plan.weight((s - rho) % L, rho, joint=False)) for rho in range(L))
+                return [(rho, w[0]) for (rho, w) in ws if w is not None]
+
+            ks = []
+            for (side, i, cf, wexp) in pieces:
+                scale = const * _frac_to_mp(cf) * mpf(L) ** -_frac_to_mp(i + wexp + q)
+                ks.append([(rho, scale * mpc(w)) for (rho, w) in weights(side)])
+            out.append((s, const, ks or [weights("m")]))
+        return pieces, out, (x.value ** LN, mpf(1)) if x.kind == "num" else None
+
+    pieces, consts, phase = plan.memo("diagonals", classes)
     # atoms start where every base is positive: N + g, the ends of the
     # partial sums, and W > 1
     lows = [(gj, 0)] if q else []
@@ -1323,67 +1409,53 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
     lows += [(gn + 1 - m0, 0)] if c else []
     N0 = m0 + n0
     Nstart = max([N0] + [int(mp.floor(lo - mp.re(g))) + 1 for (g, lo) in lows])
-    coeff0 = _frac_to_mp(term.coeff)
     total = _small_diagonals(plan, range(N0, Nstart), gm, a, gn, c, gj, q, coeff0, ctx)
-
-    L = plan.pair_mod
-    LN = math.lcm(L, plan.joint_mod, x.f)
+    value, bound = total.value, total.abs_error_bound
     slope = LN // L
-    phase = (x.value ** LN, mpf(1)) if x.kind == "num" else None
-    for s in range(LN):
-        chi = plan.joint(s)
-        if chi == 0:
-            continue
-        const = mpc(coeff0) * mpc(chi) * x.power(plan.xexp(s, 0), ctx)
+    for (s, const, ks) in consts:
         atoms = {}
 
         def add(coef, rpows, trans=None):
             atom = Atom(coef, slope, rpows, trans)
             key = (atom.rpows, trans)
             if key in atoms:
-                atoms[key].coef = atoms[key].coef + coef
+                atoms[key].coef = (atoms[key].coef[0] + coef[0], atoms[key].coef[1] + coef[1])
             else:
                 atoms[key] = atom
 
-        for (side, i, cf, wexp) in pieces:
+        for ((side, i, cf, wexp), kr) in zip(pieces, ks):
             g, own0, other0 = (gm, m0, n0) if side == "m" else (gn, n0, m0)
             rpows = [((s + gj) / L, q), ((s + gm + gn) / L, wexp)]
-            scale = const * _frac_to_mp(cf) * mpf(L) ** -_frac_to_mp(i + wexp + q)
-            for rho in range(L):
-                w = plan.weight(rho, (s - rho) % L, joint=False) if side == "m" \
-                    else plan.weight((s - rho) % L, rho, joint=False)
-                if w is None:
-                    continue
-                k = EvalResult(scale * mpc(w[0]), mpf(0), "reduction")
+            sign = 1 if i == 1 else -1
+            for (rho, k) in kr:
                 # the class rho + L t, t >= t0, up to the diagonal's end
                 start = math.ceil((own0 - rho) / L) + (rho + g) / L
                 end = (s - other0 - rho) // L + 1 + (rho + g) / L
                 # psi(end) - psi(start) at i = 1, else zeta(i, start) - zeta(i, end)
-                sign = 1 if i == 1 else -1
-                add(k.scale(sign), rpows, ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
-                add(_start_value(i, start, cache).times(k).scale(-sign), rpows)
+                add((k * sign, mpf(0)), rpows,
+                    ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
+                sv, se = _start_value(i, start, cache)
+                add((sv * k * -sign, abs(k) * se), rpows)
         if not pieces:
             # the class's points on the diagonal number slope u + c0 = V - v + c0
             # at V = (N + g)/L = slope u + v
             v = (s + gj) / L
             w1 = w0 = 0
-            for rho in range(L):
-                w = plan.weight(rho, (s - rho) % L, joint=False)
-                if w is not None:
-                    w1 += w[0]
-                    w0 += w[0] * ((s - n0 - rho) // L + 1 - math.ceil((m0 - rho) / L))
+            for (rho, w) in ks[0]:
+                w1 += w
+                w0 += w * ((s - n0 - rho) // L + 1 - math.ceil((m0 - rho) / L))
             scale = const * mpf(L) ** -_frac_to_mp(q)
             if w1 and q < 1:
                 raise ShapeError("diagonal count with an (m+n) exponent below 1")
             if w1:
-                add(EvalResult(scale * mpc(w1), mpf(0), "reduction"), [(v, q - 1)])
-            add(EvalResult(scale * (mpc(w0) - mpc(w1) * v), mpf(0), "reduction"), [(v, q)])
+                add((scale * mpc(w1), mpf(0)), [(v, q - 1)])
+            add((scale * (mpc(w0) - mpc(w1) * v), mpf(0)), [(v, q)])
         u0 = -((s - Nstart) // LN)
         for atom in atoms.values():
-            if atom.coef.value or atom.coef.abs_error_bound:
-                total = total + _sum_atom(atom, u0, phase, cache, ctx)
-    return EvalResult(total.value, total.abs_error_bound,
-                      "direct_tail" if x.kind == "num" else "reduction")
+            if atom.coef[0] or atom.coef[1]:
+                v, e = _sum_atom(atom, u0, phase, cache, ctx)
+                value, bound = value + v, bound + e
+    return EvalResult(value, bound, "direct_tail" if x.kind == "num" else "reduction")
 
 
 _eval_double_geometric2d = _eval_diagonal     # the name perfbench traces
@@ -1415,15 +1487,16 @@ def _power(base, p):
     return base ** -_frac_to_mp(p)
 
 
-def _start_value(i, a, cache) -> EvalResult:
+def _start_value(i, a, cache) -> tuple:
     """zeta(i, a), or psi(a) at i = 1, from the cache, continued to Re a <= 0
-    by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a."""
+    by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a; as
+    (value, bound)."""
     head, size, k = mpf(0), mpf(0), 0
     while mp.re(a) <= 0:
         t = _power(a, i)
         head, size, k, a = head + t, size + abs(t), k + 1, a + 1
     val = cache.psi(a) if i == 1 else cache.zeta(_num_exp(i), a)
-    return val + EvalResult(-head if i == 1 else head, (k + 2) * size * mp.eps, "reduction")
+    return val.value + (-head if i == 1 else head), val.abs_error_bound + (k + 2) * size * mp.eps
 
 
 def _num_exp(p: Fraction):
@@ -1446,34 +1519,41 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
     """
     with ctx.workdps():
         cache = cache or EvalCache(ctx)
-        plan = ClassPlan(term, params)
+        plan = ClassPlan.of(term, params)
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx, cache)
         e = _num_exp(_exp_value(term.factor))
         gamma = shift_value(term.factor.shift, _mp_b(plan.b))
-        coeff0 = _frac_to_mp(term.coeff)
         lam = plan.mod["n"]
-        lam_e = mpf(lam) ** (-mpf(e))
-        total = EvalResult(mpf(0), mpf(0), "reduction")
+
+        def classes():
+            coeff0, lam_e, out = _frac_to_mp(term.coeff), mpf(lam) ** (-mpf(e)), []
+            for rr in range(lam):
+                w = plan.weight(rr)
+                if w is None:
+                    continue
+                const = mpc(coeff0)
+                if w[1] is not None:
+                    const = const / mp.sinpi(_frac_to_mp(w[1]))
+                const = const * mpc(w[0]) * x.power(plan.xexp(rr), ctx)
+                out.append((rr, math.ceil((plan.n0 - rr) / lam), const, const * lam_e))
+            return out, (x.value ** lam, mpf(1)) if x.kind == "num" else None
+
+        consts, phase = plan.memo("single", classes)
+        value = bound = mpf(0)
         terms = []
-        for rr in range(lam):
-            w = plan.weight(rr)
-            if w is None:
-                continue
-            const = mpc(coeff0)
-            if w[1] is not None:
-                const = const / mp.sinpi(_frac_to_mp(w[1]))
-            const = const * mpc(w[0]) * x.power(plan.xexp(rr), ctx)
-            t0 = math.ceil((plan.n0 - rr) / lam)
+        for (rr, t0, const, scaled) in consts:
             a = t0 + (rr + gamma) / lam
             if mp.re(a) <= 0:
                 raise DomainError("single sum needs Re(n + shift) > 0 over its range")
-            if x.kind == "num":
-                atom = Atom(EvalResult(const, mpf(0), "reduction"), lam, ((rr + gamma, e),))
-                total = total + _sum_atom(atom, t0, (x.value ** lam, mpf(1)), cache, ctx)
+            if phase:
+                v, eb = _sum_atom(Atom((const, mpf(0)), lam, ((rr + gamma, e),)), t0, phase,
+                                  cache, ctx)
+                value, bound = value + v, bound + eb
             else:
-                terms.append((const * lam_e, a))
+                terms.append((scaled, a))
         if terms:
-            total = total + periodic_zeta_sum(terms, e, ctx, rows=cache)
-        return EvalResult(total.value, total.abs_error_bound, total.method)
+            z = periodic_zeta_sum(terms, e, ctx, rows=cache)
+            value, bound = value + z.value, bound + z.abs_error_bound
+        return EvalResult(value, bound, "direct_tail" if phase and consts else "reduction")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -85,9 +85,10 @@ DEFAULT_CTX = PrecisionContext()
 METHODS = ("closed_form", "euler_maclaurin", "direct_tail", "reduction", "hybrid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalResult:
-    """Value + rigorous absolute error bound + method tag."""
+    """Value + rigorous absolute error bound + method tag; frozen, since
+    stored results (row columns, shape sums) are shared by every reader."""
 
     value: object            # mpf or mpc
     abs_error_bound: object  # mpf >= 0
@@ -113,11 +114,11 @@ class EvalResult:
         return EvalResult(-self.value, self.abs_error_bound, self.method)
 
     def scale(self, c):
-        """Multiply by an exactly-known scalar."""
-        return EvalResult(self.value * c, self.abs_error_bound * abs(mpc(c)), self.method)
+        """Multiply by an exactly-known scalar (an mpf, an mpc or an int)."""
+        return EvalResult(self.value * c, self.abs_error_bound * abs(c), self.method)
 
     def times(self, other):
-        a, b = abs(mpc(self.value)), abs(mpc(other.value))
+        a, b = abs(self.value), abs(other.value)
         ea, eb = self.abs_error_bound, other.abs_error_bound
         return EvalResult(self.value * other.value,
                           a * eb + b * ea + ea * eb,
@@ -274,9 +275,10 @@ class ZetaRow:
     made without them); zeta_err and log_err bound their errors in units.
     With phi = 0 the column r = 1 holds a psi(a) in place of the divergent
     a zeta(1, a). zeta_at, log_zeta_at and psi return EvalResults, converted
-    on read at the caller's precision, with the rounding of the conversion
-    counted into the bound. block is the length N of the row's direct block
-    and corrections[i] the number M of corrections column i took.
+    at the caller's precision on the first read and kept in reads, with the
+    rounding of the conversion counted into the bound. block is the length N
+    of the row's direct block and corrections[i] the number M of corrections
+    column i took.
     """
 
     a: object
@@ -290,6 +292,7 @@ class ZetaRow:
     log_err: tuple | None = None
     block: int = 0
     corrections: tuple = ()
+    reads: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def r_hi(self) -> int:
@@ -302,32 +305,38 @@ class ZetaRow:
             _check_s_real(r + self.phi, 2)
         return r - self.r_lo
 
-    def _read(self, n, n_im, err, scale) -> EvalResult:
-        """n 2^-P scale, with its bound."""
-        v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
-        val = v * scale
-        # scale is an mpf power (an exp of a log at 10 more bits for a
-        # fractional s), and the product one more rounding
-        rnd = mp.ldexp(1, 10 - mp.prec)
-        return EvalResult(val, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
-                          "euler_maclaurin")
+    def _read(self, kind, r) -> EvalResult:
+        """Column r of zeta or logs times a^-s, or psi times 1/a, with its
+        bound; converted once per column and precision (reads)."""
+        key = (kind, r, mp.prec)
+        out = self.reads.get(key)
+        if out is None:
+            i = 0 if kind == "psi" else self._index(r)
+            n, err = (self.logs[i], self.log_err[i]) if kind == "logs" else \
+                (self.zeta[i], self.zeta_err[i])
+            n_im = self.zeta_im[i] if kind != "logs" and self.zeta_im is not None else None
+            scale = 1 / self.a if kind == "psi" else self.a ** -(r + self.phi)
+            v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
+            # scale is an mpf power (an exp of a log at 10 more bits for a
+            # fractional s), and the product one more rounding
+            rnd = mp.ldexp(1, 10 - mp.prec)
+            out = self.reads[key] = EvalResult(
+                v * scale, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
+                "euler_maclaurin")
+        return out
 
     def zeta_at(self, r) -> EvalResult:
-        i = self._index(r)
-        im = self.zeta_im[i] if self.zeta_im is not None else None
-        return self._read(self.zeta[i], im, self.zeta_err[i], self.a ** -(r + self.phi))
+        return self._read("zeta", r)
 
     def log_zeta_at(self, r) -> EvalResult:
-        i = self._index(r)
         if self.logs is None:
             raise DomainError("row made without the log-weighted sums (complex a)")
-        return self._read(self.logs[i], None, self.log_err[i], self.a ** -(r + self.phi))
+        return self._read("logs", r)
 
     def psi(self) -> EvalResult:
         if self.phi or self.r_lo != 1:
             raise ValueError("psi(a) is the column r = 1 of a row with phi = 0")
-        im = self.zeta_im[0] if self.zeta_im is not None else None
-        return self._read(self.zeta[0], im, self.zeta_err[0], 1 / self.a)
+        return self._read("psi", 1)
 
 
 def _log_target(s: float, dps: int, bits: int, alpha: float, log_absa: float) -> float:

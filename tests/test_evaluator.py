@@ -1316,9 +1316,8 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
     # cache, in an empty store, gives the same sum and bound, with the
     # geometric phase too
     from dpl.reduction import Atom, _sum_atom
-    from dpl.specfun import EvalResult
 
-    one = EvalResult(mpf(1), mpf(0), "reduction")
+    one = (mpf(1), mpf(0))
     with CTX.workdps():
         atoms = [Atom(one, 1, ((mpf(0), 2),), ("psi", mpf(1))),
                  Atom(one, 1, ((mpf(0), 3),), ("zeta", 2, mpf(1))),
@@ -1334,7 +1333,7 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
         if phase is None:
             assert len(cache.bases) == 1
     for s, f in zip(shared, fresh):
-        assert (s.value, s.abs_error_bound, s.method) == (f.value, f.abs_error_bound, f.method)
+        assert s == f
 
 
 _HALF = mpf(1) / 2
@@ -1357,9 +1356,8 @@ def test_shape_sum_splits_at_any_start(rpows, trans, summand):
     # S(1) = sum_{u=1}^{300} atom(u) + S(301) for atoms whose fractional
     # power sits at another shift than the zeta/psi factor
     from dpl.reduction import Atom, _sum_shape
-    from dpl.specfun import EvalResult
 
-    atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), 1, rpows, trans)
+    atom = Atom((mpf(1), mpf(0)), 1, rpows, trans)
     with CTX.workdps():
         whole = _sum_shape(atom, 1, EvalCache(CTX), CTX)
         rest = _sum_shape(atom, 301, EvalCache(CTX), CTX)
@@ -1518,13 +1516,12 @@ OUTER_SHAPES = [
 
 def _outer_shape_sum(shape, ctx):
     from dpl.reduction import Atom, _sum_shape
-    from dpl.specfun import EvalResult
 
     _, slope, rpows, trans, X = shape
     with ctx.workdps():
         rp = tuple((mpf(g), p if isinstance(p, int) else mpf(p.numerator) / p.denominator)
                    for (g, p) in rpows)
-        atom = Atom(EvalResult(mpf(1), mpf(0), "reduction"), slope, rp, trans)
+        atom = Atom((mpf(1), mpf(0)), slope, rp, trans)
         with mp.workdps(400):
             phase = None if X is None else (mpmath.mpmathify(X), mpf(1))
         return _sum_shape(atom, 1, EvalCache(ctx), ctx, phase)
@@ -1585,7 +1582,6 @@ def test_evaluation_order_does_not_matter(empty_store):
     # in an empty store, every side has the same value, bound and method,
     # to the last bit
     from dpl.reduction import Atom, _sum_atom
-    from dpl.specfun import EvalResult
 
     def sides(ident, assign, digits):
         ctx = PrecisionContext(working_digits=digits, output_digits=digits - 20)
@@ -1604,7 +1600,7 @@ def test_evaluation_order_does_not_matter(empty_store):
     # the store is keyed by (ctx, mp.prec): a shape summed with one ctx at
     # one precision, then at another in a store that holds it at the first,
     # gives at each what an empty store gives
-    one = EvalResult(mpf(1), mpf(0), "reduction")
+    one = (mpf(1), mpf(0))
     atom = Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))
     with CTX.workdps():
         prec = mp.prec
@@ -1615,6 +1611,66 @@ def test_evaluation_order_does_not_matter(empty_store):
             fresh = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
         with mp.workprec(1024):
             assert repr(stored) == repr(fresh)
+
+
+def _plan_sweep():
+    """The points of test_shared_plans_give_the_numbers_of_fresh_points, each
+    a (name, function of nothing that evaluates it): thm-1.1's sides through
+    one side_evaluator per (side, k, x), b running over a sweep; a term whose
+    two outer shifts merge at b = 1 only; and cor-1.3 (characters) and thm-4.1
+    (a congruence) at two precisions."""
+    from dpl.dsl import parse_term
+    from dpl.reduction import eval_double_reduction
+
+    ctx = PrecisionContext(working_digits=30, output_digits=20)
+    ctx50 = PrecisionContext(working_digits=50, output_digits=30)
+    spec = registry_get("thm-1.1").spec
+    with ctx.workdps():
+        bs = [mpf(1) / 4, mpf(1) / 2, mpf(1) / 2 + mpf("1e-5"), mpf(1) / 2 - mpf("1e-5"),
+              1 - mpf("1e-6"), mpf("1e-6")]
+    points = []
+    for side in ("lhs", "rhs"):
+        # sides with m>b ranges raise outside (0, 1)
+        side_bs = bs + ([mpf(1), 1 + mpf("1e-6")] if side == "rhs" else [])
+        for k in (1, 2):
+            for x in ("1", "-1", "i", "1/2"):
+                def func(side=side, k=k, x=x):
+                    return side_evaluator(spec, side, {"k": k, "x": x, "b": "1/2"}, ctx)
+                points += [((side, k, x, b), func, b) for b in side_bs]
+    term = parse_term("sum(m>=1,n>=0) x^n / (m * (n+b) * (m+n+1)^2)")
+    points += [(("merge", b), lambda: lambda b: eval_double_reduction(
+        term, {"x": XSpec.one(), "b": b}, ctx), b) for b in (Fraction(1, 2), Fraction(1))]
+    for c in (ctx, ctx50):
+        for ident, assign in (("cor-1.3", {"k": 1, "chi": "chi3"}),
+                              ("thm-4.1", {"k": 1, "x": "-1", "N": 3})):
+            def func(ident=ident, assign=assign, c=c):
+                entry = registry_get(ident)
+                return lambda _: eval_identity(entry, assign, c, strategy=entry.strategy)
+            points.append(((ident, c.working_digits), func, None))
+    return points
+
+
+def test_shared_plans_give_the_numbers_of_fresh_points(empty_store):
+    # the points of a b-sweep share term plans (ClassPlan.of), expanded
+    # families, rows and shape sums; evaluated in one process, and each alone
+    # with an empty store and plan map, every value, bound and method is the
+    # same to the last bit
+    def record(out):
+        with mp.workprec(1024):
+            sides = (out.lhs, out.rhs) if hasattr(out, "lhs") else (out,)
+            return [repr((r.value, r.abs_error_bound, r.method)) for r in sides]
+
+    points = _plan_sweep()
+    funcs, swept = {}, {}
+    for (name, make, b) in points:
+        key = name[:3] if name[0] in ("lhs", "rhs") else name
+        if key not in funcs:
+            funcs[key] = make()
+        func = funcs[key]
+        swept[name] = record(func(b))
+    for (name, make, b) in points:
+        empty_store()
+        assert record(make()(b)) == swept[name], name
 
 
 def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):

@@ -742,6 +742,34 @@ def test_eval_result_bounds_add():
     assert d.abs_error_bound >= mpf("7e-10")
 
 
+def test_eval_result_bounds_match_the_complex_modulus_formula():
+    # times and scale take |value| where they took |mpc(value)|: the same
+    # bits, since the modulus of a real mpc is the real's absolute value;
+    # real, complex and mixed operands at 100 to 500 bits
+    import dataclasses
+
+    rng = random.Random(24)
+
+    def number(prec, cplx):
+        def part():
+            m = rng.getrandbits(prec) - (1 << (prec - 1))
+            return mpf(m) * mp.ldexp(1, rng.randint(-prec - 60, 60 - prec))
+        return mpc(part(), part()) if cplx else part()
+
+    for _ in range(1500):
+        prec = rng.randint(100, 500)
+        with mp.workprec(prec):
+            kinds = rng.choice([(False, False), (True, True), (False, True), (True, False)])
+            a = EvalResult(number(prec, kinds[0]), abs(number(prec, False)))
+            b = EvalResult(number(prec, kinds[1]), abs(number(prec, False)))
+            ea, eb = a.abs_error_bound, b.abs_error_bound
+            old = abs(mpc(a.value)) * eb + abs(mpc(b.value)) * ea + ea * eb
+            assert repr(a.times(b).abs_error_bound) == repr(old)
+            assert repr(a.scale(b.value).abs_error_bound) == repr(ea * abs(mpc(b.value)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.abs_error_bound = mpf(0)
+
+
 def test_eval_result_rejects_nonfinite():
     with pytest.raises(DomainError):
         EvalResult(mpf("inf"), mpf(0))

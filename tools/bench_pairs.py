@@ -12,11 +12,15 @@ Usage:
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json, each
 side's runs, median and quartiles, and how many pairs the change won; the
-failed-operation counts and the correctness verdict of every run; and the
-per-layer totals of the traced run of each side. perfbench/run.py exits 0
-even when a run's outputs are wrong, so this script exits 1, after writing
-the output, when any run of either side (traced runs included) was not
-correct.
+failed-operation counts and the correctness verdict of every run; per pass
+of the workload (its operation set, run once per pass in the order of the
+run's seed), each side's seconds and seconds over the run's kernel mean
+(wall_ref), with runs, median and quartiles, read from the run's details in
+`<checkout>/.perfbench_out/`, so that a first pass of new points shows apart
+from a second that repeats it; and the per-layer totals of the traced run
+of each side. perfbench/run.py exits 0 even when a run's outputs are
+wrong, so this script exits 1, after writing the output, when any run of
+either side (traced runs included) was not correct.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
     return json.loads(lines[-1])
+
+
+def pass_seconds(checkout: Path, workload: str, seed: int) -> tuple:
+    """(seconds of each pass, kernel_mean_s) of the untraced run just made:
+    its details list every op's seconds in pass order, a pass being one of
+    each op."""
+    detail = json.loads((checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    ops = detail["ops"]
+    n = len({o["op"] for o in ops})
+    return [sum(o["seconds"] for o in ops[i:i + n]) for i in range(0, len(ops), n)], \
+        detail["kernel_mean_s"]
 
 
 def summary(values: list) -> dict:
@@ -91,16 +107,18 @@ def main(argv=None) -> int:
     incorrect = []
     for name in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
+        passes = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 out = run_bench(sides[side], name, seed, seconds, 0)
                 runs[side].append(out)
+                passes[side].append(pass_seconds(sides[side], name, seed))
                 print(f"{name} seed {seed} {side}: "
                       + ", ".join(f"{m} {out['metrics'][m]['value']:.4g}" for m in metrics),
                       file=sys.stderr, flush=True)
         entry = {"end_to_end": {}, "failed": {}, "correct": {}, "attempted": {},
-                 "per_layer": {}}
+                 "passes": {}, "per_layer": {}}
         for metric, better in metrics.items():
             vals = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in runs}
             wins = sum((c < p) if better == "lower" else (c > p)
@@ -114,6 +132,11 @@ def main(argv=None) -> int:
                 / statistics.median(vals["parent"]),
             }
         for side in runs:
+            count = min(len(secs) for (secs, _) in passes[side])
+            entry["passes"][side] = [
+                {"seconds": summary([secs[k] for (secs, _) in passes[side]]),
+                 "wall_ref": summary([secs[k] / kernel for (secs, kernel) in passes[side]])}
+                for k in range(count)]
             entry["failed"][side] = [r["failed"] for r in runs[side]]
             entry["correct"][side] = [r["correct"] for r in runs[side]]
             entry["attempted"][side] = [r["attempted"] for r in runs[side]]
