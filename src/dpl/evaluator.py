@@ -405,9 +405,11 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     live per process, in reduction.STORE (bounded; the entries that depend
     on b are never read again, so they are the first to go), so the rows
     that do not depend on b (a = 1, an integer tail row) are made once per
-    process at ctx. Its tables, base sums and expansions live
-    per stencil, as long as the function: the six points share those that
-    do not depend on b (a third of a stencil's tables, some 5% of its time).
+    process at ctx. Its base sums and expansions live per stencil, as long
+    as the function: the six points share those that do not depend on b.
+    The lattice tables of the direct blocks live per process, in
+    reduction.TABLES: each point has its own fractional shift, so a point
+    at a new b makes the tables at its shift, and reads the b-free ones.
     The expanded families and the term plans (their classes, weights and
     constants, and the b-free atoms of the inner closed forms) live per
     process, in reduction.PLANS, so each point computes only its shifts,

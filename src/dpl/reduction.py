@@ -19,14 +19,18 @@ What no argument changes is made once and kept for the process: the
 Bernoulli coefficients of the zeta/psi tail expansions and the tail starts
 they need (per kind, exponent, order and unit), as the row kernel keeps its
 c_k mantissas. What depends on a, b, x, v0 or a shift is reached through an
-EvalCache, where each row is built once, at its final length, each zeta/psi
-table and each set of tail base sums once, and the outer sum of each atom
-shape (an atom without its coefficient) once, scaled by the coefficient of
-every atom that has that shape. Rows and shape sums live per process, in
-STORE, keyed by (ctx, mp.prec) and bounded at its 4096 least recently used
-entries, so that the points of a battery share them; tables, base sums and
-expansions live per evaluation, or per derivative stencil
-(evaluator.side_evaluator).
+EvalCache, where each row is built once, at its final length, each set of
+tail base sums once, and the outer sum of each atom shape (an atom without
+its coefficient) once, scaled by the coefficient of every atom that has
+that shape. Rows and shape sums live per process, in STORE, keyed by (ctx,
+mp.prec) and bounded at its 4096 least recently used entries, so that the
+points of a battery share them; base sums and expansions live per
+evaluation, or per derivative stencil (evaluator.side_evaluator). The
+direct blocks of the outer sums read the lattice tables of their factors,
+each power (N + phi)^-p and each zeta/psi value Z(N + phi) on the whole N,
+made once per (kind, exponent, phi, precision) and read at stride lam by
+every class, shape and point; they live per process in TABLES, bounded by
+their entries apart from STORE and PLANS.
 
 What depends on a term and x but not on b is planned once per process, in
 PLANS, apart from STORE and bounded the same way: the term's ClassPlan
@@ -61,6 +65,7 @@ import copy
 import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,12 +192,15 @@ def shift_value(shift, bval):
 # ---------------------------------------------------------------------------
 
 class Store(collections.OrderedDict):
-    """Entries by key, at most limit of them; past the limit the entry read
-    or made least recently goes first."""
+    """Entries by key, at most limit of them, or of their total weight when
+    weigh (value -> int) is given; past the limit the entries read or made
+    least recently go first."""
 
-    def __init__(self, limit):
+    def __init__(self, limit, weigh=None):
         super().__init__()
         self.limit = limit
+        self.weigh = weigh or (lambda value: 1)
+        self.weight = 0
         self.lock = threading.Lock()
 
     def get(self, key):
@@ -204,10 +212,13 @@ class Store(collections.OrderedDict):
 
     def put(self, key, value):
         with self.lock:
+            if key in self:
+                self.weight -= self.weigh(self[key])
             self[key] = value
             self.move_to_end(key)
-            if len(self) > self.limit:
-                self.popitem(last=False)
+            self.weight += self.weigh(value)
+            while self.weight > self.limit:
+                self.weight -= self.weigh(self.popitem(last=False)[1])
             return value
 
 
@@ -218,6 +229,12 @@ STORE = Store(limit=4096)
 # The b-free plans of terms (ClassPlan.of) and expanded term families, for
 # the process, apart from STORE so that they never evict its entries.
 PLANS = Store(limit=4096)
+# The lattice tables of the outer direct blocks (_power_slice, _trans_slice),
+# for the process, apart from both and bounded by their entries in all: a
+# table holds about 300 of them at 50 digits (some 20-30 KB), a new point
+# of a battery makes 2 000-7 000, and a table too long for the bound is
+# used by its request and dropped.
+TABLES = Store(limit=1 << 15, weigh=lambda tab: len(tab.vals))
 
 
 def planned(key, make):
@@ -227,8 +244,8 @@ def planned(key, make):
 
 
 class EvalCache:
-    """Rows of special values, tail expansions, tables and outer sums of
-    atom shapes.
+    """Rows of special values, tail expansions, tail base sums and outer
+    sums of atom shapes.
 
     Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
     row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
@@ -240,18 +257,19 @@ class EvalCache:
     too short for a request is rebuilt at least twice as long.
 
     It also keeps the fixed-point expansions of the tail factors (series),
-    the zeta/psi tables of the direct blocks (table), the tail base sums
-    (base_sums), and, in sums, the coefficient-free outer sum of every atom
-    shape (slope, rpows, trans, u0, phase) that _sum_atom has summed: the
-    terms of one side, the two sides of an identity and the points of a
-    battery share many shapes with different coefficients.
+    the tail base sums (base_sums), and, in sums, the coefficient-free outer
+    sum of every atom shape (slope, rpows, trans, u0, phase) that _sum_atom
+    has summed: the terms of one side, the two sides of an identity and the
+    points of a battery share many shapes with different coefficients.
     Every entry is keyed by the exact arguments it was made from, with the
     cache's ctx and the mp.prec in force, so an entry read again is the
-    entry a fresh cache in an empty STORE would make. Expansions, tables
-    and base sums live as long as the cache: one evaluation, or the stencil
-    of evaluator.side_evaluator. Rows and shape sums, small and read again
+    entry a fresh cache in an empty STORE would make. Expansions and base
+    sums live as long as the cache: one evaluation, or the stencil of
+    evaluator.side_evaluator. Rows and shape sums, small and read again
     across evaluations, live per process in STORE, shared by every cache,
-    whose least recently used entry goes past 4096 entries.
+    whose least recently used entry goes past 4096 entries. The direct
+    blocks need no cache: their lattice tables live per process, in TABLES
+    (_power_slice, _trans_slice).
     """
 
     SPARE_COLUMNS = 3
@@ -259,7 +277,6 @@ class EvalCache:
     def __init__(self, ctx):
         self.ctx = ctx
         self.expansions = {}
-        self.tables = {}
         self.bases = {}
 
     def key(self, *parts):
@@ -301,28 +318,6 @@ class EvalCache:
                 s = _psi_series(R, v0, P)
             self.expansions[key] = s
         return s
-
-    def table(self, trans, slope, u0, U0, R, P):
-        """The zeta/psi factor Z(slope*u + gamma_z) for u in [u0, U0), tabled
-        down (_trans_table) from its expansion at v0 = slope*U0 + gamma_z:
-        ((values, their errors), the error of the top value), in units of
-        2^-P."""
-        key = (trans, slope, u0, U0, P)
-        tab = self.tables.get(key)
-        if tab is None:
-            kind, gz = trans[0], mpf(trans[-1])
-            with mp.workprec(P + 20):
-                v0 = slope * U0 + gz        # exact: P holds every shift
-            zs = self.series(("psi",) if kind == "psi" else ("zeta", trans[1]), R, v0, P)
-            with mp.workprec(P + 20):
-                log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
-                top, top_err = zs.value_at_v0(log_v0)
-                jfrac = _exponent_parts(trans[1])[1] if kind == "zeta" else 0
-                if jfrac:   # the series stands for v^-frac(j) times its sum
-                    F = _fix(v0 ** -jfrac, P)
-                    top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
-            tab = self.tables[key] = (_trans_table(trans, slope, u0, U0, top, P), top_err)
-        return tab
 
     def base_sums(self, abase, v0, phi, lam, R, P):
         """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
@@ -589,20 +584,45 @@ def _expansion_series(R, P, v0, terms, lo, logs=False):
     Terms up to index R are kept, scaled by v0^-index; the term at R + 1 is
     a remainder item, and the expansion envelopes its sum for real v > 0, so
     twice the first term past R + 1 bounds all that is left out.
+
+    The scale is one running power w = v0^-n, an int mantissa of at most
+    P + 20 bits and an exponent, carried from index to index by a product
+    with the mantissa of 1/v0 (rounded at P + 20 bits), cut back to P + 20
+    bits; c w is the exact product of the mantissas, cut once into units of
+    2^-P. With u = 2^-(P+20), 1/v0 is off by at most u relative, so w at
+    index n by n u from it and 2n u from n cuts; c comes from
+    _expansion_coefficients with fewer than 3n + 6 roundings at P + 20 bits
+    (a Bernoulli number over (2r)!, times a Pochhammer symbol grown by four
+    roundings per r, at n >= 2r). So c w is off by less than (6n + 6) u
+    relative, (6n + 8) u with the higher orders, and a coefficient of t
+    units by less than 1 + ceil((6n + 8)(|t| + 1) u) units, the 1 for the
+    cut: 2 units while (6n + 8)(|t| + 1) <= 2^(P+20). err holds the largest
+    over the kept indices; a remainder item is |t| plus its own.
     """
     s = _Series(R, P, lo=lo, logs=logs)
     s.err = 2
-    with mp.workprec(P + 20):
-        inv = 1 / mpf(v0)
-        for n, c in terms:
-            t = abs(_fix(c * inv ** n, P)) + 1 if n > R else _fix(c * inv ** n, P)
-            if n <= R:
-                s.a[n] += t
-            elif n == R + 1:
-                s.rem += t
-            else:
-                s.rem += 2 * t
-                return s
+    Q = P + 20
+    with mp.workprec(Q):
+        im, ie = _signed_man_exp(1 / mpf(v0))
+    wm, we, at = 1, 0, 0
+    for n, c in terms:
+        while at < n:
+            wm, we, at = wm * im, we + ie, at + 1
+            cut = wm.bit_length() - Q
+            if cut > 0:
+                wm, we = wm >> cut, we + cut
+        cm, ce = _signed_man_exp(c)
+        sh = ce + we + P
+        t = (cm * wm) << sh if sh >= 0 else (cm * wm) >> -sh
+        e = 1 + _ceil_shift((6 * n + 8) * (abs(t) + 1), Q)
+        if n <= R:
+            s.a[n] += t
+            s.err = max(s.err, e)
+        elif n == R + 1:
+            s.rem += abs(t) + e
+        else:
+            s.rem += 2 * (abs(t) + e)
+            return s
 
 
 def _b2(r):
@@ -734,47 +754,207 @@ def _standard_start(R: int, P: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Outer summation of one atom
+# Lattice tables: the factors of the direct blocks on the whole numbers
 # ---------------------------------------------------------------------------
+#
+# A factor of an outer atom at slope lam and shift g takes its values at
+# lam*u + g = N + phi, with N = lam*u + floor(g) whole and phi = frac(g). So
+# the classes of a root of unity, the terms of a side and the points at one
+# b read one table of the factor on the whole N, each at stride lam from
+# its own start: a power table, (N + phi)^-p, or a zeta/psi table, Z(N +
+# phi) tabled down from its expansion at a top N. A table's content depends
+# on its key alone, (kind, exponent, phi in units, P), with mp.prec and the
+# top for a zeta/psi table; the top is the request's rung, the least
+# multiple of _RUNG at or above lam*U0 + floor(g). A power table grows entry
+# by entry, a zeta/psi table only downwards, by its recurrence, so every
+# entry read is the same in any order of requests. The tables live per
+# process, in TABLES.
 
-def _trans_table(trans, slope, u0, U0, top, P):
-    """Z(slope*u + gamma) for u in [u0, U0) as ints in units of 2^-P.
+_RUNG = 32
 
-    Z is zeta(j, .), j an int, a Fraction or an mpf, or psi. The table runs
-    down from top, Z at u = U0, by the exact recurrences zeta(j, a) =
-    zeta(j, a+1) + a^-j and psi(a) = psi(a+1) - 1/a; each new power is one
-    cut int division (times a cut mpf power for a fractional j). Returns the
-    values and, for each, the units it may be off by beyond top's own error.
+
+class _Lattice:
+    """The entries vals[i] of one lattice table at N = lo + i, ints in units
+    of 2^-P, each off by less than errs[i] units (a list, or a range where
+    they fall by one per entry; None: by less than one) beyond top_err, the
+    error of a zeta/psi table's top value."""
+
+    __slots__ = ("lo", "vals", "errs", "top_err")
+
+    def __init__(self, lo, vals, errs=None, top_err=0):
+        self.lo, self.vals, self.errs, self.top_err = lo, vals, errs, top_err
+
+
+def _lattice_point(g, P):
+    """(floor(g), frac(g) in units of 2^-P) of a shift g, exact: P holds
+    every shift."""
+    G = _fix(g, P)
+    return G >> P, G & ((1 << P) - 1)
+
+
+def _rung(N):
+    """The least multiple of _RUNG at or above N."""
+    return -(-N // _RUNG) * _RUNG
+
+
+def _lattice_floor(start, Phi):
+    """Where a table that serves N >= start begins: at start, or lower down
+    to the first N with N + phi > 0, so that the classes of one lattice,
+    which start a few N apart, share one build without reaching a pole."""
+    return min(start, 0 if Phi else 1)
+
+
+def _power_entries(k, frac, Phi, P, lo, hi):
+    """(N + phi)^-(k + frac) for N in [lo, hi): (values, their errors, None
+    for an int exponent) in units of 2^-P.
+
+    A value is one cut division, 2^(P(k+1)) // W^k with W = (N + phi) 2^P
+    exact, so it is off by less than one unit; a fractional exponent
+    multiplies in F = W^-frac, a cut mpf power, and the cut product t F is
+    off by less than ((2|t| + |F|) >> P) + 2 units. Where the power has no
+    value, W = 0 or, under a fractional exponent, W < 0, the entry is 0:
+    _power_slice raises before it would read one.
     """
-    kind, gz = trans[0], trans[-1]
     one = 1 << P
-    A = (slope * U0) * one + _fix(gz, P)     # exact: P holds every shift
-    if kind == "zeta":
-        ji, frac = _exponent_parts(trans[1])
-        num = 1 << (P * (ji + 1))
-    n = U0 - u0
-    vals, errs = [0] * n, [0] * n
-    val, err = top, 0
-    for i in range(n - 1, -1, -1):
-        for _ in range(slope):
-            A -= one
-            if not A or (A < 0 and kind == "zeta" and frac):
-                raise ShapeError("zeta/psi argument at a pole or fractional power of a negative")
-            if kind == "psi":
-                val -= (one << P) // A
-                err += 1
-            elif not frac:
-                val += num // A ** ji
-                err += 1
-            else:
-                t = num // A ** ji
-                with mp.workprec(P + 20):
-                    F = _fix(_unfix(A, P) ** -frac, P)
-                val += (t * F) >> P
-                err += ((abs(t) * 2 + abs(F)) >> P) + 2
-        vals[i], errs[i] = val, err
+    num = 1 << (P * (k + 1))
+    bases = range(lo * one + Phi, hi * one + Phi, one)
+    if not frac:
+        return [num // W ** k if W else 0 for W in bases], None
+    vals, errs = [], []
+    with mp.workprec(P + 20):
+        for W in bases:
+            if W <= 0:
+                vals.append(0)
+                errs.append(0)
+                continue
+            t = num // W ** k
+            F = _fix(_unfix(W, P) ** -frac, P)
+            vals.append((t * F) >> P)
+            errs.append(((abs(t) * 2 + abs(F)) >> P) + 2)
     return vals, errs
 
+
+def _power_table(tab, p, Phi, P, start, stop):
+    """The power table of (N + phi)^-p, tab (None: none yet) grown entry by
+    entry to serve N in [start, stop), from _lattice_floor up to the rung
+    of stop."""
+    k, frac = _exponent_parts(p)
+    lo, hi = _lattice_floor(start, Phi), _rung(stop)
+    if tab is None:
+        return _Lattice(lo, *_power_entries(k, frac, Phi, P, lo, hi))
+    top = tab.lo + len(tab.vals)
+    lo, hi = min(lo, tab.lo), max(hi, top)
+    below, eb = _power_entries(k, frac, Phi, P, lo, tab.lo)
+    above, ea = _power_entries(k, frac, Phi, P, top, hi)
+    return _Lattice(lo, below + tab.vals + above,
+                    None if tab.errs is None else eb + tab.errs + ea)
+
+
+def _power_slice(g, p, lam, u0, n, P):
+    """(values, error) of (lam*u + g)^-p for u in [u0, u0 + n), n > 0, read
+    at stride lam from the power table at (p, frac(g), P): ints in units of
+    2^-P, each off by less than error units. ShapeError where a base read
+    is 0, or not positive under a fractional p."""
+    N0, Phi = _lattice_point(g, P)
+    k, frac = _exponent_parts(p)
+    start, stop = lam * u0 + N0, lam * (u0 + n - 1) + N0 + 1
+    if k < 0:
+        raise ShapeError("negative outer exponent")
+    if not Phi and 0 in range(start, stop, lam):
+        raise ShapeError("outer factor vanishes in the direct block")
+    if frac and start + (1 if Phi else 0) <= 0:
+        raise ShapeError("fractional power of a nonpositive outer base")
+    key = ("pow", p, Phi, P)
+    tab = TABLES.get(key)
+    if tab is None or start < tab.lo or stop > tab.lo + len(tab.vals):
+        tab = TABLES.put(key, _power_table(tab, p, Phi, P, start, stop))
+    at = slice(start - tab.lo, stop - tab.lo, lam)
+    return tab.vals[at], 1 if tab.errs is None else max(tab.errs[at])
+
+
+def _trans_top(trans, Phi, P, N):
+    """Z(N + phi) from its tail expansion at v0 = N + phi, cut after the
+    order of the precision (_tail_order): (value, its error) in units of
+    2^-P."""
+    kind = trans[0]
+    R = _tail_order(mp.prec)
+    v0 = _unfix((N << P) + Phi, P)      # exact
+    zs = _psi_series(R, v0, P) if kind == "psi" else _zeta_series(R, trans[1], v0, P)
+    with mp.workprec(P + 20):
+        log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
+        top, top_err = zs.value_at_v0(log_v0)
+        jfrac = _exponent_parts(trans[1])[1] if kind == "zeta" else 0
+        if jfrac:   # the series stands for v^-frac(j) times its sum
+            F = _fix(v0 ** -jfrac, P)
+            top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
+    return top, top_err
+
+
+def _trans_table(trans, Phi, lo, hi, top, err, P):
+    """Z(N + phi) for whole N in [lo, hi) as ints in units of 2^-P.
+
+    Z is zeta(j, .), j an int, a Fraction or an mpf, or psi. The table runs
+    down from top, Z at N = hi, off by err units, by the exact recurrences
+    zeta(j, a) = zeta(j, a+1) + a^-j and psi(a) = psi(a+1) - 1/a; each new
+    power is one cut int division, and one more unit (times a cut mpf power
+    for a fractional j, with its cut product's units). Returns the values
+    and, for each, the units it may be off by beyond the error of the value
+    the table was first tabled down from (a range for an int j or psi).
+    ShapeError if an argument is 0, or negative under a fractional j.
+    """
+    kind, one = trans[0], 1 << P
+    ji, frac = _exponent_parts(trans[1]) if kind == "zeta" else (1, 0)
+    if (not Phi and lo <= 0 < hi) or (frac and lo + (1 if Phi else 0) <= 0):
+        raise ShapeError("zeta/psi argument at a pole or fractional power of a negative")
+    args = range((hi - 1) * one + Phi, (lo - 1) * one + Phi, -one)     # top down
+    if kind == "psi":
+        steps = (-((one << P) // A) for A in args)
+    elif not frac:
+        num = 1 << (P * (ji + 1))
+        steps = (num // A ** ji for A in args)
+    else:
+        num, vals, errs = 1 << (P * (ji + 1)), [], []
+        with mp.workprec(P + 20):
+            for A in args:
+                t = num // A ** ji
+                F = _fix(_unfix(A, P) ** -frac, P)
+                top += (t * F) >> P
+                err += ((abs(t) * 2 + abs(F)) >> P) + 2
+                vals.append(top)
+                errs.append(err)
+        return vals[::-1], errs[::-1]
+    vals = list(itertools.accumulate(steps, initial=top))[:0:-1]
+    return vals, range(err + hi - lo, err, -1)
+
+
+def _trans_slice(trans, lam, u0, n, P):
+    """(values, errors, top error) of the zeta/psi factor Z(lam*u + gamma)
+    for u in [u0, u0 + n), n > 0, read at stride lam from the zeta/psi table
+    at (trans's kind and j, frac(gamma), P, mp.prec, the rung of lam*(u0 +
+    n) + floor(gamma)): ints in units of 2^-P, each off by less than its
+    error plus the top error. A new table holds its top, Z there from its
+    expansion (_trans_top); a table grows downwards only (_trans_table)."""
+    kind, gz = trans[0], trans[-1]
+    N0, Phi = _lattice_point(gz, P)
+    start, top = lam * u0 + N0, _rung(lam * (u0 + n) + N0)
+    key = (kind, trans[1] if kind == "zeta" else None, Phi, P, mp.prec, top)
+    tab = TABLES.get(key)
+    if tab is None or start < tab.lo:
+        if tab is None:
+            value, err = _trans_top(trans, Phi, P, top)
+            tab = _Lattice(top, [value], [0], err)
+        lo = _lattice_floor(start, Phi)
+        vals, errs = _trans_table(trans, Phi, lo, tab.lo, tab.vals[0], tab.errs[0], P)
+        # an int j or psi: top - N units at N, one per step, kept as a range
+        errs = range(errs[0], -1, -1) if isinstance(errs, range) else errs + tab.errs
+        tab = TABLES.put(key, _Lattice(lo, vals + tab.vals, errs, tab.top_err))
+    at = slice(start - tab.lo, start - tab.lo + lam * (n - 1) + 1, lam)
+    return tab.vals[at], tab.errs[at], tab.top_err
+
+
+# ---------------------------------------------------------------------------
+# Outer summation of one atom
+# ---------------------------------------------------------------------------
 
 def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> tuple:
     """sum_{u>=u0} phase(u) * atom(u), as (value, bound).
@@ -809,8 +989,9 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
     With the geometric phase (X, x0), x0 * X^u and |X| < 1, the block runs
     on at least until |X|^u underflows the target, and the tail is bounded
     geometrically, assuming |atom| falls with u; there an atom may have no
-    factor at all. Either way a zeta/psi factor is tabled down from its own
-    expansion at U0.
+    factor at all. Either way the block reads the lattice tables of its
+    factors (_direct_block), whose zeta/psi table is tabled down from its
+    expansion at the rung at or above slope*U0 + floor(gamma*).
     """
     lam, trans = atom.slope, atom.trans
     gamma_star = mpf(trans[-1] if trans else atom.rpows[0][0] if atom.rpows else 0)
@@ -847,8 +1028,7 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         U0 = max(U0, u0 + geometric_length(cut + 4) + 1)
     with mp.workprec(P + 20):
         v0 = lam * U0 + gamma_star      # exact: P holds every shift
-    ztab = cache.table(trans, lam, u0, U0, R, P) if trans else None
-    total, err2, last = _direct_block(atom, u0, U0, P, ztab, phase)
+    total, err2, last = _direct_block(atom, u0, U0, P, phase)
     if phase is not None:
         X, x0 = phase
         xp_abs, term_abs = last
@@ -887,72 +1067,67 @@ def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> Ev
     return _sum_shape(atom, u0, cache, ctx, phase=(X, x0))
 
 
-def _direct_block(atom, u0, U0, P, ztab, phase):
+def _direct_block(atom, u0, U0, P, phase):
     """sum_{u0 <= u < U0} phase(u) prod_i (slope*u + g_i)^-p_i Z(u), in units
     of 2^-2P: (total, its error, last) with total a pair (re, im) under a
     phase, and last = (|phase(U0)|, |last term|) in units of 2^-P.
 
-    The integer parts of the powers make one cut division per u,
-    2^(P(1 + sum p)) // prod W_i^p_i with W_i the exact bases in units; a
-    fractional part is one cut mpf power. The phase advances by one complex
-    multiplication per u, its error carried along as a modulus: X and the
-    phase are each off by less than sqrt(2) units, and a cut product too.
+    Every factor is a slice of its lattice table, read at stride slope
+    (_power_slice, _trans_slice). Powers multiply entry by entry, each
+    product cut once: values a and b off by e and f units make a cut product
+    off by less than ceil((e|b| + f|a| + e f) / 2^P) + 1 units, taken at the
+    slices' largest |a| and |b|, so M, the product of the powers, has one
+    error for the block. Without a phase the block is one dot product of M
+    and Z, summed exactly, and so are its error sums. With one, the phase
+    advances by one complex multiplication per u, its error carried along as
+    a modulus: X and the phase are each off by less than sqrt(2) units, and
+    a cut product too.
     """
-    lam, one = atom.slope, 1 << P
-    bases, ptot, frac_i, frac = [], 0, None, 0
-    for i, (g, p) in enumerate(atom.rpows):
-        k, f = _exponent_parts(p)
-        bases.append([(lam * u0) * one + _fix(g, P), k])
-        ptot += k
-        if f:
-            frac_i, frac = i, f
-    num = 1 << (P * (1 + ptot))
-    step = lam * one
-    (zvals, zerrs), ztop = ztab if ztab is not None else ((None, None), 0)
-    total = err2 = 0
-    if phase is not None:
-        X, x0 = phase
-        with mp.workprec(P + 20):
-            Xc, xp = mpc(X), mpc(x0) * mpc(X) ** u0
-            Xr, Xi, xr, xi = (_fix(mp.re(Xc), P), _fix(mp.im(Xc), P),
-                              _fix(mp.re(xp), P), _fix(mp.im(xp), P))
-        eX, ex = 2, 2
-        Xabs = math.isqrt(Xr * Xr + Xi * Xi) + 1 + eX     # at least |X|
-        ti = T = eT = 0
-    for n in range(U0 - u0):
-        den = 1
-        for b in bases:
-            den *= b[0] ** b[1]
-            b[0] += step
-        if not den:
-            raise ShapeError("outer factor vanishes in the direct block")
-        M, eM = num // den, 1
-        if frac:
-            W = bases[frac_i][0] - step
-            if W <= 0:
-                raise ShapeError("fractional power of a nonpositive outer base")
-            with mp.workprec(P + 20):
-                F = _fix(_unfix(W, P) ** -frac, P)
-            M, eM = (M * F) >> P, ((abs(M) * 2 + abs(F)) >> P) + 2
-        if zvals is None:
-            T, eT = M << P, eM << P
+    lam, n = atom.slope, U0 - u0
+    if n <= 0:      # the tail starts at u0; a phase's block never does
+        return 0, 0, None
+    M, eM = None, 0
+    for (g, p) in atom.rpows:
+        vals, e = _power_slice(g, p, lam, u0, n, P)
+        if M is None:
+            M, eM = vals, e
         else:
-            Z, eZ = zvals[n], zerrs[n] + ztop
-            T, eT = M * Z, eM * abs(Z) + abs(M) * eZ + eM * eZ
-        if phase is None:
-            total += T
-            err2 += eT
-        else:
-            T, eT = T >> P, (eT >> P) + 2
-            total += T * xr
-            ti += T * xi
-            err2 += abs(T) * ex + eT * (abs(xr) + abs(xi) + ex)
-            ex = _ceil_shift(ex * Xabs + (abs(xr) + abs(xi)) * eX, P) + 2
-            xr, xi = (xr * Xr - xi * Xi) >> P, (xr * Xi + xi * Xr) >> P
+            a, b = max(map(abs, M)), max(map(abs, vals))
+            M = [(x * y) >> P for x, y in zip(M, vals)]
+            eM = _ceil_shift(eM * b + e * a + eM * e, P) + 1
+    if M is None:
+        M = [1 << P] * n
+    Z = None
+    if atom.trans is not None:
+        Z, zerrs, ztop = _trans_slice(atom.trans, lam, u0, n, P)
     if phase is None:
+        if Z is None:
+            return sum(M) << P, (n * eM) << P, None
+        absM = list(map(abs, M))
+        total = sum(map(operator.mul, M, Z))
+        err2 = (eM * (sum(map(abs, Z)) + sum(zerrs) + n * ztop)
+                + sum(map(operator.mul, absM, zerrs)) + ztop * sum(absM))
         return total, err2, None
+    X, x0 = phase
+    with mp.workprec(P + 20):
+        Xc, xp = mpc(X), mpc(x0) * mpc(X) ** u0
+        Xr, Xi, xr, xi = (_fix(mp.re(Xc), P), _fix(mp.im(Xc), P),
+                          _fix(mp.re(xp), P), _fix(mp.im(xp), P))
+    eX, ex = 2, 2
+    Xabs = math.isqrt(Xr * Xr + Xi * Xi) + 1 + eX     # at least |X|
+    total = ti = err2 = T = eT = 0
+    for i, m in enumerate(M):
+        if Z is None:
+            T, eT = m, eM + 2
+        else:
+            z, ez = Z[i], zerrs[i] + ztop
+            T, eT = (m * z) >> P, ((eM * abs(z) + abs(m) * ez + eM * ez) >> P) + 2
+        total += T * xr
+        ti += T * xi
+        err2 += abs(T) * ex + eT * (abs(xr) + abs(xi) + ex)
+        ex = _ceil_shift(ex * Xabs + (abs(xr) + abs(xi)) * eX, P) + 2
+        xr, xi = (xr * Xr - xi * Xi) >> P, (xr * Xi + xi * Xr) >> P
     return (total, ti), err2, (abs(xr) + abs(xi) + ex, abs(T) + eT)
-
 
 # ---------------------------------------------------------------------------
 # Residue-class splitting and term assembly

@@ -261,8 +261,8 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
 @pytest.mark.parametrize("trans", [("zeta", Fraction(3, 2), mpf(5) / 4), ("zeta", 3, mpf(5) / 4),
                                    ("psi", mpf(5) / 4)], ids=["zeta-3/2", "zeta-3", "psi"])
 def test_trans_table_within_its_units(trans):
-    # Z(5/4 + 2u) for u in [1, 6) in units of 2^-P, run down from the value
-    # at u = 6: each within its own units of mpmath, and those below 1e-55
+    # Z(5/4 + N) for N in [3, 13) in units of 2^-P, run down from the value
+    # at N = 13: each within its own units of mpmath, and those below 1e-55
     def ref(a):
         return mpmath.psi(0, a) if trans[0] == "psi" else mpmath.zeta(mpmath.mpmathify(trans[1]), a)
 
@@ -270,11 +270,129 @@ def test_trans_table_within_its_units(trans):
         P = mp.prec + 8
         with mp.workdps(CTX.dps + 40):
             top = _fix(ref(mpf(5) / 4 + 12), P)
-        vals, errs = _trans_table(trans, 2, 1, 6, top, P)
+        vals, errs = _trans_table(trans, _fix(mpf(1) / 4, P), 3, 13, top, 0, P)
     with mp.workdps(CTX.dps + 40):
-        for u, v, e in zip(range(1, 6), vals, errs):
-            assert abs(_unfix(v, P) - ref(mpf(5) / 4 + 2 * u)) <= _unfix(e + 1, P)
+        for N, v, e in zip(range(3, 13), vals, errs):
+            assert abs(_unfix(v, P) - ref(mpf(5) / 4 + N - 1)) <= _unfix(e + 1, P)
             assert _unfix(e + 1, P) < mpf("1e-55")
+
+
+def _lattice_block(g, lam, u0):
+    """P and the end U0 of a direct block at shift g and slope lam from u0,
+    as _sum_shape sets them for a shape whose tail starts at the standard
+    start."""
+    from dpl.reduction import _shape_unit, _standard_start, _tail_order
+
+    P = _shape_unit([g])
+    V = _standard_start(_tail_order(mp.prec), P)
+    return P, max(u0 + 1, math.ceil((V - float(g)) / lam))
+
+
+LATTICE_SHIFTS = [mpf(1) / 4, -mpf(5) / 3]
+
+
+@pytest.mark.parametrize("lam", [1, 2, 4, 12])
+@pytest.mark.parametrize("g", LATTICE_SHIFTS, ids=["1/4", "-5/3"])
+def test_power_table_entries_are_cut_divisions(g, lam, empty_store):
+    # each entry of a power slice, (lam u + g)^-k at stride lam from the
+    # lattice table, is 2^(P(k+1)) // W^k with W = (lam u + g) 2^P, bit for
+    # bit, within one unit; at -5/3 and slope 1 the lattice starts at N = -2
+    from dpl.reduction import _power_slice
+
+    with CTX.workdps():
+        for k in (1, 2, 3):
+            for u0 in (0, 1, 3):
+                P, U0 = _lattice_block(g, lam, u0)
+                vals, err = _power_slice(g, k, lam, u0, U0 - u0, P)
+                W0 = _fix(g, P)
+                assert err == 1 and len(vals) == U0 - u0
+                assert vals == [(1 << (P * (k + 1))) // ((lam * u << P) + W0) ** k
+                                for u in range(u0, U0)]
+
+
+@pytest.mark.parametrize("lam", [1, 2, 4, 12])
+@pytest.mark.parametrize("g", LATTICE_SHIFTS, ids=["1/4", "-5/3"])
+@pytest.mark.parametrize("trans", ["zeta-2", "zeta-3/2", "psi"])
+def test_lattice_slices_within_their_units(trans, g, lam, empty_store):
+    # zeta(2), zeta(3/2) and psi at lam u + g for u in [u0, U0), read at
+    # stride lam from their tables, lie within their units of mpmath at 40
+    # more digits, and those units are below 1e-55; at -5/3 and slope 1 the
+    # lattice starts below 0 (zeta(3/2) there raises: a fractional power of
+    # a negative argument)
+    from dpl.reduction import ShapeError, _trans_slice
+
+    kind, j = ("psi", None) if trans == "psi" else ("zeta", Fraction(trans[5:]))
+    spec = ("psi", g) if kind == "psi" else ("zeta", j, g)
+
+    def ref(a):
+        return mpmath.psi(0, a) if kind == "psi" else mpmath.zeta(mpmath.mpmathify(j), a)
+
+    with CTX.workdps():
+        for u0 in (0, 1, 3):
+            P, U0 = _lattice_block(g, lam, u0)
+            if j == Fraction(3, 2) and lam * u0 + g < 0:
+                with pytest.raises(ShapeError):
+                    _trans_slice(spec, lam, u0, U0 - u0, P)
+                continue
+            vals, errs, top_err = _trans_slice(spec, lam, u0, U0 - u0, P)
+            assert len(vals) == len(errs) == U0 - u0
+            with mp.workdps(CTX.dps + 40):
+                for u, v, e in zip(range(u0, U0), vals, errs):
+                    assert abs(_unfix(v, P) - ref(lam * u + g)) <= _unfix(e + top_err, P)
+                    assert _unfix(e + top_err, P) < mpf("1e-55")
+
+
+def test_lattice_tables_give_the_same_ints_in_any_order(empty_store):
+    # the slices of a power table and a zeta table, read in one order and in
+    # the reverse, each time from an empty store, are the same ints: the
+    # classes of slope 12 and the slope-1 blocks of another extent share
+    # the tables, which grow down (the slope-1 block from u = 0 takes the
+    # lattice below 0) and, for the power, up
+    from dpl import reduction
+    from dpl.reduction import _power_slice, _trans_slice
+
+    g = -mpf(5) / 3
+    with CTX.workdps():
+        P, U0 = _lattice_block(g, 1, 0)
+        reads = [(lam, u0, n) for (lam, u0, n) in
+                 [(12, 1, (U0 - 1) // 12), (1, 2, U0 - 2), (1, 0, U0), (1, 0, U0 + 100)]
+                 + [(12, 1, (U0 - 1) // 12 - r) for r in range(3)]]
+
+        def read(order):
+            empty_store()
+            out = {}
+            for (lam, u0, n) in order:
+                out[lam, u0, n] = (_power_slice(g, 2, lam, u0, n, P),
+                                   _trans_slice(("zeta", 2, g), lam, u0, n, P))
+            return out, len(reduction.TABLES)
+
+        forward, backward = read(reads), read(reads[::-1])
+    assert forward == backward
+
+
+def test_lattice_reads_that_cover_a_pole_raise(empty_store):
+    # a zeta/psi table through N + phi = 0 raises ShapeError, as does a
+    # power read at a vanishing base and a negative outer exponent (a single
+    # sum of x^n n^(1/2)); a power read whose stride steps over the zero
+    # base reads the values around it
+    from dpl.reduction import ShapeError, _power_slice, _trans_slice
+
+    with CTX.workdps():
+        x = parse_x("1/2")
+    with pytest.raises(ShapeError):
+        eval_single(bind_term(parse_term("single(n>=1) x^n / (n^(-1/2))"), {}), {"x": x},
+                    CTX, "reduction")
+
+    g = -mpf(3)
+    with CTX.workdps():
+        P, U0 = _lattice_block(g, 2, 0)
+        for spec in (("psi", g), ("zeta", 2, g)):
+            with pytest.raises(ShapeError):
+                _trans_slice(spec, 2, 1, U0 - 1, P)
+        with pytest.raises(ShapeError):
+            _power_slice(g, 2, 1, 0, U0, P)
+        vals, err = _power_slice(g, 2, 2, 0, U0, P)
+        assert vals[:3] == [(1 << 3 * P) // (n << P) ** 2 for n in (-3, -1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1311,10 +1429,11 @@ def test_kept_expansion_coefficients_make_the_fresh_series(j, digits):
 
 @pytest.mark.parametrize("x", ["1", "1/2"])
 def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
-    # the two zeta(2) shapes share a table, and all three shapes (at one
-    # shift) the tail base sums of their cache; each summed in its own fresh
-    # cache, in an empty store, gives the same sum and bound, with the
+    # the two zeta(2) shapes share a lattice table, and all three shapes (at
+    # one shift) the tail base sums of their cache; each summed in its own
+    # fresh cache, in an empty store, gives the same sum and bound, with the
     # geometric phase too
+    from dpl import reduction
     from dpl.reduction import Atom, _sum_atom
 
     one = (mpf(1), mpf(0))
@@ -1325,11 +1444,11 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
         phase = None if x == "1" else (mpf(1) / 2, mpf(1))
         cache = EvalCache(CTX)
         shared = [_sum_atom(a, 1, phase, cache, CTX) for a in atoms]
+        assert sum(key[0] in ("zeta", "psi") for key in reduction.TABLES) == 2
         fresh = []
         for a in atoms:
             empty_store()
             fresh.append(_sum_atom(a, 1, phase, EvalCache(CTX), CTX))
-        assert len(cache.tables) == 2
         if phase is None:
             assert len(cache.bases) == 1
     for s, f in zip(shared, fresh):

@@ -10,8 +10,9 @@ same subprocess evaluates a fixed list of bare terms (TERMS)
 with the reduction strategy: they reach paths no battery point does, such
 as the inner sums at x = 0 (eval_inner_closed) and the other sums at
 x = 0, geometric outer sums, a
-tail start moved far out, x^(m+n) diagonals and outer atoms whose powers
-merge. It also takes, at DERIVATIVE_DIGITS, the first b-derivatives of
+tail start moved far out, x^(m+n) diagonals, outer atoms whose powers
+merge, and lattice tables read by 12 classes, from below 0, at two shifts
+and at a fractional exponent under the geometric phase. It also takes, at DERIVATIVE_DIGITS, the first b-derivatives of
 thm-1.1 sides that the benchmark's `b-derivative` workload takes
 (DERIVATIVES: numeric_derivative_b through side_evaluator), each with its
 value, bound and method. Usage:
@@ -84,6 +85,13 @@ TERMS = [
     # outer atoms whose two powers share a shift and merge into one
     ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "i"}),
     ("sum(m>=1,n>=1) x^n / (m * n^(3/2) * (m+n))", {"x": "1/2"}),
+    # lattice tables of the direct blocks: the 12 classes of ru(12,5) read
+    # one table; an outer lattice that starts below 0; two powers at unequal
+    # shifts; a fractional power under the geometric phase
+    ("sum(m>=1,n>=1) x^n / (m * (m+n)^2)", {"x": "ru(12,5)"}),
+    ("sum(m>=1,n>=1) x^n / (m * (n-5/3)^2 * (m+n)^2)", {"x": "-1"}),
+    ("sum(m>=1,n>=1) x^n / (m * (n+1/3) * (m+n+1/2)^2)", {"x": "1"}),
+    ("single(n>=1) x^n / ((n+1/3)^(5/2))", {"x": "1/2"}),
 ]
 # The b-derivative workload's points: (side, thm-1.1 parameters), at
 # DERIVATIVE_DIGITS with the benchmark's 10 guard digits.

@@ -15,7 +15,17 @@ wrapped, and prints:
   their EvalCache (the sums the cache forms; it keeps them for the rest of
   its evaluation, or of its derivative stencil), and the seconds base_sums
   spent outside row builds;
+- the lattice tables of the direct blocks (reduction.TABLES), power tables
+  and zeta/psi tables apart: the builds and the extensions of a table
+  already built, each with its count, the ints it made and its seconds (a
+  zeta/psi build with its top's expansion);
+- the seconds spent in reduction._direct_block, table builds included,
+  which perfbench's tracer shows only as self time of its callers;
 - the wall time of the pass.
+
+Tables, like rows, live per process: the warm-up and the operations before
+an operation lend it theirs. A checkout without lattice tables prints "-"
+for them.
 
 Rows and outer shape sums live per process, in reduction.STORE (at most
 4096 entries, the least recently used dropped first), as in the benchmark's
@@ -90,6 +100,51 @@ def main(argv=None) -> int:
 
     specfun.euler_maclaurin_row = reduction.euler_maclaurin_row = row
     reduction.EvalCache.base_sums = base_sums
+
+    # [count, ints, seconds] per kind of table and whether it is a build
+    tables = {(kind, build): [0, 0, 0.0] for kind in ("power", "zeta/psi")
+              for build in (True, False)}
+    block = [0, 0.0]
+
+    def timed(name, record):
+        real = getattr(reduction, name, None)
+        if real is None:
+            return False
+
+        def wrapper(*a, **kw):
+            t0 = time.perf_counter()
+            out = real(*a, **kw)
+            record(a, out, time.perf_counter() - t0)
+            return out
+
+        setattr(reduction, name, wrapper)
+        return True
+
+    def power_table(a, out, dt):
+        # _power_table(tab, ...): tab None for a build
+        entry = tables["power", a[0] is None]
+        entry[0] += 1
+        entry[1] += len(out.vals) - (0 if a[0] is None else len(a[0].vals))
+        entry[2] += dt
+
+    def trans_table(a, out, dt):
+        # _trans_table(trans, Phi, lo, hi, top, err, P): a build runs down
+        # from a table's top, whose own error is err = 0
+        entry = tables["zeta/psi", a[5] == 0]
+        entry[0] += 1
+        entry[1] += len(out[0])
+        entry[2] += dt
+
+    def trans_top(a, out, dt):
+        tables["zeta/psi", True][2] += dt
+
+    def direct_block(a, out, dt):
+        block[0] += 1
+        block[1] += dt
+
+    lattice = all([timed("_power_table", power_table), timed("_trans_table", trans_table),
+                   timed("_trans_top", trans_top)])
+    timed("_direct_block", direct_block)
     t0 = time.perf_counter()
     failed = 0
     for op in wl.ops:
@@ -109,6 +164,10 @@ def main(argv=None) -> int:
           f"{rows['tail'][1] + rows['other'][1]:.3f} s")
     print(f"  base_sums: {bases['calls']} calls, {bases['distinct']} with new arguments, "
           f"{bases['seconds']:.3f} s outside row builds")
+    for (kind, build), (n, ints, s) in tables.items():
+        what = f"{kind} table {'builds' if build else 'extensions'}"
+        print(f"  {what:27s}: " + (f"{n:4d} in {s:.3f} s, {ints} ints" if lattice else "-"))
+    print(f"  _direct_block: {block[0]} calls in {block[1]:.3f} s")
     return 0
 
 
