@@ -36,7 +36,7 @@ from mpmath import mpc, mpf
 
 from .specfun import DomainError, EvalResult, PrecisionContext, geometric_length
 from .termlang import DoubleSumTerm, SingleSumTerm
-from .reduction import ClassPlan, EvalCache, XSpec, _eval_x_zero, _exp_value
+from .reduction import ClassPlan, XSpec, _eval_x_zero, _exp_value
 
 _TCUT = 600
 _BOUND_FLOOR = 1e-10
@@ -218,7 +218,7 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
         plan = ClassPlan(term, params)
     x = plan.x
     if x.kind == "zero":
-        return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
+        return _eval_x_zero(term, plan, params, ctx)
     xc = _x_complex(x)
     bf = float(plan.b) if plan.b is not None else 0.0
     lam_m, lam_n = plan.grid()
@@ -314,7 +314,7 @@ def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
         plan = ClassPlan(term, params)
     x = plan.x
     if x.kind == "zero":
-        return _eval_x_zero(term, plan, params, ctx, EvalCache(ctx))
+        return _eval_x_zero(term, plan, params, ctx)
     xc = _x_complex(x)
     bf = float(plan.b) if plan.b is not None else 0.0
     e = float(_exp_value(term.factor))

@@ -4,7 +4,7 @@ Weights specialize at the bound parameters (sin/cos of pi*b are exact at the
 half-integers, so b=1 and b=1/2 kill their groups outright); group values
 accumulate error bounds term by term, and the verdict is recomputed from the
 stored fields on every access. A group's expanded term families are made
-once per (group, env) for the process (reduction.PLANS), as are the b-free
+once per (group, env) for the process (reduction.STORE), as are the b-free
 plans of its terms, so a side evaluated at a new b pays only for what
 depends on b.
 """
@@ -35,8 +35,8 @@ from .termlang import (
     expand_group,
     expr_eval,
 )
-from .reduction import EvalCache, ShapeError, XSpec, _frac_to_mp, _mp_b, \
-    eval_double_reduction, eval_single_reduction, planned
+from .reduction import ShapeError, XSpec, _frac_to_mp, _mp_b, eval_double_reduction, \
+    eval_single_reduction, stored
 
 STRATEGIES = ("auto", "reduction", "direct")
 
@@ -177,26 +177,28 @@ class IdentityParams:
 # Strategy dispatch
 # ---------------------------------------------------------------------------
 
+def _eval_term(reduce, term, params, ctx, strategy) -> EvalResult:
+    """term by reduce under strategy "reduction", by the float64 oracle
+    (direct.eval_term_direct) under "direct", and under "auto" by reduce,
+    falling back to the oracle on a ShapeError."""
+    if strategy != "direct":
+        try:
+            return reduce(term, params, ctx)
+        except ShapeError:
+            if strategy == "reduction":
+                raise
+    from .direct import eval_term_direct
+    return eval_term_direct(term, params, ctx)
+
+
 def eval_double(term: DoubleSumTerm, params: dict, ctx: PrecisionContext,
-                strategy: str = "auto", cache: EvalCache | None = None) -> EvalResult:
-    if strategy == "reduction":
-        return eval_double_reduction(term, params, ctx, cache)
-    if strategy == "direct":
-        from .direct import eval_term_direct
-        return eval_term_direct(term, params, ctx)
-    try:
-        return eval_double_reduction(term, params, ctx, cache)
-    except ShapeError:
-        from .direct import eval_term_direct
-        return eval_term_direct(term, params, ctx)
+                strategy: str = "auto") -> EvalResult:
+    return _eval_term(eval_double_reduction, term, params, ctx, strategy)
 
 
 def eval_single(term: SingleSumTerm, params: dict, ctx: PrecisionContext,
-                strategy: str = "auto", cache: EvalCache | None = None) -> EvalResult:
-    if strategy == "direct":
-        from .direct import eval_term_direct
-        return eval_term_direct(term, params, ctx)
-    return eval_single_reduction(term, params, ctx, cache)
+                strategy: str = "auto") -> EvalResult:
+    return _eval_term(eval_single_reduction, term, params, ctx, strategy)
 
 
 def weight_value(weight: Weight, env, numeric, ctx):
@@ -215,10 +217,9 @@ def weight_value(weight: Weight, env, numeric, ctx):
 
 
 def eval_side(spec: IdentitySpec, side: str, p: IdentityParams, ctx: PrecisionContext,
-              strategy: str = "auto", cache: EvalCache | None = None) -> EvalResult:
+              strategy: str = "auto") -> EvalResult:
     """Evaluate one side: weighted groups of expanded term families."""
     groups = spec.lhs if side == "lhs" else spec.rhs
-    cache = cache or EvalCache(ctx)
     with ctx.workdps():
         total = EvalResult(mpf(0), mpf(0), "reduction")
         for group in groups:
@@ -227,14 +228,14 @@ def eval_side(spec: IdentitySpec, side: str, p: IdentityParams, ctx: PrecisionCo
                 continue
             # keyed by the group's id: the entry holds the group, so no other
             # object takes that id while it is kept
-            _, terms = planned(("terms", id(group), tuple(sorted(p.env.items()))),
-                               lambda: (group, expand_group(group, p.env)))
+            _, terms = stored(("terms", id(group), tuple(sorted(p.env.items()))),
+                              lambda: (group, expand_group(group, p.env)))
             parts = []
             for term in terms:
                 if isinstance(term, DoubleSumTerm):
-                    parts.append(eval_double(term, p.numeric, ctx, strategy, cache))
+                    parts.append(eval_double(term, p.numeric, ctx, strategy))
                 else:
-                    parts.append(eval_single(term, p.numeric, ctx, strategy, cache))
+                    parts.append(eval_single(term, p.numeric, ctx, strategy))
             if parts:
                 total = total + result_sum(parts).scale(w)
         return total
@@ -294,9 +295,8 @@ def eval_identity(spec_or_entry, assignments: dict, ctx: PrecisionContext,
     with ctx.workdps():  # x literals such as 1/10 must round at working precision
         p = IdentityParams.bind(spec, assignments)
     start = time.perf_counter()
-    cache = EvalCache(ctx)
-    lhs = eval_side(spec, "lhs", p, ctx, strategy, cache)
-    rhs = eval_side(spec, "rhs", p, ctx, strategy, cache)
+    lhs = eval_side(spec, "lhs", p, ctx, strategy)
+    rhs = eval_side(spec, "rhs", p, ctx, strategy)
     elapsed = (time.perf_counter() - start) * 1000.0
     return IdentityReport(spec.id, dict(p.display), ctx.working_digits, strategy,
                           lhs, rhs, tolerance, elapsed)
@@ -400,34 +400,27 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     Sides containing m>b ranges live on b in (0,1); single-sum-only sides are
     analytic across b=1 and may be probed on a two-sided stencil there.
 
-    The parameters are bound once, and the function holds one EvalCache
-    that every point of the stencil evaluates with. Rows and shape sums
-    live per process, in reduction.STORE (bounded; the entries that depend
-    on b are never read again, so they are the first to go), so the rows
-    that do not depend on b (a = 1, an integer tail row) are made once per
-    process at ctx. Its base sums and expansions live per stencil, as long
-    as the function: the six points share those that do not depend on b.
-    The lattice tables of the direct blocks live per process, in
-    reduction.TABLES: each point has its own fractional shift, so a point
-    at a new b makes the tables at its shift, and reads the b-free ones.
-    The expanded families and the term plans (their classes, weights and
-    constants, and the b-free atoms of the inner closed forms) live per
-    process, in reduction.PLANS, so each point computes only its shifts,
-    what b's value decides, its inner zeta/psi values and the shapes new
-    at its b.
+    The parameters are bound once. Everything the points make that
+    outlives a call lives per process, in reduction.STORE (bounded; the
+    entries that depend on b are never read again, so they are the first
+    to go): the rows, expansions, base sums and lattice tables that do not
+    depend on b (a = 1, an integer tail row) are made once per process at
+    ctx, and so are the expanded families and the term plans, so each point
+    computes only its shifts, what b's value decides, its inner zeta/psi
+    values, the tables at its own fractional shift and the shapes new at
+    its b.
     """
     groups = spec.lhs if side == "lhs" else spec.rhs
     singles_only = all(isinstance(f.body, SingleSumTerm)
                        for g in groups for f in g.families)
     with ctx.workdps():
         p = IdentityParams.bind(spec, assignments)
-    cache = EvalCache(ctx)
 
     def func(bval):
         if not singles_only and not (0 < bval < 1):
             raise DomainError("stencil leaves (0,1) on a side with m>b ranges")
         at_b = IdentityParams(p.env, {**p.numeric, "b": bval}, p.display)
-        return eval_side(spec, side, at_b, ctx, strategy, cache)
+        return eval_side(spec, side, at_b, ctx, strategy)
 
     return func
 

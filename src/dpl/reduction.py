@@ -15,32 +15,38 @@ the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row). The
 whole outer sum is fixed point: Python ints in units of 2^-P, one P per
 shape, with every cut counted into the bound.
 
-What no argument changes is made once and kept for the process: the
-Bernoulli coefficients of the zeta/psi tail expansions and the tail starts
-they need (per kind, exponent, order and unit), as the row kernel keeps its
-c_k mantissas. What depends on a, b, x, v0 or a shift is reached through an
-EvalCache, where each row is built once, at its final length, each set of
-tail base sums once, and the outer sum of each atom shape (an atom without
-its coefficient) once, scaled by the coefficient of every atom that has
-that shape. Rows and shape sums live per process, in STORE, keyed by (ctx,
-mp.prec) and bounded at its 4096 least recently used entries, so that the
-points of a battery share them; base sums and expansions live per
-evaluation, or per derivative stencil (evaluator.side_evaluator). The
-direct blocks of the outer sums read the lattice tables of their factors,
-each power (N + phi)^-p and each zeta/psi value Z(N + phi) on the whole N,
-made once per (kind, exponent, phi, precision) and read at stride lam by
-every class, shape and point; they live per process in TABLES, bounded by
-their entries apart from STORE and PLANS.
-
-What depends on a term and x but not on b is planned once per process, in
-PLANS, apart from STORE and bounded the same way: the term's ClassPlan
-(ClassPlan.of, keyed by the term, mp.prec and the parameters but b) with
-its classes, their weights and constants, and the b-free atoms of the inner
-closed forms (_inner_form). A point at a new b evaluates the shifts,
-resolves what b's value decides (the start of an m>b range, shifts that
-merge, the diagonals' start, every DomainError check), reads its inner
-zeta/psi values, looks up or sums each atom's shape and adds every atom's
-value and bound into one pair per term.
+What no argument changes is made once and kept for the process, in
+functools.lru_caches: the Bernoulli coefficients of the zeta/psi tail
+expansions and the tail starts they need (per kind, exponent, order and
+unit), and the b-free atoms of the inner closed forms (_inner_form), as the
+row kernel keeps its c_k mantissas. Everything else that outlives a call
+lives per process in one store, STORE, under one budget of estimated bytes
+(STORE_BYTES), the entries read or made least recently going first. A key
+starts with its entry's kind and holds the exact arguments the entry was
+made from, with the ctx and the mp.prec where they act, so an entry's
+content depends on its key alone and every number is the same in any order
+of evaluation and under any eviction. The kinds:
+- row: one row of the Euler-Maclaurin kernel per (a, phi), built once at
+  its final length, that every Hurwitz zeta and digamma value inside reads
+  (row, zeta, psi);
+- series, bases: the fixed-point expansions of the tail factors and each
+  set of tail base sums (series, base_sums);
+- shape: the outer sum of each atom shape (an atom without its
+  coefficient), scaled by the coefficient of every atom that has that shape
+  (_sum_atom);
+- table: the lattice tables that the direct blocks of the outer sums read,
+  each power (N + phi)^-p and each zeta/psi value Z(N + phi) on the whole
+  N, made once per (kind, exponent, phi, precision) and read at stride lam
+  by every class, shape and point (_power_slice, _trans_slice);
+- plan, terms: what depends on a term and x but not on b, the term's
+  ClassPlan (ClassPlan.of, keyed by the term, mp.prec and the parameters
+  but b) with its classes, their weights and constants, and each group's
+  expanded families (evaluator.eval_side). Every point reads them, so the
+  entries that depend on b age out first.
+A point at a new b evaluates the shifts, resolves what b's value decides
+(the start of an m>b range, shifts that merge, the diagonals' start, every
+DomainError check), reads its inner zeta/psi values, looks up or sums each
+atom's shape and adds every atom's value and bound into one pair per term.
 
 Residue-class splitting turns root-of-unity powers, character twists,
 congruence constraints and 1/sin weights into finitely many constant-phase
@@ -188,18 +194,18 @@ def shift_value(shift, bval):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation cache: kernel rows per (a, phi), outer sums per atom shape
+# The process store: every entry that depends on an argument
 # ---------------------------------------------------------------------------
 
 class Store(collections.OrderedDict):
-    """Entries by key, at most limit of them, or of their total weight when
-    weigh (value -> int) is given; past the limit the entries read or made
-    least recently go first."""
+    """Entries by key, of at most limit bytes in all as _weigh estimates
+    them; past the limit the entries read or made least recently go first.
+    An entry heavier than the limit is returned but not kept, and evicts
+    nothing."""
 
-    def __init__(self, limit, weigh=None):
+    def __init__(self, limit):
         super().__init__()
         self.limit = limit
-        self.weigh = weigh or (lambda value: 1)
         self.weight = 0
         self.lock = threading.Lock()
 
@@ -211,164 +217,155 @@ class Store(collections.OrderedDict):
             return value
 
     def put(self, key, value):
+        weight = _weigh(key, value)
         with self.lock:
+            if weight > self.limit:
+                return value
             if key in self:
-                self.weight -= self.weigh(self[key])
+                self.weight -= _weigh(key, self[key])
             self[key] = value
             self.move_to_end(key)
-            self.weight += self.weigh(value)
+            self.weight += weight
             while self.weight > self.limit:
-                self.weight -= self.weigh(self.popitem(last=False)[1])
+                self.weight -= _weigh(*self.popitem(last=False))
             return value
 
 
-# The rows (about 2 KB each) and shape sums (about 0.3 KB) that evaluations
-# share, for the process; a whole 50-digit registry battery makes about
-# 2 400 of them (82 rows), some 2 MB.
-STORE = Store(limit=4096)
-# The b-free plans of terms (ClassPlan.of) and expanded term families, for
-# the process, apart from STORE so that they never evict its entries.
-PLANS = Store(limit=4096)
-# The lattice tables of the outer direct blocks (_power_slice, _trans_slice),
-# for the process, apart from both and bounded by their entries in all: a
-# table holds about 300 of them at 50 digits (some 20-30 KB), a new point
-# of a battery makes 2 000-7 000, and a table too long for the bound is
-# used by its request and dropped.
-TABLES = Store(limit=1 << 15, weigh=lambda tab: len(tab.vals))
+def _weigh(key, value) -> int:
+    """An estimate of the bytes of STORE's entry at key, key included, from
+    what it holds, by its kind key[0]: per table entry, per int of a row,
+    per coefficient of a series and per order of a base-sum set, else per
+    entry, as tracemalloc measured them after a 50-digit registry battery
+    (a table entry or an int of a row takes 15-25% more at 100 digits)."""
+    kind = key[0]
+    if kind == "table":
+        return 72 * len(value.vals)
+    if kind == "row":
+        return 80 * len(value.zeta) * sum(
+            c is not None for c in (value.zeta, value.zeta_err, value.zeta_im,
+                                    value.logs, value.log_err))
+    if kind == "series":
+        return 36 * (len(value.a) + len(value.b or ()))
+    if kind == "bases":
+        return 280 * len(value[0])
+    return {"shape": 700, "plan": 2400, "terms": 1800}[kind]
 
 
-def planned(key, make):
-    """PLANS' entry at key, made by make() when missing."""
-    plan = PLANS.get(key)
-    return plan if plan is not None else PLANS.put(key, make())
+# The one budget of STORE, in estimated bytes: a whole 50-digit registry
+# battery makes some 10 MB of entries, of which the last 8 MB used stay, and
+# a long b sweep holds flat memory at it, since the entries that depend on b
+# are never read again.
+STORE_BYTES = 8 << 20
+STORE = Store(STORE_BYTES)
 
 
-class EvalCache:
-    """Rows of special values, tail expansions, tail base sums and outer
-    sums of atom shapes.
+def _key(kind, ctx, *parts):
+    """A key of STORE: the kind, the ctx and the mp.prec in force, then parts."""
+    return (kind, ctx, mp.prec) + parts
 
-    Every Hurwitz zeta, digamma and log-weighted zeta value is a column of a
-    row of specfun.euler_maclaurin_row. The cache keeps one row r = 1..r_max
-    per (a, phi), phi the fractional part of the exponent, and builds it once
-    at its final length: a tail row at the length every tail of the
-    precision asks for (_tail_order), with the log-weighted sums; any other
-    row SPARE_COLUMNS past the first column asked for, without them, since the
-    sums that ask for single columns at one a ask for nearby exponents. A row
-    too short for a request is rebuilt at least twice as long.
 
-    It also keeps the fixed-point expansions of the tail factors (series),
-    the tail base sums (base_sums), and, in sums, the coefficient-free outer
-    sum of every atom shape (slope, rpows, trans, u0, phase) that _sum_atom
-    has summed: the terms of one side, the two sides of an identity and the
-    points of a battery share many shapes with different coefficients.
-    Every entry is keyed by the exact arguments it was made from, with the
-    cache's ctx and the mp.prec in force, so an entry read again is the
-    entry a fresh cache in an empty STORE would make. Expansions and base
-    sums live as long as the cache: one evaluation, or the stencil of
-    evaluator.side_evaluator. Rows and shape sums, small and read again
-    across evaluations, live per process in STORE, shared by every cache,
-    whose least recently used entry goes past 4096 entries. The direct
-    blocks need no cache: their lattice tables live per process, in TABLES
-    (_power_slice, _trans_slice).
-    """
+def stored(key, make):
+    """STORE's entry at key, made by make() when missing."""
+    value = STORE.get(key)
+    return value if value is not None else STORE.put(key, make())
 
-    SPARE_COLUMNS = 3
 
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.expansions = {}
-        self.bases = {}
+SPARE_COLUMNS = 3
 
-    def key(self, *parts):
-        """parts as a key of STORE: with the ctx and the mp.prec in force."""
-        return (self.ctx, mp.prec) + parts
 
-    def row(self, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
-        """The row at (a, phi) with at least the columns 1..r_hi; a new row
-        gets spare columns more."""
-        logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
-        key = self.key(a, phi)
-        row = STORE.get(key)
-        if row is None or row.r_hi < r_hi or (logs and row.logs is None):
-            r_hi += spare
-            if row is not None:
-                r_hi = max(r_hi, 2 * row.r_hi)
-                logs = logs or row.logs is not None
-            row = STORE.put(key, euler_maclaurin_row(a, phi, 1, r_hi, self.ctx, logs=logs))
-        return row
+def row(ctx, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
+    """The row of specfun.euler_maclaurin_row at (a, phi), phi the fractional
+    part of the exponent, with at least the columns 1..r_hi; a new row gets
+    spare columns more. One row per (a, phi) is kept, and built once at its
+    final length: a tail row at the length every tail of the precision asks
+    for (_tail_order), with the log-weighted sums; any other row
+    SPARE_COLUMNS past the first column asked for, without them, since the
+    sums that ask for single columns at one a ask for nearby exponents. A
+    row too short for a request is rebuilt at least twice as long."""
+    logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
+    key = _key("row", ctx, a, phi)
+    kept = STORE.get(key)
+    if kept is None or kept.r_hi < r_hi or (logs and kept.logs is None):
+        r_hi += spare
+        if kept is not None:
+            r_hi = max(r_hi, 2 * kept.r_hi)
+            logs = logs or kept.logs is not None
+        kept = STORE.put(key, euler_maclaurin_row(a, phi, 1, r_hi, ctx, logs=logs))
+    return kept
 
-    def zeta(self, s, a) -> EvalResult:
-        r, phi = split_exponent(s)
-        return self.row(a, phi, r, spare=self.SPARE_COLUMNS).zeta_at(r)
 
-    def psi(self, a) -> EvalResult:
-        return self.row(a, 0, 1, spare=self.SPARE_COLUMNS).psi()
+def zeta(ctx, s, a) -> EvalResult:
+    """zeta(s, a), a column of its row."""
+    r, phi = split_exponent(s)
+    return row(ctx, a, phi, r, spare=SPARE_COLUMNS).zeta_at(r)
 
-    def series(self, factor, R, v0, P):
-        """The fixed-point expansion of one tail factor about v0: ('pow', p,
-        delta), ('zeta', j) or ('psi',)."""
-        key = (factor, R, v0, P)
-        s = self.expansions.get(key)
-        if s is None:
-            if factor[0] == "pow":
-                s = _power_series(R, factor[1], factor[2], v0, P)
-            elif factor[0] == "zeta":
-                s = _zeta_series(R, factor[1], v0, P)
-            else:
-                s = _psi_series(R, v0, P)
-            self.expansions[key] = s
-        return s
 
-    def base_sums(self, abase, v0, phi, lam, R, P):
-        """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
-        series are, from the row at abase = U0 + gamma*/lam: for r = 1..R+1,
-        lam^-phi abase^r zeta(r + phi, abase) and lam^-phi abase^r (log lam
-        zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi) log(k + abase)),
-        each an (int, error) pair in units of 2^-P. The row holds abase^s
-        times each sum as ints, so a pair is the row's int moved to units
-        2^-P, times log lam and (lam abase)^-phi when they are not 1, each a
-        cut int; the error holds the row's own, one unit per cut, and the
-        rounding of abase against v0/lam (shapes at one shift share the
-        row); (0, 0) where r + phi <= 1. Kept per (abase, v0, phi, lam, R,
-        P)."""
-        key = (abase, v0, phi, lam, R, P)
-        if key in self.bases:
-            return self.bases[key]
-        row = self.row(abase, phi, R + 1, logs=True)
-        sh = row.P - P
-        with mp.workprec(P + 20):
-            f = _fix((lam * abase) ** -phi, P) if phi else None
-            ll = _fix(mp.log(lam), P)
-            # moving the argument and the scale by rel moves each sum by at
-            # most (2r + 3) rel (|it| + |its zeta part|)
-            rel = _fix(abs(abase * lam - v0) / v0, P) + 1 if abase * lam != v0 else 0
-        B, L = [(0, 0)], [(0, 0)]
-        for r in range(1, R + 2):
-            if r + phi <= 1:
-                B.append((0, 0))
-                L.append((0, 0))
-                continue
-            i = r - row.r_lo
-            z, ez = row.zeta[i], row.zeta_err[i]
-            lz, el = row.logs[i], row.log_err[i]
-            if sh >= 0:
-                z, ez = z >> sh, _ceil_shift(ez, sh) + 1
-                lz, el = lz >> sh, _ceil_shift(el, sh) + 1
-            else:
-                z, ez, lz, el = z << -sh, ez << -sh, lz << -sh, el << -sh
-            if ll:      # log lam, off by less than 2 units
-                lz, el = lz + ((ll * z) >> P), el + ((abs(ll) * ez + 2 * (abs(z) + ez)) >> P) + 2
-            if f is not None:   # (lam abase)^-phi, off by less than 2 units
-                z, ez = (f * z) >> P, ((abs(f) * ez + 2 * (abs(z) + ez)) >> P) + 2
-                lz, el = (f * lz) >> P, ((abs(f) * el + 2 * (abs(lz) + el)) >> P) + 2
-            if rel:
-                mz = abs(z) + ez
-                ez += (((2 * r + 3) * rel * 2 * mz) >> P) + 1
-                el += (((2 * r + 3) * rel * (abs(lz) + el + mz)) >> P) + 1
-            B.append((z, ez))
-            L.append((lz, el))
-        self.bases[key] = B, L
-        return B, L
+def psi(ctx, a) -> EvalResult:
+    """psi(a), the first column of its row."""
+    return row(ctx, a, 0, 1, spare=SPARE_COLUMNS).psi()
+
+
+def series(ctx, factor, R, v0, P):
+    """The fixed-point expansion of one tail factor about v0: ('pow', p,
+    delta), ('zeta', j) or ('psi',)."""
+    def make():
+        if factor[0] == "pow":
+            return _power_series(R, factor[1], factor[2], v0, P)
+        if factor[0] == "zeta":
+            return _zeta_series(R, factor[1], v0, P)
+        return _psi_series(R, v0, P)
+    return stored(_key("series", ctx, factor, R, v0, P), make)
+
+
+def base_sums(ctx, abase, v0, phi, lam, R, P):
+    """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
+    series are, from the row at abase = U0 + gamma*/lam: for r = 1..R+1,
+    lam^-phi abase^r zeta(r + phi, abase) and lam^-phi abase^r (log lam
+    zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi) log(k + abase)),
+    each an (int, error) pair in units of 2^-P. The row holds abase^s
+    times each sum as ints, so a pair is the row's int moved to units
+    2^-P, times log lam and (lam abase)^-phi when they are not 1, each a
+    cut int; the error holds the row's own, one unit per cut, and the
+    rounding of abase against v0/lam (shapes at one shift share the
+    row); (0, 0) where r + phi <= 1."""
+    key = _key("bases", ctx, abase, v0, phi, lam, R, P)
+    sums = STORE.get(key)
+    if sums is not None:
+        return sums
+    tail_row = row(ctx, abase, phi, R + 1, logs=True)
+    sh = tail_row.P - P
+    with mp.workprec(P + 20):
+        f = _fix((lam * abase) ** -phi, P) if phi else None
+        ll = _fix(mp.log(lam), P)
+        # moving the argument and the scale by rel moves each sum by at
+        # most (2r + 3) rel (|it| + |its zeta part|)
+        rel = _fix(abs(abase * lam - v0) / v0, P) + 1 if abase * lam != v0 else 0
+    B, L = [(0, 0)], [(0, 0)]
+    for r in range(1, R + 2):
+        if r + phi <= 1:
+            B.append((0, 0))
+            L.append((0, 0))
+            continue
+        i = r - tail_row.r_lo
+        z, ez = tail_row.zeta[i], tail_row.zeta_err[i]
+        lz, el = tail_row.logs[i], tail_row.log_err[i]
+        if sh >= 0:
+            z, ez = z >> sh, _ceil_shift(ez, sh) + 1
+            lz, el = lz >> sh, _ceil_shift(el, sh) + 1
+        else:
+            z, ez, lz, el = z << -sh, ez << -sh, lz << -sh, el << -sh
+        if ll:      # log lam, off by less than 2 units
+            lz, el = lz + ((ll * z) >> P), el + ((abs(ll) * ez + 2 * (abs(z) + ez)) >> P) + 2
+        if f is not None:   # (lam abase)^-phi, off by less than 2 units
+            z, ez = (f * z) >> P, ((abs(f) * ez + 2 * (abs(z) + ez)) >> P) + 2
+            lz, el = (f * lz) >> P, ((abs(f) * el + 2 * (abs(lz) + el)) >> P) + 2
+        if rel:
+            mz = abs(z) + ez
+            ez += (((2 * r + 3) * rel * 2 * mz) >> P) + 1
+            el += (((2 * r + 3) * rel * (abs(lz) + el + mz)) >> P) + 1
+        B.append((z, ez))
+        L.append((lz, el))
+    return STORE.put(key, (B, L))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +765,7 @@ def _standard_start(R: int, P: int) -> float:
 # multiple of _RUNG at or above lam*U0 + floor(g). A power table grows entry
 # by entry, a zeta/psi table only downwards, by its recurrence, so every
 # entry read is the same in any order of requests. The tables live per
-# process, in TABLES.
+# process, in STORE.
 
 _RUNG = 32
 
@@ -864,10 +861,10 @@ def _power_slice(g, p, lam, u0, n, P):
         raise ShapeError("outer factor vanishes in the direct block")
     if frac and start + (1 if Phi else 0) <= 0:
         raise ShapeError("fractional power of a nonpositive outer base")
-    key = ("pow", p, Phi, P)
-    tab = TABLES.get(key)
+    key = ("table", "pow", p, Phi, P)
+    tab = STORE.get(key)
     if tab is None or start < tab.lo or stop > tab.lo + len(tab.vals):
-        tab = TABLES.put(key, _power_table(tab, p, Phi, P, start, stop))
+        tab = STORE.put(key, _power_table(tab, p, Phi, P, start, stop))
     at = slice(start - tab.lo, stop - tab.lo, lam)
     return tab.vals[at], 1 if tab.errs is None else max(tab.errs[at])
 
@@ -937,8 +934,8 @@ def _trans_slice(trans, lam, u0, n, P):
     kind, gz = trans[0], trans[-1]
     N0, Phi = _lattice_point(gz, P)
     start, top = lam * u0 + N0, _rung(lam * (u0 + n) + N0)
-    key = (kind, trans[1] if kind == "zeta" else None, Phi, P, mp.prec, top)
-    tab = TABLES.get(key)
+    key = ("table", kind, trans[1] if kind == "zeta" else None, Phi, P, mp.prec, top)
+    tab = STORE.get(key)
     if tab is None or start < tab.lo:
         if tab is None:
             value, err = _trans_top(trans, Phi, P, top)
@@ -947,7 +944,7 @@ def _trans_slice(trans, lam, u0, n, P):
         vals, errs = _trans_table(trans, Phi, lo, tab.lo, tab.vals[0], tab.errs[0], P)
         # an int j or psi: top - N units at N, one per step, kept as a range
         errs = range(errs[0], -1, -1) if isinstance(errs, range) else errs + tab.errs
-        tab = TABLES.put(key, _Lattice(lo, vals + tab.vals, errs, tab.top_err))
+        tab = STORE.put(key, _Lattice(lo, vals + tab.vals, errs, tab.top_err))
     at = slice(start - tab.lo, start - tab.lo + lam * (n - 1) + 1, lam)
     return tab.vals[at], tab.errs[at], tab.top_err
 
@@ -956,7 +953,7 @@ def _trans_slice(trans, lam, u0, n, P):
 # Outer summation of one atom
 # ---------------------------------------------------------------------------
 
-def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> tuple:
+def _sum_atom(atom: Atom, u0: int, phase, ctx) -> tuple:
     """sum_{u>=u0} phase(u) * atom(u), as (value, bound).
 
     phase is None (constant 1) for the Euler-Maclaurin path, or a pair
@@ -966,17 +963,15 @@ def _sum_atom(atom: Atom, u0: int, phase, cache: EvalCache, ctx) -> tuple:
     of EvalResult.times; the product is one more rounding at working
     precision.
     """
-    key = cache.key(atom.slope, atom.rpows, atom.trans, u0, phase)
-    shape_sum = STORE.get(key)
-    if shape_sum is None:
-        shape_sum = STORE.put(key, _sum_shape(atom, u0, cache, ctx) if phase is None
-                              else _sum_atom_geometric(atom, u0, *phase, cache, ctx))
+    shape_sum = stored(_key("shape", ctx, atom.slope, atom.rpows, atom.trans, u0, phase),
+                       lambda: _sum_shape(atom, u0, ctx) if phase is None
+                       else _sum_atom_geometric(atom, u0, *phase, ctx))
     (cv, ce), sv, se = atom.coef, shape_sum.value, shape_sum.abs_error_bound
     value = cv * sv
     return value, abs(cv) * se + abs(sv) * ce + ce * se + abs(value) * mp.ldexp(1, 2 - mp.prec)
 
 
-def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalResult:
+def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
     """sum_{u>=u0} phase(u) * atom(u) / atom.coef: a direct block up to U0,
     then a tail, summed in ints in units of 2^-P.
 
@@ -1036,35 +1031,35 @@ def _sum_shape(atom: Atom, u0: int, cache: EvalCache, ctx, phase=None) -> EvalRe
         value = _unfix(total[0], 2 * P) if not total[1] else \
             mp.make_mpc((from_man_exp(total[0], -2 * P), from_man_exp(total[1], -2 * P)))
         return EvalResult(value, tail_bound + _unfix(err2 + 1, 2 * P), "direct_tail")
-    series = None
+    prod = None
     for (g, p) in atom.rpows:
-        piece = cache.series(("pow", p, mpf(g) - gamma_star), R, v0, P)
-        series = piece if series is None else series.mul(piece)
+        piece = series(ctx, ("pow", p, mpf(g) - gamma_star), R, v0, P)
+        prod = piece if prod is None else prod.mul(piece)
     if trans:
-        zs = cache.series(("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
-        series = zs if series is None else series.mul(zs)
-    if series is None or series.lo + phi <= 1:
+        zs = series(ctx, ("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
+        prod = zs if prod is None else prod.mul(zs)
+    if prod is None or prod.lo + phi <= 1:
         raise ShapeError("divergent outer tail")
-    B, L = cache.base_sums(U0 + gamma_star / lam, v0, phi, lam, R, P)
+    B, L = base_sums(ctx, U0 + gamma_star / lam, v0, phi, lam, R, P)
     tail, terr = 0, 0
-    e = series.err
-    for r in range(series.lo, R + 1):
-        (zr, ez), ar = B[r], series.a[r]
+    e = prod.err
+    for r in range(prod.lo, R + 1):
+        (zr, ez), ar = B[r], prod.a[r]
         tail += ar * zr
         terr += abs(ar) * ez + e * (abs(zr) + ez)
-        if series.b is not None:
-            (lr, el), br = L[r], series.b[r]
+        if prod.b is not None:
+            (lr, el), br = L[r], prod.b[r]
             tail += br * lr
             terr += abs(br) * el + e * (abs(lr) + el)
     (zr, ez), (lr, el) = B[R + 1], L[R + 1]
-    terr += series.rem * (abs(zr) + ez) + series.rem_log * (abs(lr) + el)
+    terr += prod.rem * (abs(zr) + ez) + prod.rem_log * (abs(lr) + el)
     return EvalResult(_unfix(total + tail, 2 * P), _unfix(err2 + terr + 1, 2 * P),
                       "euler_maclaurin")
 
 
-def _sum_atom_geometric(atom: Atom, u0: int, X, x0, cache: EvalCache, ctx) -> EvalResult:
+def _sum_atom_geometric(atom: Atom, u0: int, X, x0, ctx) -> EvalResult:
     """_sum_shape with the geometric phase x0 X^u, under the name perfbench traces."""
-    return _sum_shape(atom, u0, cache, ctx, phase=(X, x0))
+    return _sum_shape(atom, u0, ctx, phase=(X, x0))
 
 
 def _direct_block(atom, u0, U0, P, phase):
@@ -1224,13 +1219,13 @@ class ClassPlan:
 
     @staticmethod
     def of(term, params) -> "ClassPlan":
-        """ClassPlan(term, params), made once per process (PLANS) at the term,
+        """ClassPlan(term, params), made once per process (STORE) at the term,
         mp.prec and every parameter but b, and bound to this b. A ctx acts on
         a plan only through the mp.prec it sets. The key holds the term's id:
         the plan holds the term, so no other object takes that id while the
         plan is kept."""
-        key = (id(term), mp.prec) + tuple((k, v) for (k, v) in params.items() if k != "b")
-        plan = copy.copy(planned(key, lambda: ClassPlan(term, params)))
+        key = ("plan", id(term), mp.prec) + tuple((k, v) for (k, v) in params.items() if k != "b")
+        plan = copy.copy(stored(key, lambda: ClassPlan(term, params)))
         plan.bind(params.get("b"))
         return plan
 
@@ -1307,8 +1302,7 @@ class ClassPlan:
         return {"none": 0, "xn": n, "xm": m, "xmn": m + n}[xsel.kind] + xsel.d
 
 
-def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
-                          cache: EvalCache | None = None) -> EvalResult:
+def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext) -> EvalResult:
     """Closed-form reduction of a concrete double term; ShapeError on misses.
 
     x^(m+n) terms run along the diagonals (_eval_diagonal); any other term
@@ -1318,14 +1312,13 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
     and bound of every atom into one pair.
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
         xsel = term.xsel
         plan = ClassPlan.of(term, params)
         x = plan.x
         if x.kind == "zero":
-            return _eval_x_zero(term, plan, params, ctx, cache)
+            return _eval_x_zero(term, plan, params, ctx)
         if xsel.kind == "xmn":
-            return _eval_diagonal(term, plan, ctx, cache)
+            return _eval_diagonal(term, plan, ctx)
         b_mp = _mp_b(plan.b)
 
         inner = "n" if xsel.kind == "xm" else "m"
@@ -1362,8 +1355,8 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext,
             t0 = math.ceil((i0 - rI) / lam_i)
             u0 = math.ceil((o0 - rO) / lam_o)
             for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
-                                     lam_i, lam_o, t0, cache, const):
-                v, e = _sum_atom(atom, u0, phase, cache, ctx)
+                                     lam_i, lam_o, t0, ctx, const):
+                v, e = _sum_atom(atom, u0, phase, ctx)
                 value, bound = value + v, bound + e
         # the geometric phase's tail bound is empirical
         return EvalResult(value, bound, "direct_tail" if x.kind == "num" else "reduction")
@@ -1390,7 +1383,7 @@ def _inner_form(eI, q, pO, lam, prec):
                  + ((None, A1, e + q - 1, ("psi",)), (("psi",), -A1, e + q - 1, None)))
 
 
-def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, cache, const=1):
+def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, ctx, const=1):
     """Atoms of the inner closed form on one residue class, in the outer
     class index u, their coefficients times const.
 
@@ -1411,14 +1404,14 @@ def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, cache, const=1):
     for (inner, c, p, trans) in forms:
         cv, ce = one, mpf(0)
         if inner:
-            z = cache.psi(aI) if inner[0] == "psi" else cache.zeta(inner[1], aI)
+            z = psi(ctx, aI) if inner[0] == "psi" else zeta(ctx, inner[1], aI)
             cv, ce = one * z.value, abs(one) * z.abs_error_bound
         atoms.append(Atom((cv * c * const, ce * abs(c) * abs(const)), lam_o // lam,
                           ((og, pO), (wg, p)), trans and trans + (zg,)))
     return atoms
 
 
-def _atom_at(atom: Atom, cache: EvalCache) -> EvalResult:
+def _atom_at(atom: Atom, ctx) -> EvalResult:
     """The atom at u = 0: its coefficient times its powers and its zeta/psi value."""
     val = EvalResult(*atom.coef, "reduction")
     for (g, p) in atom.rpows:
@@ -1426,10 +1419,10 @@ def _atom_at(atom: Atom, cache: EvalCache) -> EvalResult:
     if atom.trans is None:
         return val
     gz = atom.trans[-1]
-    return val.times(cache.zeta(atom.trans[1], gz) if atom.trans[0] == "zeta" else cache.psi(gz))
+    return val.times(zeta(ctx, atom.trans[1], gz) if atom.trans[0] == "zeta" else psi(ctx, gz))
 
 
-def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
+def _eval_x_zero(term, plan, params, ctx) -> EvalResult:
     """x = 0: only the summands with a vanishing x exponent survive, each
     with its class weight."""
     with ctx.workdps():
@@ -1443,7 +1436,7 @@ def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
             # the inner m-sum at n = -d, split into classes by its weights
             if -d < plan.n0:
                 return zero
-            return eval_inner_closed(term, -d, params, ctx, cache=cache)
+            return eval_inner_closed(term, -d, params, ctx)
         else:
             factors = term.factors
             points = [(m, -d - m) for m in range(plan.m0, -d - plan.n0 + 1)]
@@ -1465,8 +1458,7 @@ def _eval_x_zero(term, plan, params, ctx, cache) -> EvalResult:
         return total
 
 
-def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext,
-                      cache: EvalCache | None = None) -> EvalResult:
+def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext) -> EvalResult:
     """Inner m-sum at fixed integer n as zetas, digammas, and rationals.
 
     Catalogued shapes: only a joint chain; or one pure-m factor of any
@@ -1477,7 +1469,6 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
     (rO = n, lam_i = lam_o = L), each taken at u = 0.
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
         plan = ClassPlan(term, params)
@@ -1503,12 +1494,12 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             t0 = math.ceil((m0 - rho) / L)
             if e and mp.re(t0 + (rho + gM) / L) <= 0:
                 raise DomainError("inner factor vanishes inside the range")
-            for atom in _class_atoms(e, q, gM, gJ, npow, rho, n, L, L, t0, cache):
-                total = total + _atom_at(atom, cache).scale(const * _mp_value(w[0]))
+            for atom in _class_atoms(e, q, gM, gJ, npow, rho, n, L, L, t0, ctx):
+                total = total + _atom_at(atom, ctx).scale(const * _mp_value(w[0]))
         return total
 
 
-def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
+def _eval_diagonal(term, plan, ctx) -> EvalResult:
     """x^(m+n+d) terms as outer sums over the diagonals N = m + n.
 
     With X = m + g_m, Y = n + g_n and W = X + Y = N + g_m + g_n, the (m+n)
@@ -1609,7 +1600,7 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
                 # psi(end) - psi(start) at i = 1, else zeta(i, start) - zeta(i, end)
                 add((k * sign, mpf(0)), rpows,
                     ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
-                sv, se = _start_value(i, start, cache)
+                sv, se = _start_value(i, start, ctx)
                 add((sv * k * -sign, abs(k) * se), rpows)
         if not pieces:
             # the class's points on the diagonal number slope u + c0 = V - v + c0
@@ -1628,7 +1619,7 @@ def _eval_diagonal(term, plan, ctx, cache) -> EvalResult:
         u0 = -((s - Nstart) // LN)
         for atom in atoms.values():
             if atom.coef[0] or atom.coef[1]:
-                v, e = _sum_atom(atom, u0, phase, cache, ctx)
+                v, e = _sum_atom(atom, u0, phase, ctx)
                 value, bound = value + v, bound + e
     return EvalResult(value, bound, "direct_tail" if x.kind == "num" else "reduction")
 
@@ -1662,15 +1653,15 @@ def _power(base, p):
     return base ** -_frac_to_mp(p)
 
 
-def _start_value(i, a, cache) -> tuple:
-    """zeta(i, a), or psi(a) at i = 1, from the cache, continued to Re a <= 0
+def _start_value(i, a, ctx) -> tuple:
+    """zeta(i, a), or psi(a) at i = 1, from its row, continued to Re a <= 0
     by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a; as
     (value, bound)."""
     head, size, k = mpf(0), mpf(0), 0
     while mp.re(a) <= 0:
         t = _power(a, i)
         head, size, k, a = head + t, size + abs(t), k + 1, a + 1
-    val = cache.psi(a) if i == 1 else cache.zeta(_num_exp(i), a)
+    val = psi(ctx, a) if i == 1 else zeta(ctx, _num_exp(i), a)
     return val.value + (-head if i == 1 else head), val.abs_error_bound + (k + 2) * size * mp.eps
 
 
@@ -1683,8 +1674,7 @@ def _num_exp(p: Fraction):
 # Single sums
 # ---------------------------------------------------------------------------
 
-def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
-                          cache: EvalCache | None = None) -> EvalResult:
+def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext) -> EvalResult:
     """Single sums over the residue classes n = rr + lam t, lam = plan.mod["n"].
 
     On the unit circle every class has a constant weight and x phase, so the
@@ -1693,11 +1683,10 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
     summed with the geometric phase x^(lam t).
     """
     with ctx.workdps():
-        cache = cache or EvalCache(ctx)
         plan = ClassPlan.of(term, params)
         x = plan.x
         if x.kind == "zero":
-            return _eval_x_zero(term, plan, params, ctx, cache)
+            return _eval_x_zero(term, plan, params, ctx)
         e = _num_exp(_exp_value(term.factor))
         gamma = shift_value(term.factor.shift, _mp_b(plan.b))
         lam = plan.mod["n"]
@@ -1724,11 +1713,12 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext,
                 raise DomainError("single sum needs Re(n + shift) > 0 over its range")
             if phase:
                 v, eb = _sum_atom(Atom((const, mpf(0)), lam, ((rr + gamma, e),)), t0, phase,
-                                  cache, ctx)
+                                  ctx)
                 value, bound = value + v, bound + eb
             else:
                 terms.append((scaled, a))
         if terms:
-            z = periodic_zeta_sum(terms, e, ctx, rows=cache)
+            z = periodic_zeta_sum(terms, e, ctx, functools.partial(zeta, ctx),
+                                  functools.partial(psi, ctx))
             value, bound = value + z.value, bound + z.abs_error_bound
         return EvalResult(value, bound, "direct_tail" if phase and consts else "reduction")

@@ -19,10 +19,9 @@ precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
 multiple of the first omitted correction) plus one unit per cut.
 hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
-to EvalResults on read; reduction.EvalCache keeps the whole rows one
-evaluation (or one derivative stencil) builds, and its tail base sums read
-their ints directly. The c_k mantissas of the corrections depend on no
-argument and are made once per process.
+to EvalResults on read; reduction keeps whole rows per process, in its
+STORE, and its tail base sums read their ints directly. The c_k mantissas
+of the corrections depend on no argument and are made once per process.
 
 A periodic sum sum_n w(n) (n+b)^-s on the unit circle, split into residue
 classes, is sum_r w_r zeta(s, a_r): periodic_zeta_sum holds it once, with its
@@ -716,20 +715,21 @@ def log_zeta_sum(r, a, ctx: PrecisionContext = DEFAULT_CTX) -> EvalResult:
         return euler_maclaurin_row(av, phi, r0, r0, ctx, logs=True).log_zeta_at(r0)
 
 
-def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, rows=None) -> EvalResult:
+def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, zeta=None,
+                      psi=None) -> EvalResult:
     """sum_r w_r zeta(s, a_r) over the pairs (w_r, a_r) of terms.
 
     A sum sum_n w(n) (n+b)^-s with a periodic weight, split into its residue
     classes, takes this form. At s = 1 each zeta(s, a_r) has the pole
     1/(s-1) - psi(a_r) + O(s-1), so the sum converges exactly when the
     weights cancel, and is then -sum_r w_r psi(a_r); otherwise DomainError.
-    rows, when given, supplies the values by its zeta(s, a) and psi(a) (as
-    reduction.EvalCache does, from rows shared with the rest of an
-    evaluation); else hurwitz_zeta and digamma do.
+    zeta(s, a) and psi(a), when given, supply the values (reduction passes
+    its lookups of the rows it keeps per process); else hurwitz_zeta and
+    digamma do.
     """
     with ctx.workdps():
-        zeta = rows.zeta if rows is not None else (lambda s_, a: hurwitz_zeta(s_, a, ctx))
-        psi = rows.psi if rows is not None else (lambda a: digamma(a, ctx))
+        zeta = zeta or (lambda s_, a: hurwitz_zeta(s_, a, ctx))
+        psi = psi or (lambda a: digamma(a, ctx))
         if _to_mp(s) == 1:
             if abs(sum(w for (w, _) in terms)) > ctx.eps * sum(abs(w) for (w, _) in terms):
                 raise DomainError("divergent sum at s = 1: the class weights do not cancel")

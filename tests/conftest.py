@@ -1,5 +1,5 @@
 """Shared test plumbing: the acceptance suite's per-criterion summary, and an
-empty store of rows, shape sums, term plans and lattice tables."""
+empty process store (reduction.STORE)."""
 
 import pytest
 
@@ -22,18 +22,14 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def empty_store(monkeypatch):
-    """Swaps an empty reduction.STORE, reduction.PLANS and reduction.TABLES
-    in for the test, and again at each call of the function it returns:
-    rows, shape sums, term plans and lattice tables live per process, so a
-    test that counts builds, or compares with a fresh cache, starts from an
-    empty store."""
+    """Swaps an empty reduction.STORE in for the test, and again at each call
+    of the function it returns: everything that outlives a call lives per
+    process in it, so a test that counts builds, or compares with fresh
+    entries, starts from an empty store."""
     from dpl import reduction
 
     def empty():
         monkeypatch.setattr(reduction, "STORE", reduction.Store(reduction.STORE.limit))
-        monkeypatch.setattr(reduction, "PLANS", reduction.Store(reduction.PLANS.limit))
-        monkeypatch.setattr(reduction, "TABLES",
-                            reduction.Store(reduction.TABLES.limit, reduction.TABLES.weigh))
 
     empty()
     return empty

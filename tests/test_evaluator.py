@@ -31,7 +31,6 @@ from dpl.evaluator import (
 from dpl.registry import registry_get
 from dpl.reduction import (
     ClassPlan,
-    EvalCache,
     XSpec,
     _fix,
     _trans_table,
@@ -364,10 +363,29 @@ def test_lattice_tables_give_the_same_ints_in_any_order(empty_store):
             for (lam, u0, n) in order:
                 out[lam, u0, n] = (_power_slice(g, 2, lam, u0, n, P),
                                    _trans_slice(("zeta", 2, g), lam, u0, n, P))
-            return out, len(reduction.TABLES)
+            return out, sum(key[0] == "table" for key in reduction.STORE)
 
         forward, backward = read(reads), read(reads[::-1])
     assert forward == backward
+
+
+def test_auto_falls_back_to_direct_on_a_single_sum_reduction_misses():
+    # a single sum of x^n n^(1/2) has a negative outer exponent, which
+    # reduction raises ShapeError on: auto gives direct's result, as it does
+    # for double sums, within its bound of polylog(-1/2, 1/2)
+    from dpl.reduction import ShapeError
+
+    ctx = PrecisionContext(working_digits=30, output_digits=20)
+    term = bind_term(parse_term("single(n>=1) x^n / (n^(-1/2))"), {})
+    with ctx.workdps():
+        params = {"x": parse_x("1/2")}
+    with pytest.raises(ShapeError):
+        eval_single(term, params, ctx, "reduction")
+    auto, direct = eval_single(term, params, ctx, "auto"), eval_single(term, params, ctx, "direct")
+    assert (auto.value, auto.abs_error_bound, auto.method) == \
+        (direct.value, direct.abs_error_bound, direct.method)
+    with mp.workdps(40):
+        assert abs(auto.value - mpmath.polylog(-mpf(1) / 2, mpf(1) / 2)) <= auto.abs_error_bound
 
 
 def test_lattice_reads_that_cover_a_pole_raise(empty_store):
@@ -522,12 +540,12 @@ def test_derivative_consistency_both_sides_interior():
 
 
 def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
-    # the thm-1.1 lhs stencil through side_evaluator, whose points share one
-    # EvalCache, against one whose every point builds a fresh cache: the
-    # same derivative and bound, and the rows that do not depend on b (a = 1
-    # and the integer tail row) built once per stencil in place of six times.
-    # The stencil, and each fresh point, starts from an empty store: its
-    # rows, made by earlier evaluations, would otherwise stand in for their own
+    # the thm-1.1 lhs stencil through side_evaluator, whose points share the
+    # process store, against one whose every point starts from an empty
+    # store: the same derivative and bound, and the rows that do not depend
+    # on b (a = 1 and the integer tail row) built once per stencil in place
+    # of six times. The stencil starts from an empty store too: its rows,
+    # made by earlier evaluations, would otherwise stand in for their own
     from collections import Counter
 
     from dpl import reduction
@@ -550,7 +568,7 @@ def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     def fresh_point(b):
         at_b = IdentityParams(p.env, {**p.numeric, "b": b}, p.display)
         empty_store()
-        return eval_side(spec, "lhs", at_b, ctx, "auto", EvalCache(ctx))
+        return eval_side(spec, "lhs", at_b, ctx, "auto")
 
     fresh = numeric_derivative_b(fresh_point, 1, Fraction(1, 2), ctx)
     fresh_builds = Counter(built)
@@ -1204,7 +1222,7 @@ MEMO_SIDES = [
 @pytest.mark.parametrize("ident,assignments", MEMO_SIDES,
                          ids=["thm-1.1-x1", "thm-1.1-x-1", "thm-1.1-xi", "cor-1.3", "gkz-even"])
 def test_shape_sums_change_no_number(ident, assignments, monkeypatch, empty_store):
-    # each term alone, on a fresh cache in an empty store, against the same
+    # each term alone, in an empty store, against the same
     # term inside a whole-side evaluation, whose store holds the earlier
     # terms' shape sums
     import dpl.evaluator
@@ -1230,13 +1248,13 @@ def test_shape_sums_change_no_number(ident, assignments, monkeypatch, empty_stor
         for t in terms:
             empty_store()
             fresh.append((eval_double if isinstance(t, DoubleSumTerm) else eval_single)(
-                t, p.numeric, CTX, entry.strategy, EvalCache(CTX)))
+                t, p.numeric, CTX, entry.strategy))
         empty_store()
         seen.clear()
         with monkeypatch.context() as mpatch:
             mpatch.setattr(dpl.evaluator, "eval_double", record(dpl.evaluator.eval_double))
             mpatch.setattr(dpl.evaluator, "eval_single", record(dpl.evaluator.eval_single))
-            eval_side(entry.spec, side, p, CTX, entry.strategy, EvalCache(CTX))
+            eval_side(entry.spec, side, p, CTX, entry.strategy)
         assert len(seen) == len(fresh)
         for a, b in zip(fresh, seen):
             assert (a.value, a.abs_error_bound, a.method) == (b.value, b.abs_error_bound, b.method)
@@ -1252,10 +1270,9 @@ def test_shape_sums_are_kept_apart_by_start_and_phase(empty_store):
     fresh = []
     for t, p in cases:
         empty_store()
-        fresh.append(eval_double(parse_term(t), p, CTX, "reduction", EvalCache(CTX)))
+        fresh.append(eval_double(parse_term(t), p, CTX, "reduction"))
     empty_store()
-    cache = EvalCache(CTX)
-    shared = [eval_double(parse_term(t), p, CTX, "reduction", cache) for t, p in cases]
+    shared = [eval_double(parse_term(t), p, CTX, "reduction") for t, p in cases]
     for a, b in zip(fresh, shared):
         assert (a.value, a.abs_error_bound) == (b.value, b.abs_error_bound)
 
@@ -1269,11 +1286,10 @@ def test_second_evaluation_of_a_term_sums_no_shape_again(monkeypatch, empty_stor
     monkeypatch.setattr(_Series, "mul", lambda self, *a: calls.append(1) or mul(self, *a))
     t = parse_term("sum(m>b,n>=0) x^n / ((m-b)^2*(n+b)*(m+n)^2)")
     params = {"b": Fraction(1, 3), "x": parse_x("-1")}
-    cache = EvalCache(CTX)
-    first = eval_double(t, params, CTX, "reduction", cache)
+    first = eval_double(t, params, CTX, "reduction")
     assert calls and reduction.STORE
     calls.clear()
-    again = eval_double(t, params, CTX, "reduction", cache)
+    again = eval_double(t, params, CTX, "reduction")
     assert not calls
     assert (first.value, first.abs_error_bound) == (again.value, again.abs_error_bound)
 
@@ -1430,9 +1446,8 @@ def test_kept_expansion_coefficients_make_the_fresh_series(j, digits):
 @pytest.mark.parametrize("x", ["1", "1/2"])
 def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
     # the two zeta(2) shapes share a lattice table, and all three shapes (at
-    # one shift) the tail base sums of their cache; each summed in its own
-    # fresh cache, in an empty store, gives the same sum and bound, with the
-    # geometric phase too
+    # one shift) one set of tail base sums; each summed alone, in an empty
+    # store, gives the same sum and bound, with the geometric phase too
     from dpl import reduction
     from dpl.reduction import Atom, _sum_atom
 
@@ -1442,15 +1457,15 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
                  Atom(one, 1, ((mpf(0), 3),), ("zeta", 2, mpf(1))),
                  Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))]
         phase = None if x == "1" else (mpf(1) / 2, mpf(1))
-        cache = EvalCache(CTX)
-        shared = [_sum_atom(a, 1, phase, cache, CTX) for a in atoms]
-        assert sum(key[0] in ("zeta", "psi") for key in reduction.TABLES) == 2
+        shared = [_sum_atom(a, 1, phase, CTX) for a in atoms]
+        kinds = [key[:2] for key in reduction.STORE]
+        assert kinds.count(("table", "zeta")) + kinds.count(("table", "psi")) == 2
+        if phase is None:
+            assert [key[0] for key in reduction.STORE].count("bases") == 1
         fresh = []
         for a in atoms:
             empty_store()
-            fresh.append(_sum_atom(a, 1, phase, EvalCache(CTX), CTX))
-        if phase is None:
-            assert len(cache.bases) == 1
+            fresh.append(_sum_atom(a, 1, phase, CTX))
     for s, f in zip(shared, fresh):
         assert s == f
 
@@ -1478,8 +1493,8 @@ def test_shape_sum_splits_at_any_start(rpows, trans, summand):
 
     atom = Atom((mpf(1), mpf(0)), 1, rpows, trans)
     with CTX.workdps():
-        whole = _sum_shape(atom, 1, EvalCache(CTX), CTX)
-        rest = _sum_shape(atom, 301, EvalCache(CTX), CTX)
+        whole = _sum_shape(atom, 1, CTX)
+        rest = _sum_shape(atom, 301, CTX)
     with mp.workdps(CTX.dps + 30):
         head = mpmath.fsum(summand(mpf(u)) for u in range(1, 301))
         assert abs(whole.value - head - rest.value) <= whole.abs_error_bound + rest.abs_error_bound
@@ -1643,7 +1658,7 @@ def _outer_shape_sum(shape, ctx):
         atom = Atom((mpf(1), mpf(0)), slope, rp, trans)
         with mp.workdps(400):
             phase = None if X is None else (mpmath.mpmathify(X), mpf(1))
-        return _sum_shape(atom, 1, EvalCache(ctx), ctx, phase)
+        return _sum_shape(atom, 1, ctx, phase)
 
 
 @pytest.mark.parametrize("digits", [30, 50, 100, 200])
@@ -1725,9 +1740,9 @@ def test_evaluation_order_does_not_matter(empty_store):
         prec = mp.prec
     for p in (prec, prec + 64, prec):
         with mp.workprec(p):
-            stored = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
+            stored = _sum_atom(atom, 1, None, CTX)
             empty_store()
-            fresh = _sum_atom(atom, 1, None, EvalCache(CTX), CTX)
+            fresh = _sum_atom(atom, 1, None, CTX)
         with mp.workprec(1024):
             assert repr(stored) == repr(fresh)
 
@@ -1772,7 +1787,7 @@ def _plan_sweep():
 def test_shared_plans_give_the_numbers_of_fresh_points(empty_store):
     # the points of a b-sweep share term plans (ClassPlan.of), expanded
     # families, rows and shape sums; evaluated in one process, and each alone
-    # with an empty store and plan map, every value, bound and method is the
+    # with an empty store, every value, bound and method is the
     # same to the last bit
     def record(out):
         with mp.workprec(1024):
@@ -1793,22 +1808,24 @@ def test_shared_plans_give_the_numbers_of_fresh_points(empty_store):
 
 
 def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):
-    # thm-1.1 lhs b-derivative stencils at four b values make more rows and
-    # shape sums than a store of 200 holds: the store never holds more, and
-    # after the sweep it holds the 200 entries that the sweep's own reads
-    # and writes used last, in that order
+    # thm-1.1 lhs b-derivative stencils at four b values make more rows,
+    # shape sums, tables, expansions and base sums than a store of 512 KB
+    # holds: the store never weighs more, and after the sweep it holds the
+    # entries that the sweep's own reads and writes used last, in that
+    # order, as many as the budget holds
     from dpl import reduction
 
-    store = reduction.Store(limit=200)
+    store = reduction.Store(limit=1 << 19)
     monkeypatch.setattr(reduction, "STORE", store)
-    order, made, sizes = [], set(), []
+    order, weights, seen = [], {}, []
     get, put = store.get, store.put
 
     def use(key):
         if key in order:
             order.remove(key)
         order.append(key)
-        del order[:-store.limit]
+        while sum(weights[k] for k in order) > store.limit:
+            del order[0]
 
     def spy_get(key):
         value = get(key)
@@ -1818,9 +1835,11 @@ def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):
 
     def spy_put(key, value):
         put(key, value)
-        use(key)
-        made.add(key)
-        sizes.append(len(store))
+        weight = reduction._weigh(key, value)
+        if weight <= store.limit:
+            weights[key] = weight
+            use(key)
+        seen.append(store.weight)
         return value
 
     monkeypatch.setattr(store, "get", spy_get)
@@ -1830,9 +1849,72 @@ def test_store_stays_bounded_and_drops_the_least_recently_used(monkeypatch):
     for b in ("1/8", "1/4", "3/8", "1/2"):
         func = side_evaluator(spec, "lhs", {"k": 1, "x": "1", "b": b}, ctx)
         numeric_derivative_b(func, 1, Fraction(b), ctx)
-        assert max(sizes) <= store.limit
-    assert len(made) > store.limit and max(sizes) == store.limit
+        assert max(seen) <= store.limit
+    assert sum(weights.values()) > 2 * store.limit
+    assert max(seen) > store.limit - max(weights.values())
+    assert store.weight == sum(reduction._weigh(k, v) for k, v in store.items())
     assert list(store) == order
+
+
+def test_an_entry_heavier_than_the_budget_is_used_and_not_kept(monkeypatch):
+    # a power table read far past the budget (|x| near 1 asks for such
+    # blocks) gives the ints of a store that could hold it, and neither
+    # stays in the store nor evicts what it holds
+    from dpl import reduction
+    from dpl.reduction import _power_slice
+
+    store = reduction.Store(limit=1 << 16)
+    monkeypatch.setattr(reduction, "STORE", store)
+    g = mpf(1) / 4
+    with CTX.workdps():
+        P, U0 = _lattice_block(g, 1, 0)
+        eval_double(parse_term("sum(m>=1,n>=1) x^n / (n^2*(m+n)^2)"),
+                    {"x": parse_x("1/2")}, CTX, "reduction")
+        _power_slice(g, 2, 1, 0, U0, P)
+        held, weight = list(store.items()), store.weight
+        assert held and weight <= store.limit
+        big = _power_slice(g, 2, 1, 0, 4 * store.limit // 72, P)
+        assert list(store.items()) == held and store.weight == weight
+        monkeypatch.setattr(reduction, "STORE", reduction.Store(1 << 30))
+        assert _power_slice(g, 2, 1, 0, 4 * store.limit // 72, P) == big
+
+
+def test_a_b_sweep_under_a_small_budget_plans_each_term_once(monkeypatch):
+    # every point of a b-sweep reads its terms' plans, and the rows that
+    # depend on b are never read again, so under a budget that one point's
+    # entries nearly fill the rows age out and each term's ClassPlan is
+    # made once; every side is the one a store that evicts nothing gives
+    from collections import Counter
+
+    from dpl import reduction
+
+    inits, built = Counter(), []
+    init, row = ClassPlan.__init__, reduction.euler_maclaurin_row
+    monkeypatch.setattr(ClassPlan, "__init__", lambda self, term, params:
+                        inits.update([id(term)]) or init(self, term, params))
+    monkeypatch.setattr(reduction, "euler_maclaurin_row",
+                        lambda a, phi, *rest, **kw: built.append((a, phi)) or
+                        row(a, phi, *rest, **kw))
+    ctx = PrecisionContext(working_digits=30, output_digits=20)
+    entry = registry_get("thm-1.1")
+
+    def sweep():
+        out = []
+        for i in range(1, 13):
+            rep = eval_identity(entry, {"k": 1, "x": "1", "b": f"{i}/13"}, ctx,
+                                strategy=entry.strategy)
+            with mp.workprec(1024):
+                out.append(repr([(r.value, r.abs_error_bound, r.method)
+                                 for r in (rep.lhs, rep.rhs)]))
+        return out
+
+    store = reduction.Store(limit=1 << 19)
+    monkeypatch.setattr(reduction, "STORE", store)
+    small = sweep()
+    assert inits and set(inits.values()) == {1}
+    assert len(built) > 2 * sum(key[0] == "row" for key in store)
+    monkeypatch.setattr(reduction, "STORE", reduction.Store(1 << 30))
+    assert sweep() == small
 
 
 @pytest.mark.parametrize("lam, phi, digits", [
@@ -1844,17 +1926,16 @@ def test_base_sums_within_their_units(lam, phi, digits):
     # v0^r sum_{u>=U0} (lam u + g)^-s and its log-weighted companion, s = r +
     # phi; at lam = 3 the row's argument U0 + g/3 is not dyadic, so its
     # rounding against v0/lam is part of the error
-    from dpl.reduction import _shape_unit, _standard_start, _tail_order
+    from dpl.reduction import _shape_unit, _standard_start, _tail_order, base_sums
 
     ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
     g = mpf(1) / 4
     with ctx.workdps():
-        cache = EvalCache(ctx)
         R, P = _tail_order(mp.prec), _shape_unit([g])
         U0 = math.ceil((_standard_start(R, P) - 0.25) / lam)
         v0 = lam * U0 + g
         ph = mpf(phi.numerator) / phi.denominator if phi else 0
-        B, L = cache.base_sums(U0 + g / lam, v0, ph, lam, R, P)
+        B, L = base_sums(ctx, U0 + g / lam, v0, ph, lam, R, P)
         prec = mp.prec
     # mpmath's zeta at d digits is good to about 10^-d absolutely, and the
     # scale v0^r lam^-s is about x^r: 40 digits past the unit need r log10 x more

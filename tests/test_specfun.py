@@ -37,7 +37,7 @@ from dpl.specfun import (
     split_exponent,
 )
 from dpl import specfun
-from dpl.reduction import EvalCache
+from dpl import reduction
 
 CTX = PrecisionContext()
 
@@ -454,11 +454,10 @@ def test_eval_cache_keeps_precisions_apart():
     ctx50 = PrecisionContext(working_digits=50, guard_digits=10, output_digits=30)
     with ctx30.workdps():
         a = mpf(1) / 3 + 40
-    cache30, cache50 = EvalCache(ctx30), EvalCache(ctx50)
-    row30 = cache30.row(a, 0, 8)
-    row50 = cache50.row(a, 0, 8)
+    row30 = reduction.row(ctx30, a, 0, 8)
+    row50 = reduction.row(ctx50, a, 0, 8)
     assert row50 is not row30
-    assert cache30.row(a, 0, 8) is row30
+    assert reduction.row(ctx30, a, 0, 8) is row30
     with mp.workdps(120):
         for r in range(2, 9):
             ref = mpmath.zeta(r, a)
@@ -468,30 +467,27 @@ def test_eval_cache_keeps_precisions_apart():
 
 
 def test_eval_cache_keeps_one_row_per_argument(empty_store):
-    # the cache keeps its rows in the process store, emptied here so that it
-    # holds this test's rows only
-    from dpl import reduction
-
-    cache = EvalCache(CTX)
+    # rows live in the process store, emptied here so that it holds this
+    # test's rows only
     a = mpf("64.25")
     for r in range(2, 12):
-        cache.zeta(r, a)
-        cache.row(a, 0, r, logs=True).log_zeta_at(r)
-    cache.psi(a)
-    cache.zeta(Fraction(5, 2), a)
-    cache.zeta(3, a + 1)
-    # each keyed with the cache's ctx and the mp.prec in force
-    assert sorted(reduction.STORE, key=str) == sorted(
-        [cache.key(a, 0), cache.key(a, mpf("0.5")), cache.key(a + 1, 0)], key=str)
+        reduction.zeta(CTX, r, a)
+        reduction.row(CTX, a, 0, r, logs=True).log_zeta_at(r)
+    reduction.psi(CTX, a)
+    reduction.zeta(CTX, Fraction(5, 2), a)
+    reduction.zeta(CTX, 3, a + 1)
+    # each keyed with its kind, the ctx and the mp.prec in force
+    keys = [reduction._key("row", CTX, a, 0), reduction._key("row", CTX, a, mpf("0.5")),
+            reduction._key("row", CTX, a + 1, 0)]
+    assert sorted(reduction.STORE, key=str) == sorted(keys, key=str)
 
 
 def test_eval_cache_extends_a_short_row(empty_store):
     ctx = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
-    cache = EvalCache(ctx)
-    short = cache.row(mpf("77.5"), 0, 3)
-    longer = cache.row(mpf("77.5"), 0, 5)
+    short = reduction.row(ctx, mpf("77.5"), 0, 3)
+    longer = reduction.row(ctx, mpf("77.5"), 0, 5)
     assert longer.r_hi >= 6 and longer is not short
-    assert cache.row(mpf("77.5"), 0, 4) is longer
+    assert reduction.row(ctx, mpf("77.5"), 0, 4) is longer
     z3, z3_long = short.zeta_at(3), longer.zeta_at(3)
     assert abs(z3.value - z3_long.value) <= z3.abs_error_bound + z3_long.abs_error_bound
 
@@ -502,7 +498,7 @@ def test_row_domain_checks():
         row.zeta_at(1)              # the r = 1 column of a phi = 0 row is psi
     with pytest.raises(DomainError):
         row.log_zeta_at(1)
-    crow = EvalCache(CTX).row(mpc(5, 1), 0, 3)
+    crow = reduction.row(CTX, mpc(5, 1), 0, 3)
     with pytest.raises(DomainError):
         crow.log_zeta_at(2)         # no log sums at complex a
     with pytest.raises(DomainError):

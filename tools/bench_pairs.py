@@ -3,9 +3,9 @@
 The changed checkout is the one holding this script. For every workload of
 its BENCHMARK.json, runs `perfbench/run.py` of each checkout in turn for N
 pairs of runs of the benchmark's `run_seconds`, one seed per pair,
-alternating which side goes first, then one traced run per side. Each run
-uses the perfbench/ and src/ of its own checkout, as the benchmark does.
-Usage:
+alternating which side goes first, then TRACED_RUNS pairs of traced runs on
+the first seeds, alternating too. Each run uses the perfbench/ and src/ of
+its own checkout, as the benchmark does. Usage:
 
     python3 tools/bench_pairs.py --parent ../parent --pairs 10 --seeds 41 \\
         --out BENCH_<n>.json
@@ -17,8 +17,10 @@ of the workload (its operation set, run once per pass in the order of the
 run's seed), each side's seconds and seconds over the run's kernel mean
 (wall_ref), with runs, median and quartiles, read from the run's details in
 `<checkout>/.perfbench_out/`, so that a first pass of new points shows apart
-from a second that repeats it; and the per-layer totals of the traced run
-of each side. perfbench/run.py exits 0 even when a run's outputs are
+from a second that repeats it; and per side, each per-layer total's median
+over the traced runs (per_layer), with the runs themselves
+(per_layer_runs): one traced sample of a self time can read 20% off its
+neighbours. perfbench/run.py exits 0 even when a run's outputs are
 wrong, so this script exits 1, after writing the output, when any run of
 either side (traced runs included) was not correct.
 """
@@ -36,6 +38,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
+TRACED_RUNS = 3     # traced runs per side, whose per-layer medians are reported
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -117,8 +120,15 @@ def main(argv=None) -> int:
                 print(f"{name} seed {seed} {side}: "
                       + ", ".join(f"{m} {out['metrics'][m]['value']:.4g}" for m in metrics),
                       file=sys.stderr, flush=True)
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            seed = seeds[i % len(seeds)]
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                traced[side].append(run_bench(sides[side], name, seed, seconds, 1))
+                if not traced[side][-1]["correct"]:
+                    incorrect.append(f"{name} {side} traced seed {seed}")
         entry = {"end_to_end": {}, "failed": {}, "correct": {}, "attempted": {},
-                 "passes": {}, "per_layer": {}}
+                 "passes": {}, "per_layer": {}, "per_layer_runs": {}}
         for metric, better in metrics.items():
             vals = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in runs}
             wins = sum((c < p) if better == "lower" else (c > p)
@@ -140,10 +150,10 @@ def main(argv=None) -> int:
             entry["failed"][side] = [r["failed"] for r in runs[side]]
             entry["correct"][side] = [r["correct"] for r in runs[side]]
             entry["attempted"][side] = [r["attempted"] for r in runs[side]]
-            traced = run_bench(sides[side], name, seeds[0], seconds, 1)
-            entry["per_layer"][side] = {k: v["value"] for k, v in traced["metrics"].items()}
-            if not traced["correct"]:
-                incorrect.append(f"{name} {side} traced seed {seeds[0]}")
+            layers = {k: [t["metrics"][k]["value"] for t in traced[side]]
+                      for k in traced[side][0]["metrics"]}
+            entry["per_layer"][side] = {k: statistics.median(v) for k, v in layers.items()}
+            entry["per_layer_runs"][side] = layers
             incorrect += [f"{name} {side} seed {seed}"
                           for (seed, r) in zip(seeds, runs[side]) if not r["correct"]]
         report["workloads"][name] = entry

@@ -3,8 +3,8 @@
 perfbench's tracer has no span for specfun.euler_maclaurin_row, so its time
 shows only as self time of its callers. This script runs, in one process,
 the workload's warm-up operation and then one pass over its operations in
-their listed order, with the row kernel and reduction.EvalCache.base_sums
-wrapped, and prints:
+their listed order, with the row kernel and reduction.base_sums wrapped
+(reduction.EvalCache.base_sums in a checkout that has it), and prints:
 
 - the row builds by kind, with count, seconds, the corrections their
   columns took in all (ZetaRow.corrections) and the distinct lengths N of
@@ -12,27 +12,25 @@ wrapped, and prints:
   record them): "tail" rows are built for base_sums (the outer-sum tails),
   "other" rows for single columns;
 - the base_sums calls, how many of them had arguments not seen before in
-  their EvalCache (the sums the cache forms; it keeps them for the rest of
-  its evaluation, or of its derivative stencil), and the seconds base_sums
-  spent outside row builds;
-- the lattice tables of the direct blocks (reduction.TABLES), power tables
+  the pass (in a checkout with EvalCache, not seen before in their cache),
+  and the seconds base_sums spent outside row builds;
+- the lattice tables of the direct blocks, power tables
   and zeta/psi tables apart: the builds and the extensions of a table
   already built, each with its count, the ints it made and its seconds (a
   zeta/psi build with its top's expansion);
 - the seconds spent in reduction._direct_block, table builds included,
   which perfbench's tracer shows only as self time of its callers;
-- the wall time of the pass.
+- the wall time of the pass;
+- reduction.STORE's entries and estimated bytes per kind after the pass
+  (its entries only, for a checkout whose keys carry no kind).
 
-Tables, like rows, live per process: the warm-up and the operations before
-an operation lend it theirs. A checkout without lattice tables prints "-"
-for them.
-
-Rows and outer shape sums live per process, in reduction.STORE (at most
-4096 entries, the least recently used dropped first), as in the benchmark's
-worker: the pass builds no row that the warm-up or an earlier operation
-built at the same precision, and an operation whose shape sums are stored
-forms no base sums for them, so the counts and times of an operation
-depend on the operations before it.
+Rows, base sums, shape sums and tables live per process, in
+reduction.STORE (bounded by its estimated bytes, the least recently used
+dropped first), as in the benchmark's worker: the pass builds no row that
+the warm-up or an earlier operation built at the same precision, and an
+operation whose shape sums are stored forms no base sums for them, so the
+counts and times of an operation depend on the operations before it. A
+checkout without lattice tables prints "-" for them.
 
 Usage, from the root of a dpl checkout (--checkout runs another checkout's
 src/ and perfbench/ instead, such as a parent commit):
@@ -45,7 +43,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,9 +66,10 @@ def main(argv=None) -> int:
 
     rows = {"tail": [0, 0.0, 0, set()], "other": [0, 0.0, 0, set()]}
     bases = {"calls": 0, "distinct": 0, "seconds": 0.0}
-    seen = weakref.WeakKeyDictionary()      # EvalCache -> argument tuples
+    seen = set()        # (EvalCache or ctx, arguments) of the calls so far
     in_bases = [False]
-    real_row, real_bases = specfun.euler_maclaurin_row, reduction.EvalCache.base_sums
+    owner = getattr(reduction, "EvalCache", reduction)
+    real_row, real_bases = specfun.euler_maclaurin_row, owner.base_sums
 
     def row(*a, **kw):
         t0 = time.perf_counter()
@@ -85,21 +83,21 @@ def main(argv=None) -> int:
         bases["seconds"] -= dt if in_bases[0] else 0.0
         return out
 
-    def base_sums(self, *a, **kw):
-        keys = seen.setdefault(self, set())
-        bases["distinct"] += a not in keys
-        keys.add(a)
+    def base_sums(*a, **kw):
+        # a[0] is the cache, or the ctx of the module function
+        bases["distinct"] += a not in seen
+        seen.add(a)
         in_bases[0] = True
         t0 = time.perf_counter()
         try:
-            return real_bases(self, *a, **kw)
+            return real_bases(*a, **kw)
         finally:
             bases["seconds"] += time.perf_counter() - t0
             in_bases[0] = False
             bases["calls"] += 1
 
     specfun.euler_maclaurin_row = reduction.euler_maclaurin_row = row
-    reduction.EvalCache.base_sums = base_sums
+    owner.base_sums = base_sums
 
     # [count, ints, seconds] per kind of table and whether it is a build
     tables = {(kind, build): [0, 0, 0.0] for kind in ("power", "zeta/psi")
@@ -168,6 +166,15 @@ def main(argv=None) -> int:
         what = f"{kind} table {'builds' if build else 'extensions'}"
         print(f"  {what:27s}: " + (f"{n:4d} in {s:.3f} s, {ints} ints" if lattice else "-"))
     print(f"  _direct_block: {block[0]} calls in {block[1]:.3f} s")
+    store, weigh = reduction.STORE, getattr(reduction, "_weigh", None)
+    print(f"  STORE: {len(store)} entries" + (f", {store.weight} of {store.limit} estimated bytes"
+                                            if weigh else ""))
+    kinds = {}
+    for key, value in store.items() if weigh else ():
+        n, w = kinds.get(key[0], (0, 0))
+        kinds[key[0]] = n + 1, w + weigh(key, value)
+    for kind, (n, w) in sorted(kinds.items()):
+        print(f"    {kind:6s}: {n:5d} entries, {w / 1e3:7.1f} KB")
     return 0
 
 
