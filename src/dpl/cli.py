@@ -21,8 +21,8 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
+from .dsl import ParseError
 from .registry import DERIVATION_PAIRS, RegistryError, registry_get, registry_list
 from .specfun import DomainError, PrecisionContext
 from .termlang import TermError, check_derivation
@@ -198,7 +198,7 @@ def cmd_eval_term(args):
     from mpmath import mp
 
     from .dsl import parse_term
-    from .evaluator import eval_double, eval_single, parse_value, parse_x
+    from .evaluator import _fraction, eval_double, eval_single, parse_value, parse_x
     from .termlang import DoubleSumTerm, ParamDecl, bind_term
 
     ctx = _context(args.digits)
@@ -207,14 +207,14 @@ def cmd_eval_term(args):
     for name in ("k", "l", "s", "N", "M"):
         raw = getattr(args, name, None)
         if raw is not None:
-            env[name] = Fraction(raw)
+            env[name] = _fraction(ParamDecl(name, "real"), raw)
     term = bind_term(term, env)
     params = {}
     if args.x is not None:
         with ctx.workdps():
             params["x"] = parse_x(args.x)
     if args.b is not None:
-        params["b"] = Fraction(args.b)
+        params["b"] = _fraction(ParamDecl("b", "real"), args.b)
     if args.chi is not None:
         params["chi"] = parse_value(ParamDecl("chi", "char"), args.chi)
     strategy = args.strategy or "auto"
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, TermError, RegistryError) as exc:
+    except (DomainError, TermError, RegistryError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # evaluation failure: partial output already emitted

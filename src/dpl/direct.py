@@ -216,11 +216,12 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
     xsel = term.xsel
     with ctx.workdps():     # a raw x binds at the working precision on both routes
         plan = ClassPlan(term, params)
-    x = plan.x
+    b = params.get("b")
+    m0, x = plan.start(b), plan.x
     if x.kind == "zero":
         return _eval_x_zero(term, plan, params, ctx)
     xc = _x_complex(x)
-    bf = float(plan.b) if plan.b is not None else 0.0
+    bf = float(b) if b is not None else 0.0
     lam_m, lam_n = plan.grid()
     fvals = [(f.combo, float(f.shift.q0) + f.shift.q1 * bf, float(_exp_value(f)))
              for f in term.factors]
@@ -237,7 +238,7 @@ def _double_direct(term: DoubleSumTerm, params, ctx) -> EvalResult:
             if w is None:
                 continue
             const = complex(w[0]) * xc ** plan.xexp(rm, rn)
-            t0 = math.ceil((plan.m0 - rm) / lam_m)
+            t0 = math.ceil((m0 - rm) / lam_m)
             u0 = math.ceil((plan.n0 - rn) / lam_n)
             pf = _ProductFactors(lam_m, lam_n)
             for (combo, g, p) in fvals:
@@ -312,11 +313,13 @@ def _class_sum(pf, t0, u0, Xm, Xn, r_abs):
 def _single_direct(term: SingleSumTerm, params, ctx) -> EvalResult:
     with ctx.workdps():
         plan = ClassPlan(term, params)
+    b = params.get("b")
+    plan.start(b)       # DomainError when the term needs b and has none
     x = plan.x
     if x.kind == "zero":
         return _eval_x_zero(term, plan, params, ctx)
     xc = _x_complex(x)
-    bf = float(plan.b) if plan.b is not None else 0.0
+    bf = float(b) if b is not None else 0.0
     e = float(_exp_value(term.factor))
     gamma = float(term.factor.shift.q0) + term.factor.shift.q1 * bf
     lam = plan.mod["n"]

@@ -403,9 +403,9 @@ def side_evaluator(spec: IdentitySpec, side: str, assignments: dict,
     The parameters are bound once. Everything the points make that
     outlives a call lives per process, in reduction.STORE (bounded; the
     entries that depend on b are never read again, so they are the first
-    to go): the rows, expansions, base sums and lattice tables that do not
-    depend on b (a = 1, an integer tail row) are made once per process at
-    ctx, and so are the expanded families and the term plans, so each point
+    to go): the tail rows, expansions, base sums and lattice tables that do
+    not depend on b (those at phi = 0, an integer tail row) are made once
+    per process at ctx, and so are the expanded families and the term plans, so each point
     computes only its shifts, what b's value decides, its inner zeta/psi
     values, the tables at its own fractional shift and the shapes new at
     its b.

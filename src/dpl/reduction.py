@@ -11,9 +11,10 @@ tail. The zeta/psi factor sits at v itself, so its series is the fixed
 Bernoulli expansion. The expansions multiply as truncated series, convolved
 only over the kept orders. Tail base sums are Hurwitz zetas and their
 log-weighted companions at one shared argument, taken together as one row of
-the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row). The
-whole outer sum is fixed point: Python ints in units of 2^-P, one P per
-shape, with every cut counted into the bound.
+the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row), the
+only rows built here: every other zeta/psi value is read from a lattice
+table. The whole outer sum is fixed point: Python ints in units of 2^-P,
+one P per shape, with every cut counted into the bound.
 
 What no argument changes is made once and kept for the process, in
 functools.lru_caches: the Bernoulli coefficients of the zeta/psi tail
@@ -26,9 +27,7 @@ starts with its entry's kind and holds the exact arguments the entry was
 made from, with the ctx and the mp.prec where they act, so an entry's
 content depends on its key alone and every number is the same in any order
 of evaluation and under any eviction. The kinds:
-- row: one row of the Euler-Maclaurin kernel per (a, phi), built once at
-  its final length, that every Hurwitz zeta and digamma value inside reads
-  (row, zeta, psi);
+- row: the tail row of the Euler-Maclaurin kernel per (a, phi) (base_sums);
 - series, bases: the fixed-point expansions of the tail factors and each
   set of tail base sums (series, base_sums);
 - shape: the outer sum of each atom shape (an atom without its
@@ -37,7 +36,8 @@ of evaluation and under any eviction. The kinds:
 - table: the lattice tables that the direct blocks of the outer sums read,
   each power (N + phi)^-p and each zeta/psi value Z(N + phi) on the whole
   N, made once per (kind, exponent, phi, precision) and read at stride lam
-  by every class, shape and point (_power_slice, _trans_slice);
+  by every class, shape and point (_power_slice, _trans_slice); each inner
+  zeta/psi value is one entry of a zeta/psi table (zeta, psi);
 - plan, terms: what depends on a term and x but not on b, the term's
   ClassPlan (ClassPlan.of, keyed by the term, mp.prec and the parameters
   but b) with its classes, their weights and constants, and each group's
@@ -67,7 +67,6 @@ outer atoms in N, summed as every other atom is.
 from __future__ import annotations
 
 import collections
-import copy
 import functools
 import itertools
 import math
@@ -84,9 +83,9 @@ from .specfun import (
     DomainError,
     EvalResult,
     PrecisionContext,
-    ZetaRow,
     _SHAPE_GUARD,
     _ceil_shift,
+    _check_s_real,
     _fix,
     _signed_man_exp,
     _to_mp,
@@ -98,7 +97,6 @@ from .specfun import (
     hurwitz_zeta,  # noqa: F401  (perfbench's tests check that its tracer rebinds it here)
     periodic_zeta_sum,
     root_of_unity,
-    split_exponent,
 )
 from .termlang import DoubleSumTerm, SingleSumTerm, expr_is_num
 
@@ -233,17 +231,15 @@ class Store(collections.OrderedDict):
 
 def _weigh(key, value) -> int:
     """An estimate of the bytes of STORE's entry at key, key included, from
-    what it holds, by its kind key[0]: per table entry, per int of a row,
-    per coefficient of a series and per order of a base-sum set, else per
+    what it holds, by its kind key[0]: per table entry, per int of a tail
+    row, per coefficient of a series and per order of a base-sum set, else per
     entry, as tracemalloc measured them after a 50-digit registry battery
     (a table entry or an int of a row takes 15-25% more at 100 digits)."""
     kind = key[0]
     if kind == "table":
         return 72 * len(value.vals)
-    if kind == "row":
-        return 80 * len(value.zeta) * sum(
-            c is not None for c in (value.zeta, value.zeta_err, value.zeta_im,
-                                    value.logs, value.log_err))
+    if kind == "row":       # zeta, logs and their errors per column
+        return 320 * len(value.zeta)
     if kind == "series":
         return 36 * (len(value.a) + len(value.b or ()))
     if kind == "bases":
@@ -270,39 +266,15 @@ def stored(key, make):
     return value if value is not None else STORE.put(key, make())
 
 
-SPARE_COLUMNS = 3
+def zeta(j, a) -> EvalResult:
+    """zeta(j, a), j >= 1 + 1e-3 or an int >= 2, a > 0 (_inner_value)."""
+    jm = _check_s_real(j, 2)
+    return _inner_value(("zeta", int(jm) if jm == int(jm) else jm), a)
 
 
-def row(ctx, a, phi, r_hi: int, logs: bool = False, spare: int = 0) -> ZetaRow:
-    """The row of specfun.euler_maclaurin_row at (a, phi), phi the fractional
-    part of the exponent, with at least the columns 1..r_hi; a new row gets
-    spare columns more. One row per (a, phi) is kept, and built once at its
-    final length: a tail row at the length every tail of the precision asks
-    for (_tail_order), with the log-weighted sums; any other row
-    SPARE_COLUMNS past the first column asked for, without them, since the
-    sums that ask for single columns at one a ask for nearby exponents. A
-    row too short for a request is rebuilt at least twice as long."""
-    logs = logs and not (isinstance(a, mpc) or (isinstance(a, complex) and a.imag))
-    key = _key("row", ctx, a, phi)
-    kept = STORE.get(key)
-    if kept is None or kept.r_hi < r_hi or (logs and kept.logs is None):
-        r_hi += spare
-        if kept is not None:
-            r_hi = max(r_hi, 2 * kept.r_hi)
-            logs = logs or kept.logs is not None
-        kept = STORE.put(key, euler_maclaurin_row(a, phi, 1, r_hi, ctx, logs=logs))
-    return kept
-
-
-def zeta(ctx, s, a) -> EvalResult:
-    """zeta(s, a), a column of its row."""
-    r, phi = split_exponent(s)
-    return row(ctx, a, phi, r, spare=SPARE_COLUMNS).zeta_at(r)
-
-
-def psi(ctx, a) -> EvalResult:
-    """psi(a), the first column of its row."""
-    return row(ctx, a, 0, 1, spare=SPARE_COLUMNS).psi()
+def psi(a) -> EvalResult:
+    """psi(a) for a > 0, read from its lattice table (_inner_value)."""
+    return _inner_value(("psi",), a)
 
 
 def series(ctx, factor, R, v0, P):
@@ -319,20 +291,21 @@ def series(ctx, factor, R, v0, P):
 
 def base_sums(ctx, abase, v0, phi, lam, R, P):
     """The tail base sums v0^r sum_{u>=U0} v^-(r+phi), scaled as the
-    series are, from the row at abase = U0 + gamma*/lam: for r = 1..R+1,
-    lam^-phi abase^r zeta(r + phi, abase) and lam^-phi abase^r (log lam
-    zeta(r + phi, abase) + sum_k (k + abase)^-(r+phi) log(k + abase)),
-    each an (int, error) pair in units of 2^-P. The row holds abase^s
-    times each sum as ints, so a pair is the row's int moved to units
-    2^-P, times log lam and (lam abase)^-phi when they are not 1, each a
-    cut int; the error holds the row's own, one unit per cut, and the
-    rounding of abase against v0/lam (shapes at one shift share the
-    row); (0, 0) where r + phi <= 1."""
+    series are, from the tail row at abase = U0 + gamma*/lam, the columns
+    1..R+1 with the log sums, kept in STORE: for r = 1..R+1, lam^-phi
+    abase^r zeta(r + phi, abase) and lam^-phi abase^r (log lam zeta(r +
+    phi, abase) + sum_k (k + abase)^-(r+phi) log(k + abase)), each an (int,
+    error) pair in units of 2^-P. The row holds abase^s times each sum as
+    ints, so a pair is the row's int moved to units 2^-P, times log lam and
+    (lam abase)^-phi when they are not 1, each a cut int; the error holds
+    the row's own, one unit per cut, and the rounding of abase against
+    v0/lam (shapes at one shift share the row); (0, 0) where r + phi <= 1."""
     key = _key("bases", ctx, abase, v0, phi, lam, R, P)
     sums = STORE.get(key)
     if sums is not None:
         return sums
-    tail_row = row(ctx, abase, phi, R + 1, logs=True)
+    tail_row = stored(_key("row", ctx, abase, phi),
+                      lambda: euler_maclaurin_row(abase, phi, 1, R + 1, ctx, logs=True))
     sh = tail_row.P - P
     with mp.workprec(P + 20):
         f = _fix((lam * abase) ** -phi, P) if phi else None
@@ -750,6 +723,19 @@ def _standard_start(R: int, P: int) -> float:
                + [_expansion_need("zeta", j, R, P) for j in range(2, 9)])
 
 
+def _tail_start(need, gamma, lam, u0, R, P) -> int:
+    """U0, the least u >= u0 at which v = lam*u + gamma reaches V: the
+    standard start (_standard_start), doubled until it reaches need, the
+    least v0 at which every expansion of a shape meets its target."""
+    V = _standard_start(R, P)
+    while V < need:
+        V *= 2
+    U0 = max(u0, math.ceil((V - float(gamma)) / lam))
+    while lam * U0 + gamma < need:
+        U0 += 1
+    return U0
+
+
 # ---------------------------------------------------------------------------
 # Lattice tables: the factors of the direct blocks on the whole numbers
 # ---------------------------------------------------------------------------
@@ -795,10 +781,10 @@ def _rung(N):
 
 
 def _lattice_floor(start, Phi):
-    """Where a table that serves N >= start begins: at start, or lower down
-    to the first N with N + phi > 0, so that the classes of one lattice,
+    """Where a table that serves N >= start begins: at start past _RUNG, else
+    at the first N with N + phi > 0, so that the classes of one lattice,
     which start a few N apart, share one build without reaching a pole."""
-    return min(start, 0 if Phi else 1)
+    return start if start > _RUNG else min(start, 0 if Phi else 1)
 
 
 def _power_entries(k, frac, Phi, P, lo, hi):
@@ -924,16 +910,17 @@ def _trans_table(trans, Phi, lo, hi, top, err, P):
     return vals, range(err + hi - lo, err, -1)
 
 
-def _trans_slice(trans, lam, u0, n, P):
+def _trans_slice(trans, lam, u0, n, P, U0=None):
     """(values, errors, top error) of the zeta/psi factor Z(lam*u + gamma)
     for u in [u0, u0 + n), n > 0, read at stride lam from the zeta/psi table
-    at (trans's kind and j, frac(gamma), P, mp.prec, the rung of lam*(u0 +
-    n) + floor(gamma)): ints in units of 2^-P, each off by less than its
-    error plus the top error. A new table holds its top, Z there from its
-    expansion (_trans_top); a table grows downwards only (_trans_table)."""
+    at (trans's kind and j, frac(gamma), P, mp.prec, the rung of lam*U0 +
+    floor(gamma)), U0 >= u0 + n - 1 the tail start (None: u0 + n): ints in
+    units of 2^-P, each off by less than its error plus the top error. A
+    new table holds its top, Z there from its expansion (_trans_top); a
+    table grows downwards only (_trans_table)."""
     kind, gz = trans[0], trans[-1]
     N0, Phi = _lattice_point(gz, P)
-    start, top = lam * u0 + N0, _rung(lam * (u0 + n) + N0)
+    start, top = lam * u0 + N0, _rung(lam * (u0 + n if U0 is None else U0) + N0)
     key = ("table", kind, trans[1] if kind == "zeta" else None, Phi, P, mp.prec, top)
     tab = STORE.get(key)
     if tab is None or start < tab.lo:
@@ -947,6 +934,30 @@ def _trans_slice(trans, lam, u0, n, P):
         tab = STORE.put(key, _Lattice(lo, vals + tab.vals, errs, tab.top_err))
     at = slice(start - tab.lo, start - tab.lo + lam * (n - 1) + 1, lam)
     return tab.vals[at], tab.errs[at], tab.top_err
+
+
+def _inner_value(trans, a) -> EvalResult:
+    """Z(a) at a > 0, Z = ('zeta', j) or ('psi',): the entry at N = floor(a)
+    of its table at frac(a) (_trans_slice), topped at the tail start of a
+    lone Z(u + a), in units 2^-P that hold a and lie mp.prec + _SHAPE_GUARD
+    bits below 1 and a^-j < zeta(j, a). The bound holds the entry's units, its
+    top's, its rounding to mp.prec and that of a, an mpf made from a
+    rational such as (r + b)/lam by a few roundings, counted as 4 of
+    2^-prec: 4 |Z'(a)| a 2^-prec, at most 4 j |Z| 2^-prec (zeta(j+1, a) <=
+    zeta(j, a)/a) or 4 (1 + 1/a) 2^-prec (psi'(a) <= 1/a^2 + 1/a)."""
+    a = _to_mp(a)
+    if isinstance(a, mpc) or not a > 0:
+        raise DomainError("zeta(j, a) and psi(a) need a real a > 0")
+    j = trans[1] if trans[0] == "zeta" else None
+    P = _shape_unit([a]) + (math.ceil(j * math.log2(a)) if j and a > 1 else 0)
+    R = _tail_order(mp.prec)
+    U0 = _tail_start(_expansion_need(trans[0], j, R, P), a, 1, 0, R, P)
+    (v,), (e,), top_err = _trans_slice(trans + (a,), 1, 0, 1, P, U0)
+    # |Z'(a)| a in units of 2^-P; 1/a rounded up from a's exact units
+    slope = math.ceil(j) * abs(v) if j is not None else \
+        (1 << P) - ((-1 << 2 * P) // _fix(a, P))
+    units = e + top_err + _ceil_shift(abs(v) + 4 * slope, mp.prec)
+    return EvalResult(+_unfix(v, P), _unfix(units, P), "euler_maclaurin")
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +1020,7 @@ def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
         need = max([_expansion_need(kind, j, R, P) if trans else 0.0]
                    + [_binomial_need(p, mpf(g) - gamma_star, R, P)
                       for (g, p) in (atom.rpows if phase is None else ())])
-        V = _standard_start(R, P)
-        while V < need:
-            V *= 2
-        U0 = max(u0, math.ceil((V - float(gamma_star)) / lam))
-        while lam * U0 + gamma_star < need:
-            U0 += 1
+        U0 = _tail_start(need, gamma_star, lam, u0, R, P)
     if phase is not None:
         X, x0 = phase
         if abs(X) >= 1:
@@ -1178,23 +1184,22 @@ class ClassPlan:
 
     On a residue class of the index lattice the congruence indicator, the
     character values, the 1/sin weight and a root-of-unity power of x are
-    constant. The plan resolves b and the index starts m0, n0; the moduli
-    mod[idx] per index that the congruence, the twists and a root-of-unity x
-    require; and, for any class or lattice point, its weight and its x
+    constant. The plan resolves the index start n0, m0 at a given b
+    (start), the moduli mod[idx] per index that the congruence, the twists
+    and a root-of-unity x require; and, for any class or lattice point, its weight and its x
     exponent. It holds ints, Fractions and the characters' stored values
     only. A single sum's classes are those of mod["n"] on both routes; a
     double sum's route picks its grid from the moduli (grid). Each route
     does its own numerics.
 
-    Only b and m0 depend on b (bind); ClassPlan.of keeps the rest per
-    process, with what the routes make from it that no b changes (memo).
+    No b is held: ClassPlan.of keeps one plan per process, with what the
+    routes make from it that no b changes (memo).
     """
 
     def __init__(self, term, params):
         self.term = term
         single = isinstance(term, SingleSumTerm)
         self.n0 = 0 if term.n_range == "n>=0" else 1
-        self.bind(params.get("b"))
         self.made = {}
         self.x = _xspec_of(params) if term.xsel.kind != "none" else XSpec.one()
         twists = (((term.twist, "n"),) if term.twist else ()) if single else term.twists
@@ -1220,26 +1225,24 @@ class ClassPlan:
     @staticmethod
     def of(term, params) -> "ClassPlan":
         """ClassPlan(term, params), made once per process (STORE) at the term,
-        mp.prec and every parameter but b, and bound to this b. A ctx acts on
-        a plan only through the mp.prec it sets. The key holds the term's id:
-        the plan holds the term, so no other object takes that id while the
-        plan is kept."""
+        mp.prec and every parameter but b, and shared by every point. A ctx
+        acts on a plan only through the mp.prec it sets. The key holds the
+        term's id: the plan holds the term, so no other object takes that id
+        while the plan is kept."""
         key = ("plan", id(term), mp.prec) + tuple((k, v) for (k, v) in params.items() if k != "b")
-        plan = copy.copy(stored(key, lambda: ClassPlan(term, params)))
-        plan.bind(params.get("b"))
-        return plan
+        return stored(key, lambda: ClassPlan(term, params))
 
-    def bind(self, b):
-        """Binds b and the start m0 of a double sum, 2 for an m>b range at
-        b >= 1; DomainError when the term needs b and none is bound."""
+    def start(self, b):
+        """The start m0 of a double sum at b (None for a single sum), 2 for
+        an m>b range at b >= 1; DomainError when the term needs b and b is
+        None."""
         t = self.term
         single = isinstance(t, SingleSumTerm)
         m_after_b = not single and t.m_range == "m>b"
         if b is None and (m_after_b or any(f.shift.q1 for f in
                                            ((t.factor,) if single else t.factors))):
             raise DomainError("term references the shift parameter b, none bound")
-        self.b = b
-        self.m0 = None if single else \
+        return None if single else \
             0 if t.m_range == "m>=0" else 2 if m_after_b and b >= 1 else 1
 
     def memo(self, name, make):
@@ -1313,13 +1316,13 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext) ->
     """
     with ctx.workdps():
         xsel = term.xsel
-        plan = ClassPlan.of(term, params)
-        x = plan.x
+        plan, b = ClassPlan.of(term, params), params.get("b")
+        m0, x = plan.start(b), plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx)
         if xsel.kind == "xmn":
-            return _eval_diagonal(term, plan, ctx)
-        b_mp = _mp_b(plan.b)
+            return _eval_diagonal(term, plan, b, m0, ctx)
+        b_mp = _mp_b(b)
 
         inner = "n" if xsel.kind == "xm" else "m"
         outer = "n" if inner == "m" else "m"
@@ -1328,7 +1331,7 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext) ->
         # _class_atoms needs one modulus on both indices once the inner one splits
         lam_m, lam_n = plan.grid(square=plan.mod[inner] > 1)
         lam_i, lam_o = (lam_m, lam_n) if inner == "m" else (lam_n, lam_m)
-        i0, o0 = (plan.m0, plan.n0) if inner == "m" else (plan.n0, plan.m0)
+        i0, o0 = (m0, plan.n0) if inner == "m" else (plan.n0, m0)
 
         if (not eI and q <= 1) or (not q and eI <= 1):
             raise DomainError("divergent inner sum")
@@ -1355,7 +1358,7 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext) ->
             t0 = math.ceil((i0 - rI) / lam_i)
             u0 = math.ceil((o0 - rO) / lam_o)
             for atom in _class_atoms(eI, q, gI, gJ, opow, rI, rO,
-                                     lam_i, lam_o, t0, ctx, const):
+                                     lam_i, lam_o, t0, const):
                 v, e = _sum_atom(atom, u0, phase, ctx)
                 value, bound = value + v, bound + e
         # the geometric phase's tail bound is empirical
@@ -1367,9 +1370,8 @@ def _inner_form(eI, q, pO, lam, prec):
     """What no class or b changes of the atoms of _class_atoms: lam^-(eI +
     q + pO) and, per atom, (its inner zeta/psi factor, ('zeta', s), ('psi',)
     or None; its partial-fraction coefficient; the exponent at its joint
-    shift; its outer zeta/psi factor, ('zeta', j), ('psi',) or None), the
-    longest inner column first, so that its row is built once. Made once per
-    (eI, q, pO, lam, prec) for the process (the 256 met last are kept)."""
+    shift; its outer zeta/psi factor, ('zeta', j), ('psi',) or None), made
+    once per (eI, q, pO, lam, prec) for the process (the 256 met last kept)."""
     one = mpf(lam) ** (-_frac_to_mp(eI + q + pO))
     if not eI:      # joint factor only: the inner sum is zeta(q, t0 + aJ(u))
         return one, ((None, 1, 0, ("zeta", _num_exp(q))),)
@@ -1383,7 +1385,7 @@ def _inner_form(eI, q, pO, lam, prec):
                  + ((None, A1, e + q - 1, ("psi",)), (("psi",), -A1, e + q - 1, None)))
 
 
-def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, ctx, const=1):
+def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, const=1):
     """Atoms of the inner closed form on one residue class, in the outer
     class index u, their coefficients times const.
 
@@ -1404,14 +1406,14 @@ def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, ctx, const=1):
     for (inner, c, p, trans) in forms:
         cv, ce = one, mpf(0)
         if inner:
-            z = psi(ctx, aI) if inner[0] == "psi" else zeta(ctx, inner[1], aI)
+            z = psi(aI) if inner[0] == "psi" else zeta(inner[1], aI)
             cv, ce = one * z.value, abs(one) * z.abs_error_bound
         atoms.append(Atom((cv * c * const, ce * abs(c) * abs(const)), lam_o // lam,
                           ((og, pO), (wg, p)), trans and trans + (zg,)))
     return atoms
 
 
-def _atom_at(atom: Atom, ctx) -> EvalResult:
+def _atom_at(atom: Atom) -> EvalResult:
     """The atom at u = 0: its coefficient times its powers and its zeta/psi value."""
     val = EvalResult(*atom.coef, "reduction")
     for (g, p) in atom.rpows:
@@ -1419,14 +1421,15 @@ def _atom_at(atom: Atom, ctx) -> EvalResult:
     if atom.trans is None:
         return val
     gz = atom.trans[-1]
-    return val.times(zeta(ctx, atom.trans[1], gz) if atom.trans[0] == "zeta" else psi(ctx, gz))
+    return val.times(zeta(atom.trans[1], gz) if atom.trans[0] == "zeta" else psi(gz))
 
 
 def _eval_x_zero(term, plan, params, ctx) -> EvalResult:
     """x = 0: only the summands with a vanishing x exponent survive, each
     with its class weight."""
     with ctx.workdps():
-        d = term.xsel.d
+        d, b = term.xsel.d, params.get("b")
+        m0 = plan.start(b)
         zero = EvalResult(mpf(0), mpf(0), "closed_form")
         if isinstance(term, SingleSumTerm):
             factors, points = (term.factor,), [(-d,)] if -d >= plan.n0 else []
@@ -1439,8 +1442,8 @@ def _eval_x_zero(term, plan, params, ctx) -> EvalResult:
             return eval_inner_closed(term, -d, params, ctx)
         else:
             factors = term.factors
-            points = [(m, -d - m) for m in range(plan.m0, -d - plan.n0 + 1)]
-        b_mp = _mp_b(plan.b)
+            points = [(m, -d - m) for m in range(m0, -d - plan.n0 + 1)]
+        b_mp = _mp_b(b)
         coeff0 = _frac_to_mp(term.coeff)
         total = zero
         for r in points:
@@ -1472,7 +1475,7 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
         if term.xsel.kind in ("xm", "xmn"):
             raise ShapeError("x power involves the inner index")
         plan = ClassPlan(term, params)
-        b_mp, m0 = _mp_b(plan.b), plan.m0
+        b_mp, m0 = _mp_b(params.get("b")), plan.start(params.get("b"))
         if n < plan.n0:
             raise DomainError("n below the term's range")
         (gM, e), npow, (gJ, q) = (_factor_at(term, c, b_mp) for c in ("m", "n", "mn"))
@@ -1494,12 +1497,12 @@ def eval_inner_closed(term: DoubleSumTerm, n: int, params, ctx: PrecisionContext
             t0 = math.ceil((m0 - rho) / L)
             if e and mp.re(t0 + (rho + gM) / L) <= 0:
                 raise DomainError("inner factor vanishes inside the range")
-            for atom in _class_atoms(e, q, gM, gJ, npow, rho, n, L, L, t0, ctx):
-                total = total + _atom_at(atom, ctx).scale(const * _mp_value(w[0]))
+            for atom in _class_atoms(e, q, gM, gJ, npow, rho, n, L, L, t0):
+                total = total + _atom_at(atom).scale(const * _mp_value(w[0]))
         return total
 
 
-def _eval_diagonal(term, plan, ctx) -> EvalResult:
+def _eval_diagonal(term, plan, b, m0, ctx) -> EvalResult:
     """x^(m+n+d) terms as outer sums over the diagonals N = m + n.
 
     With X = m + g_m, Y = n + g_n and W = X + Y = N + g_m + g_n, the (m+n)
@@ -1522,8 +1525,8 @@ def _eval_diagonal(term, plan, ctx) -> EvalResult:
     (ClassPlan.memo); a point resolves the shifts, the start and the small
     diagonals, and merges the atoms whose shifts coincide at its b.
     """
-    x, m0, n0 = plan.x, plan.m0, plan.n0
-    b_mp = _mp_b(plan.b)
+    x, n0 = plan.x, plan.n0
+    b_mp = _mp_b(b)
     (gm, a), (gn, c), (gj, q) = (_factor_at(term, k, b_mp) for k in ("m", "n", "mn"))
     if x.kind != "num" and ((not a and q <= 1) or (not q and a <= 1)):
         raise DomainError("divergent inner sum")
@@ -1575,7 +1578,7 @@ def _eval_diagonal(term, plan, ctx) -> EvalResult:
     lows += [(gn + 1 - m0, 0)] if c else []
     N0 = m0 + n0
     Nstart = max([N0] + [int(mp.floor(lo - mp.re(g))) + 1 for (g, lo) in lows])
-    total = _small_diagonals(plan, range(N0, Nstart), gm, a, gn, c, gj, q, coeff0, ctx)
+    total = _small_diagonals(plan, m0, range(N0, Nstart), gm, a, gn, c, gj, q, coeff0, ctx)
     value, bound = total.value, total.abs_error_bound
     slope = LN // L
     for (s, const, ks) in consts:
@@ -1600,7 +1603,7 @@ def _eval_diagonal(term, plan, ctx) -> EvalResult:
                 # psi(end) - psi(start) at i = 1, else zeta(i, start) - zeta(i, end)
                 add((k * sign, mpf(0)), rpows,
                     ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
-                sv, se = _start_value(i, start, ctx)
+                sv, se = _start_value(i, start)
                 add((sv * k * -sign, abs(k) * se), rpows)
         if not pieces:
             # the class's points on the diagonal number slope u + c0 = V - v + c0
@@ -1627,12 +1630,12 @@ def _eval_diagonal(term, plan, ctx) -> EvalResult:
 _eval_double_geometric2d = _eval_diagonal     # the name perfbench traces
 
 
-def _small_diagonals(plan, Ns, gm, a, gn, c, gj, q, coeff0, ctx) -> EvalResult:
+def _small_diagonals(plan, m0, Ns, gm, a, gn, c, gj, q, coeff0, ctx) -> EvalResult:
     """The diagonals N in Ns of a _eval_diagonal term, point by point."""
     total = EvalResult(mpf(0), mpf(0), "reduction")
     for N in Ns:
         inner = size = mpf(0)
-        for m in range(plan.m0, N - plan.n0 + 1):
+        for m in range(m0, N - plan.n0 + 1):
             w = plan.weight(m, N - m)
             if w is not None:
                 t = _mp_value(w[0]) * _power(m + gm, a) * _power(N - m + gn, c)
@@ -1653,15 +1656,15 @@ def _power(base, p):
     return base ** -_frac_to_mp(p)
 
 
-def _start_value(i, a, ctx) -> tuple:
-    """zeta(i, a), or psi(a) at i = 1, from its row, continued to Re a <= 0
+def _start_value(i, a) -> tuple:
+    """zeta(i, a), or psi(a) at i = 1, from its table, continued to Re a <= 0
     by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a; as
     (value, bound)."""
     head, size, k = mpf(0), mpf(0), 0
     while mp.re(a) <= 0:
         t = _power(a, i)
         head, size, k, a = head + t, size + abs(t), k + 1, a + 1
-    val = psi(ctx, a) if i == 1 else zeta(ctx, _num_exp(i), a)
+    val = psi(a) if i == 1 else zeta(_num_exp(i), a)
     return val.value + (-head if i == 1 else head), val.abs_error_bound + (k + 2) * size * mp.eps
 
 
@@ -1683,12 +1686,13 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext) ->
     summed with the geometric phase x^(lam t).
     """
     with ctx.workdps():
-        plan = ClassPlan.of(term, params)
+        plan, b = ClassPlan.of(term, params), params.get("b")
+        plan.start(b)       # DomainError when the term needs b and has none
         x = plan.x
         if x.kind == "zero":
             return _eval_x_zero(term, plan, params, ctx)
         e = _num_exp(_exp_value(term.factor))
-        gamma = shift_value(term.factor.shift, _mp_b(plan.b))
+        gamma = shift_value(term.factor.shift, _mp_b(b))
         lam = plan.mod["n"]
 
         def classes():
@@ -1718,7 +1722,6 @@ def eval_single_reduction(term: SingleSumTerm, params, ctx: PrecisionContext) ->
             else:
                 terms.append((scaled, a))
         if terms:
-            z = periodic_zeta_sum(terms, e, ctx, functools.partial(zeta, ctx),
-                                  functools.partial(psi, ctx))
+            z = periodic_zeta_sum(terms, e, ctx, zeta, psi)
             value, bound = value + z.value, bound + z.abs_error_bound
         return EvalResult(value, bound, "direct_tail" if phase and consts else "reduction")

@@ -18,10 +18,10 @@ corrections until its remainder is below one unit of the outer sums'
 precision and below 10^-dps min(1, Re(a)^-s) of zeta. Each error bound is
 an int in the same units: the remainder (Johansson's bound, taken as a
 multiple of the first omitted correction) plus one unit per cut.
-hurwitz_zeta, log_zeta_sum and digamma are single columns of it, converted
-to EvalResults on read; reduction keeps whole rows per process, in its
-STORE, and its tail base sums read their ints directly. The c_k mantissas
-of the corrections depend on no argument and are made once per process.
+hurwitz_zeta, log_zeta_sum and digamma each read one column of a new row as
+an EvalResult; reduction builds rows for its outer-sum tails only, keeps
+them in its STORE and reads their ints directly. The c_k mantissas of the
+corrections depend on no argument and are made once per process.
 
 A periodic sum sum_n w(n) (n+b)^-s on the unit circle, split into residue
 classes, is sum_r w_r zeta(s, a_r): periodic_zeta_sum holds it once, with its
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -274,10 +274,9 @@ class ZetaRow:
     made without them); zeta_err and log_err bound their errors in units.
     With phi = 0 the column r = 1 holds a psi(a) in place of the divergent
     a zeta(1, a). zeta_at, log_zeta_at and psi return EvalResults, converted
-    at the caller's precision on the first read and kept in reads, with the
-    rounding of the conversion counted into the bound. block is the length N
-    of the row's direct block and corrections[i] the number M of corrections
-    column i took.
+    at the caller's precision, with the rounding of the conversion counted
+    into the bound. block is the length N of the row's direct block and
+    corrections[i] the number M of corrections column i took.
     """
 
     a: object
@@ -291,7 +290,6 @@ class ZetaRow:
     log_err: tuple | None = None
     block: int = 0
     corrections: tuple = ()
-    reads: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def r_hi(self) -> int:
@@ -306,23 +304,18 @@ class ZetaRow:
 
     def _read(self, kind, r) -> EvalResult:
         """Column r of zeta or logs times a^-s, or psi times 1/a, with its
-        bound; converted once per column and precision (reads)."""
-        key = (kind, r, mp.prec)
-        out = self.reads.get(key)
-        if out is None:
-            i = 0 if kind == "psi" else self._index(r)
-            n, err = (self.logs[i], self.log_err[i]) if kind == "logs" else \
-                (self.zeta[i], self.zeta_err[i])
-            n_im = self.zeta_im[i] if kind != "logs" and self.zeta_im is not None else None
-            scale = 1 / self.a if kind == "psi" else self.a ** -(r + self.phi)
-            v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
-            # scale is an mpf power (an exp of a log at 10 more bits for a
-            # fractional s), and the product one more rounding
-            rnd = mp.ldexp(1, 10 - mp.prec)
-            out = self.reads[key] = EvalResult(
-                v * scale, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
-                "euler_maclaurin")
-        return out
+        bound."""
+        i = 0 if kind == "psi" else self._index(r)
+        n, err = (self.logs[i], self.log_err[i]) if kind == "logs" else \
+            (self.zeta[i], self.zeta_err[i])
+        n_im = self.zeta_im[i] if kind != "logs" and self.zeta_im is not None else None
+        scale = 1 / self.a if kind == "psi" else self.a ** -(r + self.phi)
+        v = _unfix(n, self.P) if n_im is None else mpc(_unfix(n, self.P), _unfix(n_im, self.P))
+        # scale is an mpf power (an exp of a log at 10 more bits for a
+        # fractional s), and the product one more rounding
+        rnd = mp.ldexp(1, 10 - mp.prec)
+        return EvalResult(v * scale, (_unfix(err, self.P) + abs(v) * rnd) * abs(scale) * (1 + rnd),
+                          "euler_maclaurin")
 
     def zeta_at(self, r) -> EvalResult:
         return self._read("zeta", r)
@@ -724,8 +717,8 @@ def periodic_zeta_sum(terms, s, ctx: PrecisionContext = DEFAULT_CTX, zeta=None,
     1/(s-1) - psi(a_r) + O(s-1), so the sum converges exactly when the
     weights cancel, and is then -sum_r w_r psi(a_r); otherwise DomainError.
     zeta(s, a) and psi(a), when given, supply the values (reduction passes
-    its lookups of the rows it keeps per process); else hurwitz_zeta and
-    digamma do.
+    its reads of the lattice tables it keeps per process); else
+    hurwitz_zeta and digamma do.
     """
     with ctx.workdps():
         zeta = zeta or (lambda s_, a: hurwitz_zeta(s_, a, ctx))

@@ -164,6 +164,34 @@ def test_eval_term_double_sum_on_the_circle_exit2(capsys, term, strategy):
     assert "needs |x| < 1" in err
 
 
+@pytest.mark.parametrize("strategy", ["auto", "reduction"])
+@pytest.mark.parametrize("x", ["1", "-1", "ru(3,1)"])
+@pytest.mark.parametrize("term", ["single(n>=1) x^n / (n^(1/2))",
+                                  "single(n>=1) x^n / ((n+1/3)^(1/2))",
+                                  "single(n>=1) x^n / (n^(-1))"],
+                         ids=["n^1/2", "(n+1/3)^1/2", "n^-1"])
+def test_eval_term_single_sum_on_the_circle_below_exponent_1_exit2(capsys, term, x, strategy):
+    # a single sum on the unit circle diverges, or needs a continuation no
+    # route makes, below exponent 1: a domain error, as under direct
+    code, out, err = run(capsys, "eval-term", term, f"--x={x}", "--strategy", strategy)
+    assert code == 2
+    assert err.startswith("error:") and not out
+
+
+@pytest.mark.parametrize("args", [
+    ("single(n>=1) x^n / (n^2)", "--b", "abc"),
+    ("single(n>=1) x^n / (n^2)", "--k", "1/0"),
+    ("sum(m>=1",),
+    ("single(n>=1) 1/(n^0)",)],
+    ids=["b-abc", "k-1/0", "unparsable", "zero-exponent"])
+def test_eval_term_malformed_input_exit2(capsys, args):
+    # a literal that is no number, or a term that does not parse, is a usage
+    # error, found before anything is evaluated
+    code, out, err = run(capsys, "eval-term", *args)
+    assert code == 2
+    assert err.startswith("error:") and not out
+
+
 @pytest.mark.parametrize("x", ["ru(4)", "ru(4,x)", "ru(0,1)"])
 def test_eval_term_malformed_root_of_unity_exit2(capsys, x):
     # a root literal without two integers, or of order 0, is a usage error

@@ -542,19 +542,24 @@ def test_derivative_consistency_both_sides_interior():
 def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     # the thm-1.1 lhs stencil through side_evaluator, whose points share the
     # process store, against one whose every point starts from an empty
-    # store: the same derivative and bound, and the rows that do not depend
-    # on b (a = 1 and the integer tail row) built once per stencil in place
-    # of six times. The stencil starts from an empty store too: its rows,
-    # made by earlier evaluations, would otherwise stand in for their own
+    # store: the same derivative and bound, and what does not depend on b,
+    # the zeta/psi tables at phi = 0 (psi(1) and zeta(j, 1) among them) and
+    # the integer tail row, built once per stencil in place of six times.
+    # The stencil starts from an empty store too: its entries, made by
+    # earlier evaluations, would otherwise stand in for their own
     from collections import Counter
 
     from dpl import reduction
 
     built = []
-    row = reduction.euler_maclaurin_row
+    row, top = reduction.euler_maclaurin_row, reduction._trans_top
     monkeypatch.setattr(reduction, "euler_maclaurin_row",
-                        lambda a, phi, *rest, **kw: built.append((a, phi)) or
+                        lambda a, phi, *rest, **kw: built.append(("row", a, phi)) or
                         row(a, phi, *rest, **kw))
+    # _trans_top makes the top of every new zeta/psi table
+    monkeypatch.setattr(reduction, "_trans_top",
+                        lambda trans, Phi, P, N: built.append(
+                            ("table", trans[:-1], Phi, P, mp.prec, N)) or top(trans, Phi, P, N))
     ctx = PrecisionContext(working_digits=30, output_digits=20)
     spec = registry_get("thm-1.1").spec
     assign = {"k": 1, "x": "1", "b": "1/2"}
@@ -574,9 +579,11 @@ def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     fresh_builds = Counter(built)
     assert (shared.value, shared.abs_error_bound, shared.method) == \
         (fresh.value, fresh.abs_error_bound, fresh.method)
-    tail = [a for (a, phi) in shared_builds if a > 1 and a == int(a)]
-    assert len(tail) == 1
-    for key in ((1, 0), (tail[0], 0)):
+    tail = [key for key in shared_builds
+            if key[0] == "row" and key[1] > 1 and key[1] == int(key[1])]
+    tables = [key for key in shared_builds if key[0] == "table" and key[2] == 0]
+    assert len(tail) == 1 and ("psi",) in {key[1] for key in tables}
+    for key in tail + tables:
         assert shared_builds[key] == 1
         assert fresh_builds[key] == 6
 
@@ -1957,3 +1964,70 @@ def test_base_sums_within_their_units(lam, phi, digits):
                 if err > ((abs(n) + (1 << P)) >> (prec - 16)):
                     bad.append((name, r, "loose", err))
     assert not bad, bad
+
+
+def test_a_character_sum_counts_the_rounding_of_its_arguments():
+    # L(5, chi3) = 3^-5 (zeta(5, 1/3) - zeta(5, 2/3)) reads its zeta values
+    # at the mpf roundings of 1/3 and 2/3: its bound counts what those
+    # roundings move, which the reference at the exact arguments shows
+    t = parse_term("single(n>=1) chi(n) / (n^5)")
+    r = eval_single(t, {"chi": CHI3}, CTX, "reduction")
+    with mp.workdps(100):
+        ref = (mpmath.zeta(5, mpf(1) / 3) - mpmath.zeta(5, mpf(2) / 3)) / 3 ** 5
+        assert abs(r.value - ref) <= r.abs_error_bound
+
+
+def test_a_new_b_builds_tail_rows_only(monkeypatch, empty_store):
+    # a thm-1.1 point at a b met before by no evaluation calls the row
+    # kernel from reduction for its tail base sums only: every row with the
+    # log sums and the columns 1..R+1 of the precision
+    from dpl import reduction
+
+    calls = []
+    row = reduction.euler_maclaurin_row
+    monkeypatch.setattr(reduction, "euler_maclaurin_row",
+                        lambda *args, **kw: calls.append((args, kw)) or row(*args, **kw))
+    entry = registry_get("thm-1.1")
+    rep = eval_identity(entry, {"k": 1, "x": "1", "b": "3/7"}, CTX, strategy=entry.strategy)
+    with CTX.workdps():
+        R = reduction._tail_order(mp.prec)
+    assert rep.passed and calls
+    for (args, kw) in calls:
+        assert (args[2:4], kw) == ((1, R + 1), {"logs": True})
+
+
+def test_stored_plans_hold_nothing_of_b(empty_store):
+    # points at b = 1/4, 1/2 and 1 read one stored plan, which they leave as
+    # the first point left it; b and the start m0 travel beside it, and at
+    # b = 1 the range m > b starts at m0 = 2
+    term = parse_term("sum(m>b,n>=0) x^n / ((m-b)^2 * (m+n)^2)")
+    values = {}
+    for b in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        values[b] = eval_double(term, {"b": b}, CTX, "reduction")
+        with CTX.workdps():
+            plan = ClassPlan.of(term, {"b": b})
+        if b == Fraction(1, 4):
+            first, attrs, made = plan, dict(vars(plan)), dict(plan.made)
+    assert plan is first and vars(plan) == attrs
+    assert plan.made.keys() == made.keys() and all(plan.made[k] is v for k, v in made.items())
+    assert (plan.start(Fraction(1, 2)), plan.start(Fraction(1))) == (1, 2)
+    # m = m' + 1, m' >= 1
+    shifted = eval_double(parse_term("sum(m>=1,n>=0) x^n / (m^2 * (m+n+1)^2)"), {}, CTX,
+                          "reduction")
+    at_one = values[Fraction(1)]
+    assert abs(at_one.value - shifted.value) <= at_one.abs_error_bound + shifted.abs_error_bound
+    with pytest.raises(DomainError):
+        eval_double(term, {}, CTX, "reduction")
+
+
+
+def test_a_far_shift_reads_a_short_table(empty_store):
+    # zeta(2, 1000001) is one entry of a table that runs from its start up to
+    # its top, not down from N = 0
+    from dpl import reduction
+
+    r = eval_single(parse_term("single(n>=1) x^n / ((n+1000000)^2)"), {}, CTX, "reduction")
+    with mp.workdps(100):
+        assert abs(r.value - mpmath.zeta(2, 1000001)) <= r.abs_error_bound
+    tables = [v for (k, v) in reduction.STORE.items() if k[0] == "table"]
+    assert tables and all(len(t.vals) <= reduction._RUNG + 1 for t in tables)

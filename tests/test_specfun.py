@@ -449,47 +449,90 @@ def test_split_exponent():
     assert (r, phi) == (2, 0) and isinstance(phi, int)
 
 
-def test_eval_cache_keeps_precisions_apart():
+def test_eval_cache_keeps_precisions_apart(empty_store):
+    # the tables that zeta reads are keyed by mp.prec: a read at 30 digits
+    # and one at 50 make tables of their own, and a second read at 30
+    # digits makes none
     ctx30 = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
     ctx50 = PrecisionContext(working_digits=50, guard_digits=10, output_digits=30)
     with ctx30.workdps():
         a = mpf(1) / 3 + 40
-    row30 = reduction.row(ctx30, a, 0, 8)
-    row50 = reduction.row(ctx50, a, 0, 8)
-    assert row50 is not row30
-    assert reduction.row(ctx30, a, 0, 8) is row30
+
+    def read(ctx):
+        with ctx.workdps():
+            return [reduction.zeta(r, a) for r in range(2, 9)]
+
+    z30 = read(ctx30)
+    keys30 = set(reduction.STORE)
+    z50 = read(ctx50)
+    keys50 = set(reduction.STORE) - keys30
+    assert keys50 and {key[5] for key in keys30} != {key[5] for key in keys50}
+    assert read(ctx30) == z30 and set(reduction.STORE) == keys30 | keys50
     with mp.workdps(120):
-        for r in range(2, 9):
+        for r, v30, v50 in zip(range(2, 9), z30, z50):
             ref = mpmath.zeta(r, a)
-            assert abs(row50.zeta_at(r).value - ref) <= row50.zeta_at(r).abs_error_bound
-            assert row50.zeta_at(r).abs_error_bound < mpf(10) ** -55 * ref
-            assert row30.zeta_at(r).abs_error_bound > mpf(10) ** -55 * ref
+            assert abs(v50.value - ref) <= v50.abs_error_bound
+            assert v50.abs_error_bound < mpf(10) ** -55 * ref
+            assert v30.abs_error_bound > mpf(10) ** -55 * ref
 
 
-def test_eval_cache_keeps_one_row_per_argument(empty_store):
-    # rows live in the process store, emptied here so that it holds this
-    # test's rows only
+def test_eval_cache_keeps_one_row_per_argument(monkeypatch, empty_store):
+    # the inner values read their lattice tables and build no row; the store
+    # holds one table per kind and exponent, keyed with frac(a) in units of
+    # 2^-P, P, the mp.prec in force and the top, and a read at a + 1 shares
+    # the table of a
+    built = []
+    row = reduction.euler_maclaurin_row
+    monkeypatch.setattr(reduction, "euler_maclaurin_row",
+                        lambda *args, **kw: built.append(args) or row(*args, **kw))
     a = mpf("64.25")
-    for r in range(2, 12):
-        reduction.zeta(CTX, r, a)
-        reduction.row(CTX, a, 0, r, logs=True).log_zeta_at(r)
-    reduction.psi(CTX, a)
-    reduction.zeta(CTX, Fraction(5, 2), a)
-    reduction.zeta(CTX, 3, a + 1)
-    # each keyed with its kind, the ctx and the mp.prec in force
-    keys = [reduction._key("row", CTX, a, 0), reduction._key("row", CTX, a, mpf("0.5")),
-            reduction._key("row", CTX, a + 1, 0)]
-    assert sorted(reduction.STORE, key=str) == sorted(keys, key=str)
+    with CTX.workdps():
+        for r in range(2, 12):
+            reduction.zeta(r, a)
+        reduction.psi(a)
+        reduction.zeta(Fraction(5, 2), a)
+        keys = set(reduction.STORE)
+        reduction.zeta(3, a + 1)
+        assert set(reduction.STORE) == keys
+        prec = mp.prec
+    assert not built
+    assert sorted(((key[1], key[2]) for key in keys), key=str) == sorted(
+        [("zeta", r) for r in range(2, 12)] + [("psi", None), ("zeta", mpf("2.5"))], key=str)
+    for key in keys:
+        tag, _, _, Phi, P, key_prec, top = key
+        assert tag == "table" and Phi == 1 << (P - 2) and key_prec == prec
+        assert top % reduction._RUNG == 0 and top >= 64
 
 
-def test_eval_cache_extends_a_short_row(empty_store):
-    ctx = PrecisionContext(working_digits=30, guard_digits=10, output_digits=20)
-    short = reduction.row(ctx, mpf("77.5"), 0, 3)
-    longer = reduction.row(ctx, mpf("77.5"), 0, 5)
-    assert longer.r_hi >= 6 and longer is not short
-    assert reduction.row(ctx, mpf("77.5"), 0, 4) is longer
-    z3, z3_long = short.zeta_at(3), longer.zeta_at(3)
-    assert abs(z3.value - z3_long.value) <= z3.abs_error_bound + z3_long.abs_error_bound
+@pytest.mark.parametrize("digits", [30, 50, 100, 200])
+def test_table_reads_within_their_bounds(digits):
+    # reduction.zeta and reduction.psi against mpmath at 40 more digits, each
+    # bound no looser than the one hurwitz_zeta or digamma gives at the point
+    ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
+    with ctx.workdps():
+        for a in (mpf(1) / 4, mpf(1) / 3, mpf(2) / 3, mpf(1), mpf(7) / 3, mpf("64.25")):
+            for j in (2, 3, 7, Fraction(3, 2), Fraction(5, 2), None):
+                if j is None:
+                    got, row = reduction.psi(a), digamma(a, ctx)
+                else:
+                    got, row = reduction.zeta(j, a), hurwitz_zeta(j, a, ctx)
+                with mp.workdps(mp.dps + 40):
+                    ref = mpmath.digamma(a) if j is None else mpmath.zeta(specfun._to_mp(j), a)
+                    assert abs(got.value - ref) <= got.abs_error_bound, (j, a)
+                assert got.abs_error_bound <= row.abs_error_bound, (j, a)
+
+
+def test_table_read_domain_checks():
+    # the exponent and the argument are checked before any table is read
+    with CTX.workdps():
+        for j in (Fraction(1, 2), 1, -1, mpf("1.0001")):
+            with pytest.raises(DomainError):
+                reduction.zeta(j, mpf(1) / 3)
+        for a in (0, mpf(-1) / 3, mpc(1, 1)):
+            with pytest.raises(DomainError):
+                reduction.zeta(2, a)
+            with pytest.raises(DomainError):
+                reduction.psi(a)
 
 
 def test_row_domain_checks():
@@ -498,7 +541,7 @@ def test_row_domain_checks():
         row.zeta_at(1)              # the r = 1 column of a phi = 0 row is psi
     with pytest.raises(DomainError):
         row.log_zeta_at(1)
-    crow = reduction.row(CTX, mpc(5, 1), 0, 3)
+    crow = euler_maclaurin_row(mpc(5, 1), 0, 1, 3, CTX)
     with pytest.raises(DomainError):
         crow.log_zeta_at(2)         # no log sums at complex a
     with pytest.raises(DomainError):

@@ -5,7 +5,11 @@ its BENCHMARK.json, runs `perfbench/run.py` of each checkout in turn for N
 pairs of runs of the benchmark's `run_seconds`, one seed per pair,
 alternating which side goes first, then TRACED_RUNS pairs of traced runs on
 the first seeds, alternating too. Each run uses the perfbench/ and src/ of
-its own checkout, as the benchmark does. Usage:
+its own checkout, as the benchmark does, compiled from source: every run
+gets a new empty PYTHONPYCACHEPREFIX, so that neither side reads bytecode
+from a __pycache__ beside its sources or from an earlier run (importing
+dpl.reduction from cached bytecode peaks some 5 MB lower than compiling
+it, more than peak_rss_mb's bound). Usage:
 
     python3 tools/bench_pairs.py --parent ../parent --pairs 10 --seeds 41 \\
         --out BENCH_<n>.json
@@ -34,19 +38,24 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]   # the changed checkout
 TRACED_RUNS = 3     # traced runs per side, whose per-layer medians are reported
+PYCACHE_PREFIX = "bench-pairs-pycache-"     # a run's new, empty bytecode directory
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One perfbench run; the JSON object of its last line of output."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True)
+    """One perfbench run, compiled from source; the JSON object of its last
+    line of output."""
+    with tempfile.TemporaryDirectory(prefix=PYCACHE_PREFIX) as pycache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": pycache})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}: "

@@ -10,7 +10,13 @@ their listed order, with the row kernel and reduction.base_sums wrapped
   columns took in all (ZetaRow.corrections) and the distinct lengths N of
   their direct blocks (ZetaRow.block; "-" for a checkout whose rows do not
   record them): "tail" rows are built for base_sums (the outer-sum tails),
-  "other" rows for single columns;
+  "other" rows for single columns (specfun's hurwitz_zeta, digamma and
+  log_zeta_sum, and a checkout's inner zeta/psi values where they read
+  rows);
+- the inner zeta/psi values of a checkout that reads them from the lattice
+  tables (reduction._inner_value; "-" elsewhere): how many were read, how
+  many zeta/psi tables those reads built, and their seconds, table builds
+  included;
 - the base_sums calls, how many of them had arguments not seen before in
   the pass (in a checkout with EvalCache, not seen before in their cache),
   and the seconds base_sums spent outside row builds;
@@ -66,6 +72,8 @@ def main(argv=None) -> int:
 
     rows = {"tail": [0, 0.0, 0, set()], "other": [0, 0.0, 0, set()]}
     bases = {"calls": 0, "distinct": 0, "seconds": 0.0}
+    inner = {"reads": 0, "builds": 0, "seconds": 0.0}
+    in_inner = [False]
     seen = set()        # (EvalCache or ctx, arguments) of the calls so far
     in_bases = [False]
     owner = getattr(reduction, "EvalCache", reduction)
@@ -135,6 +143,17 @@ def main(argv=None) -> int:
 
     def trans_top(a, out, dt):
         tables["zeta/psi", True][2] += dt
+        inner["builds"] += in_inner[0]
+
+    def inner_value(*a, **kw):
+        in_inner[0] = True
+        t0 = time.perf_counter()
+        try:
+            return real_inner(*a, **kw)
+        finally:
+            inner["seconds"] += time.perf_counter() - t0
+            in_inner[0] = False
+            inner["reads"] += 1
 
     def direct_block(a, out, dt):
         block[0] += 1
@@ -143,6 +162,9 @@ def main(argv=None) -> int:
     lattice = all([timed("_power_table", power_table), timed("_trans_table", trans_table),
                    timed("_trans_top", trans_top)])
     timed("_direct_block", direct_block)
+    real_inner = getattr(reduction, "_inner_value", None)
+    if real_inner is not None:
+        reduction._inner_value = inner_value
     t0 = time.perf_counter()
     failed = 0
     for op in wl.ops:
@@ -160,6 +182,9 @@ def main(argv=None) -> int:
               f"blocks N = {blocks or '-'}")
     print(f"  row builds, all  : {rows['tail'][0] + rows['other'][0]:4d} in "
           f"{rows['tail'][1] + rows['other'][1]:.3f} s")
+    print("  inner-value reads: " + (f"{inner['reads']:4d} in {inner['seconds']:.3f} s, "
+                                     f"{inner['builds']} zeta/psi table builds"
+                                     if real_inner is not None else "-"))
     print(f"  base_sums: {bases['calls']} calls, {bases['distinct']} with new arguments, "
           f"{bases['seconds']:.3f} s outside row builds")
     for (kind, build), (n, ints, s) in tables.items():
