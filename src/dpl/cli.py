@@ -22,6 +22,8 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import mpmath
+
 from .dsl import ParseError
 from .registry import DERIVATION_PAIRS, RegistryError, registry_get, registry_list
 from .specfun import DomainError, PrecisionContext
@@ -46,7 +48,7 @@ def _context(digits: int) -> PrecisionContext:
 
 def _expand_range(text: str):
     """'3..12' or '1,2,3' or a single value; a comma inside parentheses, as
-    in 'ru(3,1)', does not split."""
+    in 'ru(3,1)', does not split. An empty range, lo > hi, is a DomainError."""
     out = []
     for piece in re.split(r",(?![^(]*\))", text):
         piece = piece.strip()
@@ -56,6 +58,8 @@ def _expand_range(text: str):
             except ValueError as exc:
                 raise DomainError(f"cannot parse range {piece!r}: lo..hi needs two integers") \
                     from exc
+            if lo > hi:
+                raise DomainError(f"empty range {piece!r}: lo..hi needs lo <= hi")
             out.extend(str(v) for v in range(lo, hi + 1))
         elif piece:
             out.append(piece)
@@ -86,6 +90,17 @@ def _battery_from_args(entry, args):
     return [dict(zip(keys, combo)) for combo in itertools.product(*(given[k] for k in keys))]
 
 
+def _tolerance(text):
+    """--tolerance as an mpf, None when not given; DomainError when it is no
+    number, found before any point is evaluated."""
+    if text is None:
+        return None
+    try:
+        return mpmath.mpf(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"cannot parse tolerance {text!r}") from exc
+
+
 def _evaluate_point(ident, point, digits, strategy, tolerance):
     # module-level for process pools
     from .evaluator import eval_identity
@@ -94,8 +109,7 @@ def _evaluate_point(ident, point, digits, strategy, tolerance):
     ctx = _context(digits)
     tol = tolerance if tolerance is not None else entry.tolerance
     strat = strategy or entry.strategy
-    report = eval_identity(entry, point, ctx, strategy=strat,
-                           tolerance=__import__("mpmath").mpf(tol))
+    report = eval_identity(entry, point, ctx, strategy=strat, tolerance=mpmath.mpf(tol))
     return report.to_dict()
 
 
@@ -131,10 +145,11 @@ def _emit(reports, fmt, out_path):
 def cmd_verify(args):
     entry = registry_get(args.id)
     points = _battery_from_args(entry, args)
+    tolerance = _tolerance(args.tolerance)
     reports = []
     for point in points:
         reports.append(_evaluate_point(args.id, point, args.digits,
-                                       args.strategy, args.tolerance))
+                                       args.strategy, tolerance))
     _emit(reports, args.format, args.out)
     return EXIT_OK if all(r["pass"] for r in reports) else EXIT_RESIDUAL
 
@@ -143,7 +158,8 @@ def cmd_sweep(args):
     entry = registry_get(args.id)
     points = _battery_from_args(entry, args)
     jobs = max(1, args.jobs)
-    work = [(args.id, point, args.digits, args.strategy, args.tolerance)
+    tolerance = _tolerance(args.tolerance)
+    work = [(args.id, point, args.digits, args.strategy, tolerance)
             for point in points]
     if jobs == 1:
         reports = [_evaluate_point(*w) for w in work]
@@ -169,8 +185,9 @@ def cmd_derive(args):
         sys.stderr.write(f"error: {pair[0]} -> {pair[1]} is not a registered "
                          f"partial-fraction pair\n")
         return EXIT_USAGE
+    ks = _expand_range(args.k or "1..3")
     try:
-        ks = [int(v) for v in _expand_range(args.k or "1..3")]
+        ks = [int(v) for v in ks]
     except ValueError as exc:
         raise DomainError(f"cannot parse k value {args.k!r}: k needs integers") from exc
     report = check_derivation(registry_get(pair[0]).spec, registry_get(pair[1]).spec, ks)

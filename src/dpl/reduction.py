@@ -4,25 +4,34 @@ The reduction strategy rewrites the inner index sum of a double series in
 closed form (Hurwitz zetas and digammas via two-pole partial fractions), then
 accelerates the outer sum: a direct block driven by one-step recurrences, plus
 a tail obtained by expanding every factor in inverse powers of v, the outer
-variable shifted to the zeta/psi factor's argument. A power factor
-(v + delta)^-p is expanded from its whole exponent p, so it may be
-non-integer; one fractional part per atom moves to the row that sums the
-tail. The zeta/psi factor sits at v itself, so its series is the fixed
+variable shifted to the zeta/psi factor's argument.
+
+Every zeta/psi factor is one member Z_j, j >= 1, of one Hurwitz family: Z_j =
+zeta(j, .) for j > 1 and Z_1 = -psi, the finite part of zeta(s, .) at its pole
+s = 1. Each Z_j has the recurrence Z_j(a) = Z_j(a + 1) + a^-j and the same
+Bernoulli expansion, with -log v in place of v^(1-j)/(j-1) at j = 1; in a
+two-pole partial fraction Z_1 is the i = 1 and j = 1 piece, A[1] = -B[1]. So
+an atom's factor is (j, gamma), a tail factor ('zeta', j) and a lattice table
+is keyed by j alone; only psi(a) = -Z_1(a), for the single sums, negates.
+
+A power factor (v + delta)^-p is expanded from its whole exponent p, so it
+may be non-integer; one fractional part per atom moves to the row that sums
+the tail. The Z_j factor sits at v itself, so its series is the fixed
 Bernoulli expansion. The expansions multiply as truncated series, convolved
 only over the kept orders. Tail base sums are Hurwitz zetas and their
 log-weighted companions at one shared argument, taken together as one row of
 the package's Euler-Maclaurin kernel (specfun.euler_maclaurin_row), the
-only rows built here: every other zeta/psi value is read from a lattice
-table. The whole outer sum is fixed point: Python ints in units of 2^-P,
-one P per shape, with every cut counted into the bound.
+only rows built here: every other Z_j value is read from a lattice table.
+The whole outer sum is fixed point: Python ints in units of 2^-P, one P per
+shape, with every cut counted into the bound.
 
 What no argument changes is made once and kept for the process, in
-functools.lru_caches: the Bernoulli coefficients of the zeta/psi tail
-expansions and the tail starts they need (per kind, exponent, order and
-unit), and the b-free atoms of the inner closed forms (_inner_form), as the
-row kernel keeps its c_k mantissas. Everything else that outlives a call
-lives per process in one store, STORE, under one budget of estimated bytes
-(STORE_BYTES), the entries read or made least recently going first. A key
+functools.lru_caches: the Bernoulli coefficients of the Z_j tail expansions
+and the tail starts they need (per exponent, order and unit), and the b-free
+atoms of the inner closed forms (_inner_form), as the row kernel keeps its
+c_k mantissas. Everything else that outlives a call lives per process in
+one store, STORE, under one budget of estimated bytes (STORE_BYTES), the
+entries read or made least recently going first. A key
 starts with its entry's kind and holds the exact arguments the entry was
 made from, with the ctx and the mp.prec where they act, so an entry's
 content depends on its key alone and every number is the same in any order
@@ -34,10 +43,10 @@ of evaluation and under any eviction. The kinds:
   coefficient), scaled by the coefficient of every atom that has that shape
   (_sum_atom);
 - table: the lattice tables that the direct blocks of the outer sums read,
-  each power (N + phi)^-p and each zeta/psi value Z(N + phi) on the whole
-  N, made once per (kind, exponent, phi, precision) and read at stride lam
-  by every class, shape and point (_power_slice, _trans_slice); each inner
-  zeta/psi value is one entry of a zeta/psi table (zeta, psi);
+  each power (N + phi)^-p and each value Z_j(N + phi) on the whole N, made
+  once per (kind, exponent, phi, precision) and read at stride lam by every
+  class, shape and point (_power_slice, _trans_slice); each inner zeta/psi
+  value is one entry of a Z_j table (zeta, psi);
 - plan, terms: what depends on a term and x but not on b, the term's
   ClassPlan (ClassPlan.of, keyed by the term, mp.prec and the parameters
   but b) with its classes, their weights and constants, and each group's
@@ -60,7 +69,7 @@ atom with a geometric phase.
 Terms weighted by x^(m+n) are summed along the diagonals N = m + n, inside
 the disk, on the circle and at real exponents alike: the (m+n) part of the
 summand depends on N alone, and the inner sum over one diagonal is a partial
-sum in closed form (zeta or psi at the diagonal's end), so each term becomes
+sum in closed form (Z_j at the diagonal's end), so each term becomes
 outer atoms in N, summed as every other atom is.
 """
 
@@ -269,23 +278,26 @@ def stored(key, make):
 def zeta(j, a) -> EvalResult:
     """zeta(j, a), j >= 1 + 1e-3 or an int >= 2, a > 0 (_inner_value)."""
     jm = _check_s_real(j, 2)
-    return _inner_value(("zeta", int(jm) if jm == int(jm) else jm), a)
+    return _inner_value(int(jm) if jm == int(jm) else jm, a)
 
 
 def psi(a) -> EvalResult:
-    """psi(a) for a > 0, read from its lattice table (_inner_value)."""
-    return _inner_value(("psi",), a)
+    """psi(a) = -Z_1(a) for a > 0 (_inner_value)."""
+    return -_inner_value(1, a)
+
+
+def _z(j, a) -> EvalResult:
+    """Z_j(a): zeta(j, a), under its exponent checks, or -psi(a) at j = 1."""
+    return _inner_value(1, a) if j == 1 else zeta(j, a)
 
 
 def series(ctx, factor, R, v0, P):
     """The fixed-point expansion of one tail factor about v0: ('pow', p,
-    delta), ('zeta', j) or ('psi',)."""
+    delta) or ('zeta', j), the factor Z_j."""
     def make():
         if factor[0] == "pow":
             return _power_series(R, factor[1], factor[2], v0, P)
-        if factor[0] == "zeta":
-            return _zeta_series(R, factor[1], v0, P)
-        return _psi_series(R, v0, P)
+        return _zeta_series(R, factor[1], v0, P)
     return stored(_key("series", ctx, factor, R, v0, P), make)
 
 
@@ -365,7 +377,7 @@ def two_pole_coeffs(e: int, q: int):
 
 @dataclass
 class Atom:
-    """coef * prod_i (slope*u + gamma_i)^(-p_i) * Z(slope*u + gamma_z).
+    """coef * prod_i (slope*u + gamma_i)^(-p_i) * Z_j(slope*u + gamma_z).
 
     coef is a (value, bound) pair, so bounds from folded-in constants propagate.
     The powers are in normal form: powers given at one shift merge into one,
@@ -376,7 +388,7 @@ class Atom:
     coef: tuple
     slope: int
     rpows: tuple  # ((gamma, p) ...), gammas distinct, p != 0 an int or an mpf
-    trans: tuple | None = None  # ('zeta', j, gamma_z) | ('psi', gamma_z)
+    trans: tuple | None = None  # (j, gamma_z): the factor Z_j, j >= 1
 
     def __post_init__(self):
         merged = {}
@@ -601,24 +613,20 @@ def _b2(r):
     return mpf(b.numerator) / b.denominator
 
 
-def _expansion_coefficients(kind, j=None):
-    """(index, mpf coefficient) of the zeta(j)/psi expansion about v =
-    infinity, indices rising, at the precision in force:
+def _expansion_coefficients(j):
+    """(index, mpf coefficient) of the expansion of Z_j about v = infinity,
+    indices rising, at the precision in force:
 
-        zeta(j, v) = v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1),
-        psi(v) = log v - 1/(2v) - sum_{r>=1} B_2r/(2r) v^-2r,
+        Z_j(v) = v^(1-j)/(j-1) + v^-j/2 + sum_{r>=1} B_2r/(2r)! (j)_(2r-1) v^-(j+2r-1),
 
     index n standing for v^-(n + frac(j)) (the row that sums the tail
-    carries frac(j)); the log v of psi is not among them.
+    carries frac(j)). At j = 1, Z_1 = -psi, the first term is -log v, which
+    is not among them.
     """
-    if kind == "psi":
-        yield 1, -mpf(1) / 2
-        for r in itertools.count(1):
-            yield 2 * r, -_b2(r) / (2 * r)
-        return
     k, _ = _exponent_parts(j)
     jm = _frac_to_mp(j) if isinstance(j, Fraction) else mpf(j)
-    yield k - 1, 1 / (jm - 1)
+    if j != 1:
+        yield k - 1, 1 / (jm - 1)
     yield k, mpf(1) / 2
     poch, fact = jm, mpf(2)        # (j)_(2r-1) and (2r)!
     for r in itertools.count(1):
@@ -628,31 +636,31 @@ def _expansion_coefficients(kind, j=None):
 
 
 @functools.lru_cache(maxsize=256)
-def _expansion_terms(kind, j, R, P) -> tuple:
+def _expansion_terms(j, R, P) -> tuple:
     """The terms of _expansion_coefficients at P + 20 bits, through the
     first past index R + 1: all that _expansion_series reads. They depend on
-    no argument of a sum, so each (kind, j, R, P) is made once per process
-    (the 256 met last are kept)."""
+    no argument of a sum, so each (j, R, P) is made once per process (the
+    256 met last are kept)."""
     terms = []
     with mp.workprec(P + 20):
-        for n, c in _expansion_coefficients(kind, j):
+        for n, c in _expansion_coefficients(j):
             terms.append((n, c))
             if n > R + 1:
                 return tuple(terms)
 
 
 def _zeta_series(R, j, v0, P):
-    """zeta(j, v) about v = infinity, for real j > 1 (_expansion_coefficients),
-    scaled by v0."""
+    """Z_j(v) about v = infinity (_expansion_coefficients), scaled by v0."""
     k, _ = _exponent_parts(j)
-    return _expansion_series(R, P, v0, _expansion_terms("zeta", j, R, P), k - 1)
+    s = _expansion_series(R, P, v0, _expansion_terms(j, R, P), k - 1, logs=j == 1)
+    if j == 1:
+        s.b[0] = -1 << P    # -log v, exactly
+    return s
 
 
 def _psi_series(R, v0, P):
-    """psi(v) about v = infinity (_expansion_coefficients), scaled by v0."""
-    s = _expansion_series(R, P, v0, _expansion_terms("psi", None, R, P), 0, logs=True)
-    s.b[0] = 1 << P     # log v, exactly
-    return s
+    """_zeta_series of Z_1 = -psi, under the name perfbench traces."""
+    return _zeta_series(R, 1, v0, P)
 
 
 # ---------------------------------------------------------------------------
@@ -672,27 +680,23 @@ def _log2_b2(r: int) -> float:
     return math.log2(abs(b.numerator)) - math.log2(b.denominator) - math.lgamma(2 * r + 1) / _LN2
 
 
-def _expansion_log2(kind, j=None):
-    """(index, log2 |coefficient|) of the zeta(j)/psi expansion, indices rising."""
-    if kind == "psi":
-        yield 1, -1.0
-        for r in itertools.count(1):
-            yield 2 * r, _log2_b2(r) + math.lgamma(2 * r) / _LN2
-    else:
-        jf = float(j)
-        k = math.floor(jf)
+def _expansion_log2(j):
+    """(index, log2 |coefficient|) of the Z_j expansion, indices rising."""
+    jf = float(j)
+    k = math.floor(jf)
+    if j != 1:
         yield k - 1, -math.log2(jf - 1)
-        yield k, -1.0
-        for r in itertools.count(1):
-            yield k + 2 * r - 1, _log2_b2(r) + (math.lgamma(jf + 2 * r - 1) - math.lgamma(jf)) / _LN2
+    yield k, -1.0
+    for r in itertools.count(1):
+        yield k + 2 * r - 1, _log2_b2(r) + (math.lgamma(jf + 2 * r - 1) - math.lgamma(jf)) / _LN2
 
 
 @functools.lru_cache(maxsize=256)
-def _expansion_need(kind, j, R, P) -> float:
-    """The least v0 at which the expansion, cut after index R, leaves out
-    less than 2^-(P+4); made once per (kind, j, R, P) for the process."""
+def _expansion_need(j, R, P) -> float:
+    """The least v0 at which the Z_j expansion, cut after index R, leaves out
+    less than 2^-(P+4); made once per (j, R, P) for the process."""
     need = 0.0
-    for n, c in _expansion_log2(kind, j):
+    for n, c in _expansion_log2(j):
         if n == R + 1:
             need = max(need, (c + P + 4) / n)
         elif n > R + 1:
@@ -715,12 +719,10 @@ def _binomial_need(p, delta, R, P) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _standard_start(R: int, P: int) -> float:
-    """v0 at which the psi and every zeta(j), j = 2..8, expansion meets the
-    target after index R: the tail start of most shapes, so that shapes at
-    one shift share it and their tail rows; made once per (R, P) for the
-    process."""
-    return max([_expansion_need("psi", None, R, P)]
-               + [_expansion_need("zeta", j, R, P) for j in range(2, 9)])
+    """v0 at which every Z_j expansion, j = 1..8, meets the target after
+    index R: the tail start of most shapes, so that shapes at one shift share
+    it and their tail rows; made once per (R, P) for the process."""
+    return max(_expansion_need(j, R, P) for j in range(1, 9))
 
 
 def _tail_start(need, gamma, lam, u0, R, P) -> int:
@@ -744,14 +746,14 @@ def _tail_start(need, gamma, lam, u0, R, P) -> int:
 # lam*u + g = N + phi, with N = lam*u + floor(g) whole and phi = frac(g). So
 # the classes of a root of unity, the terms of a side and the points at one
 # b read one table of the factor on the whole N, each at stride lam from
-# its own start: a power table, (N + phi)^-p, or a zeta/psi table, Z(N +
-# phi) tabled down from its expansion at a top N. A table's content depends
-# on its key alone, (kind, exponent, phi in units, P), with mp.prec and the
-# top for a zeta/psi table; the top is the request's rung, the least
-# multiple of _RUNG at or above lam*U0 + floor(g). A power table grows entry
-# by entry, a zeta/psi table only downwards, by its recurrence, so every
-# entry read is the same in any order of requests. The tables live per
-# process, in STORE.
+# its own start: a power table, (N + phi)^-p, or a zeta table, Z_j(N + phi)
+# tabled down from its expansion at a top N by the powers (N + phi)^-j. A
+# table's content depends on its key alone, (kind, exponent, phi in units,
+# P), with mp.prec and the top for a zeta table; the top is the request's
+# rung, the least multiple of _RUNG at or above lam*U0 + floor(g). A power
+# table grows entry by entry, a zeta table only downwards, by its
+# recurrence, so every entry read is the same in any order of requests. The
+# tables live per process, in STORE.
 
 _RUNG = 32
 
@@ -760,7 +762,7 @@ class _Lattice:
     """The entries vals[i] of one lattice table at N = lo + i, ints in units
     of 2^-P, each off by less than errs[i] units (a list, or a range where
     they fall by one per entry; None: by less than one) beyond top_err, the
-    error of a zeta/psi table's top value."""
+    error of a zeta table's top value."""
 
     __slots__ = ("lo", "vals", "errs", "top_err")
 
@@ -796,7 +798,7 @@ def _power_entries(k, frac, Phi, P, lo, hi):
     multiplies in F = W^-frac, a cut mpf power, and the cut product t F is
     off by less than ((2|t| + |F|) >> P) + 2 units. Where the power has no
     value, W = 0 or, under a fractional exponent, W < 0, the entry is 0:
-    _power_slice raises before it would read one.
+    _power_slice and _trans_table raise before they would read one.
     """
     one = 1 << P
     num = 1 << (P * (k + 1))
@@ -856,17 +858,16 @@ def _power_slice(g, p, lam, u0, n, P):
 
 
 def _trans_top(trans, Phi, P, N):
-    """Z(N + phi) from its tail expansion at v0 = N + phi, cut after the
-    order of the precision (_tail_order): (value, its error) in units of
-    2^-P."""
-    kind = trans[0]
+    """Z_j(N + phi), trans = (j, gamma), from its tail expansion at v0 = N +
+    phi, cut after the order of the precision (_tail_order): (value, its
+    error) in units of 2^-P."""
+    j = trans[0]
     R = _tail_order(mp.prec)
     v0 = _unfix((N << P) + Phi, P)      # exact
-    zs = _psi_series(R, v0, P) if kind == "psi" else _zeta_series(R, trans[1], v0, P)
+    zs = _zeta_series(R, j, v0, P)
     with mp.workprec(P + 20):
-        log_v0 = (_fix(mp.log(v0), P), 2) if kind == "psi" else (0, 0)
-        top, top_err = zs.value_at_v0(log_v0)
-        jfrac = _exponent_parts(trans[1])[1] if kind == "zeta" else 0
+        top, top_err = zs.value_at_v0((_fix(mp.log(v0), P), 2) if j == 1 else (0, 0))
+        jfrac = _exponent_parts(j)[1]
         if jfrac:   # the series stands for v^-frac(j) times its sum
             F = _fix(v0 ** -jfrac, P)
             top, top_err = (top * F) >> P, ((top_err * abs(F) + abs(top) * 2) >> P) + 2
@@ -874,54 +875,39 @@ def _trans_top(trans, Phi, P, N):
 
 
 def _trans_table(trans, Phi, lo, hi, top, err, P):
-    """Z(N + phi) for whole N in [lo, hi) as ints in units of 2^-P.
+    """Z_j(N + phi), trans = (j, gamma), for whole N in [lo, hi) as ints in
+    units of 2^-P.
 
-    Z is zeta(j, .), j an int, a Fraction or an mpf, or psi. The table runs
-    down from top, Z at N = hi, off by err units, by the exact recurrences
-    zeta(j, a) = zeta(j, a+1) + a^-j and psi(a) = psi(a+1) - 1/a; each new
-    power is one cut int division, and one more unit (times a cut mpf power
-    for a fractional j, with its cut product's units). Returns the values
-    and, for each, the units it may be off by beyond the error of the value
-    the table was first tabled down from (a range for an int j or psi).
-    ShapeError if an argument is 0, or negative under a fractional j.
+    j is an int, a Fraction or an mpf, j >= 1. The table runs down from top,
+    Z_j at N = hi, off by err units, by the exact recurrence Z_j(a) = Z_j(a+1)
+    + a^-j, adding the powers (N + phi)^-j of _power_entries, each off by
+    less than its own units. Returns the values and, for each, the units it
+    may be off by beyond the error of the value the table was first tabled
+    down from (a range for an int j, one unit per step). ShapeError if an
+    argument is 0, or negative under a fractional j.
     """
-    kind, one = trans[0], 1 << P
-    ji, frac = _exponent_parts(trans[1]) if kind == "zeta" else (1, 0)
+    ji, frac = _exponent_parts(trans[0])
     if (not Phi and lo <= 0 < hi) or (frac and lo + (1 if Phi else 0) <= 0):
         raise ShapeError("zeta/psi argument at a pole or fractional power of a negative")
-    args = range((hi - 1) * one + Phi, (lo - 1) * one + Phi, -one)     # top down
-    if kind == "psi":
-        steps = (-((one << P) // A) for A in args)
-    elif not frac:
-        num = 1 << (P * (ji + 1))
-        steps = (num // A ** ji for A in args)
-    else:
-        num, vals, errs = 1 << (P * (ji + 1)), [], []
-        with mp.workprec(P + 20):
-            for A in args:
-                t = num // A ** ji
-                F = _fix(_unfix(A, P) ** -frac, P)
-                top += (t * F) >> P
-                err += ((abs(t) * 2 + abs(F)) >> P) + 2
-                vals.append(top)
-                errs.append(err)
-        return vals[::-1], errs[::-1]
-    vals = list(itertools.accumulate(steps, initial=top))[:0:-1]
-    return vals, range(err + hi - lo, err, -1)
+    steps, errs = _power_entries(ji, frac, Phi, P, lo, hi)
+    vals = list(itertools.accumulate(reversed(steps), initial=top))[:0:-1]
+    if errs is None:
+        return vals, range(err + hi - lo, err, -1)
+    return vals, list(itertools.accumulate(reversed(errs), initial=err))[:0:-1]
 
 
 def _trans_slice(trans, lam, u0, n, P, U0=None):
-    """(values, errors, top error) of the zeta/psi factor Z(lam*u + gamma)
-    for u in [u0, u0 + n), n > 0, read at stride lam from the zeta/psi table
-    at (trans's kind and j, frac(gamma), P, mp.prec, the rung of lam*U0 +
+    """(values, errors, top error) of the factor Z_j(lam*u + gamma), trans =
+    (j, gamma), for u in [u0, u0 + n), n > 0, read at stride lam from the
+    zeta table at (j, frac(gamma), P, mp.prec, the rung of lam*U0 +
     floor(gamma)), U0 >= u0 + n - 1 the tail start (None: u0 + n): ints in
     units of 2^-P, each off by less than its error plus the top error. A
-    new table holds its top, Z there from its expansion (_trans_top); a
+    new table holds its top, Z_j there from its expansion (_trans_top); a
     table grows downwards only (_trans_table)."""
-    kind, gz = trans[0], trans[-1]
+    j, gz = trans
     N0, Phi = _lattice_point(gz, P)
     start, top = lam * u0 + N0, _rung(lam * (u0 + n if U0 is None else U0) + N0)
-    key = ("table", kind, trans[1] if kind == "zeta" else None, Phi, P, mp.prec, top)
+    key = ("table", "zeta", j, Phi, P, mp.prec, top)
     tab = STORE.get(key)
     if tab is None or start < tab.lo:
         if tab is None:
@@ -929,32 +915,31 @@ def _trans_slice(trans, lam, u0, n, P, U0=None):
             tab = _Lattice(top, [value], [0], err)
         lo = _lattice_floor(start, Phi)
         vals, errs = _trans_table(trans, Phi, lo, tab.lo, tab.vals[0], tab.errs[0], P)
-        # an int j or psi: top - N units at N, one per step, kept as a range
+        # an int j: top - N units at N, one per step, kept as a range
         errs = range(errs[0], -1, -1) if isinstance(errs, range) else errs + tab.errs
         tab = STORE.put(key, _Lattice(lo, vals + tab.vals, errs, tab.top_err))
     at = slice(start - tab.lo, start - tab.lo + lam * (n - 1) + 1, lam)
     return tab.vals[at], tab.errs[at], tab.top_err
 
 
-def _inner_value(trans, a) -> EvalResult:
-    """Z(a) at a > 0, Z = ('zeta', j) or ('psi',): the entry at N = floor(a)
-    of its table at frac(a) (_trans_slice), topped at the tail start of a
-    lone Z(u + a), in units 2^-P that hold a and lie mp.prec + _SHAPE_GUARD
-    bits below 1 and a^-j < zeta(j, a). The bound holds the entry's units, its
-    top's, its rounding to mp.prec and that of a, an mpf made from a
-    rational such as (r + b)/lam by a few roundings, counted as 4 of
-    2^-prec: 4 |Z'(a)| a 2^-prec, at most 4 j |Z| 2^-prec (zeta(j+1, a) <=
-    zeta(j, a)/a) or 4 (1 + 1/a) 2^-prec (psi'(a) <= 1/a^2 + 1/a)."""
+def _inner_value(j, a) -> EvalResult:
+    """Z_j(a) at a > 0: the entry at N = floor(a) of its table at frac(a)
+    (_trans_slice), topped at the tail start of a lone Z_j(u + a), in units
+    2^-P that hold a and lie mp.prec + _SHAPE_GUARD bits below 1 and, for j
+    > 1, a^-j < zeta(j, a). The bound holds the entry's units, its top's,
+    its rounding to mp.prec and that of a, an mpf made from a rational such
+    as (r + b)/lam by a few roundings, counted as 4 of 2^-prec: 4 |Z_j'(a)|
+    a 2^-prec, at most 4 j |Z_j| 2^-prec (zeta(j+1, a) <= zeta(j, a)/a) or,
+    at j = 1, 4 (1 + 1/a) 2^-prec (psi'(a) <= 1/a^2 + 1/a)."""
     a = _to_mp(a)
     if isinstance(a, mpc) or not a > 0:
         raise DomainError("zeta(j, a) and psi(a) need a real a > 0")
-    j = trans[1] if trans[0] == "zeta" else None
-    P = _shape_unit([a]) + (math.ceil(j * math.log2(a)) if j and a > 1 else 0)
+    P = _shape_unit([a]) + (math.ceil(j * math.log2(a)) if j != 1 and a > 1 else 0)
     R = _tail_order(mp.prec)
-    U0 = _tail_start(_expansion_need(trans[0], j, R, P), a, 1, 0, R, P)
-    (v,), (e,), top_err = _trans_slice(trans + (a,), 1, 0, 1, P, U0)
-    # |Z'(a)| a in units of 2^-P; 1/a rounded up from a's exact units
-    slope = math.ceil(j) * abs(v) if j is not None else \
+    U0 = _tail_start(_expansion_need(j, R, P), a, 1, 0, R, P)
+    (v,), (e,), top_err = _trans_slice((j, a), 1, 0, 1, P, U0)
+    # |Z_j'(a)| a in units of 2^-P; 1/a rounded up from a's exact units
+    slope = math.ceil(j) * abs(v) if j != 1 else \
         (1 << P) - ((-1 << 2 * P) // _fix(a, P))
     units = e + top_err + _ceil_shift(abs(v) + 4 * slope, mp.prec)
     return EvalResult(+_unfix(v, P), _unfix(units, P), "euler_maclaurin")
@@ -987,7 +972,7 @@ def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
     then a tail, summed in ints in units of 2^-P.
 
     Every factor is expanded in inverse powers of v = slope*u + gamma*, at
-    the zeta/psi shift gamma*, cut after the power R of the precision
+    the Z_j shift gamma*, cut after the power R of the precision
     (_tail_order). U0 is the least start at which those expansions leave
     out less than 2^-(P+4), taken from the start shared by most shapes
     (_standard_start), doubled as needed. Without a phase the expansions
@@ -996,7 +981,7 @@ def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
     on at least until |X|^u underflows the target, and the tail is bounded
     geometrically, assuming |atom| falls with u; there an atom may have no
     factor at all. Either way the block reads the lattice tables of its
-    factors (_direct_block), whose zeta/psi table is tabled down from its
+    factors (_direct_block), whose zeta table is tabled down from its
     expansion at the rung at or above slope*U0 + floor(gamma*).
     """
     lam, trans = atom.slope, atom.trans
@@ -1005,19 +990,17 @@ def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
     # one fractional power per atom, for the direct block and the tail's row;
     # a zeta table raises its own, so with a phase (no row) it may add one
     fracs = [f for (_, p) in atom.rpows if (f := _exponent_parts(p)[1])]
-    if trans and trans[0] == "zeta" and phase is None:
-        fracs += [f for f in [_exponent_parts(trans[1])[1]] if f]
+    if trans and phase is None:
+        fracs += [f for f in [_exponent_parts(trans[0])[1]] if f]
     if len(fracs) > 1:
         raise ShapeError("more than one fractional outer exponent")
     phi = fracs[0] if fracs else 0
-    kind = trans[0] if trans else None
-    j = trans[1] if kind == "zeta" else None
     R = _tail_order(mp.prec)
     U0 = u0
     if phase is None or trans:
-        # the expansions at v0: the zeta/psi factor's starts the table, and
+        # the expansions at v0: the Z_j factor's starts the table, and
         # without a phase every factor's makes the tail
-        need = max([_expansion_need(kind, j, R, P) if trans else 0.0]
+        need = max([_expansion_need(trans[0], R, P) if trans else 0.0]
                    + [_binomial_need(p, mpf(g) - gamma_star, R, P)
                       for (g, p) in (atom.rpows if phase is None else ())])
         U0 = _tail_start(need, gamma_star, lam, u0, R, P)
@@ -1042,7 +1025,7 @@ def _sum_shape(atom: Atom, u0: int, ctx, phase=None) -> EvalResult:
         piece = series(ctx, ("pow", p, mpf(g) - gamma_star), R, v0, P)
         prod = piece if prod is None else prod.mul(piece)
     if trans:
-        zs = series(ctx, ("psi",) if kind == "psi" else ("zeta", j), R, v0, P)
+        zs = series(ctx, ("zeta", trans[0]), R, v0, P)
         prod = zs if prod is None else prod.mul(zs)
     if prod is None or prod.lo + phi <= 1:
         raise ShapeError("divergent outer tail")
@@ -1368,21 +1351,21 @@ def eval_double_reduction(term: DoubleSumTerm, params, ctx: PrecisionContext) ->
 @functools.lru_cache(maxsize=256)
 def _inner_form(eI, q, pO, lam, prec):
     """What no class or b changes of the atoms of _class_atoms: lam^-(eI +
-    q + pO) and, per atom, (its inner zeta/psi factor, ('zeta', s), ('psi',)
-    or None; its partial-fraction coefficient; the exponent at its joint
-    shift; its outer zeta/psi factor, ('zeta', j), ('psi',) or None), made
-    once per (eI, q, pO, lam, prec) for the process (the 256 met last kept)."""
+    q + pO) and, per atom, (the j of its inner factor Z_j, or None; its
+    partial-fraction coefficient; the exponent at its joint shift; the j of
+    its outer factor Z_j, or None), made once per (eI, q, pO, lam, prec) for
+    the process (the 256 met last kept). With both factors the inner sum is
+    sum_i A[i] Z_i(inner shift) + sum_j B[j] Z_j(joint shift), whose i = 1
+    and j = 1 pieces are psi(joint) - psi(inner) times A[1] = -B[1]."""
     one = mpf(lam) ** (-_frac_to_mp(eI + q + pO))
     if not eI:      # joint factor only: the inner sum is zeta(q, t0 + aJ(u))
-        return one, ((None, 1, 0, ("zeta", _num_exp(q))),)
+        return one, ((None, 1, 0, _num_exp(q)),)
     if not q:       # pure inner factor: the constant zeta(eI, t0 + aI)
-        return one, ((("zeta", _frac_to_mp(eI)), 1, 0, None),)
+        return one, ((_frac_to_mp(eI), 1, 0, None),)
     e, q = int(eI), int(q)
     A, B = two_pole_coeffs(e, q)
-    A1 = _frac_to_mp(A[1])
-    return one, (tuple((("zeta", i), _frac_to_mp(A[i]), e + q - i, None) for i in range(e, 1, -1))
-                 + tuple((None, _frac_to_mp(B[j]), e + q - j, ("zeta", j)) for j in range(2, q + 1))
-                 + ((None, A1, e + q - 1, ("psi",)), (("psi",), -A1, e + q - 1, None)))
+    return one, (tuple((i, _frac_to_mp(A[i]), e + q - i, None) for i in range(e, 0, -1))
+                 + tuple((None, _frac_to_mp(B[j]), e + q - j, j) for j in range(1, q + 1)))
 
 
 def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, const=1):
@@ -1395,7 +1378,7 @@ def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, const=1):
     degree). eI and q are the inner and joint exponents as Fractions, 0 for
     an absent factor and integers when both are present; opow is the outer
     factor's (shift, exponent), exponent 0 without one. The atoms come from
-    _inner_form, at this class's shifts and inner zeta/psi values.
+    _inner_form, at this class's shifts and inner Z_j values.
     """
     lam = lam_i
     gO, pO = opow
@@ -1403,25 +1386,22 @@ def _class_atoms(eI, q, gI, gJ, opow, rI, rO, lam_i, lam_o, t0, const=1):
     aI = t0 + (rI + gI) / lam
     og, wg, zg = (rO + gO) / lam, (rO + gJ - gI) / lam, (rI + rO + gJ) / lam + t0
     atoms = []
-    for (inner, c, p, trans) in forms:
+    for (inner, c, p, j) in forms:
         cv, ce = one, mpf(0)
-        if inner:
-            z = psi(aI) if inner[0] == "psi" else zeta(inner[1], aI)
+        if inner is not None:
+            z = _z(inner, aI)
             cv, ce = one * z.value, abs(one) * z.abs_error_bound
         atoms.append(Atom((cv * c * const, ce * abs(c) * abs(const)), lam_o // lam,
-                          ((og, pO), (wg, p)), trans and trans + (zg,)))
+                          ((og, pO), (wg, p)), None if j is None else (j, zg)))
     return atoms
 
 
 def _atom_at(atom: Atom) -> EvalResult:
-    """The atom at u = 0: its coefficient times its powers and its zeta/psi value."""
+    """The atom at u = 0: its coefficient times its powers and its Z_j value."""
     val = EvalResult(*atom.coef, "reduction")
     for (g, p) in atom.rpows:
         val = val.scale(g ** (-p))
-    if atom.trans is None:
-        return val
-    gz = atom.trans[-1]
-    return val.times(zeta(atom.trans[1], gz) if atom.trans[0] == "zeta" else psi(gz))
+    return val if atom.trans is None else val.times(_z(*atom.trans))
 
 
 def _eval_x_zero(term, plan, params, ctx) -> EvalResult:
@@ -1509,10 +1489,10 @@ def _eval_diagonal(term, plan, b, m0, ctx) -> EvalResult:
     factor (N + g)^-q depends on N alone. Two-sided terms with integer
     exponents split by two_pole_coeffs into one-sided pieces X^-i W^-k and
     Y^-j W^-k; a one-sided piece summed over one diagonal, class by class
-    mod L = plan.pair_mod, is a partial sum, zeta(i, start) - zeta(i, end)
-    with psi(end) - psi(start) at i = 1. Without an m- or n-factor the inner
+    mod L = plan.pair_mod, is a partial sum, Z_i(start) - Z_i(end), with
+    Z_i = zeta(i, .) and Z_1 = -psi. Without an m- or n-factor the inner
     sum counts the diagonal's points, which is linear in N. So each term is
-    a sum over N of outer atoms with one zeta/psi factor at most. N runs in
+    a sum over N of outer atoms with one Z_j factor at most. N runs in
     classes s mod the lcm of L, the (m+n) twist's modulus and a root of
     unity's order, on which the (m+n) twist and the phase are constant, and
     _sum_atom sums the atoms of each class with the geometric phase x^N when
@@ -1595,16 +1575,14 @@ def _eval_diagonal(term, plan, b, m0, ctx) -> EvalResult:
         for ((side, i, cf, wexp), kr) in zip(pieces, ks):
             g, own0, other0 = (gm, m0, n0) if side == "m" else (gn, n0, m0)
             rpows = [((s + gj) / L, q), ((s + gm + gn) / L, wexp)]
-            sign = 1 if i == 1 else -1
             for (rho, k) in kr:
-                # the class rho + L t, t >= t0, up to the diagonal's end
+                # the class rho + L t, t >= t0, up to the diagonal's end:
+                # Z_i(start) - Z_i(end)
                 start = math.ceil((own0 - rho) / L) + (rho + g) / L
                 end = (s - other0 - rho) // L + 1 + (rho + g) / L
-                # psi(end) - psi(start) at i = 1, else zeta(i, start) - zeta(i, end)
-                add((k * sign, mpf(0)), rpows,
-                    ("psi", end) if i == 1 else ("zeta", _num_exp(i), end))
+                add((-k, mpf(0)), rpows, (_num_exp(i), end))
                 sv, se = _start_value(i, start)
-                add((sv * k * -sign, abs(k) * se), rpows)
+                add((sv * k, abs(k) * se), rpows)
         if not pieces:
             # the class's points on the diagonal number slope u + c0 = V - v + c0
             # at V = (N + g)/L = slope u + v
@@ -1657,15 +1635,14 @@ def _power(base, p):
 
 
 def _start_value(i, a) -> tuple:
-    """zeta(i, a), or psi(a) at i = 1, from its table, continued to Re a <= 0
-    by zeta(i, a) = zeta(i, a + 1) + a^-i and psi(a) = psi(a + 1) - 1/a; as
-    (value, bound)."""
+    """Z_i(a) from its table, continued to Re a <= 0 by Z_i(a) = Z_i(a + 1)
+    + a^-i; as (value, bound)."""
     head, size, k = mpf(0), mpf(0), 0
     while mp.re(a) <= 0:
         t = _power(a, i)
         head, size, k, a = head + t, size + abs(t), k + 1, a + 1
-    val = psi(a) if i == 1 else zeta(_num_exp(i), a)
-    return val.value + (-head if i == 1 else head), val.abs_error_bound + (k + 2) * size * mp.eps
+    val = _z(_num_exp(i), a)
+    return val.value + head, val.abs_error_bound + (k + 2) * size * mp.eps
 
 
 def _num_exp(p: Fraction):

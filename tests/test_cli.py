@@ -224,6 +224,34 @@ def test_derive_malformed_k_exit2(capsys):
     assert err.startswith("error: cannot parse") and not out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--id", "thm-1.1", "--k", "5..3", "--b", "1/2", "--x", "1"),
+    ("sweep", "--id", "thm-1.1", "--k", "5..3", "--b", "1/2", "--x", "1"),
+    ("derive", "--from", "thm-2.1", "--to", "thm-1.1", "--k", "1..0")],
+    ids=["verify", "sweep", "derive"])
+def test_empty_range_exit2(capsys, argv):
+    # lo..hi with lo > hi names no point: a usage error, not an empty pass
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: empty range") and not out
+
+
+@pytest.mark.parametrize("tolerance", ["abc", "1/0"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--id", "euler-sum", "--l", "3"),
+    ("sweep", "--id", "aux-phi", "--s", "2..3", "--jobs", "2")], ids=["verify", "sweep-jobs2"])
+def test_malformed_tolerance_exit2(capsys, monkeypatch, argv, tolerance):
+    # the tolerance is parsed once, before any point is evaluated or any
+    # pool starts
+    import dpl.cli
+
+    monkeypatch.setattr(dpl.cli, "_evaluate_point", lambda *a: pytest.fail("evaluated"))
+    monkeypatch.setattr(dpl.cli, "ProcessPoolExecutor", lambda *a, **kw: pytest.fail("pool"))
+    code, out, err = run(capsys, *argv, "--tolerance", tolerance)
+    assert code == 2
+    assert err.startswith("error: cannot parse tolerance") and not out
+
+
 def test_eval_term_spellings_of_a_point_print_alike(capsys):
     outs = [run(capsys, "eval-term", "single(n>=1) x^n / (n^2)", f"--x={x}")
             for x in ("-1", "-1+0i", "ru(2,1)")]

@@ -257,13 +257,19 @@ def test_geometric_diagonal_sum_vs_brute_force(shape, xlit):
         assert abs(r.value - ref) <= r.abs_error_bound
 
 
-@pytest.mark.parametrize("trans", [("zeta", Fraction(3, 2), mpf(5) / 4), ("zeta", 3, mpf(5) / 4),
-                                   ("psi", mpf(5) / 4)], ids=["zeta-3/2", "zeta-3", "psi"])
+def _z_ref(j, a):
+    """Z_j(a) by mpmath: zeta(j, a), and -psi(a) at j = 1."""
+    return -mpmath.digamma(a) if j == 1 else mpmath.zeta(mpmath.mpmathify(j), a)
+
+
+@pytest.mark.parametrize("trans", [(Fraction(3, 2), mpf(5) / 4), (3, mpf(5) / 4),
+                                   (1, mpf(5) / 4)], ids=["zeta-3/2", "zeta-3", "psi"])
 def test_trans_table_within_its_units(trans):
-    # Z(5/4 + N) for N in [3, 13) in units of 2^-P, run down from the value
-    # at N = 13: each within its own units of mpmath, and those below 1e-55
+    # Z_j(5/4 + N) for N in [3, 13) in units of 2^-P, run down from the value
+    # at N = 13: each within its own units of mpmath, and those below 1e-55;
+    # Z_1 = -psi
     def ref(a):
-        return mpmath.psi(0, a) if trans[0] == "psi" else mpmath.zeta(mpmath.mpmathify(trans[1]), a)
+        return _z_ref(trans[0], a)
 
     with CTX.workdps():
         P = mp.prec + 8
@@ -274,6 +280,19 @@ def test_trans_table_within_its_units(trans):
         for N, v, e in zip(range(3, 13), vals, errs):
             assert abs(_unfix(v, P) - ref(mpf(5) / 4 + N - 1)) <= _unfix(e + 1, P)
             assert _unfix(e + 1, P) < mpf("1e-55")
+
+
+def test_start_value_continues_z1_below_zero():
+    # Z_1 = -psi at a <= 0, off its poles, continued from its table by
+    # Z_1(a) = Z_1(a + 1) + 1/a: within its bound of -psi at 40 more digits
+    from dpl.reduction import _start_value
+
+    with CTX.workdps():
+        for a in (-mpf(5) / 3, -mpf(1) / 3):
+            value, bound = _start_value(1, a)
+            with mp.workdps(CTX.dps + 40):
+                assert abs(value + mpmath.digamma(a)) <= bound
+            assert bound < mpf("1e-55")
 
 
 def _lattice_block(g, lam, u0):
@@ -311,20 +330,19 @@ def test_power_table_entries_are_cut_divisions(g, lam, empty_store):
 
 @pytest.mark.parametrize("lam", [1, 2, 4, 12])
 @pytest.mark.parametrize("g", LATTICE_SHIFTS, ids=["1/4", "-5/3"])
-@pytest.mark.parametrize("trans", ["zeta-2", "zeta-3/2", "psi"])
-def test_lattice_slices_within_their_units(trans, g, lam, empty_store):
-    # zeta(2), zeta(3/2) and psi at lam u + g for u in [u0, U0), read at
-    # stride lam from their tables, lie within their units of mpmath at 40
-    # more digits, and those units are below 1e-55; at -5/3 and slope 1 the
-    # lattice starts below 0 (zeta(3/2) there raises: a fractional power of
-    # a negative argument)
+@pytest.mark.parametrize("j", [2, Fraction(3, 2), 1], ids=["zeta-2", "zeta-3/2", "psi"])
+def test_lattice_slices_within_their_units(j, g, lam, empty_store):
+    # zeta(2), zeta(3/2) and Z_1 = -psi at lam u + g for u in [u0, U0), read
+    # at stride lam from their tables, lie within their units of mpmath at
+    # 40 more digits, and those units are below 1e-55; at -5/3 and slope 1
+    # the lattice starts below 0 (zeta(3/2) there raises: a fractional power
+    # of a negative argument)
     from dpl.reduction import ShapeError, _trans_slice
 
-    kind, j = ("psi", None) if trans == "psi" else ("zeta", Fraction(trans[5:]))
-    spec = ("psi", g) if kind == "psi" else ("zeta", j, g)
+    spec = (j, g)
 
     def ref(a):
-        return mpmath.psi(0, a) if kind == "psi" else mpmath.zeta(mpmath.mpmathify(j), a)
+        return _z_ref(j, a)
 
     with CTX.workdps():
         for u0 in (0, 1, 3):
@@ -362,7 +380,7 @@ def test_lattice_tables_give_the_same_ints_in_any_order(empty_store):
             out = {}
             for (lam, u0, n) in order:
                 out[lam, u0, n] = (_power_slice(g, 2, lam, u0, n, P),
-                                   _trans_slice(("zeta", 2, g), lam, u0, n, P))
+                                   _trans_slice((2, g), lam, u0, n, P))
             return out, sum(key[0] == "table" for key in reduction.STORE)
 
         forward, backward = read(reads), read(reads[::-1])
@@ -389,7 +407,7 @@ def test_auto_falls_back_to_direct_on_a_single_sum_reduction_misses():
 
 
 def test_lattice_reads_that_cover_a_pole_raise(empty_store):
-    # a zeta/psi table through N + phi = 0 raises ShapeError, as does a
+    # a Z_j table (j = 1, 2) through N + phi = 0 raises ShapeError, as does a
     # power read at a vanishing base and a negative outer exponent (a single
     # sum of x^n n^(1/2)); a power read whose stride steps over the zero
     # base reads the values around it
@@ -404,7 +422,7 @@ def test_lattice_reads_that_cover_a_pole_raise(empty_store):
     g = -mpf(3)
     with CTX.workdps():
         P, U0 = _lattice_block(g, 2, 0)
-        for spec in (("psi", g), ("zeta", 2, g)):
+        for spec in ((1, g), (2, g)):
             with pytest.raises(ShapeError):
                 _trans_slice(spec, 2, 1, U0 - 1, P)
         with pytest.raises(ShapeError):
@@ -543,7 +561,7 @@ def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     # the thm-1.1 lhs stencil through side_evaluator, whose points share the
     # process store, against one whose every point starts from an empty
     # store: the same derivative and bound, and what does not depend on b,
-    # the zeta/psi tables at phi = 0 (psi(1) and zeta(j, 1) among them) and
+    # the Z_j tables at phi = 0 (Z_1(1) = -psi(1) and zeta(j, 1) among them) and
     # the integer tail row, built once per stencil in place of six times.
     # The stencil starts from an empty store too: its entries, made by
     # earlier evaluations, would otherwise stand in for their own
@@ -556,7 +574,7 @@ def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     monkeypatch.setattr(reduction, "euler_maclaurin_row",
                         lambda a, phi, *rest, **kw: built.append(("row", a, phi)) or
                         row(a, phi, *rest, **kw))
-    # _trans_top makes the top of every new zeta/psi table
+    # _trans_top makes the top of every new Z_j table
     monkeypatch.setattr(reduction, "_trans_top",
                         lambda trans, Phi, P, N: built.append(
                             ("table", trans[:-1], Phi, P, mp.prec, N)) or top(trans, Phi, P, N))
@@ -582,7 +600,7 @@ def test_derivative_stencil_shares_one_cache(monkeypatch, empty_store):
     tail = [key for key in shared_builds
             if key[0] == "row" and key[1] > 1 and key[1] == int(key[1])]
     tables = [key for key in shared_builds if key[0] == "table" and key[2] == 0]
-    assert len(tail) == 1 and ("psi",) in {key[1] for key in tables}
+    assert len(tail) == 1 and (1,) in {key[1] for key in tables}
     for key in tail + tables:
         assert shared_builds[key] == 1
         assert fresh_builds[key] == 6
@@ -1406,46 +1424,41 @@ def test_power_series_within_its_remainder(p, sign):
                 assert abs(_series_kept(series, v, v0) - ref) <= _series_slack(series, v, v0)
 
 
-@pytest.mark.parametrize("j", [2, 3, 7, Fraction(5, 2), "psi"])
+@pytest.mark.parametrize("j", [2, 3, 7, Fraction(5, 2), pytest.param(1, id="psi")])
 def test_zeta_and_psi_series_within_their_remainder(j):
-    # zeta(j, v) and psi(v) about their own argument, kept part against
-    # mpmath at v0 and 2 v0; a fractional j carries v^-frac(j)
-    from dpl.reduction import _psi_series, _zeta_series
+    # Z_j(v), zeta(j, v) and at j = 1 -psi(v), about its own argument, kept
+    # part against mpmath at v0 and 2 v0; a fractional j carries v^-frac(j)
+    from dpl.reduction import _zeta_series
 
     with CTX.workdps():
         R, v0, P = 36, mpf(16), mp.prec + 8
-        series = _psi_series(R, v0, P) if j == "psi" else _zeta_series(R, j, v0, P)
+        series = _zeta_series(R, j, v0, P)
         for v in (v0, 2 * v0):
             with mp.workdps(mp.dps + 40):
-                if j == "psi":
-                    ref = mpmath.psi(0, v)
-                else:
-                    jm = mpf(j.numerator) / j.denominator if isinstance(j, Fraction) else mpf(j)
-                    ref = mpmath.zeta(jm, v) * v ** (jm - mp.floor(jm))
+                jm = mpf(j.numerator) / j.denominator
+                ref = _z_ref(j, v) * v ** (jm - mp.floor(jm))
                 assert abs(_series_kept(series, v, v0) - ref) <= _series_slack(series, v, v0)
 
 
 @pytest.mark.parametrize("digits", [30, 100])
-@pytest.mark.parametrize("j", [2, 5, mpf(5) / 2, "psi"])
+@pytest.mark.parametrize("j", [2, 5, mpf(5) / 2, pytest.param(1, id="psi")])
 def test_kept_expansion_coefficients_make_the_fresh_series(j, digits):
-    # the zeta/psi series from the coefficient lists kept for the process
-    # equal, int for int, the series from freshly generated coefficients
+    # the Z_j series from the coefficient lists kept for the process equal,
+    # int for int, the series from freshly generated coefficients; Z_1 =
+    # -psi carries -log v
     from dpl.reduction import (_expansion_coefficients, _expansion_series, _exponent_parts,
-                               _psi_series, _zeta_series)
+                               _zeta_series)
 
     ctx = PrecisionContext(working_digits=digits, output_digits=digits - 10)
     with ctx.workdps():
         R, P = digits // 2, mp.prec + 8
         for v0 in (mpf(16), mpf(1001) / 4):
-            kept = (_psi_series(R, v0, P) if j == "psi" else _zeta_series(R, j, v0, P))
+            kept = _zeta_series(R, j, v0, P)
             with mp.workprec(P + 20):
-                if j == "psi":
-                    fresh = _expansion_series(R, P, v0, _expansion_coefficients("psi"), 0,
-                                              logs=True)
-                    fresh.b[0] = 1 << P
-                else:
-                    fresh = _expansion_series(R, P, v0, _expansion_coefficients("zeta", j),
-                                              _exponent_parts(j)[0] - 1)
+                fresh = _expansion_series(R, P, v0, _expansion_coefficients(j),
+                                          _exponent_parts(j)[0] - 1, logs=j == 1)
+                if j == 1:
+                    fresh.b[0] = -1 << P
             for name in fresh.__slots__:
                 assert getattr(kept, name) == getattr(fresh, name), name
 
@@ -1460,13 +1473,13 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
 
     one = (mpf(1), mpf(0))
     with CTX.workdps():
-        atoms = [Atom(one, 1, ((mpf(0), 2),), ("psi", mpf(1))),
-                 Atom(one, 1, ((mpf(0), 3),), ("zeta", 2, mpf(1))),
-                 Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))]
+        atoms = [Atom(one, 1, ((mpf(0), 2),), (1, mpf(1))),
+                 Atom(one, 1, ((mpf(0), 3),), (2, mpf(1))),
+                 Atom(one, 1, ((mpf(0), 2),), (2, mpf(1)))]
         phase = None if x == "1" else (mpf(1) / 2, mpf(1))
         shared = [_sum_atom(a, 1, phase, CTX) for a in atoms]
         kinds = [key[:2] for key in reduction.STORE]
-        assert kinds.count(("table", "zeta")) + kinds.count(("table", "psi")) == 2
+        assert kinds.count(("table", "zeta")) == 2
         if phase is None:
             assert [key[0] for key in reduction.STORE].count("bases") == 1
         fresh = []
@@ -1480,13 +1493,13 @@ def test_shapes_summed_in_one_cache_match_fresh_caches(x, empty_store):
 _HALF = mpf(1) / 2
 SPLIT_START_ATOMS = [
     # (rpows, trans, the summand at u for the reference)
-    (((mpf(0), mpf(5) / 2),), ("psi", mpf(1)),
-     lambda u: u ** -(mpf(5) / 2) * mpmath.psi(0, u + 1)),
-    (((mpf(0), mpf(5) / 2),), ("zeta", 2, mpf(1)),
+    (((mpf(0), mpf(5) / 2),), (1, mpf(1)),
+     lambda u: u ** -(mpf(5) / 2) * -mpmath.digamma(u + 1)),
+    (((mpf(0), mpf(5) / 2),), (2, mpf(1)),
      lambda u: u ** -(mpf(5) / 2) * mpmath.zeta(2, u + 1)),
-    (((_HALF, mpf(3) / 2), (mpf(0), 2)), ("psi", mpf(1)),
-     lambda u: (u + _HALF) ** -(mpf(3) / 2) * u ** -2 * mpmath.psi(0, u + 1)),
-    (((_HALF, mpf(3) / 2), (mpf(0), 1)), ("zeta", 2, mpf(1)),
+    (((_HALF, mpf(3) / 2), (mpf(0), 2)), (1, mpf(1)),
+     lambda u: (u + _HALF) ** -(mpf(3) / 2) * u ** -2 * -mpmath.digamma(u + 1)),
+    (((_HALF, mpf(3) / 2), (mpf(0), 1)), (2, mpf(1)),
      lambda u: (u + _HALF) ** -(mpf(3) / 2) / u * mpmath.zeta(2, u + 1)),
 ]
 
@@ -1638,20 +1651,20 @@ _Q = mpf(1) / 4   # dyadic shifts are the same number at every precision
 OUTER_SHAPES = [
     # (id, slope, rpows as (shift, exponent), trans, geometric phase X); X is
     # taken at 400 digits, the same number at both precisions
-    ("p1-zeta2", 1, ((2 * _Q, 1),), ("zeta", 2, 4 * _Q), None),
-    ("p2-psi", 1, ((_Q, 2),), ("psi", 4 * _Q), None),
+    ("p1-zeta2", 1, ((2 * _Q, 1),), (2, 4 * _Q), None),
+    ("p2-psi", 1, ((_Q, 2),), (1, 4 * _Q), None),
     ("p3-bare", 1, ((3 * _Q, 3),), None, None),
-    ("p3/2-zeta2", 1, ((2 * _Q, Fraction(3, 2)),), ("zeta", 2, 4 * _Q), None),
-    ("equal-shifts-psi", 1, ((2 * _Q, 1), (2 * _Q, 2)), ("psi", 4 * _Q), None),
+    ("p3/2-zeta2", 1, ((2 * _Q, Fraction(3, 2)),), (2, 4 * _Q), None),
+    ("equal-shifts-psi", 1, ((2 * _Q, 1), (2 * _Q, 2)), (1, 4 * _Q), None),
     ("equal-shifts-fractional", 1, ((2 * _Q, Fraction(1, 2)), (2 * _Q, Fraction(3, 2))),
-     ("zeta", 2, 4 * _Q), None),
+     (2, 4 * _Q), None),
     ("unequal-shifts", 1, ((_Q, 1), (3 * _Q, 2)), None, None),
-    ("slope2-zeta3", 2, ((2 * _Q, 2),), ("zeta", 3, 6 * _Q), None),
-    ("slope4-psi", 4, ((3 * _Q, 2),), ("psi", 5 * _Q), None),
-    ("geometric-zeta2", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), "0.5"),
+    ("slope2-zeta3", 2, ((2 * _Q, 2),), (3, 6 * _Q), None),
+    ("slope4-psi", 4, ((3 * _Q, 2),), (1, 5 * _Q), None),
+    ("geometric-zeta2", 1, ((2 * _Q, 2),), (2, 4 * _Q), "0.5"),
     ("geometric-bare", 1, ((_Q, 3),), None, "0.5"),
     ("geometric-imaginary", 1, ((4 * _Q, 3),), None, "0.5j"),
-    ("geometric-complex", 1, ((2 * _Q, 2),), ("zeta", 2, 4 * _Q), "0.3+0.4j"),
+    ("geometric-complex", 1, ((2 * _Q, 2),), (2, 4 * _Q), "0.3+0.4j"),
 ]
 
 
@@ -1742,7 +1755,7 @@ def test_evaluation_order_does_not_matter(empty_store):
     # one precision, then at another in a store that holds it at the first,
     # gives at each what an empty store gives
     one = (mpf(1), mpf(0))
-    atom = Atom(one, 1, ((mpf(0), 2),), ("zeta", 2, mpf(1)))
+    atom = Atom(one, 1, ((mpf(0), 2),), (2, mpf(1)))
     with CTX.workdps():
         prec = mp.prec
     for p in (prec, prec + 64, prec):

@@ -478,9 +478,9 @@ def test_eval_cache_keeps_precisions_apart(empty_store):
 
 def test_eval_cache_keeps_one_row_per_argument(monkeypatch, empty_store):
     # the inner values read their lattice tables and build no row; the store
-    # holds one table per kind and exponent, keyed with frac(a) in units of
-    # 2^-P, P, the mp.prec in force and the top, and a read at a + 1 shares
-    # the table of a
+    # holds one table per exponent j of Z_j (psi reads Z_1 = -psi), keyed
+    # with frac(a) in units of 2^-P, P, the mp.prec in force and the top,
+    # and a read at a + 1 shares the table of a
     built = []
     row = reduction.euler_maclaurin_row
     monkeypatch.setattr(reduction, "euler_maclaurin_row",
@@ -497,7 +497,7 @@ def test_eval_cache_keeps_one_row_per_argument(monkeypatch, empty_store):
         prec = mp.prec
     assert not built
     assert sorted(((key[1], key[2]) for key in keys), key=str) == sorted(
-        [("zeta", r) for r in range(2, 12)] + [("psi", None), ("zeta", mpf("2.5"))], key=str)
+        [("zeta", r) for r in range(1, 12)] + [("zeta", mpf("2.5"))], key=str)
     for key in keys:
         tag, _, _, Phi, P, key_prec, top = key
         assert tag == "table" and Phi == 1 << (P - 2) and key_prec == prec
